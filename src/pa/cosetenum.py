@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
+
+from .quat import close
 
 DEFAULT_MAX_COSETS = 10_000
 
@@ -294,16 +297,12 @@ def triangle_presentation(p: int, q: int, r: int) -> Presentation:
 
 
 def is_spherical_triple(p: int, q: int, r: int) -> bool:
-    from fractions import Fraction
-
     return Fraction(1, p) + Fraction(1, q) + Fraction(1, r) > 1
 
 
 def spherical_triangle_order(p: int, q: int, r: int):
     """Closed-form order 2/(1/p + 1/q + 1/r - 1) of the spherical triangle
     group; None when the triple is not spherical with all entries >= 2."""
-    from fractions import Fraction
-
     if min(p, q, r) < 2:
         return None
     excess = Fraction(1, p) + Fraction(1, q) + Fraction(1, r) - 1
@@ -327,8 +326,6 @@ def triangle_table(p: int, q: int, r: int, max_cosets: int | None = None) -> Cos
 def coset_group(table: CosetTable):
     """The finite group defined by a complete table, as permutations of the
     cosets (the regular action, so |group| = number of cosets)."""
-    from .quat import close
-
     if table.status != "complete":
         raise ValueError("coset table did not complete")
     n = table.n_cosets
@@ -390,11 +387,6 @@ def image_order(
         raise ValueError(f"no natural epimorphism {source} -> {target}")
     table = triangle_table(*target, max_cosets=max_cosets)
     return permutation_order(word_permutation(table, word))
-
-
-def are_conjugate(G, g, h) -> bool:
-    """Brute-force conjugacy test in a FinGroup."""
-    return G.are_conjugate(g, h)
 
 
 def triangle_word_images(

@@ -10,9 +10,10 @@ Everything lives in two element models:
 * ``QuatExt`` -- unit quaternions with coordinates in Q(sqrt(2)), which is
   the smallest field containing the binary octahedral group.
 
-Pairs of either kind represent orientation-preserving isometries of S^3 via
+Pairs (q1, q2) represent orientation-preserving isometries of S^3 via
 phi(q1, q2)(q) = q1 * q * q2^{-1}, whose kernel is <(-1, -1)>; the ``Isom3``
-wrapper canonicalizes modulo that kernel.  ``FinGroup`` is a small closed
+wrapper canonicalizes ``DSElem`` pairs modulo that kernel (the Q(sqrt 2)
+computation works with raw pairs instead).  ``FinGroup`` is a small closed
 multiplication universe used for closures, normalizers and recognition.
 """
 
@@ -21,13 +22,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 HALF = Fraction(1, 2)
-
-
-def _mod1(t: Fraction) -> Fraction:
-    return t % 1
 
 
 # ---------------------------------------------------------------------------
@@ -62,13 +58,6 @@ class DSElem:
         if self.jflag:
             return DSElem(self.t + HALF, True)
         return DSElem(-self.t, False)
-
-    def conjugate(self) -> "DSElem":
-        # Quaternion conjugation; equals the inverse on unit quaternions.
-        return self.inv()
-
-    def key(self):
-        return (self.jflag, self.t)
 
     def __repr__(self):
         base = f"e(2pi*{self.t})"
@@ -218,26 +207,17 @@ def embed_ds(g: DSElem) -> QuatExt:
 
 @dataclass(frozen=True)
 class Isom3:
-    """phi(g1, g2) in Isom+(S^3), canonicalized modulo the kernel <(-1,-1)>.
-
-    For DSElem pairs the representative keeps the first component's angle in
-    [0, 1/2).  For QuatExt pairs the coordinate-wise lexicographically
-    smaller of the two representatives is kept.
+    """phi(g1, g2) in Isom+(S^3) for DSElem g1, g2, canonicalized modulo the
+    kernel <(-1,-1)>: the representative keeps g1's angle in [0, 1/2).
     """
 
-    g1: object
-    g2: object
+    g1: DSElem
+    g2: DSElem
 
     def __post_init__(self):
-        g1, g2 = self.g1, self.g2
-        if isinstance(g1, DSElem):
-            if g1.t >= HALF:
-                g1, g2 = -g1, -g2
-        else:
-            if (g1.key(), g2.key()) > ((-g1).key(), (-g2).key()):
-                g1, g2 = -g1, -g2
-        object.__setattr__(self, "g1", g1)
-        object.__setattr__(self, "g2", g2)
+        if self.g1.t >= HALF:
+            object.__setattr__(self, "g1", -self.g1)
+            object.__setattr__(self, "g2", -self.g2)
 
     def __mul__(self, other: "Isom3") -> "Isom3":
         return Isom3(self.g1 * other.g1, self.g2 * other.g2)
@@ -245,28 +225,14 @@ class Isom3:
     def inv(self) -> "Isom3":
         return Isom3(self.g1.inv(), self.g2.inv())
 
-    def key(self):
-        return (self.g1.key(), self.g2.key())
-
-    def is_identity(self) -> bool:
-        return self == identity_like(self)
-
     def __repr__(self):
-        if isinstance(self.g1, DSElem):
-            return format_isom(self)
-        return f"phi({self.g1}, {self.g2})"
+        return format_isom(self)
 
 
 ISOM_ID = Isom3(DS_ONE, DS_ONE)
 J = Isom3(DS_J, DS_J)    # (z1, z2) -> (conj z1, conj z2)
 J1 = Isom3(DS_ONE, DS_J)  # (z1, z2) -> (z2, -z1)
 J2 = Isom3(DS_J, DS_ONE)  # (z1, z2) -> (-conj z2, conj z1)
-
-
-def identity_like(g: Isom3) -> Isom3:
-    if isinstance(g.g1, DSElem):
-        return ISOM_ID
-    return Isom3(Q_ONE, Q_ONE)
 
 
 def L(t1, t2) -> Isom3:
@@ -281,7 +247,7 @@ def L(t1, t2) -> Isom3:
 
 
 def is_L(g: Isom3) -> bool:
-    return isinstance(g.g1, DSElem) and not g.g1.jflag and not g.g2.jflag
+    return not g.g1.jflag and not g.g2.jflag
 
 
 def l_angles(g: Isom3) -> tuple[Fraction, Fraction]:
@@ -289,7 +255,7 @@ def l_angles(g: Isom3) -> tuple[Fraction, Fraction]:
     if not is_L(g):
         raise ValueError("not an L-type isometry")
     s1, s2 = g.g1.t, g.g2.t
-    return (_mod1(s1 - s2), _mod1(s1 + s2))
+    return ((s1 - s2) % 1, (s1 + s2) % 1)
 
 
 def format_isom(g: Isom3) -> str:
@@ -308,9 +274,9 @@ def format_isom(g: Isom3) -> str:
 
 
 def isom_order(g: Isom3, bound: int = 10**6) -> int:
-    acc, ident = g, identity_like(g)
+    acc = g
     for n in range(1, bound + 1):
-        if acc == ident:
+        if acc == ISOM_ID:
             return n
         acc = acc * g
     raise ValueError("order exceeds bound")
@@ -330,16 +296,19 @@ class GroupOverflow(Exception):
 
 
 class FinGroup:
-    """A finite group given by its full element list.
+    """A finite group given by its full element list and a generating set.
 
     Elements must be hashable; ``mul`` and ``inv`` are callables (defaulting
     to the ``*`` operator and an ``.inv()`` method).  The element list keeps
-    deterministic construction order.
+    deterministic construction order.  ``gens`` defaults to the elements
+    themselves.  Elements and generators are tuples: cached groups are
+    shared between callers, so a group never changes once built.
     """
 
-    def __init__(self, elements, identity, mul=operator.mul, inv=None):
-        self.elements = list(elements)
-        self._set = set(self.elements)
+    def __init__(self, elements, identity, mul=operator.mul, inv=None, gens=None):
+        self.elements = tuple(elements)
+        self.gens = self.elements if gens is None else tuple(gens)
+        self._set = frozenset(self.elements)
         self.identity = identity
         self.mul = mul
         self._inv = inv
@@ -358,13 +327,7 @@ class FinGroup:
     def inv(self, g):
         if self._inv is not None:
             return self._inv(g)
-        method = getattr(g, "inv", None)
-        if callable(method):
-            return method()
-        for h in self.elements:
-            if self.mul(g, h) == self.identity:
-                return h
-        raise ValueError("no inverse found; not a group?")
+        return g.inv()
 
     def element_order(self, g) -> int:
         acc, n = g, 1
@@ -375,12 +338,6 @@ class FinGroup:
                 raise ValueError("element order exceeds group order")
         return n
 
-    def is_abelian(self) -> bool:
-        els = self.elements
-        return all(
-            self.mul(a, b) == self.mul(b, a) for i, a in enumerate(els) for b in els[i + 1:]
-        )
-
     def center(self):
         return [
             a
@@ -388,51 +345,43 @@ class FinGroup:
             if all(self.mul(a, b) == self.mul(b, a) for b in self.elements)
         ]
 
-    def subgroup(self, gens) -> "FinGroup":
-        return close(
-            gens, len(self.elements), identity=self.identity, mul=self.mul
+    def is_normal(self, H: "FinGroup") -> bool:
+        """Whether x*s*x^-1 lies in H for every generator x of this group
+        and every generator s of its subgroup H.
+
+        That is the same as H being normal: conjugation by x is an
+        automorphism, so x*H*x^-1 = <x*s*x^-1 : s in gens(H)>, which lies in
+        H exactly when the conjugated generators do, and then equals H
+        since both have |H| elements.  Every element of this group is a
+        product of its generators, so it conjugates H onto H as well.
+        """
+        return all(
+            self.mul(self.mul(x, s), self.inv(x)) in H for x in self.gens for s in H.gens
         )
-
-    def conjugate_set(self, g, S):
-        gi = self.inv(g)
-        return {self.mul(self.mul(g, s), gi) for s in S}
-
-    def normalizes(self, g, S) -> bool:
-        return self.conjugate_set(g, set(S)) == set(S)
-
-    def is_normal(self, S) -> bool:
-        S = set(S)
-        return all(self.normalizes(g, S) for g in self.elements)
 
     def are_conjugate(self, g, h) -> bool:
         return any(
             self.mul(self.mul(x, g), self.inv(x)) == h for x in self.elements
         )
 
-    def quotient(self, S, *, assume_normal=False) -> "FinGroup":
-        """The quotient by a normal subgroup, as a group of coset labels.
+    def quotient(self, H: "FinGroup") -> "FinGroup":
+        """The quotient by a normal subgroup H, as a group of coset labels.
 
-        Each coset is labeled by its first element in this group's element
-        order; multiplication is via representatives.  ``assume_normal``
-        skips the full normality check (for callers that already verified
-        it generator-by-generator).
+        Raises ValueError unless H's generators lie in this group and H
+        passes ``is_normal``.  Each coset is labeled by its first element in
+        this group's element order; multiplication is via representatives.
         """
-        S = list(S)
-        sset = set(S)
-        if not sset <= self._set:
+        if not all(s in self for s in H.gens):
             raise ValueError("not a subset")
-        if len(self) % len(S) != 0:
-            raise ValueError("not a normal subgroup")
-        if not assume_normal and not self.is_normal(sset):
+        if len(self) % len(H) != 0 or not self.is_normal(H):
             raise ValueError("not a normal subgroup")
         label = {}
         reps = []
         for g in self.elements:
             if g in label:
                 continue
-            coset = [self.mul(g, s) for s in S]
-            for c in coset:
-                label[c] = g
+            for s in H:
+                label[self.mul(g, s)] = g
             reps.append(g)
         qmul = lambda a, b: label[self.mul(a, b)]
         qinv = lambda a: label[self.inv(a)]
@@ -440,14 +389,15 @@ class FinGroup:
 
 
 def close(gens, bound=10**5, *, identity=None, mul=operator.mul, inv=None) -> FinGroup:
-    """Breadth-first closure of the generators into a FinGroup.
+    """Breadth-first closure of the generators into a FinGroup that records
+    them as its ``gens``.
 
     Raises GroupOverflow when more than ``bound`` elements appear.  In a
     finite group, closure under products with the generators suffices:
     inverses are positive powers.  When ``identity`` is omitted it is
     computed as g*g^{-1} from the first generator.
     """
-    gens = list(gens)
+    gens = tuple(gens)
     if identity is None:
         if not gens:
             raise ValueError("need generators or an explicit identity")
@@ -468,7 +418,7 @@ def close(gens, bound=10**5, *, identity=None, mul=operator.mul, inv=None) -> Fi
                     elements.append(b)
                     new.append(b)
         frontier = new
-    return FinGroup(elements, identity, mul=mul, inv=inv)
+    return FinGroup(elements, identity, mul=mul, inv=inv, gens=gens)
 
 
 # ---------------------------------------------------------------------------

@@ -208,13 +208,13 @@ def check_triangle_images() -> tuple[bool, dict]:
     G, (img_long, img_a) = cosetenum.triangle_word_images(
         (2, 3, 3), ["ac4ac2", "a"]
     )
-    conj_a = cosetenum.are_conjugate(G, img_long, img_a)
+    conj_a = G.are_conjugate(img_long, img_a)
     witness["ac4ac2_conj_a"] = conj_a
     # c2a and b2a become conjugate in the (2,2,4) quotient
     H, (img_c2a, img_b2a) = cosetenum.triangle_word_images(
         (2, 2, 4), ["c2a", "b2a"]
     )
-    conj_cb = cosetenum.are_conjugate(H, img_c2a, img_b2a)
+    conj_cb = H.are_conjugate(img_c2a, img_b2a)
     witness["c2a_conj_b2a_in_224"] = conj_cb
     return conj_a and conj_cb, witness
 

@@ -112,3 +112,10 @@ def perm_order_brute(perm):
         acc = tuple(perm[i] for i in acc)
         k += 1
     return k
+
+
+def normal_by_all_elements(elements, subgroup, mul, inv):
+    """Whether x*S*x^-1 = S for every x among ``elements``: the normality
+    test over all elements and all of S, not over generators."""
+    S = set(subgroup)
+    return all({mul(mul(x, s), inv(x)) for s in S} == S for x in elements)

@@ -147,6 +147,13 @@ class TestDihedral:
         code, _, _ = run(capsys, "dihedral", "1/3", "2", "4")
         assert code == 1
 
+    def test_non_positive_index(self, capsys):
+        for d1 in ("0", "-1"):
+            code, out, err = run(capsys, "dihedral", "2/5", d1, "1")
+            assert code == 1
+            assert out == ""
+            assert err == "error: d1, d2 must be positive\n"
+
 
 class TestHomology:
     def test_graph_file(self, capsys, tmp_path):

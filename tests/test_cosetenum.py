@@ -7,7 +7,6 @@ from pa.cosetenum import (
     CosetTable,
     DEFAULT_MAX_COSETS,
     Presentation,
-    are_conjugate,
     coset_group,
     enumerate_cosets,
     image_order,
@@ -190,16 +189,16 @@ class TestImageOrders:
 class TestConjugacy:
     def test_rotation_word_conjugate_to_a(self):
         G, (g, h) = triangle_word_images((2, 3, 3), ["ac4ac2", "a"])
-        assert are_conjugate(G, g, h)
+        assert G.are_conjugate(g, h)
 
     def test_244_capped_words(self):
         G, (g, h) = triangle_word_images((2, 2, 4), ["c2a", "b2a"])
-        assert are_conjugate(G, g, h)
+        assert G.are_conjugate(g, h)
 
     def test_negative_case(self):
         # the two classes of 3-cycles in the tetrahedral group
         G, (g, h) = triangle_word_images((2, 3, 3), ["b", "b2"])
-        assert not are_conjugate(G, g, h)
+        assert not G.are_conjugate(g, h)
 
 
 class TestCosetLimit:

@@ -5,6 +5,8 @@ from math import gcd
 
 import pytest
 
+import oracles
+from pa import dihedral
 from pa.dihedral import (
     DihedralParams,
     TAG_D3xZ2,
@@ -25,7 +27,19 @@ from pa.dihedral import (
     same_oriented,
     solve_k,
 )
-from pa.quat import J, L, dihedral_degree, isom_order, recognize
+from pa.quat import (
+    J,
+    L,
+    Q_I,
+    Q_J,
+    Q_ONE,
+    Q_S,
+    Q_W,
+    close,
+    dihedral_degree,
+    isom_order,
+    recognize,
+)
 from pa.slopes import Slope, slope
 
 
@@ -62,6 +76,9 @@ class TestSolveK:
             solve_k(slope("inf"), 1, 2)
         with pytest.raises(ValueError):
             solve_k(slope("1/3"), 2, 4)
+        for d1 in (0, -1):
+            with pytest.raises(ValueError, match="must be positive"):
+                solve_k(slope("2/5"), d1, 1)
 
 
 class TestParams:
@@ -154,6 +171,27 @@ class TestNormalizer:
             assert len(Q) == 4
             assert all(Q.element_order(x) <= 2 for x in Q)
 
+    def test_generators_conjugate_all_of_gamma_sweep(self):
+        # The form of the normality check before FinGroup.is_normal: each
+        # normalizer generator conjugates every element of Gamma into Gamma.
+        for r, d1, d2 in _sweep(4, 3):
+            if (d1, d2) == (1, 1) or is_trivial_theta(r, d1, d2):
+                continue
+            params = params_for(r, d1, d2)
+            N = normalizer(params)
+            assert len(N.gens) == 4
+            assert oracles.normal_by_all_elements(
+                N.gens, gamma(params)[0], lambda a, b: a * b, lambda a: a.inv()
+            ), (r, d1, d2)
+
+    def test_rejects_a_subgroup_it_does_not_normalize(self, monkeypatch):
+        # <J> is not normal in N(Gamma): conjugating J by the first
+        # generator g gives g^2*J.
+        params = params_for(slope("2/5"), 2, 3)
+        monkeypatch.setattr(dihedral, "gamma", lambda _: (close([J]), {}))
+        with pytest.raises(ArithmeticError):
+            normalizer.__wrapped__(params)
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             normalizer(params_for(slope("1/3"), 1, 1))
@@ -176,6 +214,20 @@ class TestExceptional:
         }
         assert len(quotient) == 12
         assert recognize(quotient) == TAG_D3xZ2
+
+    def test_all_96_pairs_normalize_gamma(self):
+        # The form of the normality check before FinGroup.is_normal: every
+        # one of the 96 raw pairs conjugates all of Gamma~ onto itself.
+        mul = lambda a, b: (a[0] * b[0], a[1] * b[1])
+        inv = lambda a: (a[0].inv(), a[1].inv())
+        one = (Q_ONE, Q_ONE)
+        gamma_raw = close([(Q_I, Q_I), (Q_J, Q_J)], 16, identity=one, mul=mul, inv=inv)
+        n_raw = close(
+            [(Q_S, Q_S), (Q_W, Q_W), (Q_ONE, -Q_ONE)], 192, identity=one, mul=mul, inv=inv
+        )
+        assert (len(gamma_raw), len(n_raw)) == (8, 96)
+        assert oracles.normal_by_all_elements(n_raw, gamma_raw, mul, inv)
+        assert n_raw.is_normal(gamma_raw)
 
 
 class TestIsomPlus:

@@ -158,7 +158,7 @@ class TestIsom3:
         G = close([J, J1], 16)
         assert len(G) == 8
         assert antipodal in G.center()
-        quotient = G.quotient(list(close([antipodal], 4)))
+        quotient = G.quotient(close([antipodal], 4))
         assert len(quotient) == 4
         assert recognize(quotient) == "(Z2)^2"
 
@@ -227,14 +227,41 @@ class TestFinGroup:
     def test_quotient(self):
         G = close([L(Fraction(1, 4), 0)])
         S = close([L(Fraction(1, 2), 0)])
-        Q = G.quotient(list(S))
+        Q = G.quotient(S)
         assert len(Q) == 2
         assert recognize(Q) == "Z2"
 
     def test_quotient_rejects_non_subgroup(self):
         G = close([L(Fraction(1, 4), 0)])
         with pytest.raises(ValueError):
-            G.quotient([J])
+            G.quotient(close([J]))
+
+    def test_quotient_rejects_non_normal_subgroup(self):
+        G = close([L(Fraction(1, 4), Fraction(1, 2)), J])
+        H = close([J])
+        assert len(G) == 8 and all(h in G for h in H)
+        with pytest.raises(ValueError, match="not a normal subgroup"):
+            G.quotient(H)
+
+    def test_is_normal_agrees_with_all_elements_form(self):
+        # The generator test against conjugating all of H by every element,
+        # on every cyclic subgroup; D4 and D6 have non-normal ones, the
+        # abelian <J, J1> has none.
+        seen = set()
+        for gens in (
+            [L(Fraction(1, 4), Fraction(1, 2)), J],
+            [L(Fraction(1, 6), Fraction(1, 2)), J],
+            [J, J1],
+        ):
+            G = close(gens)
+            for g in G:
+                H = close([g])
+                expected = oracles.normal_by_all_elements(
+                    G, H, lambda a, b: a * b, lambda a: a.inv()
+                )
+                assert G.is_normal(H) == expected, (gens, g)
+                seen.add(expected)
+        assert seen == {True, False}
 
     def test_recognition_tags(self):
         assert recognize(close([ISOM_ID])) == "Z1"
