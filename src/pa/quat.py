@@ -1,20 +1,29 @@
 """Exact arithmetic in the unit quaternions and in Isom+(S^3).
 
-Everything lives in two element models:
+Everything lives in two element models, each stored as one canonical tuple
+of integers, so that products, equality and hashing are integer operations:
 
 * ``DSElem`` -- elements of the subgroup D_S = S^1 u S^1*j of the unit
-  quaternions, stored as a rational angle t (the element is e^{2pi*i*t} or
-  e^{2pi*i*t}*j).  Rational-angle arithmetic is exact and covers every
-  construction except the binary octahedral group.
+  quaternions, e^{2pi*i*t} or e^{2pi*i*t}*j with a rational angle t, stored
+  as (n, d, jflag) with t = n/d reduced and 0 <= n < d.  Rational angles
+  cover every construction except the binary octahedral group.
 
-* ``QuatExt`` -- unit quaternions with coordinates in Q(sqrt(2)), which is
-  the smallest field containing the binary octahedral group.
+* ``QuatExt`` -- unit quaternions with coordinates in (1/2)Z[sqrt 2], which
+  holds the binary octahedral group (Conway & Smith, *On Quaternions and
+  Octonions*, ch. 3-4).  Each coordinate is (A + B*sqrt 2)/2, stored as the
+  eight integers (A_w, A_x, A_y, A_z, B_w, B_x, B_y, B_z).  A product is
+  formed over the integers and halved exactly; a product that leaves
+  (1/2)Z[sqrt 2] raises ArithmeticError instead of being rounded.
 
 Pairs (q1, q2) represent orientation-preserving isometries of S^3 via
-phi(q1, q2)(q) = q1 * q * q2^{-1}, whose kernel is <(-1, -1)>; the ``Isom3``
-wrapper canonicalizes ``DSElem`` pairs modulo that kernel (the Q(sqrt 2)
-computation works with raw pairs instead).  ``FinGroup`` is a small closed
-multiplication universe used for closures, normalizers and recognition.
+phi(q1, q2)(q) = q1 * q * q2^{-1}, whose kernel is <(-1, -1)>; ``Isom3``
+stores a ``DSElem`` pair as the key (D, a1, j1, a2, j2) canonical modulo that
+kernel (the Q(sqrt 2) computation works with raw pairs instead).  Elements
+are immutable and compare and hash as their keys.  ``Fraction`` appears only
+at the boundary: the constructors, ``DSElem.t``, ``l_angles``,
+``format_isom`` and the ``QSqrt2`` coordinate views.  ``FinGroup`` is a
+small closed multiplication universe used for closures, normalizers and
+recognition.
 """
 
 from __future__ import annotations
@@ -22,50 +31,70 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 HALF = Fraction(1, 2)
+
+
+def _exact(v) -> Fraction:
+    """v as a Fraction; only integers and Fractions are accepted."""
+    if not isinstance(v, (int, Fraction)):
+        raise TypeError(f"exact value expected (int or Fraction), got {v!r}")
+    return Fraction(v)
 
 
 # ---------------------------------------------------------------------------
 # D_S = S^1 u S^1*j with exact rational angles
 
 
-@dataclass(frozen=True)
-class DSElem:
-    """e^{2pi*i*t} (jflag False) or e^{2pi*i*t}*j (jflag True), t in [0,1)."""
+class DSElem(tuple):
+    """e^{2pi*i*t} (jflag False) or e^{2pi*i*t}*j (jflag True), t in [0,1),
+    stored as (n, d, jflag) with t = n/d in lowest terms."""
 
-    t: Fraction
-    jflag: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        t = self.t
-        if type(t) is not Fraction:
-            t = Fraction(t)
-        object.__setattr__(self, "t", t % 1)
+    def __new__(cls, t, jflag=False):
+        t = _exact(t) % 1
+        return tuple.__new__(cls, (t.numerator, t.denominator, bool(jflag)))
+
+    @property
+    def t(self) -> Fraction:
+        return Fraction(self[0], self[1])
+
+    @property
+    def jflag(self) -> bool:
+        return self[2]
 
     def __mul__(self, other: "DSElem") -> "DSElem":
         # j*e^{2pi*i*t} = e^{-2pi*i*t}*j and j*j = -1 = e^{pi*i}.
-        if not self.jflag:
-            return DSElem(self.t + other.t, other.jflag)
-        if not other.jflag:
-            return DSElem(self.t - other.t, True)
-        return DSElem(self.t - other.t + HALF, False)
+        n, d, j = self
+        m, e, k = other
+        D = lcm(2, d, e)
+        n, m = n * (D // d), m * (D // e)
+        return _ds(n - m + (D >> 1) * k if j else n + m, D, j ^ k)
 
     def __neg__(self) -> "DSElem":
-        return DSElem(self.t + HALF, self.jflag)
+        n, d, j = self
+        return _ds(2 * n + d, 2 * d, j)
 
     def inv(self) -> "DSElem":
-        if self.jflag:
-            return DSElem(self.t + HALF, True)
-        return DSElem(-self.t, False)
+        n, d, j = self
+        return -self if j else _ds(-n, d, False)
 
     def __repr__(self):
         base = f"e(2pi*{self.t})"
         return base + "*j" if self.jflag else base
 
 
-DS_ONE = DSElem(Fraction(0))
-DS_J = DSElem(Fraction(0), True)
+def _ds(n: int, d: int, jflag: bool) -> DSElem:
+    """The DSElem with angle n/d (any integer n, d >= 1)."""
+    n %= d
+    g = gcd(n, d)
+    return tuple.__new__(DSElem, (n // g, d // g, jflag))
+
+
+DS_ONE = DSElem(0)
+DS_J = DSElem(0, True)
 DS_I = DSElem(Fraction(1, 4))
 
 
@@ -75,32 +104,15 @@ DS_I = DSElem(Fraction(1, 4))
 
 @dataclass(frozen=True)
 class QSqrt2:
-    """The number a + b*sqrt(2) with a, b rational."""
+    """The number a + b*sqrt(2) with a, b rational: the exact view of one
+    ``QuatExt`` coordinate."""
 
     a: Fraction
     b: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-
-    def __add__(self, o):
-        return QSqrt2(self.a + o.a, self.b + o.b)
-
-    def __sub__(self, o):
-        return QSqrt2(self.a - o.a, self.b - o.b)
-
-    def __mul__(self, o):
-        return QSqrt2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
-
-    def __neg__(self):
-        return QSqrt2(-self.a, -self.b)
-
-    def is_zero(self):
-        return self.a == 0 and self.b == 0
-
-    def key(self):
-        return (self.a, self.b)
+        _exact(self.a)
+        _exact(self.b)
 
     def __repr__(self):
         if self.b == 0:
@@ -110,56 +122,88 @@ class QSqrt2:
         return f"({self.a}+{self.b}*sqrt2)"
 
 
-QS_ZERO = QSqrt2(0, 0)
-QS_ONE = QSqrt2(1, 0)
-QS_HALF_SQRT2 = QSqrt2(0, Fraction(1, 2))  # 1/sqrt(2)
+QS_HALF_SQRT2 = QSqrt2(0, HALF)  # 1/sqrt(2)
 
 
-@dataclass(frozen=True)
-class QuatExt:
-    """Unit quaternion w + x*i + y*j + z*k with Q(sqrt 2) coordinates."""
+def _hamilton(p, q) -> tuple[int, int, int, int]:
+    """The Hamilton product of two integer quaternions (w, x, y, z)."""
+    w1, x1, y1, z1 = p
+    w2, x2, y2, z2 = q
+    return (
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    )
 
-    w: QSqrt2
-    x: QSqrt2
-    y: QSqrt2
-    z: QSqrt2
+
+class QuatExt(tuple):
+    """Unit quaternion w + x*i + y*j + z*k with coordinates in (1/2)Z[sqrt 2],
+    stored as (A_w, A_x, A_y, A_z, B_w, B_x, B_y, B_z): each coordinate is
+    (A + B*sqrt 2)/2."""
+
+    __slots__ = ()
+
+    def __new__(cls, w: QSqrt2, x: QSqrt2, y: QSqrt2, z: QSqrt2):
+        coords = (w, x, y, z)
+        twice = [2 * c.a for c in coords] + [2 * c.b for c in coords]
+        if any(v.denominator != 1 for v in twice):
+            raise ValueError(f"coordinates {coords} are not in (1/2)Z[sqrt2]")
+        return tuple.__new__(cls, (int(v) for v in twice))
+
+    def _coord(self, i: int) -> QSqrt2:
+        return QSqrt2(Fraction(self[i], 2), Fraction(self[i + 4], 2))
+
+    w = property(lambda self: self._coord(0))
+    x = property(lambda self: self._coord(1))
+    y = property(lambda self: self._coord(2))
+    z = property(lambda self: self._coord(3))
 
     def __mul__(self, o: "QuatExt") -> "QuatExt":
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = o.w, o.x, o.y, o.z
-        return QuatExt(
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        )
+        # (a1 + b1*sqrt2)(a2 + b2*sqrt2) over integer quaternions a, b of
+        # twice the coordinates; the result is four times the product.
+        a1, b1, a2, b2 = self[:4], self[4:], o[:4], o[4:]
+        rational = [u + 2 * v for u, v in zip(_hamilton(a1, a2), _hamilton(b1, b2))]
+        root2 = [u + v for u, v in zip(_hamilton(a1, b2), _hamilton(b1, a2))]
+        four = rational + root2
+        if any(v & 1 for v in four):
+            raise ArithmeticError(f"product of {self} and {o} leaves (1/2)Z[sqrt2]")
+        return tuple.__new__(QuatExt, [v >> 1 for v in four])
 
     def __neg__(self):
-        return QuatExt(-self.w, -self.x, -self.y, -self.z)
+        return tuple.__new__(QuatExt, [-v for v in self])
 
     def conjugate(self):
-        return QuatExt(self.w, -self.x, -self.y, -self.z)
+        aw, ax, ay, az, bw, bx, by, bz = self
+        return tuple.__new__(QuatExt, (aw, -ax, -ay, -az, bw, -bx, -by, -bz))
+
+    def _norm4(self) -> tuple[int, int]:
+        """Four times the norm, as (rational part, sqrt 2 part)."""
+        a, b = self[:4], self[4:]
+        return (
+            sum(u * u + 2 * v * v for u, v in zip(a, b)),
+            sum(2 * u * v for u, v in zip(a, b)),
+        )
 
     def norm(self) -> QSqrt2:
-        return (
-            self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
-        )
+        r, s = self._norm4()
+        return QSqrt2(Fraction(r, 4), Fraction(s, 4))
 
     def inv(self):
         # Unit quaternions only; guarded by the norm invariant.
-        if self.norm() != QS_ONE:
+        if self._norm4() != (4, 0):
             raise ValueError("inverse requires a unit quaternion")
         return self.conjugate()
 
     def key(self):
-        return (self.w.key(), self.x.key(), self.y.key(), self.z.key())
+        return tuple(self)
 
     def __repr__(self):
         return f"[{self.w} {self.x}i {self.y}j {self.z}k]"
 
 
 def _q(w=0, x=0, y=0, z=0) -> QuatExt:
-    mk = lambda v: v if isinstance(v, QSqrt2) else QSqrt2(Fraction(v), 0)
+    mk = lambda v: v if isinstance(v, QSqrt2) else QSqrt2(v, 0)
     return QuatExt(mk(w), mk(x), mk(y), mk(z))
 
 
@@ -168,21 +212,22 @@ Q_I = _q(0, 1)
 Q_J = _q(0, 0, 1)
 Q_K = _q(0, 0, 0, 1)
 # (1+i)/sqrt(2): an order-8 element of the binary octahedral group.
-Q_S = QuatExt(QS_HALF_SQRT2, QS_HALF_SQRT2, QS_ZERO, QS_ZERO)
+Q_S = _q(QS_HALF_SQRT2, QS_HALF_SQRT2)
 # (1+i+j+k)/2: an order-6 Hurwitz unit.
 Q_W = _q(HALF, HALF, HALF, HALF)
 
 
-_COS_SIN_8TH = {
-    Fraction(0): (QSqrt2(1, 0), QS_ZERO),
-    Fraction(1, 8): (QS_HALF_SQRT2, QS_HALF_SQRT2),
-    Fraction(1, 4): (QS_ZERO, QSqrt2(1, 0)),
-    Fraction(3, 8): (-QS_HALF_SQRT2, QS_HALF_SQRT2),
-    Fraction(1, 2): (QSqrt2(-1, 0), QS_ZERO),
-    Fraction(5, 8): (-QS_HALF_SQRT2, -QS_HALF_SQRT2),
-    Fraction(3, 4): (QS_ZERO, QSqrt2(-1, 0)),
-    Fraction(7, 8): (QS_HALF_SQRT2, -QS_HALF_SQRT2),
-}
+# cos and sin of 2pi*k/8, k = 0..7, each as (A, B) for (A + B*sqrt 2)/2.
+_COS_SIN_8TH = (
+    ((2, 0), (0, 0)),
+    ((0, 1), (0, 1)),
+    ((0, 0), (2, 0)),
+    ((0, -1), (0, 1)),
+    ((-2, 0), (0, 0)),
+    ((0, -1), (0, -1)),
+    ((0, 0), (-2, 0)),
+    ((0, 1), (0, -1)),
+)
 
 
 def embed_ds(g: DSElem) -> QuatExt:
@@ -191,42 +236,88 @@ def embed_ds(g: DSElem) -> QuatExt:
     Only angles with denominator dividing 8 have cosine and sine in
     Q(sqrt 2); anything else is rejected.
     """
-    try:
-        c, s = _COS_SIN_8TH[g.t]
-    except KeyError:
-        raise ValueError(f"angle {g.t} has no Q(sqrt2) coordinates") from None
-    if g.jflag:
+    n, d, j = g
+    if 8 % d:
+        raise ValueError(f"angle {g.t} has no Q(sqrt2) coordinates")
+    (ca, cb), (sa, sb) = _COS_SIN_8TH[n * (8 // d)]
+    if j:
         # (cos + i sin) * j = cos*j + sin*k
-        return QuatExt(QS_ZERO, QS_ZERO, c, s)
-    return QuatExt(c, s, QS_ZERO, QS_ZERO)
+        return tuple.__new__(QuatExt, (0, 0, ca, sa, 0, 0, cb, sb))
+    return tuple.__new__(QuatExt, (ca, sa, 0, 0, cb, sb, 0, 0))
 
 
 # ---------------------------------------------------------------------------
 # Isometries of S^3: pairs modulo +-(1,1)
 
 
-@dataclass(frozen=True)
-class Isom3:
+class Isom3(tuple):
     """phi(g1, g2) in Isom+(S^3) for DSElem g1, g2, canonicalized modulo the
-    kernel <(-1,-1)>: the representative keeps g1's angle in [0, 1/2).
+    kernel <(-1,-1)>.
+
+    Stored as (D, a1, j1, a2, j2): g1 = e^{2pi*i*a1/D} * j^j1 and
+    g2 = e^{2pi*i*a2/D} * j^j2 over the least common denominator D of the
+    two angles (gcd(D, a1, a2) = 1), with the representative that keeps
+    g1's angle a1/D in [0, 1/2).
     """
 
-    g1: DSElem
-    g2: DSElem
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.g1.t >= HALF:
-            object.__setattr__(self, "g1", -self.g1)
-            object.__setattr__(self, "g2", -self.g2)
+    def __new__(cls, g1: DSElem, g2: DSElem):
+        n1, d1, j1 = g1
+        n2, d2, j2 = g2
+        D = lcm(2, d1, d2)
+        return _isom(D, n1 * (D // d1), j1, n2 * (D // d2), j2)
+
+    @property
+    def g1(self) -> DSElem:
+        return _ds(self[1], self[0], self[2])
+
+    @property
+    def g2(self) -> DSElem:
+        return _ds(self[3], self[0], self[4])
 
     def __mul__(self, other: "Isom3") -> "Isom3":
-        return Isom3(self.g1 * other.g1, self.g2 * other.g2)
+        # The D_S product in each coordinate, over a common even denominator.
+        D, a1, j1, a2, j2 = self
+        E, b1, k1, b2, k2 = other
+        if D != E or D & 1:
+            M = lcm(2, D, E)
+            s, t = M // D, M // E
+            D, a1, a2, b1, b2 = M, a1 * s, a2 * s, b1 * t, b2 * t
+        h = D >> 1
+        return _isom(
+            D,
+            a1 - b1 + h * k1 if j1 else a1 + b1,
+            j1 ^ k1,
+            a2 - b2 + h * k2 if j2 else a2 + b2,
+            j2 ^ k2,
+        )
 
     def inv(self) -> "Isom3":
-        return Isom3(self.g1.inv(), self.g2.inv())
+        D, a1, j1, a2, j2 = self
+        if D & 1:
+            D, a1, a2 = 2 * D, 2 * a1, 2 * a2
+        h = D >> 1
+        return _isom(D, a1 + h if j1 else -a1, j1, a2 + h if j2 else -a2, j2)
 
     def __repr__(self):
         return format_isom(self)
+
+
+def _isom(D: int, c1: int, j1: bool, c2: int, j2: bool) -> Isom3:
+    """The Isom3 of the pair with angles c1/D, c2/D (D even, c1, c2 any
+    integers): the kernel is removed by adding D/2 to both angles when
+    c1/D mod 1 is at least 1/2, then the key is reduced."""
+    h = D >> 1
+    c1 %= D
+    if c1 >= h:
+        c1 -= h
+        c2 += h
+    c2 %= D
+    g = gcd(D, c1, c2)
+    if g != 1:
+        D, c1, c2 = D // g, c1 // g, c2 // g
+    return tuple.__new__(Isom3, (D, c1, j1, c2, j2))
 
 
 ISOM_ID = Isom3(DS_ONE, DS_ONE)
@@ -242,34 +333,38 @@ def L(t1, t2) -> Isom3:
     eta2 = e^{pi*i(t2-t1)}, which satisfies (eta1*conj(eta2), eta1*eta2)
     = (e^{2pi*i*t1}, e^{2pi*i*t2}).
     """
-    t1, t2 = Fraction(t1), Fraction(t2)
+    t1, t2 = _exact(t1), _exact(t2)
     return Isom3(DSElem((t1 + t2) / 2), DSElem((t2 - t1) / 2))
 
 
 def is_L(g: Isom3) -> bool:
-    return not g.g1.jflag and not g.g2.jflag
+    _, _, j1, _, j2 = g
+    return not j1 and not j2
 
 
 def l_angles(g: Isom3) -> tuple[Fraction, Fraction]:
     """Recover (t1, t2) with g = L(t1, t2); requires is_L(g)."""
     if not is_L(g):
         raise ValueError("not an L-type isometry")
-    s1, s2 = g.g1.t, g.g2.t
-    return ((s1 - s2) % 1, (s1 + s2) % 1)
+    D, a1, _, a2, _ = g
+    return (Fraction((a1 - a2) % D, D), Fraction((a1 + a2) % D, D))
+
+
+_J_TAILS = {
+    (False, False): "",
+    (True, True): "·J",
+    (False, True): "·J1",
+    (True, False): "·J2",
+}
 
 
 def format_isom(g: Isom3) -> str:
     """Print as "L(a/b, c/d)" optionally followed by one of ·J, ·J1, ·J2."""
-    f1, f2 = g.g1.jflag, g.g2.jflag
-    if f1 and f2:
-        tail, base = "·J", Isom3(g.g1 * DS_J.inv(), g.g2 * DS_J.inv())
-    elif not f1 and f2:
-        tail, base = "·J1", Isom3(g.g1, g.g2 * DS_J.inv())
-    elif f1 and not f2:
-        tail, base = "·J2", Isom3(g.g1 * DS_J.inv(), g.g2)
-    else:
-        tail, base = "", g
-    t1, t2 = l_angles(base)
+    # Right multiplication by j^-1 clears a coordinate's j and keeps its
+    # angle, so the L-part has g's key with both flags cleared.
+    D, a1, j1, a2, j2 = g
+    tail = _J_TAILS[j1, j2]
+    t1, t2 = l_angles(tuple.__new__(Isom3, (D, a1, False, a2, False)))
     return f"L({t1}, {t2})" + tail
 
 

@@ -119,3 +119,89 @@ def normal_by_all_elements(elements, subgroup, mul, inv):
     test over all elements and all of S, not over generators."""
     S = set(subgroup)
     return all({mul(mul(x, s), inv(x)) for s in S} == S for x in elements)
+
+
+# D_S = S^1 u S^1*j and Isom+(S^3) by the Fraction rule: an element of D_S is
+# (t, jflag) for e^{2pi*i*t} * j^jflag, an isometry a pair of them.
+
+HALF = Fraction(1, 2)
+
+
+def ds_mul(a, b):
+    """The D_S product: j*e^{2pi*i*t} = e^{-2pi*i*t}*j and j*j = e^{pi*i}."""
+    (s, j), (t, k) = a, b
+    if not j:
+        return ((s + t) % 1, k)
+    if not k:
+        return ((s - t) % 1, True)
+    return ((s - t + HALF) % 1, False)
+
+
+def ds_inv(a):
+    t, j = a
+    return ((t + HALF) % 1, True) if j else (-t % 1, False)
+
+
+def isom_canonical(g1, g2):
+    """The pair modulo the kernel <(-1,-1)>: negate both (add 1/2 to both
+    angles) when g1's angle is at least 1/2."""
+    if g1[0] >= HALF:
+        g1, g2 = ((g1[0] + HALF) % 1, g1[1]), ((g2[0] + HALF) % 1, g2[1])
+    return (g1, g2)
+
+
+def isom_mul(x, y):
+    return isom_canonical(ds_mul(x[0], y[0]), ds_mul(x[1], y[1]))
+
+
+def isom_inv(x):
+    return isom_canonical(ds_inv(x[0]), ds_inv(x[1]))
+
+
+def isom_l(t1, t2):
+    """L(t1, t2) = phi(e^{pi*i(t1+t2)}, e^{pi*i(t2-t1)})."""
+    t1, t2 = Fraction(t1), Fraction(t2)
+    return isom_canonical((((t1 + t2) / 2) % 1, False), (((t2 - t1) / 2) % 1, False))
+
+
+ISOM_J = ((Fraction(0), True), (Fraction(0), True))
+
+
+def isom_format(x):
+    """"L(t1, t2)" for the L-part, then ·J, ·J1 or ·J2 by the j-flags."""
+    tails = {(True, True): "·J", (False, True): "·J1", (True, False): "·J2"}
+    j_inv = ds_inv((Fraction(0), True))
+    (g1, g2), flags = x, (x[0][1], x[1][1])
+    base = isom_canonical(
+        ds_mul(g1, j_inv) if flags[0] else g1, ds_mul(g2, j_inv) if flags[1] else g2
+    )
+    s1, s2 = base[0][0], base[1][0]
+    return f"L({(s1 - s2) % 1}, {(s1 + s2) % 1})" + tails.get(flags, "")
+
+
+# Quaternions over Q(sqrt 2) by the Fraction rule: a coordinate is (a, b)
+# for a + b*sqrt(2), a quaternion the four coordinates (w, x, y, z).
+
+
+def _qs_mul(u, v):
+    return (u[0] * v[0] + 2 * u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+
+def _qs_sum(*terms):
+    return (sum(t[0] for t in terms), sum(t[1] for t in terms))
+
+
+def _qs_neg(u):
+    return (-u[0], -u[1])
+
+
+def quat_mul(p, q):
+    """The Hamilton product with Q(sqrt 2) coordinates."""
+    (w1, x1, y1, z1), (w2, x2, y2, z2) = p, q
+    m, n = _qs_mul, _qs_neg
+    return (
+        _qs_sum(m(w1, w2), n(m(x1, x2)), n(m(y1, y2)), n(m(z1, z2))),
+        _qs_sum(m(w1, x2), m(x1, w2), m(y1, z2), n(m(z1, y2))),
+        _qs_sum(m(w1, y2), n(m(x1, z2)), m(y1, w2), m(z1, x2)),
+        _qs_sum(m(w1, z2), m(x1, y2), n(m(y1, x2)), m(z1, w2)),
+    )

@@ -126,7 +126,12 @@ class TestDihedral:
         assert payload["quotient_order"] == 4
         assert payload["key"] == "O[2/5;2,3]"
         assert payload["certificate"]["dihedral_relation"] is True
-        assert len(payload["quotient_elements"]) == 4
+        assert payload["quotient_elements"] == [
+            "L(0, 0)",
+            "L(1/30, 7/20)",
+            "L(1/2, 0)",
+            "L(8/15, 7/20)",
+        ]
 
     def test_trivial_theta(self, capsys):
         code, payload, _ = run_json(capsys, "dihedral", "0/1", "1", "2")
@@ -135,6 +140,21 @@ class TestDihedral:
         assert payload["order"] == 4
         assert payload["normalizer_order"] == 48
         assert payload["quotient_order"] == 12
+        # Cosets of Gamma~ as (q1, q2) pairs over Q(sqrt2).
+        assert payload["quotient_elements"] == [
+            "([1 0i 0j 0k], [1 0i 0j 0k])",
+            "([1/2*sqrt2 1/2*sqrt2i 0j 0k], [1/2*sqrt2 1/2*sqrt2i 0j 0k])",
+            "([1/2 1/2i 1/2j 1/2k], [1/2 1/2i 1/2j 1/2k])",
+            "([1 0i 0j 0k], [-1 0i 0j 0k])",
+            "([0 1/2*sqrt2i 0j 1/2*sqrt2k], [0 1/2*sqrt2i 0j 1/2*sqrt2k])",
+            "([1/2*sqrt2 1/2*sqrt2i 0j 0k], [-1/2*sqrt2 -1/2*sqrt2i 0j 0k])",
+            "([0 1/2*sqrt2i 1/2*sqrt2j 0k], [0 1/2*sqrt2i 1/2*sqrt2j 0k])",
+            "([-1/2 1/2i 1/2j 1/2k], [-1/2 1/2i 1/2j 1/2k])",
+            "([1/2 1/2i 1/2j 1/2k], [-1/2 -1/2i -1/2j -1/2k])",
+            "([0 1/2*sqrt2i 0j 1/2*sqrt2k], [0 -1/2*sqrt2i 0j -1/2*sqrt2k])",
+            "([0 1/2*sqrt2i 1/2*sqrt2j 0k], [0 -1/2*sqrt2i -1/2*sqrt2j 0k])",
+            "([-1/2 1/2i 1/2j 1/2k], [1/2 -1/2i -1/2j -1/2k])",
+        ]
 
     def test_formula_only(self, capsys):
         code, payload, _ = run_json(capsys, "dihedral", "1/3", "1", "1")

@@ -184,6 +184,26 @@ class TestNormalizer:
                 N.gens, gamma(params)[0], lambda a, b: a * b, lambda a: a.inv()
             ), (r, d1, d2)
 
+    @pytest.mark.parametrize("r, d1, d2", [("1/2", 1, 3), ("1/3", 2, 1), ("2/5", 2, 3)])
+    def test_orders_agree_with_fraction_rule_closure(self, r, d1, d2):
+        # The generators L(k1/pd2, k2/pd1), L(k1/2pd2, k2/2pd1), L(1/2,0),
+        # L(0,1/2) and J have different natural denominators, so the
+        # closures multiply elements stored over different denominators.
+        params = params_for(slope(r), d1, d2)
+        p, k1, k2 = params.r.p, params.k1, params.k2
+        L_, J_, mul = oracles.isom_l, oracles.ISOM_J, oracles.isom_mul
+        identity = L_(0, 0)
+        gamma_gens = [L_(Fraction(k1, p * d2), Fraction(k2, p * d1)), J_]
+        assert oracles.closure_count(gamma_gens, mul, identity) == len(gamma(params)[0])
+        half = Fraction(1, 2)
+        n_gens = [
+            L_(Fraction(k1, 2 * p * d2), Fraction(k2, 2 * p * d1)),
+            L_(half, 0),
+            L_(0, half),
+            J_,
+        ]
+        assert oracles.closure_count(n_gens, mul, identity) == len(normalizer(params))
+
     def test_rejects_a_subgroup_it_does_not_normalize(self, monkeypatch):
         # <J> is not normal in N(Gamma): conjugating J by the first
         # generator g gives g^2*J.

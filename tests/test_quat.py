@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from pa.quat import (
+    HALF,
     DS_I,
     DS_J,
     DS_ONE,
@@ -36,6 +37,7 @@ from pa.quat import (
     isom_order,
     l_angles,
     recognize,
+    _q,
 )
 
 angles = st.fractions(
@@ -43,8 +45,24 @@ angles = st.fractions(
 ).map(lambda f: f % 1)
 
 
+# D_S elements in the oracles' (t, jflag) form, with denominators 1..48.
+ds_pairs = st.tuples(
+    st.integers(1, 48), st.integers(0, 47), st.booleans()
+).map(lambda x: (Fraction(x[1], x[0]) % 1, x[2]))
+
+
 def ds(t, j=False):
     return DSElem(Fraction(t), j)
+
+
+def as_pair(g):
+    """An Isom3 in the oracles' form ((t1, j1), (t2, j2))."""
+    return ((g.g1.t, g.g1.jflag), (g.g2.t, g.g2.jflag))
+
+
+def as_qs(q):
+    """A QuatExt in the oracles' form: four (a, b) pairs for a + b*sqrt2."""
+    return tuple((c.a, c.b) for c in (q.w, q.x, q.y, q.z))
 
 
 class TestDSElem:
@@ -74,6 +92,13 @@ class TestDSElem:
         assert g * g.inv() == DS_ONE
         assert g.inv() * g == DS_ONE
 
+    @given(u=ds_pairs, v=ds_pairs)
+    def test_agrees_with_fraction_rule(self, u, v):
+        a, b = DSElem(*u), DSElem(*v)
+        assert (a.t, a.jflag) == u
+        assert ((a * b).t, (a * b).jflag) == oracles.ds_mul(u, v)
+        assert (a.inv().t, a.inv().jflag) == oracles.ds_inv(u)
+
     def test_embed_ds_is_homomorphism(self):
         # exhaustive over the denominators the QuatExt table covers
         elems = [
@@ -102,6 +127,17 @@ class TestQuatExt:
         assert Q_S.w == QSqrt2(0, Fraction(1, 2))
         assert Q_S.x == QSqrt2(0, Fraction(1, 2))
 
+    def test_product_leaving_half_z_sqrt2_raises(self):
+        # (1/2)*(1/2) = 1/4 is not in (1/2)Z[sqrt2]: never rounded.
+        with pytest.raises(ArithmeticError):
+            _q(HALF) * _q(HALF)
+
+    def test_coordinate_outside_half_z_sqrt2_rejected(self):
+        with pytest.raises(ValueError):
+            _q(QSqrt2(Fraction(1, 3), 0))
+        with pytest.raises(ValueError):
+            _q(0, QSqrt2(0, Fraction(1, 4)))
+
 
 class TestIsom3:
     def test_identity(self):
@@ -119,6 +155,26 @@ class TestIsom3:
     def test_kernel_random(self, t1, t2, j1, j2):
         g1, g2 = DSElem(t1, j1), DSElem(t2, j2)
         assert Isom3(g1, g2) == Isom3(-g1, -g2)
+
+    @given(x=st.tuples(ds_pairs, ds_pairs), y=st.tuples(ds_pairs, ds_pairs))
+    def test_agrees_with_fraction_rule(self, x, y):
+        a = Isom3(DSElem(*x[0]), DSElem(*x[1]))
+        b = Isom3(DSElem(*y[0]), DSElem(*y[1]))
+        ox, oy = oracles.isom_canonical(*x), oracles.isom_canonical(*y)
+        assert as_pair(a) == ox and as_pair(b) == oy
+        prod = oracles.isom_mul(ox, oy)
+        assert as_pair(a * b) == prod
+        assert as_pair(a.inv()) == oracles.isom_inv(ox)
+        assert (a == b) == (ox == oy)
+        # Equal elements reached by different routes hash alike.
+        for same in (
+            Isom3(-DSElem(*x[0]), -DSElem(*x[1])),
+            Isom3(DSElem(*ox[0]), DSElem(*ox[1])),
+        ):
+            assert same == a and hash(same) == hash(a)
+        rebuilt = Isom3(DSElem(*prod[0]), DSElem(*prod[1]))
+        assert rebuilt == a * b and hash(rebuilt) == hash(a * b)
+        assert format_isom(a) == oracles.isom_format(ox)
 
     def test_l_homomorphism(self):
         a = L(Fraction(1, 3), Fraction(1, 4))
@@ -177,6 +233,41 @@ class TestIsom3:
         assert format_isom(L(Fraction(1, 3), Fraction(1, 4))) == "L(1/3, 1/4)"
         assert format_isom(J) == "L(0, 0)·J"
         assert format_isom(J1).endswith("·J1")
+
+
+class TestExactBoundary:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: L(0.1, 0),
+            lambda: L(0, 0.5),
+            lambda: L("1/2", 0),
+            lambda: DSElem(0.25),
+            lambda: DSElem(0.25, True),
+            lambda: QSqrt2(0.5, 0),
+            lambda: QSqrt2(0, 0.5),
+            lambda: _q(0.5),
+        ],
+    )
+    def test_inexact_values_rejected(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    @pytest.mark.parametrize(
+        "element, attrs",
+        [
+            (DS_I, ("t", "jflag", "n")),
+            (J1, ("g1", "g2", "D")),
+            (Q_S, ("w", "x", "y", "z", "A")),
+        ],
+    )
+    def test_elements_are_immutable(self, element, attrs):
+        # Cached groups share their elements between callers.
+        before = repr(element)
+        for attr in attrs:
+            with pytest.raises(AttributeError):
+                setattr(element, attr, 0)
+        assert repr(element) == before
 
 
 class TestFinGroup:
@@ -294,6 +385,12 @@ class TestBinaryOctahedral:
         dset = set(d2_star())
         for g in G:
             assert {g * x * g.inv() for x in dset} == dset
+
+    def test_products_agree_with_fraction_rule(self):
+        elements = list(binary_octahedral())
+        for p in elements:
+            for q in elements:
+                assert as_qs(p * q) == oracles.quat_mul(as_qs(p), as_qs(q))
 
     def test_unit_norms(self):
         for g in binary_octahedral():
