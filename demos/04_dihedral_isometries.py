@@ -20,7 +20,7 @@ def main():
     print(f"  |Gamma| = {len(G)} = 2*5*2*3, recognized as D{dihedral_degree(G)}")
     print(f"  certificate: {cert}")
 
-    N = normalizer(params)
+    N = normalizer(params, G)
     print(f"  |N(Gamma)| = {len(N)}, index {len(N) // len(G)}")
 
     print("\n== isometry groups across the case table ==")

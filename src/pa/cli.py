@@ -167,10 +167,8 @@ def cmd_heckoid(args) -> int:
 
 def cmd_dihedral(args) -> int:
     r, d1, d2 = args.slope, args.d1, args.d2
-    params = dihedral.params_for(r, d1, d2)
-    group, cert = dihedral.gamma(params)
+    params, group, cert, tag, quotient = dihedral.orbifold(r, d1, d2)
     n = params.n
-    tag, quotient = dihedral.isom_plus(r, d1, d2)
     desc = orbigraph.make_dihedral(r, d1, d2)
     payload = {
         "command": "dihedral",

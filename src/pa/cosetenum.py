@@ -317,6 +317,12 @@ def spherical_triangle_order(p: int, q: int, r: int):
 def triangle_table(p: int, q: int, r: int, max_cosets: int | None = None) -> CosetTable:
     if not is_spherical_triple(p, q, r):
         raise ValueError(f"triangle type {(p, q, r)} is not spherical")
+    if max_cosets is None:
+        max_cosets = max_cosets_default()
+    # A complete table has one row per element and at most max_cosets rows.
+    order = spherical_triangle_order(p, q, r)
+    if order is not None and order > max_cosets:
+        raise ValueError(f"triangle group {(p, q, r)} overflowed the coset bound")
     table = enumerate_cosets(triangle_presentation(p, q, r), max_cosets)
     if table.status != "complete":
         raise ValueError(f"triangle group {(p, q, r)} overflowed the coset bound")

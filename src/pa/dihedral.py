@@ -20,11 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
+from .orbigraph import canonical_key, make_dihedral
 from .quat import (
     FinGroup,
     GroupOverflow,
-    Isom3,
     J,
     L,
     Q_I,
@@ -33,7 +34,6 @@ from .quat import (
     Q_S,
     Q_W,
     close,
-    dihedral_degree,
     isom_order,
     recognize,
 )
@@ -91,10 +91,11 @@ def solve_k(r, d1: int, d2: int) -> tuple[int, int]:
     """Least (k1, k2) in lexicographic order with gcd(p*d2, k1) = 1,
     gcd(p*d1, k2) = 1 and k2 = q*k1 mod p.
 
-    Existence: pick k1 coprime to p*d2; then k2 runs over a residue class
-    mod p that contains an integer coprime to p*d1 (choosing residues mod
-    the primes of d1 not dividing p via the CRT), so the bounded search
-    k1 <= p*d2, k2 <= p*d1*p always succeeds.
+    k1 is the least positive integer prime to p*d2.  k2 then climbs the
+    residue class of q*k1 mod p from its least positive member.  That class
+    is prime to p (q and k1 both are), so by the CRT it meets an integer
+    prime to p*d1 within its first d1 members; the first one met is the
+    least k2 for this k1, and hence for any k1.
     """
     r = slope(r)
     if r.is_infinite:
@@ -104,22 +105,19 @@ def solve_k(r, d1: int, d2: int) -> tuple[int, int]:
     if gcd(d1, d2) != 1:
         raise ValueError("d1, d2 must be coprime")
     p, q = r.p, r.q
-    for k1 in range(1, p * d2 + 1):
-        if gcd(p * d2, k1) != 1:
-            continue
-        for k2 in range(1, p * d1 * p + 1):
-            if (k2 - q * k1) % p == 0 and gcd(p * d1, k2) == 1:
-                return (k1, k2)
-    raise ValueError(f"no congruence witness found for ({r},{d1},{d2})")
+    k1 = 1
+    while gcd(p * d2, k1) != 1:
+        k1 += 1
+    k2 = (q * k1 - 1) % p + 1
+    while gcd(p * d1, k2) != 1:
+        k2 += p
+    return (k1, k2)
 
 
 def params_for(r, d1: int, d2: int) -> DihedralParams:
-    r = slope(r)
-    k1, k2 = solve_k(r, d1, d2)
-    return DihedralParams(r, d1, d2, k1, k2)
+    return DihedralParams(r, d1, d2, *solve_k(r, d1, d2))
 
 
-@lru_cache(maxsize=64)
 def gamma(params: DihedralParams) -> tuple[FinGroup, dict]:
     """The orbifold group Gamma = <f, J> with its verification certificate.
 
@@ -144,10 +142,10 @@ def gamma(params: DihedralParams) -> tuple[FinGroup, dict]:
     return group, cert
 
 
-@lru_cache(maxsize=64)
-def normalizer(params: DihedralParams) -> FinGroup:
-    """N(Gamma) = <L(k1/2pd2, k2/2pd1), L(1/2,0), L(0,1/2), J>, verified to
-    normalize Gamma by ``FinGroup.is_normal`` (ArithmeticError otherwise).
+def normalizer(params: DihedralParams, group: FinGroup) -> FinGroup:
+    """N(Gamma) = <L(k1/2pd2, k2/2pd1), L(1/2,0), L(0,1/2), J>, verified by
+    ``FinGroup.is_normal`` to normalize ``group``, the Gamma of ``params``
+    (ArithmeticError otherwise).
 
     Defined away from (d1, d2) = (1, 1) and the trivial theta-orbifold.
     """
@@ -165,17 +163,12 @@ def normalizer(params: DihedralParams) -> FinGroup:
         L(0, Fraction(1, 2)),
         J,
     ]
-    group = close(gens, 16 * params.n)
-    if not group.is_normal(gamma(params)[0]):
+    norm = close(gens, 16 * params.n)
+    if not norm.is_normal(group):
         raise ArithmeticError(
             f"claimed N(Gamma) of ({r};{d1},{d2}) fails to normalize Gamma"
         )
-    return group
-
-
-def isom_quotient(params: DihedralParams) -> FinGroup:
-    """N(Gamma)/Gamma as an explicit coset group."""
-    return normalizer(params).quotient(gamma(params)[0])
+    return norm
 
 
 # ---------------------------------------------------------------------------
@@ -256,32 +249,49 @@ def _isom_tag_d1(r: Slope) -> str:
     return TAG_Z2SQ
 
 
-def isom_plus(r, d1: int, d2: int) -> tuple[str, FinGroup | None]:
-    """Isometry type of O(q/p; d1, d2), plus the explicit finite quotient
-    group N(Gamma)/Gamma when the normalizer machinery applies.
+class Orbifold(NamedTuple):
+    """One dihedral query O(q/p; d1, d2), answered in full."""
+
+    params: DihedralParams
+    gamma: FinGroup
+    cert: dict
+    isom: str
+    quotient: FinGroup | None
+
+
+@lru_cache(maxsize=64)
+def orbifold(r, d1: int, d2: int) -> Orbifold:
+    """The witness (k1, k2), Gamma (built once) with its certificate, the
+    isometry type of O(q/p; d1, d2) and the quotient N(Gamma)/Gamma.
 
     (d1, d2) != (1, 1): the type is (Z2)^2, except D3 x Z2 for the trivial
-    theta-orbifold; the returned group cross-checks the tag.  For
-    (d1, d2) = (1, 1) the tag comes from congruence conditions only and no
-    group is materialized (some of these types are continuous).
+    theta-orbifold; the quotient group cross-checks the tag.  For
+    (d1, d2) = (1, 1) the tag comes from congruence conditions only and the
+    quotient is None (some of these types are continuous).  The cache holds
+    whole queries; a cached quotient holds its table, not N(Gamma).
     """
-    r = slope(r)
-    if r.is_infinite:
-        raise ValueError("isom_plus needs a finite slope")
-    if gcd(d1, d2) != 1:
-        raise ValueError("d1, d2 must be coprime")
+    params = params_for(r, d1, d2)
+    r = params.r
+    group, cert = gamma(params)
     if (d1, d2) == (1, 1):
-        return (_isom_tag_d1(r), None)
+        return Orbifold(params, group, cert, _isom_tag_d1(r), None)
     if is_trivial_theta(r, d1, d2):
         quotient, _ = exceptional_isom()
-        return (TAG_D3xZ2, quotient)
-    quotient = isom_quotient(params_for(r, d1, d2))
+        return Orbifold(params, group, cert, TAG_D3xZ2, quotient)
+    quotient = normalizer(params, group).quotient(group)
     tag = recognize(quotient)
     if tag != TAG_Z2SQ:
         raise ArithmeticError(
             f"N(Gamma)/Gamma for ({r};{d1},{d2}) is {tag}, expected {TAG_Z2SQ}"
         )
-    return (TAG_Z2SQ, quotient)
+    return Orbifold(params, group, cert, TAG_Z2SQ, quotient)
+
+
+def isom_plus(r, d1: int, d2: int) -> tuple[str, FinGroup | None]:
+    """Isometry type of O(q/p; d1, d2) and N(Gamma)/Gamma (None for
+    (d1, d2) = (1, 1)): the (isom, quotient) view of ``orbifold``."""
+    record = orbifold(r, d1, d2)
+    return (record.isom, record.quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -290,36 +300,13 @@ def isom_plus(r, d1: int, d2: int) -> tuple[str, FinGroup | None]:
 
 def same_oriented(a, b) -> bool:
     """Whether parameter triples (r, d1, d2) define the same oriented
-    orbifold O(q/p;d1,d2).
+    orbifold O(q/p;d1,d2): p = p' and either (q = q' mod p with
+    (d1,d2) = (d1',d2')) or (qq' = 1 mod p with (d1,d2) = (d2',d1')).
 
-    Generic rule: p = p' and either (q = q' mod p with (d1,d2) = (d1',d2'))
-    or (qq' = 1 mod p with (d1,d2) = (d2',d1')).  For group order
-    2*p*d1*d2 = 4 (i.e. n = 2) the generic cyclic-subgroup argument breaks
-    down and the explicit exceptional identifications are used instead:
-    (i) p = p' = 1 and {d1,d2} = {d1',d2'} = {1,2}; (ii) p = p' = 2 and
-    all tunnel indices 1.
+    ``orbigraph.canonical_key`` picks the least (q mod p, d1, d2) of the two
+    forms, so two triples have the same key exactly when this rule holds.
+    For group order 2*p*d1*d2 = 4 (n = 2) the exceptional identifications,
+    p = p' = 1 with {d1,d2} = {d1',d2'} = {1,2} and p = p' = 2 with all
+    tunnel indices 1, are instances of the same rule.
     """
-    r1, d1, d2 = slope(a[0]), a[1], a[2]
-    r2, e1, e2 = slope(b[0]), b[1], b[2]
-    for r, x, y in ((r1, d1, d2), (r2, e1, e2)):
-        if r.is_infinite:
-            raise ValueError("same_oriented needs finite slopes")
-        if x < 1 or y < 1 or gcd(x, y) != 1:
-            raise ValueError(f"bad tunnel indices ({x},{y})")
-    p = r1.p
-    n1 = p * d1 * d2
-    n2 = r2.p * e1 * e2
-    if n1 != n2:
-        return False
-    if n1 == 2:
-        if p != r2.p:
-            return False
-        if p == 1:
-            return {d1, d2} == {e1, e2} == {1, 2}
-        return p == 2 and d1 == d2 == e1 == e2 == 1
-    if p != r2.p:
-        return False
-    q1, q2 = r1.q, r2.q
-    if (q1 - q2) % p == 0 and (d1, d2) == (e1, e2):
-        return True
-    return (q1 * q2 - 1) % p == 0 and (d1, d2) == (e2, e1)
+    return canonical_key(make_dihedral(*a)) == canonical_key(make_dihedral(*b))

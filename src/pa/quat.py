@@ -464,7 +464,9 @@ class FinGroup:
 
         Raises ValueError unless H's generators lie in this group and H
         passes ``is_normal``.  Each coset is labeled by its first element in
-        this group's element order; multiplication is via representatives.
+        this group's element order.  The quotient keeps its |Q| x |Q|
+        multiplication table over the labels and their inverses, and no
+        reference to this group or its element-to-label map.
         """
         if not all(s in self for s in H.gens):
             raise ValueError("not a subset")
@@ -478,9 +480,10 @@ class FinGroup:
             for s in H:
                 label[self.mul(g, s)] = g
             reps.append(g)
-        qmul = lambda a, b: label[self.mul(a, b)]
-        qinv = lambda a: label[self.inv(a)]
-        return FinGroup(reps, label[self.identity], mul=qmul, inv=qinv)
+        table = {(a, b): label[self.mul(a, b)] for a in reps for b in reps}
+        inverse = {a: label[self.inv(a)] for a in reps}
+        qmul = lambda a, b: table[a, b]
+        return FinGroup(reps, label[self.identity], mul=qmul, inv=inverse.__getitem__)
 
 
 def close(gens, bound=10**5, *, identity=None, mul=operator.mul, inv=None) -> FinGroup:
@@ -582,9 +585,9 @@ def recognize(G: FinGroup) -> str:
 def binary_octahedral() -> FinGroup:
     """The 48-element group O* = psi^{-1}(O) in Q(sqrt 2) coordinates,
     generated by (1+i)/sqrt(2) and (1+i+j+k)/2."""
-    return close([Q_S, Q_W], 96, identity=Q_ONE, inv=lambda g: g.inv())
+    return close([Q_S, Q_W], 96, identity=Q_ONE)
 
 
 def d2_star() -> FinGroup:
     """The quaternion group {+-1, +-i, +-j, +-k} inside O*."""
-    return close([Q_I, Q_J], 16, identity=Q_ONE, inv=lambda g: g.inv())
+    return close([Q_I, Q_J], 16, identity=Q_ONE)

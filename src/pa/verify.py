@@ -115,7 +115,7 @@ def check_normalizer_soundness() -> tuple[bool, dict]:
     for r, d1, d2 in _criterion2_domain():
         params = dihedral.params_for(r, d1, d2)
         try:
-            group = dihedral.normalizer(params)  # conjugation-checks inside
+            group = dihedral.normalizer(params, dihedral.gamma(params)[0])
         except ArithmeticError as err:
             return False, {"point": f"({r};{d1},{d2})", "error": str(err)}
         if len(group) != 8 * params.n:

@@ -8,6 +8,7 @@ agreement between the two is meaningful evidence.
 """
 
 from fractions import Fraction
+from math import gcd
 
 
 def eval_cf_tower(terms):
@@ -205,3 +206,45 @@ def quat_mul(p, q):
         _qs_sum(m(w1, y2), n(m(x1, z2)), m(y1, w2), m(z1, x2)),
         _qs_sum(m(w1, z2), m(x1, y2), n(m(y1, x2)), m(z1, w2)),
     )
+
+
+# The dihedral congruence witness and the oriented-orbifold rule, in their
+# first forms.
+
+
+def solve_k_search(r, d1, d2):
+    """Least (k1, k2) in lexicographic order with gcd(p*d2, k1) = 1,
+    gcd(p*d1, k2) = 1 and k2 = q*k1 mod p, by the bounded double search
+    k1 <= p*d2, k2 <= p*d1*p."""
+    p, q = r.p, r.q
+    for k1 in range(1, p * d2 + 1):
+        if gcd(p * d2, k1) != 1:
+            continue
+        for k2 in range(1, p * d1 * p + 1):
+            if (k2 - q * k1) % p == 0 and gcd(p * d1, k2) == 1:
+                return (k1, k2)
+    return None
+
+
+def same_oriented_rule(a, b):
+    """O(q/p;d1,d2) = O(q'/p';d1',d2') as oriented orbifolds: p = p' and
+    either q = q' mod p with (d1,d2) = (d1',d2'), or qq' = 1 mod p with
+    (d1,d2) = (d2',d1'); group order 2*p*d1*d2 = 4 takes the explicit
+    exceptional identifications.  Triples hold reduced finite slopes."""
+    (r1, d1, d2), (r2, e1, e2) = a, b
+    p = r1.p
+    n1 = p * d1 * d2
+    if n1 != r2.p * e1 * e2:
+        return False
+    if n1 == 2:
+        if p != r2.p:
+            return False
+        if p == 1:
+            return {d1, d2} == {e1, e2} == {1, 2}
+        return p == 2 and d1 == d2 == e1 == e2 == 1
+    if p != r2.p:
+        return False
+    q1, q2 = r1.q, r2.q
+    if (q1 - q2) % p == 0 and (d1, d2) == (e1, e2):
+        return True
+    return (q1 * q2 - 1) % p == 0 and (d1, d2) == (e2, e1)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pa import cli
+from pa import cli, dihedral
 from pa.orbigraph import graph_to_json, descriptor_to_json, make_dihedral, make_heckoid
 from pa.slopes import slope
 
@@ -167,6 +167,21 @@ class TestDihedral:
         code, _, _ = run(capsys, "dihedral", "1/3", "2", "4")
         assert code == 1
 
+    def test_builds_gamma_and_normalizer_once_per_query(self, capsys, monkeypatch):
+        calls = []
+        for name in ("gamma", "normalizer"):
+            fn = getattr(dihedral, name)
+            monkeypatch.setattr(
+                dihedral, name, lambda *a, name=name, fn=fn: calls.append(name) or fn(*a)
+            )
+        dihedral.orbifold.cache_clear()
+        code, fresh, _ = run(capsys, "dihedral", "2/5", "2", "3")
+        assert code == 0
+        assert calls == ["gamma", "normalizer"]
+        code, repeat, _ = run(capsys, "dihedral", "2/5", "2", "3")
+        assert code == 0 and repeat == fresh
+        assert calls == ["gamma", "normalizer"]
+
     def test_non_positive_index(self, capsys):
         for d1 in ("0", "-1"):
             code, out, err = run(capsys, "dihedral", "2/5", d1, "1")
@@ -257,6 +272,13 @@ class TestTriangle:
         code, payload, _ = run_json(capsys, "triangle", "order", "2 3 3", "ac3")
         assert code == 0
         assert payload["order"] == 2
+
+    def test_order_past_the_coset_bound(self, capsys, monkeypatch):
+        # T(2,2,20000) has order 40000, above the default bound of 10000.
+        monkeypatch.delenv("PA_MAX_COSETS", raising=False)
+        code, out, err = run(capsys, "triangle", "order", "2 2 20000", "a")
+        assert code == 1 and out == ""
+        assert "overflowed the coset bound" in err
 
     def test_order_non_spherical(self, capsys):
         code, _, _ = run(capsys, "triangle", "order", "2 4 4", "b2a")

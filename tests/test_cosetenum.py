@@ -3,6 +3,7 @@
 import pytest
 
 import oracles
+from pa import cosetenum
 from pa.cosetenum import (
     CosetTable,
     DEFAULT_MAX_COSETS,
@@ -222,6 +223,19 @@ class TestCosetLimit:
         monkeypatch.setenv("PA_MAX_COSETS", "30")
         with pytest.raises(ValueError):
             triangle_table(2, 3, 5)
+
+    def test_order_past_the_limit_overflows_without_enumerating(self, monkeypatch):
+        # A complete table has one row per element and at most the limit of
+        # rows, so the closed-form order decides the overflow up front.
+        def enumerate_cosets(*args):
+            raise AssertionError("enumerate_cosets called")
+
+        monkeypatch.setattr(cosetenum, "enumerate_cosets", enumerate_cosets)
+        with pytest.raises(ValueError, match="overflowed the coset bound"):
+            triangle_table(2, 3, 5, max_cosets=59)
+        monkeypatch.setenv("PA_MAX_COSETS", "10000")
+        with pytest.raises(ValueError, match="overflowed the coset bound"):
+            triangle_table(2, 2, 20000)
 
 
 class TestCosetTable:

@@ -6,7 +6,6 @@ from math import gcd
 import pytest
 
 import oracles
-from pa import dihedral
 from pa.dihedral import (
     DihedralParams,
     TAG_D3xZ2,
@@ -21,8 +20,8 @@ from pa.dihedral import (
     gamma,
     is_trivial_theta,
     isom_plus,
-    isom_quotient,
     normalizer,
+    orbifold,
     params_for,
     same_oriented,
     solve_k,
@@ -37,21 +36,27 @@ from pa.quat import (
     Q_W,
     close,
     dihedral_degree,
+    group_to_json,
     isom_order,
     recognize,
 )
 from pa.slopes import Slope, slope
 
 
-def _sweep(p_max, d_max):
+def _sweep(p_max, d_max, q_range=range):
     for p in range(1, p_max + 1):
-        for q in range(p):
+        for q in q_range(p):
             if gcd(q, p) != 1 and p > 1:
                 continue
             for d1 in range(1, d_max + 1):
                 for d2 in range(1, d_max + 1):
                     if gcd(d1, d2) == 1:
                         yield (Slope(q if p > 1 else 0, p), d1, d2)
+
+
+def _translates(p):
+    # q in [-p, 2p): three representatives of each class mod p
+    return range(-p, 2 * p)
 
 
 class TestSolveK:
@@ -70,6 +75,12 @@ class TestSolveK:
             # lexicographic minimality of k1
             for smaller in range(1, k1):
                 assert gcd(p * d2, smaller) != 1
+
+    def test_agrees_with_double_search_sweep(self):
+        # The first form: k1 <= p*d2 and k2 <= p*d1*p searched in
+        # lexicographic order.
+        for r, d1, d2 in _sweep(39, 12, _translates):
+            assert solve_k(r, d1, d2) == oracles.solve_k_search(r, d1, d2), (r, d1, d2)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -148,26 +159,29 @@ class TestGamma:
 class TestNormalizer:
     def test_frozen_orders(self):
         params = params_for(slope("1/3"), 1, 2)
-        N = normalizer(params)
+        G, _ = gamma(params)
+        N = normalizer(params, G)
         assert len(N) == 48
-        Q = isom_quotient(params)
+        Q = N.quotient(G)
         assert len(Q) == 4
         assert recognize(Q) == TAG_Z2SQ
 
         params = params_for(slope("0/1"), 1, 3)
-        assert len(normalizer(params)) == 24
-        assert len(isom_quotient(params)) == 4
+        G, _ = gamma(params)
+        N = normalizer(params, G)
+        assert len(N) == 24
+        assert len(N.quotient(G)) == 4
 
     def test_index_is_four_sweep(self):
         for r, d1, d2 in _sweep(4, 3):
             if (d1, d2) == (1, 1) or is_trivial_theta(r, d1, d2):
                 continue
             params = params_for(r, d1, d2)
-            N = normalizer(params)
-            assert len(N) == 8 * params.n
             G, _ = gamma(params)
+            N = normalizer(params, G)
+            assert len(N) == 8 * params.n
             assert all(g in N for g in G)
-            Q = isom_quotient(params)
+            Q = N.quotient(G)
             assert len(Q) == 4
             assert all(Q.element_order(x) <= 2 for x in Q)
 
@@ -178,10 +192,11 @@ class TestNormalizer:
             if (d1, d2) == (1, 1) or is_trivial_theta(r, d1, d2):
                 continue
             params = params_for(r, d1, d2)
-            N = normalizer(params)
+            G, _ = gamma(params)
+            N = normalizer(params, G)
             assert len(N.gens) == 4
             assert oracles.normal_by_all_elements(
-                N.gens, gamma(params)[0], lambda a, b: a * b, lambda a: a.inv()
+                N.gens, G, lambda a, b: a * b, lambda a: a.inv()
             ), (r, d1, d2)
 
     @pytest.mark.parametrize("r, d1, d2", [("1/2", 1, 3), ("1/3", 2, 1), ("2/5", 2, 3)])
@@ -202,23 +217,21 @@ class TestNormalizer:
             L_(0, half),
             J_,
         ]
-        assert oracles.closure_count(n_gens, mul, identity) == len(normalizer(params))
+        N = normalizer(params, gamma(params)[0])
+        assert oracles.closure_count(n_gens, mul, identity) == len(N)
 
-    def test_rejects_a_subgroup_it_does_not_normalize(self, monkeypatch):
+    def test_rejects_a_subgroup_it_does_not_normalize(self):
         # <J> is not normal in N(Gamma): conjugating J by the first
         # generator g gives g^2*J.
         params = params_for(slope("2/5"), 2, 3)
-        monkeypatch.setattr(dihedral, "gamma", lambda _: (close([J]), {}))
         with pytest.raises(ArithmeticError):
-            normalizer.__wrapped__(params)
+            normalizer(params, close([J]))
 
     def test_preconditions(self):
-        with pytest.raises(ValueError):
-            normalizer(params_for(slope("1/3"), 1, 1))
-        with pytest.raises(ValueError):
-            normalizer(params_for(slope("0/1"), 1, 2))
-        with pytest.raises(ValueError):
-            normalizer(params_for(slope("0/1"), 2, 1))
+        for r, d1, d2 in [("1/3", 1, 1), ("0/1", 1, 2), ("0/1", 2, 1)]:
+            params = params_for(slope(r), d1, d2)
+            with pytest.raises(ValueError):
+                normalizer(params, gamma(params)[0])
 
 
 class TestExceptional:
@@ -286,6 +299,29 @@ class TestIsomPlus:
             isom_plus(slope("1/3"), 2, 4)
 
 
+class TestOrbifold:
+    def test_record(self):
+        r = slope("2/5")
+        params = params_for(r, 2, 3)
+        G, cert = gamma(params)
+        record = orbifold(r, 2, 3)
+        assert record.params == params
+        assert list(record.gamma) == list(G)
+        assert record.cert == cert
+        assert (record.isom, record.quotient) == isom_plus(r, 2, 3)
+        assert group_to_json(record.quotient) == group_to_json(
+            normalizer(params, G).quotient(G)
+        )
+
+    def test_formula_only_and_theta(self):
+        record = orbifold(slope("3/8"), 1, 1)
+        assert (record.isom, record.quotient) == (TAG_D4, None)
+        assert len(record.gamma) == 16
+        record = orbifold(slope("0/1"), 2, 1)
+        assert record.isom == TAG_D3xZ2 and len(record.quotient) == 12
+        assert len(record.gamma) == 4
+
+
 class TestSameOriented:
     def test_frozen_cases(self):
         assert same_oriented((slope("2/7"), 2, 3), (slope("4/7"), 3, 2))
@@ -329,6 +365,16 @@ class TestSameOriented:
         for a, b in pairs:
             assert same_oriented(a, b)
             assert isom_plus(*a)[0] == isom_plus(*b)[0]
+
+    def test_agrees_with_first_rule_sweep(self):
+        # The first form: the congruence rule plus the explicit n = 2
+        # identifications, against canonical keys; the left triples take
+        # three representatives of each slope class.
+        left = list(_sweep(5, 3, _translates))
+        right = list(_sweep(5, 3))
+        for a in left:
+            for b in right:
+                assert same_oriented(a, b) == oracles.same_oriented_rule(a, b), (a, b)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

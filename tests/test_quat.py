@@ -1,5 +1,7 @@
 """Exact quaternion-angle arithmetic, Isom+(S^3) model, group machinery."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -321,6 +323,18 @@ class TestFinGroup:
         Q = G.quotient(S)
         assert len(Q) == 2
         assert recognize(Q) == "Z2"
+
+    def test_quotient_does_not_keep_its_group_alive(self):
+        # A quotient multiplies through its own table over the coset labels.
+        G = close([L(Fraction(1, 4), 0), J])
+        ref = weakref.ref(G)
+        Q = G.quotient(close([L(Fraction(1, 2), 0)]))
+        del G
+        gc.collect()
+        assert ref() is None
+        assert len(Q) == 4
+        assert recognize(Q) == "(Z2)^2"
+        assert all(Q.mul(x, Q.inv(x)) == Q.identity for x in Q)
 
     def test_quotient_rejects_non_subgroup(self):
         G = close([L(Fraction(1, 4), 0)])
