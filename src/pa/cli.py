@@ -183,7 +183,7 @@ def cmd_dihedral(args) -> int:
         "normalizer_order": 8 * n if quotient is not None else None,
         "quotient_order": len(quotient) if quotient is not None else None,
         "key": orbigraph.canonical_key(desc),
-        "certificate": cert,
+        "certificate": dict(cert),
         "quotient_elements": group_to_json(quotient) if quotient is not None else None,
     }
     if dihedral.is_trivial_theta(r, d1, d2):

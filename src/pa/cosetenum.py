@@ -1,9 +1,14 @@
 """Todd-Coxeter coset enumeration and triangle-group utilities.
 
-The enumerator is the HLT strategy (scan-and-fill over the relators) over
-the trivial subgroup, with one lookahead-and-compaction pass when the coset
-limit is hit; a second hit reports overflow instead of answering.  Scanning
-order is fixed, so repeated runs build identical tables.
+The enumerator is the Felsch strategy over the trivial subgroup: it
+defines the first empty entry of the lowest live coset and draws every
+consequence of each new entry before the next definition.  Power relators
+x^r are handled by O(1) updates of the x-chains instead of scans, so
+T(2,2,r) takes time linear in r.  The table never holds more rows than the
+coset limit: when it is full, the dead cosets are compacted away, and when
+none are dead the enumeration reports overflow instead of answering.
+Definition and scanning order are fixed, so repeated runs build identical
+tables.
 
 Relators are tuples of nonzero integers: g > 0 is generator g, -g its
 inverse (1-based).  Words for group-element queries use letters a, b, c
@@ -13,9 +18,10 @@ inverse (1-based).  Words for group-element queries use letters a, b, c
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .quat import close
 
@@ -89,6 +95,11 @@ def parse_word(text: str, ngens: int = 3) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _column(letter: int) -> int:
+    """Table column of a letter: 2(g-1) for generator g, 2(g-1)+1 for g^-1."""
+    return 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
+
+
 class CosetTable:
     """Result of an enumeration: status "complete" or "overflow".
 
@@ -107,8 +118,7 @@ class CosetTable:
         return len(self.rows)
 
     def act(self, coset: int, letter: int) -> int:
-        col = 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
-        dest = self.rows[coset][col]
+        dest = self.rows[coset][_column(letter)]
         if dest is None:
             raise ValueError("incomplete table")
         return dest
@@ -118,41 +128,72 @@ class CosetTable:
             coset = self.act(coset, letter)
         return coset
 
-    def generator_permutation(self, gen: int) -> tuple[int, ...]:
-        return tuple(self.act(i, gen) for i in range(self.n_cosets))
 
+class _Felsch:
+    """The Felsch strategy over the trivial subgroup (Holt-Eick-O'Brien,
+    Handbook of Computational Group Theory, 2005, 5.1-5.3).
 
-class _TableFull(Exception):
-    pass
+    Each new table entry is a deduction; a deduction (k, x) with k.x = m is
+    processed by scanning, at k, every cyclic conjugate of a relator or its
+    inverse that starts with x, and at m every one that starts with x^-1.
+    A scan that leaves one gap fills it, which is a further deduction.
 
+    Power relators x^r (r >= 2) are never scanned.  The x-edges of the
+    table form chains and cycles; each power column keeps its chains as
+    head -> (tail, length) and tail -> head, and a new x-edge updates them
+    in O(1).  A chain of r cosets closes into a cycle, a longer chain or a
+    cycle whose length does not divide r is a coincidence.  Coincidence
+    processing does not update the chains; the maps of each power column
+    whose edges it moved are rebuilt from the table before the next
+    deduction.
+    """
 
-class _Enumerator:
     def __init__(self, pres: Presentation, max_cosets: int):
-        self.pres = pres
         self.ncols = 2 * pres.ngens
         self.max_cosets = max_cosets
         self.table = [[None] * self.ncols]
         self.p = [0]
-
-    # -- columns ----------------------------------------------------------
-    @staticmethod
-    def _col(letter: int) -> int:
-        return 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
-
-    @staticmethod
-    def _inv_col(col: int) -> int:
-        return col ^ 1
+        self.deductions: list[tuple[int, int]] = []
+        # power columns whose chain maps no longer match the table
+        self.stale: set[int] = set()
+        exponents: dict[int, int] = {}
+        scanned = []
+        for rel in pres.relators:
+            if len(rel) >= 2 and len(set(rel)) == 1:
+                col = _column(abs(rel[0]))
+                exponents[col] = gcd(exponents.get(col, 0), len(rel))
+            else:
+                scanned.append(rel)
+        # x^r and x^s together say x^gcd(r, s) = 1; x^1 is scanned.
+        for col, r in list(exponents.items()):
+            if r == 1:
+                del exponents[col]
+                scanned.append((col // 2 + 1,))
+        self.power = exponents
+        # per power column (the generator's column): heads, tails
+        self.chains = {col: ({}, {}) for col in exponents}
+        self.conjugates: list[list[tuple[int, ...]]] = [[] for _ in range(self.ncols)]
+        seen = set()
+        for rel in scanned:
+            for word in (rel, tuple(-x for x in reversed(rel))):
+                cols = tuple(_column(x) for x in word)
+                for i in range(len(cols)):
+                    w = cols[i:] + cols[:i]
+                    if w not in seen:
+                        seen.add(w)
+                        self.conjugates[w[0]].append(w)
 
     # -- union-find over coincident cosets ---------------------------------
     def _rep(self, k: int) -> int:
+        p = self.p
         r = k
-        while self.p[r] != r:
-            r = self.p[r]
-        while self.p[k] != r:
-            self.p[k], k = r, self.p[k]
+        while p[r] != r:
+            r = p[r]
+        while p[k] != r:
+            p[k], k = r, p[k]
         return r
 
-    def _merge(self, a: int, b: int, queue: list) -> None:
+    def _merge(self, a: int, b: int, queue: deque) -> None:
         a, b = self._rep(a), self._rep(b)
         if a != b:
             a, b = min(a, b), max(a, b)
@@ -160,121 +201,200 @@ class _Enumerator:
             queue.append(b)
 
     def _coincidence(self, a: int, b: int) -> None:
-        queue: list[int] = []
+        table = self.table
+        queue: deque[int] = deque()
         self._merge(a, b, queue)
         while queue:
-            dead = queue.pop(0)
-            row = self.table[dead]
+            dead = queue.popleft()
+            row = table[dead]
             for col in range(self.ncols):
                 dest = row[col]
                 if dest is None:
                     continue
-                self.table[dest][self._inv_col(col)] = None
+                if col & ~1 in self.chains:  # an edge of a power column moves
+                    self.stale.add(col & ~1)
+                inv = col ^ 1
+                table[dest][inv] = None
                 mu, nu = self._rep(dead), self._rep(dest)
-                if self.table[mu][col] is not None:
-                    self._merge(nu, self.table[mu][col], queue)
-                elif self.table[nu][self._inv_col(col)] is not None:
-                    self._merge(mu, self.table[nu][self._inv_col(col)], queue)
+                if table[mu][col] is not None:
+                    self._merge(nu, table[mu][col], queue)
+                elif table[nu][inv] is not None:
+                    self._merge(mu, table[nu][inv], queue)
                 else:
-                    self.table[mu][col] = nu
-                    self.table[nu][self._inv_col(col)] = mu
+                    self._put(mu, col, nu)
 
-    # -- defining and scanning ---------------------------------------------
-    def _define(self, coset: int, col: int) -> int:
-        if len(self.table) >= self.max_cosets:
-            raise _TableFull
-        new = len(self.table)
-        self.table.append([None] * self.ncols)
-        self.p.append(new)
-        self.table[coset][col] = new
-        self.table[new][self._inv_col(col)] = coset
-        return new
+    # -- setting entries -----------------------------------------------------
+    def _put(self, a: int, col: int, b: int) -> None:
+        """a.x = b for the letter x of ``col``: a deduction."""
+        self.table[a][col] = b
+        self.table[b][col ^ 1] = a
+        self.deductions.append((a, col))
 
-    def _scan(self, coset: int, word, fill: bool) -> None:
-        cols = [self._col(x) for x in word]
-        f, b = coset, coset
-        i, j = 0, len(cols) - 1
-        while True:
-            while i <= j and self.table[f][cols[i]] is not None:
-                f = self.table[f][cols[i]]
-                i += 1
-            if i > j:
-                if f != b:
-                    self._coincidence(f, b)
-                return
-            while j >= i and self.table[b][self._inv_col(cols[j])] is not None:
-                b = self.table[b][self._inv_col(cols[j])]
-                j -= 1
-            if j < i:
-                self._coincidence(f, b)
-                return
-            if not fill:
-                return
-            if i == j:
-                self.table[f][cols[i]] = b
-                self.table[b][self._inv_col(cols[i])] = f
-                return
-            f = self._define(f, cols[i])
+    def _set(self, a: int, col: int, b: int) -> None:
+        """``_put``, and the new edge joins the chains of a power column."""
+        self._put(a, col, b)
+        x = col & ~1
+        if x in self.chains and x not in self.stale:
+            if col == x:
+                self._link(x, a, b)
+            else:
+                self._link(x, b, a)
+
+    def _walk(self, c: int, x: int, steps: int) -> int:
+        table = self.table
+        for _ in range(steps):
+            c = table[c][x]
+        return c
+
+    def _link(self, x: int, a: int, b: int) -> None:
+        """Record the new x-edge a -> b: a was the tail of its chain (or
+        alone), b the head of its chain (or alone)."""
+        heads, tails = self.chains[x]
+        r = self.power[x]
+        h = tails.pop(a, a)
+        if h == b:  # the chain from b to a closes into a cycle
+            length = heads.pop(b)[1] if a != b else 1
+            if r % length:
+                self._coincidence(b, self._walk(b, x, r % length))
+            return
+        la = heads.pop(h)[1] if h != a else 1
+        t, lb = heads.pop(b, (b, 1))
+        tails.pop(t, None)
+        length = la + lb
+        if length < r:
+            heads[h] = (t, length)
+            tails[t] = h
+        elif length == r:
+            self._put(t, x, h)
+        else:  # h.x^r lies on the chain, r - la steps past b
+            self._coincidence(h, self._walk(b, x, r - la))
+
+    def _rebuild_chains(self) -> None:
+        """Rebuild the chain maps of the stale power columns from the table."""
+        table, p = self.table, self.p
+        closings, pairs = [], []
+        while self.stale:
+            x = self.stale.pop()
+            heads, tails = self.chains[x]
+            heads.clear()
+            tails.clear()
+            r, inv = self.power[x], x ^ 1
+            on_chain = bytearray(len(table))
+            for c, row in enumerate(table):
+                if p[c] != c or row[inv] is not None or row[x] is None:
+                    continue
+                t, length = c, 1
+                while table[t][x] is not None:
+                    on_chain[t] = 1
+                    t = table[t][x]
+                    length += 1
+                if length < r:
+                    heads[c] = (t, length)
+                    tails[t] = c
+                elif length == r:
+                    closings.append((t, x, c))
+                else:
+                    pairs.append((c, self._walk(c, x, r)))
+            # the other live cosets with an x-edge lie on cycles
+            for c, row in enumerate(table):
+                if p[c] != c or on_chain[c] or row[x] is None:
+                    continue
+                t, length = row[x], 1
+                on_chain[c] = 1
+                while t != c:
+                    on_chain[t] = 1
+                    t = table[t][x]
+                    length += 1
+                if r % length:
+                    pairs.append((c, self._walk(c, x, r % length)))
+        for t, x, h in closings:
+            self._put(t, x, h)
+        for a, b in pairs:
+            self._coincidence(a, b)
+
+    # -- scanning and deductions ---------------------------------------------
+    def _scan(self, k: int, w: tuple[int, ...]) -> None:
+        table = self.table
+        f, i, j = k, 0, len(w) - 1
+        while i <= j and table[f][w[i]] is not None:
+            f = table[f][w[i]]
             i += 1
+        if i > j:
+            if f != k:
+                self._coincidence(f, k)
+            return
+        b = k
+        while j >= i and table[b][w[j] ^ 1] is not None:
+            b = table[b][w[j] ^ 1]
+            j -= 1
+        if j < i:
+            self._coincidence(f, b)
+        elif i == j:
+            self._set(f, w[i], b)
 
-    # -- main loop ----------------------------------------------------------
-    def _hlt_pass(self) -> None:
-        alpha = 0
-        while alpha < len(self.table):
-            if self._rep(alpha) != alpha:
-                alpha += 1
+    def _process_deductions(self) -> None:
+        table, p, stack, conjugates = self.table, self.p, self.deductions, self.conjugates
+        while True:
+            if self.stale:
+                self._rebuild_chains()
                 continue
-            for rel in self.pres.relators:
-                self._scan(alpha, rel, fill=True)
-                if self._rep(alpha) != alpha:
-                    break
-            if self._rep(alpha) == alpha:
-                for col in range(self.ncols):
-                    if self.table[alpha][col] is None:
-                        self._define(alpha, col)
-            alpha += 1
-
-    def _lookahead(self) -> None:
-        for alpha in range(len(self.table)):
-            if self._rep(alpha) != alpha:
+            if not stack:
+                return
+            k, col = stack.pop()
+            if p[k] != k:
                 continue
-            for rel in self.pres.relators:
-                self._scan(alpha, rel, fill=False)
-                if self._rep(alpha) != alpha:
+            for w in conjugates[col]:
+                self._scan(k, w)
+                if p[k] != k:
+                    break
+            m = table[self._rep(k)][col]
+            if m is None:
+                continue
+            m = self._rep(m)
+            for w in conjugates[col ^ 1]:
+                self._scan(m, w)
+                if p[m] != m:
                     break
 
-    def _compact(self) -> None:
-        live = [i for i in range(len(self.table)) if self._rep(i) == i]
-        remap = {old: new for new, old in enumerate(live)}
-        self.table = [
-            [None if d is None else remap[self._rep(d)] for d in self.table[i]]
-            for i in live
-        ]
-        self.p = list(range(len(self.table)))
+    # -- the table -------------------------------------------------------------
+    def _compact(self) -> list:
+        """Drop the dead cosets; returns old -> new numbers (None if dead)."""
+        table, p = self.table, self.p
+        live = [c for c in range(len(table)) if p[c] == c]
+        remap: list = [None] * len(table)
+        for new, old in enumerate(live):
+            remap[old] = new
+        self.table = [[None if d is None else remap[d] for d in table[c]] for c in live]
+        self.p = list(range(len(live)))
+        self.stale = set(self.chains)
+        return remap
 
     def run(self) -> CosetTable:
-        used_lookahead = False
-        while True:
-            try:
-                self._hlt_pass()
-                break
-            except _TableFull:
-                if used_lookahead:
-                    return CosetTable(self.pres.ngens, [], "overflow")
-                used_lookahead = True
-                self._lookahead()
-                self._compact()
+        alpha = 0
+        while alpha < len(self.table):
+            row = self.table[alpha]
+            if self.p[alpha] != alpha or None not in row:
+                alpha += 1
+                continue
+            if len(self.table) >= self.max_cosets:
+                alpha = self._compact()[alpha]
                 if len(self.table) >= self.max_cosets:
-                    return CosetTable(self.pres.ngens, [], "overflow")
+                    return CosetTable(self.ncols // 2, [], "overflow")
+            else:
+                new = len(self.table)
+                self.table.append([None] * self.ncols)
+                self.p.append(new)
+                self._set(alpha, row.index(None), new)
+            self._process_deductions()
         self._compact()
-        return CosetTable(self.pres.ngens, self.table, "complete")
+        return CosetTable(self.ncols // 2, self.table, "complete")
 
 
 def enumerate_cosets(pres: Presentation, max_cosets: int | None = None) -> CosetTable:
     """Enumerate the cosets of the trivial subgroup (the regular action)."""
     if max_cosets is None:
         max_cosets = max_cosets_default()
-    return _Enumerator(pres, max_cosets).run()
+    return _Felsch(pres, max_cosets).run()
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +456,16 @@ def coset_group(table: CosetTable):
         raise ValueError("coset table did not complete")
     n = table.n_cosets
     identity = tuple(range(n))
-    gens = [table.generator_permutation(g + 1) for g in range(table.ngens)]
+    gens = [word_permutation(table, (g + 1,)) for g in range(table.ngens)]
     mul = lambda s, t: tuple(t[s[i]] for i in range(n))
-    inverse = lambda s: tuple(sorted(range(n), key=lambda i: s[i]))
-    return close(gens, n, identity=identity, mul=mul, inv=inverse)
+    return close(gens, n, identity=identity, mul=mul, inv=_inverse_permutation)
+
+
+def _inverse_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * len(perm)
+    for i, j in enumerate(perm):
+        out[j] = i
+    return tuple(out)
 
 
 def triangle_group(p: int, q: int, r: int, max_cosets: int | None = None):
@@ -348,10 +474,20 @@ def triangle_group(p: int, q: int, r: int, max_cosets: int | None = None):
 
 
 def word_permutation(table: CosetTable, word) -> tuple[int, ...]:
+    """i -> i.word on the cosets, composed one letter at a time over the
+    whole coset vector."""
     if isinstance(word, str):
         word = parse_word(word, table.ngens)
-    n = table.n_cosets
-    return tuple(table.act_word(i, word) for i in range(n))
+    columns: dict[int, list[int]] = {}
+    perm = list(range(table.n_cosets))
+    for letter in word:
+        col = _column(letter)
+        if col not in columns:
+            columns[col] = [row[col] for row in table.rows]
+            if None in columns[col]:
+                raise ValueError("incomplete table")
+        perm = list(map(columns[col].__getitem__, perm))
+    return tuple(perm)
 
 
 def permutation_order(perm: tuple[int, ...]) -> int:

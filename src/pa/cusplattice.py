@@ -326,11 +326,17 @@ def vectors_with_coef2_at_most(kind, coef2_max: int) -> list[LatticeVector]:
     return out
 
 
-def attaining_orbits(kind, coef2: int) -> list[PointGroupOrbit]:
-    """Point-group orbits of all nonzero vectors of squared length coef2
-    (times l^2); empty when the form does not represent coef2."""
-    lat = lattice(kind)
-    vectors = [v for v in vectors_with_coef2_at_most(lat, coef2) if v.coef2 == coef2]
+def _by_coef2(lat: EucLattice, coef2_max: int) -> dict[int, list[LatticeVector]]:
+    """The nonzero vectors with coef2 <= coef2_max from one enumeration,
+    grouped by coef2 in increasing order."""
+    buckets: dict[int, list[LatticeVector]] = {}
+    for vec in vectors_with_coef2_at_most(lat, coef2_max):
+        buckets.setdefault(lat.form(vec.m, vec.n), []).append(vec)
+    return dict(sorted(buckets.items()))
+
+
+def _orbits(lat: EucLattice, vectors) -> list[PointGroupOrbit]:
+    """The point-group orbits of ``vectors``, all of one squared length."""
     orbits: list[PointGroupOrbit] = []
     assigned: set[tuple[int, int]] = set()
     for vec in sorted(vectors, key=lambda v: (v.m, v.n)):
@@ -345,20 +351,29 @@ def attaining_orbits(kind, coef2: int) -> list[PointGroupOrbit]:
     return orbits
 
 
+def attaining_orbits(kind, coef2: int) -> list[PointGroupOrbit]:
+    """Point-group orbits of all nonzero vectors of squared length coef2
+    (times l^2); empty when the form does not represent coef2."""
+    lat = lattice(kind)
+    return _orbits(lat, _by_coef2(lat, coef2).get(coef2, []))
+
+
 def spectrum(kind, count: int) -> list[tuple[int, list[PointGroupOrbit]]]:
     """The first ``count`` distinct values of L_n(Lambda)^2 / l^2 in
-    increasing order, each with its point-group orbit decomposition."""
+    increasing order, each with its point-group orbit decomposition.
+
+    The cap doubles until one enumeration holds ``count`` values; the
+    orbits are built from that enumeration's vectors."""
     if count < 1:
         raise ValueError("count must be >= 1")
     lat = lattice(kind)
     cap = lat.form(1, 0)
-    while True:
-        values = sorted({v.coef2 for v in vectors_with_coef2_at_most(lat, cap)})
-        if len(values) >= count:
-            values = values[:count]
-            break
+    while len(buckets := _by_coef2(lat, cap)) < count:
         cap *= 2
-    return [(value, attaining_orbits(lat, value)) for value in values]
+    return [
+        (value, _orbits(lat, vectors))
+        for value, vectors in list(buckets.items())[:count]
+    ]
 
 
 def brenner_candidates(kind) -> list[PointGroupOrbit]:
@@ -369,8 +384,5 @@ def brenner_candidates(kind) -> list[PointGroupOrbit]:
     < 2; after normalizing by l^2 both sides are integers.
     """
     lat = lattice(kind)
-    min_coef2 = lat.form(1, 0)
-    values = sorted(
-        {v.coef2 for v in vectors_with_coef2_at_most(lat, 4 * min_coef2 - 1)}
-    )
-    return [orbit for value in values for orbit in attaining_orbits(lat, value)]
+    buckets = _by_coef2(lat, 4 * lat.form(1, 0) - 1)
+    return [orbit for vectors in buckets.values() for orbit in _orbits(lat, vectors)]

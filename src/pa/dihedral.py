@@ -16,10 +16,12 @@ the continuous types are returned as symbolic tags only.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .orbigraph import canonical_key, make_dihedral
@@ -118,23 +120,24 @@ def params_for(r, d1: int, d2: int) -> DihedralParams:
     return DihedralParams(r, d1, d2, *solve_k(r, d1, d2))
 
 
-def gamma(params: DihedralParams) -> tuple[FinGroup, dict]:
+def gamma(params: DihedralParams) -> tuple[FinGroup, Mapping]:
     """The orbifold group Gamma = <f, J> with its verification certificate.
 
     The certificate records |Gamma| = 2n, order(f) = n, order(J) = 2 and
-    the dihedral relation J f J^-1 = f^-1, all checked element-exactly.
+    the dihedral relation J f J^-1 = f^-1, all checked element-exactly.  It
+    is a read-only mapping, since ``orbifold`` shares it with every caller.
     """
     p, d1, d2 = params.r.p, params.d1, params.d2
     n = params.n
     f = L(Fraction(params.k1, p * d2), Fraction(params.k2, p * d1))
     group = close([f, J], 4 * n)
-    cert = {
+    cert = MappingProxyType({
         "order": len(group),
         "expected_order": 2 * n,
         "order_f": isom_order(f),
         "order_J": isom_order(J),
         "dihedral_relation": J * f * J.inv() == f.inv(),
-    }
+    })
     if len(group) != 2 * n:
         raise GroupOverflow(
             f"|Gamma| = {len(group)} != 2n = {2 * n}; arithmetic bug"
@@ -254,7 +257,7 @@ class Orbifold(NamedTuple):
 
     params: DihedralParams
     gamma: FinGroup
-    cert: dict
+    cert: Mapping
     isom: str
     quotient: FinGroup | None
 

@@ -63,7 +63,7 @@ def check_dihedral_order() -> tuple[bool, dict]:
             group, cert = dihedral.gamma(params)
             n = params.n
             if len(group) != 2 * n or not cert["dihedral_relation"]:
-                return False, {"point": f"({r};{d1},{d2})", "cert": cert}
+                return False, {"point": f"({r};{d1},{d2})", "cert": dict(cert)}
             if quat.dihedral_degree(group) != n:
                 return False, {"point": f"({r};{d1},{d2})", "not_dihedral": n}
             points += 1

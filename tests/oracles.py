@@ -3,12 +3,22 @@
 Everything here is deliberately coded with different algorithms and data
 structures than the package (Fraction towers instead of integer pair
 recursion, product-set growth instead of BFS closure, union-find Betti
-numbers and dense right-to-left elimination instead of bitmask RREF), so
-agreement between the two is meaningful evidence.
+numbers and dense right-to-left elimination instead of bitmask RREF, HLT
+instead of Felsch coset enumeration), so agreement between the two is
+meaningful evidence.
 """
 
 from fractions import Fraction
 from math import gcd
+
+from pa.cosetenum import CosetTable
+from pa.cusplattice import (
+    PointGroupOrbit,
+    lattice,
+    point_group_orbit,
+    vectors_with_coef2_at_most,
+    word_for_vector,
+)
 
 
 def eval_cf_tower(terms):
@@ -248,3 +258,192 @@ def same_oriented_rule(a, b):
     if (q1 - q2) % p == 0 and (d1, d2) == (e1, e2):
         return True
     return (q1 * q2 - 1) % p == 0 and (d1, d2) == (e2, e1)
+
+
+# The cusp spectrum in its first form: one lattice enumeration per value.
+
+
+def orbits_per_value(kind, coef2):
+    """Point-group orbits of the vectors of squared length coef2, from an
+    enumeration capped at coef2 itself."""
+    lat = lattice(kind)
+    vectors = [v for v in vectors_with_coef2_at_most(lat, coef2) if v.coef2 == coef2]
+    orbits, assigned = [], set()
+    for vec in sorted(vectors, key=lambda v: (v.m, v.n)):
+        if (vec.m, vec.n) in assigned:
+            continue
+        members = point_group_orbit(vec)
+        assigned.update((v.m, v.n) for v in members)
+        rep = max((v for v in members if v.m >= 0 and v.n >= 0), key=lambda v: (v.m, v.n))
+        orbits.append(PointGroupOrbit(rep, members, word_for_vector(lat, rep.m, rep.n)))
+    return orbits
+
+
+def spectrum_per_value(kind, count):
+    """The first ``count`` values by a doubling cap, then each value's
+    orbits from its own enumeration."""
+    lat = lattice(kind)
+    cap = lat.form(1, 0)
+    while True:
+        values = sorted({v.coef2 for v in vectors_with_coef2_at_most(lat, cap)})
+        if len(values) >= count:
+            break
+        cap *= 2
+    return [(value, orbits_per_value(lat, value)) for value in values[:count]]
+
+
+# Coset enumeration by the HLT strategy: the first enumerator of the package.
+
+
+class _TableFull(Exception):
+    pass
+
+
+class HLTEnumerator:
+    """Todd-Coxeter by the HLT strategy (scan-and-fill over every relator
+    from every coset, the power relators included), with one lookahead and
+    compaction pass when the coset limit is hit; a second hit reports
+    overflow.  ``HLTEnumerator(pres, max_cosets).run()`` gives a
+    ``CosetTable``."""
+
+    def __init__(self, pres, max_cosets):
+        self.pres = pres
+        self.ncols = 2 * pres.ngens
+        self.max_cosets = max_cosets
+        self.table = [[None] * self.ncols]
+        self.p = [0]
+
+    # -- columns ----------------------------------------------------------
+    @staticmethod
+    def _col(letter: int) -> int:
+        return 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
+
+    @staticmethod
+    def _inv_col(col: int) -> int:
+        return col ^ 1
+
+    # -- union-find over coincident cosets ---------------------------------
+    def _rep(self, k: int) -> int:
+        r = k
+        while self.p[r] != r:
+            r = self.p[r]
+        while self.p[k] != r:
+            self.p[k], k = r, self.p[k]
+        return r
+
+    def _merge(self, a: int, b: int, queue: list) -> None:
+        a, b = self._rep(a), self._rep(b)
+        if a != b:
+            a, b = min(a, b), max(a, b)
+            self.p[b] = a
+            queue.append(b)
+
+    def _coincidence(self, a: int, b: int) -> None:
+        queue: list[int] = []
+        self._merge(a, b, queue)
+        while queue:
+            dead = queue.pop(0)
+            row = self.table[dead]
+            for col in range(self.ncols):
+                dest = row[col]
+                if dest is None:
+                    continue
+                self.table[dest][self._inv_col(col)] = None
+                mu, nu = self._rep(dead), self._rep(dest)
+                if self.table[mu][col] is not None:
+                    self._merge(nu, self.table[mu][col], queue)
+                elif self.table[nu][self._inv_col(col)] is not None:
+                    self._merge(mu, self.table[nu][self._inv_col(col)], queue)
+                else:
+                    self.table[mu][col] = nu
+                    self.table[nu][self._inv_col(col)] = mu
+
+    # -- defining and scanning ---------------------------------------------
+    def _define(self, coset: int, col: int) -> int:
+        if len(self.table) >= self.max_cosets:
+            raise _TableFull
+        new = len(self.table)
+        self.table.append([None] * self.ncols)
+        self.p.append(new)
+        self.table[coset][col] = new
+        self.table[new][self._inv_col(col)] = coset
+        return new
+
+    def _scan(self, coset: int, word, fill: bool) -> None:
+        cols = [self._col(x) for x in word]
+        f, b = coset, coset
+        i, j = 0, len(cols) - 1
+        while True:
+            while i <= j and self.table[f][cols[i]] is not None:
+                f = self.table[f][cols[i]]
+                i += 1
+            if i > j:
+                if f != b:
+                    self._coincidence(f, b)
+                return
+            while j >= i and self.table[b][self._inv_col(cols[j])] is not None:
+                b = self.table[b][self._inv_col(cols[j])]
+                j -= 1
+            if j < i:
+                self._coincidence(f, b)
+                return
+            if not fill:
+                return
+            if i == j:
+                self.table[f][cols[i]] = b
+                self.table[b][self._inv_col(cols[i])] = f
+                return
+            f = self._define(f, cols[i])
+            i += 1
+
+    # -- main loop ----------------------------------------------------------
+    def _hlt_pass(self) -> None:
+        alpha = 0
+        while alpha < len(self.table):
+            if self._rep(alpha) != alpha:
+                alpha += 1
+                continue
+            for rel in self.pres.relators:
+                self._scan(alpha, rel, fill=True)
+                if self._rep(alpha) != alpha:
+                    break
+            if self._rep(alpha) == alpha:
+                for col in range(self.ncols):
+                    if self.table[alpha][col] is None:
+                        self._define(alpha, col)
+            alpha += 1
+
+    def _lookahead(self) -> None:
+        for alpha in range(len(self.table)):
+            if self._rep(alpha) != alpha:
+                continue
+            for rel in self.pres.relators:
+                self._scan(alpha, rel, fill=False)
+                if self._rep(alpha) != alpha:
+                    break
+
+    def _compact(self) -> None:
+        live = [i for i in range(len(self.table)) if self._rep(i) == i]
+        remap = {old: new for new, old in enumerate(live)}
+        self.table = [
+            [None if d is None else remap[self._rep(d)] for d in self.table[i]]
+            for i in live
+        ]
+        self.p = list(range(len(self.table)))
+
+    def run(self) -> CosetTable:
+        used_lookahead = False
+        while True:
+            try:
+                self._hlt_pass()
+                break
+            except _TableFull:
+                if used_lookahead:
+                    return CosetTable(self.pres.ngens, [], "overflow")
+                used_lookahead = True
+                self._lookahead()
+                self._compact()
+                if len(self.table) >= self.max_cosets:
+                    return CosetTable(self.pres.ngens, [], "overflow")
+        self._compact()
+        return CosetTable(self.pres.ngens, self.table, "complete")

@@ -182,6 +182,17 @@ class TestDihedral:
         assert code == 0 and repeat == fresh
         assert calls == ["gamma", "normalizer"]
 
+    def test_certificate_is_read_only(self, capsys):
+        dihedral.orbifold.cache_clear()
+        code, fresh, _ = run(capsys, "dihedral", "2/5", "2", "3", "--json")
+        assert code == 0
+        record = dihedral.orbifold(slope("2/5"), 2, 3)
+        with pytest.raises(TypeError):
+            record.cert["order"] = 0
+        code, again, _ = run(capsys, "dihedral", "2/5", "2", "3", "--json")
+        assert code == 0 and again == fresh
+        assert json.loads(again)["certificate"]["order"] == 60
+
     def test_non_positive_index(self, capsys):
         for d1 in ("0", "-1"):
             code, out, err = run(capsys, "dihedral", "2/5", d1, "1")
@@ -279,6 +290,13 @@ class TestTriangle:
         code, out, err = run(capsys, "triangle", "order", "2 2 20000", "a")
         assert code == 1 and out == ""
         assert "overflowed the coset bound" in err
+
+    def test_order_t22_3000_within_the_coset_bound(self, capsys, monkeypatch):
+        # T(2,2,3000) has order 6000, below the default bound of 10000.
+        monkeypatch.delenv("PA_MAX_COSETS", raising=False)
+        code, payload, _ = run_json(capsys, "triangle", "order", "2 2 3000", "a")
+        assert code == 0
+        assert payload["order"] == 2
 
     def test_order_non_spherical(self, capsys):
         code, _, _ = run(capsys, "triangle", "order", "2 4 4", "b2a")

@@ -1,5 +1,7 @@
 """Coset enumeration, triangle groups and word-image orders."""
 
+import random
+
 import pytest
 
 import oracles
@@ -11,6 +13,7 @@ from pa.cosetenum import (
     coset_group,
     enumerate_cosets,
     image_order,
+    is_spherical_triple,
     max_cosets_default,
     natural_epimorphism_valid,
     parse_word,
@@ -32,6 +35,31 @@ SPHERICAL = [
     for r in range(2, 7)
     if oracles.spherical_order(p, q, r) is not None
 ]
+
+# Every spherical triple with entries up to 9, those with an entry 1
+# (finite cyclic groups) included.
+SPHERICAL_TO_9 = [
+    (p, q, r)
+    for p in range(1, 10)
+    for q in range(1, 10)
+    for r in range(1, 10)
+    if is_spherical_triple(p, q, r)
+]
+
+
+def random_words(rng, count, ngens=3):
+    letters = "abcde"[:ngens]
+    letters += letters.upper()
+    return [
+        "".join(rng.choice(letters) + str(rng.randint(1, 9)) for _ in range(rng.randint(1, 6)))
+        for _ in range(count)
+    ]
+
+
+def act_word_permutation(table, word):
+    """i -> i.word one coset and one letter at a time."""
+    letters = parse_word(word, table.ngens)
+    return tuple(table.act_word(i, letters) for i in range(table.n_cosets))
 
 
 class TestParseWord:
@@ -105,6 +133,109 @@ class TestEnumeration:
             assert word_permutation(table, "abc") == identity
 
 
+class TestAgainstHLT:
+    """The Felsch enumerator against the HLT oracle: the same group orders
+    and the same orders of random words."""
+
+    def compare(self, pres, rng, words=5):
+        table = enumerate_cosets(pres)
+        oracle = oracles.HLTEnumerator(pres, DEFAULT_MAX_COSETS).run()
+        assert table.status == oracle.status == "complete"
+        assert table.n_cosets == oracle.n_cosets
+        for word in random_words(rng, words, pres.ngens):
+            assert permutation_order(word_permutation(table, word)) == permutation_order(
+                act_word_permutation(oracle, word)
+            ), word
+
+    def test_spherical_triples_to_9(self):
+        rng = random.Random(6)
+        assert len(SPHERICAL_TO_9) == 254
+        for ptype in SPHERICAL_TO_9:
+            self.compare(triangle_presentation(*ptype), rng)
+
+    @pytest.mark.parametrize("r", [50, 300, 600])
+    def test_t22r(self, r):
+        self.compare(triangle_presentation(2, 2, r), random.Random(r))
+
+    def test_other_presentations(self):
+        rng = random.Random(7)
+        commutator = (1, 2, -1, -2)
+        for pres in [
+            Presentation(2, ((1,) * 4, (1, 1, -2, -2), (1, 2, 1, -2))),  # Q8
+            Presentation(2, ((1, 1), (2, 2, 2), (1, 2) * 7, commutator * 4)),  # PSL(2,7)
+            Presentation(2, ((1, 1), (1, 1, 1), (2,) * 5, (1, 2, 1, -2))),  # a = 1: Z5
+            Presentation(2, ((-1,) * 6, (-2, -2), (1, 2, 1, 2))),  # D6, inverse powers
+            Presentation(5, ((1, 2, -3), (2, 3, -4), (3, 4, -5), (4, 5, -1), (5, 1, -2))),
+            # trivial; needs the deductions of coincidence processing
+            Presentation(
+                2,
+                ((1,) * 10, (2,) * 6, (2, 1, 2, 1, 2), (-2, -1, 2, 1, 2), (-1, -1, 2, -1, -1, -1, -2)),
+            ),
+        ]:
+            self.compare(pres, rng, words=3)
+
+    def test_random_presentations(self):
+        # Power relators on most generators plus a few short random
+        # relators; most of these groups are finite and small.
+        rng = random.Random(9)
+        complete = 0
+        for _ in range(60):
+            ngens = rng.randint(1, 3)
+            rels = [
+                ((g if rng.random() < 0.8 else -g),) * rng.randint(2, 12)
+                for g in range(1, ngens + 1)
+                if rng.random() < 0.8
+            ]
+            for _ in range(rng.randint(1, 3)):
+                word = []
+                for _ in range(rng.randint(1, 8)):
+                    x = rng.choice([g for g in range(-ngens, ngens + 1) if g])
+                    if not word or word[-1] != -x:
+                        word.append(x)
+                rels.append(tuple(word))
+            pres = Presentation(ngens, tuple(rels))
+            table = enumerate_cosets(pres, 1500)
+            oracle = oracles.HLTEnumerator(pres, 1500).run()
+            assert table.status == oracle.status, rels
+            assert table.n_cosets == oracle.n_cosets, rels
+            complete += table.status == "complete"
+            for rel in rels:
+                assert word_permutation(table, rel) == tuple(range(table.n_cosets))
+        assert complete >= 40
+
+    def test_infinite_group_overflows_in_both(self):
+        pres = triangle_presentation(2, 3, 7)
+        assert enumerate_cosets(pres, 2000).status == "overflow"
+        assert oracles.HLTEnumerator(pres, 2000).run().status == "overflow"
+
+
+class TestTableBound:
+    def test_spherical_triples_complete_at_their_order(self):
+        for p in range(2, 10):
+            for q in range(2, 10):
+                for r in range(2, 10):
+                    order = spherical_triangle_order(p, q, r)
+                    if order is None:
+                        continue
+                    table = enumerate_cosets(triangle_presentation(p, q, r), order)
+                    assert table.status == "complete", (p, q, r)
+                    assert table.n_cosets == order
+
+    def test_full_table_compacts_its_dead_rows(self):
+        # a = 1 in T(1,4,4), so each coset's a-entry is first defined as a
+        # new row that dies at once; only compaction keeps the table
+        # within 4 rows.
+        table = enumerate_cosets(triangle_presentation(1, 4, 4), 4)
+        assert table.status == "complete"
+        assert table.n_cosets == 4
+
+    def test_t22_4999_completes_at_its_order(self):
+        table = enumerate_cosets(triangle_presentation(2, 2, 4999), 9998)
+        assert table.status == "complete"
+        assert table.n_cosets == 9998
+        assert permutation_order(word_permutation(table, "c")) == 4999
+
+
 class TestTriangleGroups:
     def test_frozen_orders(self):
         assert triangle_table(2, 2, 2).n_cosets == 4
@@ -143,6 +274,26 @@ class TestTriangleGroups:
     def test_tetrahedral_element_orders(self):
         G = triangle_group(2, 3, 3)
         assert {G.element_order(g) for g in G} == {1, 2, 3}
+
+
+class TestPermutations:
+    def test_word_permutation_matches_act_word(self):
+        rng = random.Random(8)
+        for ptype in [(2, 3, 5), (2, 2, 600), (1, 4, 6)]:
+            table = triangle_table(*ptype)
+            for word in ["", "a", "C", *random_words(rng, 10)]:
+                assert word_permutation(table, word) == act_word_permutation(table, word)
+
+    def test_word_permutation_on_incomplete_table(self):
+        with pytest.raises(ValueError):
+            word_permutation(CosetTable(1, [[None, 0]], "partial"), "a")
+
+    def test_inverse_matches_sort_form(self):
+        G = triangle_group(2, 3, 4)
+        n = len(G.identity)
+        for g in G:
+            assert G.inv(g) == tuple(sorted(range(n), key=lambda i: g[i]))
+            assert G.mul(g, G.inv(g)) == G.identity
 
 
 class TestPermutationOrder:

@@ -206,6 +206,11 @@ class TestSpectra:
                     assert vec == orbit.representative
                     assert vec in orbit.members
 
+    def test_one_enumeration_matches_per_value_form(self):
+        for kind in ("T244", "244", "T236", "236"):
+            for count in range(1, 25):
+                assert spectrum(kind, count) == oracles.spectrum_per_value(kind, count)
+
     def test_multiplicities_against_brute_count(self):
         for kind in KINDS:
             for value, orbits in spectrum(kind, 6):
