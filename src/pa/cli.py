@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import cosetenum, cusplattice, dihedral, orbigraph, verify
-from .quat import GroupOverflow, dihedral_degree, group_to_json
+from .quat import GroupOverflow, group_to_json
 from .slopes import (
     Slope,
     canonical,
@@ -167,7 +167,7 @@ def cmd_heckoid(args) -> int:
 
 def cmd_dihedral(args) -> int:
     r, d1, d2 = args.slope, args.d1, args.d2
-    params, group, cert, tag, quotient = dihedral.orbifold(r, d1, d2)
+    params, cert, tag, quotient = dihedral.orbifold(r, d1, d2)
     n = params.n
     desc = orbigraph.make_dihedral(r, d1, d2)
     payload = {
@@ -177,8 +177,8 @@ def cmd_dihedral(args) -> int:
         "d2": d2,
         "k1": params.k1,
         "k2": params.k2,
-        "order": len(group),
-        "group": f"D{dihedral_degree(group)}",
+        "order": cert["order"],
+        "group": f"D{cert['order_f']}",
         "isom": tag,
         "normalizer_order": 8 * n if quotient is not None else None,
         "quotient_order": len(quotient) if quotient is not None else None,
@@ -189,7 +189,7 @@ def cmd_dihedral(args) -> int:
     if dihedral.is_trivial_theta(r, d1, d2):
         payload["normalizer_order"] = 48
     lines = [
-        f"O({r};{d1},{d2}): Gamma = {payload['group']}, order {len(group)}",
+        f"O({r};{d1},{d2}): Gamma = {payload['group']}, order {cert['order']}",
         f"k1={params.k1} k2={params.k2}",
         f"isometry group: {tag}",
     ]

@@ -401,19 +401,29 @@ def enumerate_cosets(pres: Presentation, max_cosets: int | None = None) -> Coset
 # Triangle groups
 
 
+def _cyclic_triangle_order(p: int, q: int, r: int):
+    """The order g of T(p, q, r) when an entry is 1, else None.  With
+    a = 1, say, c = b^-1 and the group is <b | b^q, b^r>, cyclic of order
+    gcd(q, r); so g is the gcd of the two other entries."""
+    if min(p, q, r) != 1:
+        return None
+    return gcd(*sorted((p, q, r))[1:])
+
+
 def triangle_presentation(p: int, q: int, r: int) -> Presentation:
-    """<a, b, c | a^p, b^q, c^r, abc>."""
+    """<a, b, c | a^p, b^q, c^r, abc>.
+
+    With an entry 1 the group is cyclic of order g, and x^g is added for
+    each generator whose power relator is neither x^g nor x^1: a Tietze
+    move that spares the enumeration the cosets of the longer powers.
+    """
     if min(p, q, r) < 1:
         raise ValueError("triangle parameters must be positive")
-    return Presentation(
-        3,
-        (
-            tuple([1] * p),
-            tuple([2] * q),
-            tuple([3] * r),
-            (1, 2, 3),
-        ),
-    )
+    relators = [tuple([1] * p), tuple([2] * q), tuple([3] * r), (1, 2, 3)]
+    g = _cyclic_triangle_order(p, q, r)
+    if g is not None:
+        relators += [(x,) * g for x, e in enumerate((p, q, r), 1) if e not in (1, g)]
+    return Presentation(3, tuple(relators))
 
 
 def is_spherical_triple(p: int, q: int, r: int) -> bool:
@@ -440,7 +450,7 @@ def triangle_table(p: int, q: int, r: int, max_cosets: int | None = None) -> Cos
     if max_cosets is None:
         max_cosets = max_cosets_default()
     # A complete table has one row per element and at most max_cosets rows.
-    order = spherical_triangle_order(p, q, r)
+    order = spherical_triangle_order(p, q, r) or _cyclic_triangle_order(p, q, r)
     if order is not None and order > max_cosets:
         raise ValueError(f"triangle group {(p, q, r)} overflowed the coset bound")
     table = enumerate_cosets(triangle_presentation(p, q, r), max_cosets)

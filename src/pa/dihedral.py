@@ -3,8 +3,8 @@ normalizers in Isom+(S^3), and the isometry groups of the orbifolds
 O(q/p; d1, d2).
 
 Gamma = <f, J> with f = L(k1/(p*d2), k2/(p*d1)) and J the coordinatewise
-conjugation, a dihedral group of order 2*p*d1*d2, where (k1, k2) satisfies
-gcd(p*d2, k1) = 1, gcd(p*d1, k2) = 1 and k2 = q*k1 mod p.  For
+conjugation, a dihedral group of order 2n, n = p*d1*d2, where (k1, k2)
+satisfies gcd(p*d2, k1) = 1, gcd(p*d1, k2) = 1 and k2 = q*k1 mod p.  For
 (d1, d2) != (1, 1) and away from the trivial theta-orbifold O(0/1;1,2),
 the normalizer is N(Gamma) = <L(k1/(2p*d2), k2/(2p*d1)), L(1/2,0),
 L(0,1/2), J> and N(Gamma)/Gamma is the isometry group of the orbifold,
@@ -12,6 +12,14 @@ L(0,1/2), J> and N(Gamma)/Gamma is the isometry group of the orbifold,
 over the binary octahedral group in Q(sqrt 2) coordinates).  For
 (d1, d2) = (1, 1) the isometry type is decided by pure congruence tests;
 the continuous types are returned as symbolic tags only.
+
+Every element of Gamma and N(Gamma) is L(s) or L(s)*J, and J*L(s)*J = L(-s),
+so each is A x| <J> for a finite subgroup A of the torus (Q/Z)^2.
+``orbifold`` answers a query from these torus lattices: orders, membership
+and the quotient N/Gamma = A_N/A_Gamma come from 2x2 Hermite forms, and only
+the certificate's element orders and four coset labels are formed as
+isometries.  ``gamma`` and ``normalizer`` close the groups element by
+element; the verification checks use them as the independent evidence.
 """
 
 from __future__ import annotations
@@ -19,7 +27,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 from types import MappingProxyType
 from typing import NamedTuple
@@ -27,7 +34,9 @@ from typing import NamedTuple
 from .orbigraph import canonical_key, make_dihedral
 from .quat import (
     FinGroup,
+    ISOM_ID,
     GroupOverflow,
+    Isom3,
     J,
     L,
     Q_I,
@@ -35,6 +44,7 @@ from .quat import (
     Q_ONE,
     Q_S,
     Q_W,
+    breadth_first,
     close,
     isom_order,
     recognize,
@@ -120,24 +130,45 @@ def params_for(r, d1: int, d2: int) -> DihedralParams:
     return DihedralParams(r, d1, d2, *solve_k(r, d1, d2))
 
 
-def gamma(params: DihedralParams) -> tuple[FinGroup, Mapping]:
-    """The orbifold group Gamma = <f, J> with its verification certificate.
+def _rotation(params: DihedralParams) -> Isom3:
+    """The generator f = L(k1/(p*d2), k2/(p*d1)) of Gamma."""
+    p = params.r.p
+    return L(Fraction(params.k1, p * params.d2), Fraction(params.k2, p * params.d1))
 
-    The certificate records |Gamma| = 2n, order(f) = n, order(J) = 2 and
-    the dihedral relation J f J^-1 = f^-1, all checked element-exactly.  It
-    is a read-only mapping, since ``orbifold`` shares it with every caller.
-    """
-    p, d1, d2 = params.r.p, params.d1, params.d2
-    n = params.n
-    f = L(Fraction(params.k1, p * d2), Fraction(params.k2, p * d1))
-    group = close([f, J], 4 * n)
-    cert = MappingProxyType({
-        "order": len(group),
+
+def _normalizer_rotations(params: DihedralParams) -> list[Isom3]:
+    """The generators of N(Gamma) other than J, in ``normalizer``'s order."""
+    p = params.r.p
+    return [
+        L(Fraction(params.k1, 2 * p * params.d2), Fraction(params.k2, 2 * p * params.d1)),
+        L(Fraction(1, 2), 0),
+        L(0, Fraction(1, 2)),
+    ]
+
+
+def _certificate(f: Isom3, order: int, n: int) -> Mapping:
+    """|Gamma| = ``order`` against 2n, with order(f), order(J) and the
+    dihedral relation J f J^-1 = f^-1 checked element-exactly; read-only."""
+    return MappingProxyType({
+        "order": order,
         "expected_order": 2 * n,
         "order_f": isom_order(f),
         "order_J": isom_order(J),
         "dihedral_relation": J * f * J.inv() == f.inv(),
     })
+
+
+def gamma(params: DihedralParams) -> tuple[FinGroup, Mapping]:
+    """The orbifold group Gamma = <f, J>, closed element by element, with
+    its verification certificate.
+
+    The certificate records |Gamma| = 2n, order(f) = n, order(J) = 2 and
+    the dihedral relation J f J^-1 = f^-1, all checked element-exactly.
+    """
+    n = params.n
+    f = _rotation(params)
+    group = close([f, J], 4 * n)
+    cert = _certificate(f, len(group), n)
     if len(group) != 2 * n:
         raise GroupOverflow(
             f"|Gamma| = {len(group)} != 2n = {2 * n}; arithmetic bug"
@@ -159,19 +190,128 @@ def normalizer(params: DihedralParams, group: FinGroup) -> FinGroup:
         raise ValueError(
             "the trivial theta-orbifold is exceptional; use exceptional_isom()"
         )
-    p = r.p
-    gens = [
-        L(Fraction(params.k1, 2 * p * d2), Fraction(params.k2, 2 * p * d1)),
-        L(Fraction(1, 2), 0),
-        L(0, Fraction(1, 2)),
-        J,
-    ]
-    norm = close(gens, 16 * params.n)
+    norm = close([*_normalizer_rotations(params), J], 16 * params.n)
     if not norm.is_normal(group):
         raise ArithmeticError(
             f"claimed N(Gamma) of ({r};{d1},{d2}) fails to normalize Gamma"
         )
     return norm
+
+
+# ---------------------------------------------------------------------------
+# Gamma and N(Gamma) as torus lattices: Hermite forms in place of closures
+# (Cohen, A Course in Computational Algebraic Number Theory, 1993, 2.4)
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, u, v) with g = gcd(a, b) = u*a + v*b, for a > 0 and b >= 0."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while b:
+        quo, rem = divmod(a, b)
+        a, b = b, rem
+        u0, u1 = u1, u0 - quo * u1
+        v0, v1 = v1, v0 - quo * v1
+    return a, u0, v0
+
+
+def torus_vector(g: Isom3, M: int) -> tuple[int, int]:
+    """M*(t1, t2) for g = L(t1, t2) or L(t1, t2)*J with t1, t2 in (1/M)Z.
+
+    Clearing g's j-flags leaves its L-part (see ``quat.format_isom``), whose
+    angles are (a1 - a2)/D and (a1 + a2)/D over g's key (D, a1, j1, a2, j2).
+    """
+    D, a1, j1, a2, j2 = g
+    if j1 != j2:
+        raise ValueError(f"{g} is neither L(s) nor L(s)*J")
+    x, rx = divmod((a1 - a2) * M, D)
+    y, ry = divmod((a1 + a2) * M, D)
+    if rx or ry:
+        raise ValueError(f"the angles of {g} are not in (1/{M})Z")
+    return (x, y)
+
+
+class TorusLattice(NamedTuple):
+    """A subgroup A of ((1/M)Z/Z)^2, kept as the Hermite form of the lattice
+    M*A + M*Z^2 in Z^2: the rows (a, b) and (0, c) with 0 <= b < c span it,
+    and a, c divide M, so |A| = M^2/(a*c)."""
+
+    M: int
+    a: int
+    b: int
+    c: int
+
+    @classmethod
+    def spanned(cls, vectors, M: int) -> "TorusLattice":
+        """The subgroup spanned by the integer vectors v, read as v/M.
+
+        Each vector (x, y) enters by the unimodular step that replaces the
+        row (a, b) by u*(a, b) + w*(x, y), u*a + w*x = g = gcd(a, x), and
+        folds the second coordinate of (x/g)*(a, b) - (a/g)*(x, y), whose
+        first coordinate is 0, into c.
+        """
+        a, b, c = M, 0, M
+        for x, y in vectors:
+            x, y = x % M, y % M
+            g, u, w = _xgcd(a, x)
+            a, b, c = g, u * b + w * y, gcd(c, x // g * b - a // g * y)
+            b %= c
+        return cls(M, a, b, c)
+
+    def __len__(self) -> int:
+        return self.M * self.M // (self.a * self.c)
+
+    def key(self, x: int, y: int) -> tuple[int, int]:
+        """The canonical representative of (x, y)/M modulo A: two vectors
+        have the same key exactly when their difference lies in A."""
+        k = x // self.a
+        return (x - k * self.a, (y - k * self.b) % self.c)
+
+    def contains(self, x: int, y: int) -> bool:
+        return self.key(x, y) == (0, 0)
+
+    def basis(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        return ((self.a, self.b), (0, self.c))
+
+
+def torus_quotient(a_gamma: TorusLattice, rotations, n: int) -> FinGroup:
+    """N/Gamma for Gamma = A_Gamma x| <J> and N = <rotations, J>, the
+    rotations being L-type, from the lattice model.
+
+    Raises ArithmeticError unless |A_N| = 4n, A_Gamma lies in A_N and
+    2*A_N lies in A_Gamma.  The last is the normality of Gamma in N:
+    J*L(s)*J = L(-s) and L(s)*J*L(-s) = L(2s)*J.  N/Gamma = A_N/A_Gamma, as
+    J lies in Gamma, and it is (Z2)^2, spanned by the images of the
+    rotations; so each coset of Gamma first appears by depth 2 of the
+    breadth-first closure of [*rotations, J].  That search, replayed in
+    ``close``'s order up to the fourth coset (at most 21 products), labels
+    each coset by its first element, as ``FinGroup.quotient`` would over
+    the closure; the table comes from coset keys.
+    """
+    M = a_gamma.M
+    a_norm = TorusLattice.spanned([torus_vector(g, M) for g in rotations], M)
+    if not (
+        len(a_norm) == 4 * n
+        and all(a_norm.contains(x, y) for x, y in a_gamma.basis())
+        and all(a_gamma.contains(2 * x, 2 * y) for x, y in a_norm.basis())
+    ):
+        raise ArithmeticError(
+            f"the claimed N(Gamma) fails to normalize Gamma: {a_norm}, 4n = {4 * n}"
+        )
+    label = {}
+    for g in breadth_first([*rotations, J], ISOM_ID):
+        label.setdefault(a_gamma.key(*torus_vector(g, M)), g)
+        if len(label) == 4:
+            break
+    # (L(s)*J^e)*(L(t)*J^k) = L(s +- t)*J^(e+k) and 2t lies in A_Gamma, so
+    # the product's coset has the key of s + t, and each coset is its own
+    # inverse.
+    vectors = {g: torus_vector(g, M) for g in label.values()}
+    table = {
+        (a, b): label[a_gamma.key(x + u, y + v)]
+        for a, (x, y) in vectors.items()
+        for b, (u, v) in vectors.items()
+    }
+    return FinGroup(vectors, ISOM_ID, mul=lambda a, b: table[a, b], inv=lambda a: a)
 
 
 # ---------------------------------------------------------------------------
@@ -256,38 +396,43 @@ class Orbifold(NamedTuple):
     """One dihedral query O(q/p; d1, d2), answered in full."""
 
     params: DihedralParams
-    gamma: FinGroup
     cert: Mapping
     isom: str
     quotient: FinGroup | None
 
 
-@lru_cache(maxsize=64)
 def orbifold(r, d1: int, d2: int) -> Orbifold:
-    """The witness (k1, k2), Gamma (built once) with its certificate, the
-    isometry type of O(q/p; d1, d2) and the quotient N(Gamma)/Gamma.
+    """The witness (k1, k2), Gamma's certificate, the isometry type of
+    O(q/p; d1, d2) and the quotient N(Gamma)/Gamma, from the torus lattices.
 
+    |Gamma| = 2*|A_Gamma| must equal 2n, and the certificate must show
+    Gamma = <f, J> dihedral of degree n (ArithmeticError otherwise).
     (d1, d2) != (1, 1): the type is (Z2)^2, except D3 x Z2 for the trivial
     theta-orbifold; the quotient group cross-checks the tag.  For
     (d1, d2) = (1, 1) the tag comes from congruence conditions only and the
-    quotient is None (some of these types are continuous).  The cache holds
-    whole queries; a cached quotient holds its table, not N(Gamma).
+    quotient is None (some of these types are continuous).
     """
     params = params_for(r, d1, d2)
-    r = params.r
-    group, cert = gamma(params)
+    r, n = params.r, params.n
+    f = _rotation(params)
+    a_gamma = TorusLattice.spanned([torus_vector(f, 2 * n)], 2 * n)
+    cert = _certificate(f, 2 * len(a_gamma), n)
+    if (cert["order"], cert["order_f"], cert["order_J"], cert["dihedral_relation"]) != (
+        2 * n, n, 2, True
+    ):
+        raise ArithmeticError(f"Gamma of ({r};{d1},{d2}) is not D{n}: {dict(cert)}")
     if (d1, d2) == (1, 1):
-        return Orbifold(params, group, cert, _isom_tag_d1(r), None)
+        return Orbifold(params, cert, _isom_tag_d1(r), None)
     if is_trivial_theta(r, d1, d2):
         quotient, _ = exceptional_isom()
-        return Orbifold(params, group, cert, TAG_D3xZ2, quotient)
-    quotient = normalizer(params, group).quotient(group)
+        return Orbifold(params, cert, TAG_D3xZ2, quotient)
+    quotient = torus_quotient(a_gamma, _normalizer_rotations(params), n)
     tag = recognize(quotient)
     if tag != TAG_Z2SQ:
         raise ArithmeticError(
             f"N(Gamma)/Gamma for ({r};{d1},{d2}) is {tag}, expected {TAG_Z2SQ}"
         )
-    return Orbifold(params, group, cert, TAG_Z2SQ, quotient)
+    return Orbifold(params, cert, TAG_Z2SQ, quotient)
 
 
 def isom_plus(r, d1: int, d2: int) -> tuple[str, FinGroup | None]:

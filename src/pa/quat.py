@@ -31,6 +31,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 
 HALF = Fraction(1, 2)
@@ -277,21 +278,35 @@ class Isom3(tuple):
         return _ds(self[3], self[0], self[4])
 
     def __mul__(self, other: "Isom3") -> "Isom3":
-        # The D_S product in each coordinate, over a common even denominator.
+        # The D_S product in each coordinate, over a common even denominator:
+        # the larger of D and E when it is even and a multiple of the other
+        # (most products in a closure), else lcm(2, D, E).
         D, a1, j1, a2, j2 = self
         E, b1, k1, b2, k2 = other
         if D != E or D & 1:
-            M = lcm(2, D, E)
-            s, t = M // D, M // E
-            D, a1, a2, b1, b2 = M, a1 * s, a2 * s, b1 * t, b2 * t
+            if not D % E and not D & 1:
+                t = D // E
+                b1, b2 = b1 * t, b2 * t
+            elif not E % D and not E & 1:
+                s = E // D
+                D, a1, a2 = E, a1 * s, a2 * s
+            else:
+                M = lcm(2, D, E)
+                s, t = M // D, M // E
+                D, a1, a2, b1, b2 = M, a1 * s, a2 * s, b1 * t, b2 * t
+        # _isom's reduction, inline: this is the innermost loop of every
+        # closure.
         h = D >> 1
-        return _isom(
-            D,
-            a1 - b1 + h * k1 if j1 else a1 + b1,
-            j1 ^ k1,
-            a2 - b2 + h * k2 if j2 else a2 + b2,
-            j2 ^ k2,
-        )
+        c1 = (a1 - b1 + h * k1 if j1 else a1 + b1) % D
+        c2 = a2 - b2 + h * k2 if j2 else a2 + b2
+        if c1 >= h:
+            c1 -= h
+            c2 += h
+        c2 %= D
+        g = gcd(D, c1, c2)
+        if g != 1:
+            D, c1, c2 = D // g, c1 // g, c2 // g
+        return tuple.__new__(Isom3, (D, c1, j1 ^ k1, c2, j2 ^ k2))
 
     def inv(self) -> "Isom3":
         D, a1, j1, a2, j2 = self
@@ -331,10 +346,14 @@ def L(t1, t2) -> Isom3:
 
     Realized as phi(eta1, eta2) with eta1 = e^{pi*i(t1+t2)} and
     eta2 = e^{pi*i(t2-t1)}, which satisfies (eta1*conj(eta2), eta1*eta2)
-    = (e^{2pi*i*t1}, e^{2pi*i*t2}).
+    = (e^{2pi*i*t1}, e^{2pi*i*t2}).  Over a common denominator D,
+    t1 = x/D and t2 = y/D, the two angles are (x + y)/2D and (y - x)/2D.
     """
     t1, t2 = _exact(t1), _exact(t2)
-    return Isom3(DSElem((t1 + t2) / 2), DSElem((t2 - t1) / 2))
+    D = lcm(t1.denominator, t2.denominator)
+    x = t1.numerator * (D // t1.denominator)
+    y = t2.numerator * (D // t2.denominator)
+    return _isom(2 * D, x + y, False, y - x, False)
 
 
 def is_L(g: Isom3) -> bool:
@@ -486,14 +505,33 @@ class FinGroup:
         return FinGroup(reps, label[self.identity], mul=qmul, inv=inverse.__getitem__)
 
 
+def breadth_first(gens, identity, mul=operator.mul):
+    """The elements of <gens> one at a time, in breadth-first order from
+    ``identity``: each frontier element times each generator in turn, new
+    products kept in the order found.  In a finite group, closure under
+    products with the generators suffices: inverses are positive powers."""
+    seen = {identity}
+    frontier = [identity]
+    yield identity
+    while frontier:
+        new = []
+        for a in frontier:
+            for g in gens:
+                b = mul(a, g)
+                if b not in seen:
+                    seen.add(b)
+                    new.append(b)
+                    yield b
+        frontier = new
+
+
 def close(gens, bound=10**5, *, identity=None, mul=operator.mul, inv=None) -> FinGroup:
     """Breadth-first closure of the generators into a FinGroup that records
-    them as its ``gens``.
+    them as its ``gens``, its elements in ``breadth_first`` order.
 
-    Raises GroupOverflow when more than ``bound`` elements appear.  In a
-    finite group, closure under products with the generators suffices:
-    inverses are positive powers.  When ``identity`` is omitted it is
-    computed as g*g^{-1} from the first generator.
+    Raises GroupOverflow when more than ``bound`` elements appear.  When
+    ``identity`` is omitted it is computed as g*g^{-1} from the first
+    generator.
     """
     gens = tuple(gens)
     if identity is None:
@@ -501,21 +539,9 @@ def close(gens, bound=10**5, *, identity=None, mul=operator.mul, inv=None) -> Fi
             raise ValueError("need generators or an explicit identity")
         g0 = gens[0]
         identity = mul(g0, inv(g0) if inv is not None else g0.inv())
-    elements = [identity]
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                b = mul(a, g)
-                if b not in seen:
-                    if len(seen) >= bound:
-                        raise GroupOverflow(f"closure exceeds bound {bound}")
-                    seen.add(b)
-                    elements.append(b)
-                    new.append(b)
-        frontier = new
+    elements = list(islice(breadth_first(gens, identity, mul), bound + 1))
+    if len(elements) > bound:
+        raise GroupOverflow(f"closure exceeds bound {bound}")
     return FinGroup(elements, identity, mul=mul, inv=inv, gens=gens)
 
 

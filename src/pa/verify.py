@@ -55,6 +55,27 @@ def _coprime_pairs(d_max: int) -> list[tuple[int, int]]:
 # Criterion 1: dihedral order law
 
 
+def _table(quotient: quat.FinGroup) -> list[list]:
+    return [[quotient.mul(a, b) for b in quotient] for a in quotient]
+
+
+def _lattice_agrees(r, d1, d2, order: int, quotient=None) -> bool:
+    """Whether ``dihedral.orbifold``, which answers from torus lattices,
+    agrees with the closures: on |Gamma| and, given the closure's quotient
+    N(Gamma)/Gamma, on its tag, its elements (the printed coset labels) and
+    its multiplication table."""
+    record = dihedral.orbifold(r, d1, d2)
+    if record.cert["order"] != order:
+        return False
+    if quotient is None:
+        return True
+    return (
+        record.isom == quat.recognize(quotient)
+        and record.quotient.elements == quotient.elements
+        and _table(record.quotient) == _table(quotient)
+    )
+
+
 def check_dihedral_order() -> tuple[bool, dict]:
     points = 0
     for r in _sweep_slopes(8):
@@ -66,6 +87,8 @@ def check_dihedral_order() -> tuple[bool, dict]:
                 return False, {"point": f"({r};{d1},{d2})", "cert": dict(cert)}
             if quat.dihedral_degree(group) != n:
                 return False, {"point": f"({r};{d1},{d2})", "not_dihedral": n}
+            if not _lattice_agrees(r, d1, d2, len(group)):
+                return False, {"point": f"({r};{d1},{d2})", "lattice": "disagrees"}
             points += 1
     return True, {"points": points}
 
@@ -85,12 +108,17 @@ def _criterion2_domain():
 def check_isometry_groups() -> tuple[bool, dict]:
     points = 0
     for r, d1, d2 in _criterion2_domain():
-        tag, quotient = dihedral.isom_plus(r, d1, d2)
-        if tag != dihedral.TAG_Z2SQ or quotient is None or len(quotient) != 4:
+        params = dihedral.params_for(r, d1, d2)
+        group, _ = dihedral.gamma(params)
+        quotient = dihedral.normalizer(params, group).quotient(group)
+        tag = quat.recognize(quotient)
+        if tag != dihedral.TAG_Z2SQ or len(quotient) != 4:
             return False, {"point": f"({r};{d1},{d2})", "tag": tag}
         for g in quotient:
             if quotient.mul(g, g) != quotient.identity:
                 return False, {"point": f"({r};{d1},{d2})", "non_involution": True}
+        if not _lattice_agrees(r, d1, d2, len(group), quotient):
+            return False, {"point": f"({r};{d1},{d2})", "lattice": "disagrees"}
         points += 1
     return True, {"points": points}
 
@@ -114,12 +142,16 @@ def check_normalizer_soundness() -> tuple[bool, dict]:
     points = 0
     for r, d1, d2 in _criterion2_domain():
         params = dihedral.params_for(r, d1, d2)
+        gamma_group, _ = dihedral.gamma(params)
         try:
-            group = dihedral.normalizer(params, dihedral.gamma(params)[0])
+            group = dihedral.normalizer(params, gamma_group)
         except ArithmeticError as err:
             return False, {"point": f"({r};{d1},{d2})", "error": str(err)}
         if len(group) != 8 * params.n:
             return False, {"point": f"({r};{d1},{d2})", "order": len(group)}
+        quotient = group.quotient(gamma_group)
+        if not _lattice_agrees(r, d1, d2, len(gamma_group), quotient):
+            return False, {"point": f"({r};{d1},{d2})", "lattice": "disagrees"}
         points += 1
     return True, {"points": points}
 

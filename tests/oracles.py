@@ -4,13 +4,14 @@ Everything here is deliberately coded with different algorithms and data
 structures than the package (Fraction towers instead of integer pair
 recursion, product-set growth instead of BFS closure, union-find Betti
 numbers and dense right-to-left elimination instead of bitmask RREF, HLT
-instead of Felsch coset enumeration), so agreement between the two is
-meaningful evidence.
+instead of Felsch coset enumeration, closed groups instead of torus
+lattices), so agreement between the two is meaningful evidence.
 """
 
 from fractions import Fraction
 from math import gcd
 
+from pa import dihedral
 from pa.cosetenum import CosetTable
 from pa.cusplattice import (
     PointGroupOrbit,
@@ -19,6 +20,7 @@ from pa.cusplattice import (
     vectors_with_coef2_at_most,
     word_for_vector,
 )
+from pa.quat import recognize
 
 
 def eval_cf_tower(terms):
@@ -290,6 +292,24 @@ def spectrum_per_value(kind, count):
             break
         cap *= 2
     return [(value, orbits_per_value(lat, value)) for value in values[:count]]
+
+
+# A dihedral query by closures: the first form of ``dihedral.orbifold``.
+
+
+def closure_orbifold(r, d1, d2):
+    """(params, Gamma, cert, isom, quotient) with Gamma and N(Gamma) closed
+    element by element, N(Gamma)/Gamma from ``FinGroup.quotient`` and its
+    tag from ``recognize``; the quotient is None for (d1, d2) = (1, 1)."""
+    params = dihedral.params_for(r, d1, d2)
+    group, cert = dihedral.gamma(params)
+    if (d1, d2) == (1, 1):
+        return params, group, cert, dihedral._isom_tag_d1(params.r), None
+    if dihedral.is_trivial_theta(params.r, d1, d2):
+        quotient, _ = dihedral.exceptional_isom()
+        return params, group, cert, dihedral.TAG_D3xZ2, quotient
+    quotient = dihedral.normalizer(params, group).quotient(group)
+    return params, group, cert, recognize(quotient), quotient
 
 
 # Coset enumeration by the HLT strategy: the first enumerator of the package.

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pa import cli, dihedral
+from pa import cli, dihedral, quat
 from pa.orbigraph import graph_to_json, descriptor_to_json, make_dihedral, make_heckoid
 from pa.slopes import slope
 
@@ -167,23 +167,25 @@ class TestDihedral:
         code, _, _ = run(capsys, "dihedral", "1/3", "2", "4")
         assert code == 1
 
-    def test_builds_gamma_and_normalizer_once_per_query(self, capsys, monkeypatch):
+    def test_query_closes_no_group(self, capsys, monkeypatch):
+        # Generic and (1,1) queries answer from the torus lattices: no
+        # closure, and no element-by-element Gamma or N(Gamma).
         calls = []
-        for name in ("gamma", "normalizer"):
-            fn = getattr(dihedral, name)
+        for owner, name in ((dihedral, "gamma"), (dihedral, "normalizer"),
+                            (dihedral, "close"), (quat, "close")):
+            fn = getattr(owner, name)
             monkeypatch.setattr(
-                dihedral, name, lambda *a, name=name, fn=fn: calls.append(name) or fn(*a)
+                owner, name, lambda *a, name=name, fn=fn, **k: calls.append(name) or fn(*a, **k)
             )
-        dihedral.orbifold.cache_clear()
-        code, fresh, _ = run(capsys, "dihedral", "2/5", "2", "3")
-        assert code == 0
-        assert calls == ["gamma", "normalizer"]
-        code, repeat, _ = run(capsys, "dihedral", "2/5", "2", "3")
-        assert code == 0 and repeat == fresh
-        assert calls == ["gamma", "normalizer"]
+        for argv in (("2/5", "2", "3"), ("3/8", "1", "1"), ("1/101", "7", "9")):
+            code, _, _ = run(capsys, "dihedral", *argv, "--json")
+            assert code == 0
+        assert calls == []
+        # The trivial theta-orbifold stays on the binary octahedral closure.
+        code, _, _ = run(capsys, "dihedral", "0/1", "1", "2")
+        assert code == 0 and calls == ["close", "close"]
 
     def test_certificate_is_read_only(self, capsys):
-        dihedral.orbifold.cache_clear()
         code, fresh, _ = run(capsys, "dihedral", "2/5", "2", "3", "--json")
         assert code == 0
         record = dihedral.orbifold(slope("2/5"), 2, 3)
@@ -192,6 +194,20 @@ class TestDihedral:
         code, again, _ = run(capsys, "dihedral", "2/5", "2", "3", "--json")
         assert code == 0 and again == fresh
         assert json.loads(again)["certificate"]["order"] == 60
+
+    def test_large_query(self, capsys):
+        # N(Gamma) has 687544 elements; the closures took 12.6 s and 400 MB.
+        code, payload, _ = run_json(capsys, "dihedral", "1/601", "11", "13")
+        assert code == 0
+        assert payload["order"] == 171886 and payload["group"] == "D85943"
+        assert payload["normalizer_order"] == 687544
+        assert payload["quotient_order"] == 4
+        assert payload["quotient_elements"] == [
+            "L(0, 0)",
+            "L(1/15626, 1/13222)",
+            "L(1/2, 0)",
+            "L(0, 1/2)",
+        ]
 
     def test_non_positive_index(self, capsys):
         for d1 in ("0", "-1"):
@@ -290,6 +306,13 @@ class TestTriangle:
         code, out, err = run(capsys, "triangle", "order", "2 2 20000", "a")
         assert code == 1 and out == ""
         assert "overflowed the coset bound" in err
+
+    def test_order_with_an_entry_one(self, capsys, monkeypatch):
+        # T(1,10001,10000) is trivial: c = b^-1, so b^gcd(10001, 10000) = 1.
+        monkeypatch.delenv("PA_MAX_COSETS", raising=False)
+        code, payload, _ = run_json(capsys, "triangle", "order", "1 10001 10000", "a")
+        assert code == 0
+        assert payload["order"] == 1
 
     def test_order_t22_3000_within_the_coset_bound(self, capsys, monkeypatch):
         # T(2,2,3000) has order 6000, below the default bound of 10000.

@@ -1,6 +1,7 @@
 """Coset enumeration, triangle groups and word-image orders."""
 
 import random
+from math import gcd
 
 import pytest
 
@@ -207,6 +208,60 @@ class TestAgainstHLT:
         pres = triangle_presentation(2, 3, 7)
         assert enumerate_cosets(pres, 2000).status == "overflow"
         assert oracles.HLTEnumerator(pres, 2000).run().status == "overflow"
+
+
+class TestEntryOne:
+    """T(p, q, r) with an entry 1 is cyclic of order g, the gcd of the other
+    two entries; its presentation carries x^g as a Tietze move."""
+
+    @staticmethod
+    def plain(p, q, r):
+        return Presentation(3, ((1,) * p, (2,) * q, (3,) * r, (1, 2, 3)))
+
+    def test_triples_to_12_against_hlt(self):
+        rng = random.Random(12)
+        triples = [
+            (p, q, r)
+            for p in range(1, 13)
+            for q in range(1, 13)
+            for r in range(1, 13)
+            if 1 in (p, q, r)
+        ]
+        assert len(triples) == 397
+        for p, q, r in triples:
+            g = gcd(*sorted((p, q, r))[1:])
+            table = triangle_table(p, q, r)
+            oracle = oracles.HLTEnumerator(self.plain(p, q, r), DEFAULT_MAX_COSETS).run()
+            assert oracle.status == "complete"
+            assert table.n_cosets == oracle.n_cosets == g, (p, q, r)
+            for word in random_words(rng, 2):
+                assert permutation_order(word_permutation(table, word)) == permutation_order(
+                    act_word_permutation(oracle, word)
+                ), ((p, q, r), word)
+
+    def test_presentation_adds_the_cyclic_relators(self):
+        assert triangle_presentation(1, 6, 4).relators == (
+            (1,), (2,) * 6, (3,) * 4, (1, 2, 3), (2, 2), (3, 3)
+        )
+        assert triangle_presentation(3, 1, 1).relators == (
+            (1,) * 3, (2,), (3,), (1, 2, 3), (1,)
+        )
+        # Nothing to add when the powers are already x^g or x^1.
+        assert triangle_presentation(1, 4, 4).relators == ((1,), (2,) * 4, (3,) * 4, (1, 2, 3))
+
+    def test_order_is_checked_against_the_bound_up_front(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumerated past the bound")
+
+        monkeypatch.delenv("PA_MAX_COSETS", raising=False)
+        monkeypatch.setattr(cosetenum, "enumerate_cosets", refuse)
+        # Cyclic of order 20000, past the default bound of 10000.
+        with pytest.raises(ValueError, match="overflowed the coset bound"):
+            triangle_table(1, 40000, 20000)
+
+    def test_long_coprime_powers(self):
+        table = triangle_table(1, 10001, 10000)
+        assert table.status == "complete" and table.n_cosets == 1
 
 
 class TestTableBound:

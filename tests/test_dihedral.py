@@ -1,5 +1,6 @@
 """Spherical dihedral orbifold groups, normalizers and isometry groups."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -16,6 +17,9 @@ from pa.dihedral import (
     TAG_TORUS_Z2SQ,
     TAG_Z2CUBE,
     TAG_Z2SQ,
+    TorusLattice,
+    _normalizer_rotations,
+    _rotation,
     exceptional_isom,
     gamma,
     is_trivial_theta,
@@ -25,9 +29,13 @@ from pa.dihedral import (
     params_for,
     same_oriented,
     solve_k,
+    torus_quotient,
+    torus_vector,
 )
 from pa.quat import (
+    ISOM_ID,
     J,
+    J1,
     L,
     Q_I,
     Q_J,
@@ -306,20 +314,136 @@ class TestOrbifold:
         G, cert = gamma(params)
         record = orbifold(r, 2, 3)
         assert record.params == params
-        assert list(record.gamma) == list(G)
         assert record.cert == cert
-        assert (record.isom, record.quotient) == isom_plus(r, 2, 3)
+        tag, quotient = isom_plus(r, 2, 3)
+        assert record.isom == tag
+        assert group_to_json(record.quotient) == group_to_json(quotient)
         assert group_to_json(record.quotient) == group_to_json(
             normalizer(params, G).quotient(G)
         )
+        _, group, _, _, _ = oracles.closure_orbifold(r, 2, 3)
+        assert list(group) == list(G)
 
     def test_formula_only_and_theta(self):
         record = orbifold(slope("3/8"), 1, 1)
         assert (record.isom, record.quotient) == (TAG_D4, None)
-        assert len(record.gamma) == 16
+        assert record.cert["order"] == 16
+        assert len(oracles.closure_orbifold(slope("3/8"), 1, 1)[1]) == 16
         record = orbifold(slope("0/1"), 2, 1)
         assert record.isom == TAG_D3xZ2 and len(record.quotient) == 12
-        assert len(record.gamma) == 4
+        assert record.cert["order"] == 4
+        assert len(oracles.closure_orbifold(slope("0/1"), 2, 1)[1]) == 4
+
+
+def _table(quotient):
+    return [[quotient.mul(a, b) for b in quotient] for a in quotient]
+
+
+def _torus_sweep():
+    """Every point with p <= 8 and d1, d2 <= 4, then 160 seeded points
+    with 9 <= p < 50 and n = p*d1*d2 <= 200."""
+    points = list(_sweep(8, 4))
+    larger = [
+        (Slope(q, p), d1, d2)
+        for p in range(9, 50)
+        for q in range(1, p)
+        if gcd(q, p) == 1
+        for d1 in range(1, 8)
+        for d2 in range(1, 8)
+        if gcd(d1, d2) == 1 and p * d1 * d2 <= 200
+    ]
+    return points + random.Random(5).sample(larger, 160)
+
+
+class TestTorusModel:
+    def test_agrees_with_closure_sweep(self):
+        # The certificate, the tag, the quotient's elements and its table
+        # against Gamma and N(Gamma) closed element by element.
+        points = _torus_sweep()
+        assert len(points) >= 400
+        assert 180 <= max(r.p * d1 * d2 for r, d1, d2 in points) <= 200
+        depth_two = 0
+        for r, d1, d2 in points:
+            record = orbifold(r, d1, d2)
+            params, group, cert, tag, quotient = oracles.closure_orbifold(r, d1, d2)
+            assert record.params == params
+            assert dict(record.cert) == dict(cert), (r, d1, d2)
+            assert record.isom == tag, (r, d1, d2)
+            if quotient is None:
+                assert record.quotient is None
+                continue
+            assert group_to_json(record.quotient) == group_to_json(quotient), (r, d1, d2)
+            assert _table(record.quotient) == _table(quotient), (r, d1, d2)
+            assert [record.quotient.inv(g) for g in record.quotient] == [
+                quotient.inv(g) for g in quotient
+            ]
+            if is_trivial_theta(r, d1, d2):
+                continue
+            depth_one = {ISOM_ID, J, *_normalizer_rotations(params)}
+            depth_two += any(g not in depth_one for g in record.quotient)
+        # Most labels need the depth-2 products of the prefix search.
+        assert depth_two > len(points) // 2
+
+    def test_hermite_form_against_brute_force(self):
+        rng = random.Random(3)
+        for M in range(1, 13):
+            for _ in range(6):
+                vectors = [
+                    (rng.randrange(-M, 2 * M), rng.randrange(-M, 2 * M))
+                    for _ in range(rng.randint(0, 3))
+                ]
+                subgroup = {(0, 0)}
+                frontier = [(0, 0)]
+                while frontier:
+                    frontier = [
+                        w
+                        for x, y in frontier
+                        for u, v in vectors
+                        for w in [((x + u) % M, (y + v) % M)]
+                        if w not in subgroup and not subgroup.add(w)
+                    ]
+                lat = TorusLattice.spanned(vectors, M)
+                assert M % lat.a == 0 and M % lat.c == 0 and 0 <= lat.b < lat.c
+                assert len(lat) == len(subgroup), (M, vectors)
+                torus = [(x, y) for x in range(M) for y in range(M)]
+                for x, y in torus:
+                    assert lat.contains(x, y) == ((x, y) in subgroup)
+                    key = lat.key(x, y)
+                    assert lat.key(x - M, y + 2 * M) == key
+                    assert all(lat.key(x + u, y + v) == key for u, v in vectors)
+                # The key is constant on each coset and takes one value per coset.
+                keys = {lat.key(x, y) for x, y in torus}
+                assert len(keys) == M * M // len(subgroup)
+
+    def test_torus_vector(self):
+        for M in (1, 2, 6, 12, 60):
+            for x in range(-M, M, max(1, M // 6)):
+                for y in range(0, 2 * M, max(1, M // 5)):
+                    g = L(Fraction(x, M), Fraction(y, M))
+                    for h in (g, g * J):
+                        u, v = torus_vector(h, M)
+                        assert ((u - x) % M, (v - y) % M) == (0, 0)
+        with pytest.raises(ValueError):
+            torus_vector(L(Fraction(1, 7), 0), 6)
+        with pytest.raises(ValueError):
+            torus_vector(J1, 6)
+
+    def test_rejects_generators_that_do_not_normalize(self):
+        # <f, L(1/4, 0), J> has the right order 8n and contains Gamma, but
+        # L(1/4,0)*J*L(-1/4,0) = L(1/2,0)*J lies outside Gamma.
+        params = params_for(slope("2/5"), 2, 3)
+        f = _rotation(params)
+        a_gamma = TorusLattice.spanned([torus_vector(f, 60)], 60)
+        quarter = L(Fraction(1, 4), 0)
+        with pytest.raises(ArithmeticError, match="fails to normalize"):
+            torus_quotient(a_gamma, [f, quarter], params.n)
+        assert len(close([f, quarter, J])) == 8 * params.n
+        assert not close([f, quarter, J]).is_normal(gamma(params)[0])
+        # Too small a claimed normalizer: <L(1/2,0), L(0,1/2), J> misses f.
+        with pytest.raises(ArithmeticError, match="fails to normalize"):
+            torus_quotient(a_gamma, _normalizer_rotations(params)[1:], params.n)
+        # The generators of N(Gamma) pass.
+        assert len(torus_quotient(a_gamma, _normalizer_rotations(params), params.n)) == 4
 
 
 class TestSameOriented:

@@ -158,6 +158,33 @@ class TestIsom3:
         g1, g2 = DSElem(t1, j1), DSElem(t2, j2)
         assert Isom3(g1, g2) == Isom3(-g1, -g2)
 
+    def test_products_over_denominator_pairs(self):
+        # Keys over every pair of denominators up to 12, so that one divides
+        # the other, either one is odd, or neither divides the other.
+        elements = [
+            Isom3(DSElem(Fraction(a, d), j1), DSElem(Fraction(b, d), j2))
+            for d in range(1, 13)
+            for a, b in ((1, 0), (d - 1, 1), (d // 2, d - 1))
+            for j1, j2 in ((False, False), (True, True), (False, True))
+        ]
+        assert set(range(1, 13)) <= {g[0] for g in elements}
+        for x in elements:
+            ox = as_pair(x)
+            for y in elements:
+                assert as_pair(x * y) == oracles.isom_mul(ox, as_pair(y)), (x, y)
+
+    def test_l_matches_its_ds_pair_form(self):
+        # The first form of L: phi(e^{pi*i(t1+t2)}, e^{pi*i(t2-t1)}) built
+        # from two DSElem angles, against the integer construction.
+        for d1 in range(1, 13):
+            for d2 in range(1, 13):
+                for a in range(-d1, 2 * d1, 2):
+                    for b in range(-2, d2 + 1):
+                        t1, t2 = Fraction(a, d1), Fraction(b, d2)
+                        pair = Isom3(DSElem((t1 + t2) / 2), DSElem((t2 - t1) / 2))
+                        assert L(t1, t2) == pair, (t1, t2)
+                        assert L(t1, t2) == L(t1 + 1, t2 - 2)
+
     @given(x=st.tuples(ds_pairs, ds_pairs), y=st.tuples(ds_pairs, ds_pairs))
     def test_agrees_with_fraction_rule(self, x, y):
         a = Isom3(DSElem(*x[0]), DSElem(*x[1]))
@@ -310,6 +337,11 @@ class TestFinGroup:
     def test_overflow(self):
         with pytest.raises(GroupOverflow):
             close([Q_S, Q_W], 10, identity=Q_ONE)
+
+    def test_bound_admits_exactly_the_group_order(self):
+        assert len(close([Q_S, Q_W], 48, identity=Q_ONE)) == 48
+        with pytest.raises(GroupOverflow):
+            close([Q_S, Q_W], 47, identity=Q_ONE)
 
     def test_element_order_and_center(self):
         G = close([L(Fraction(1, 4), 0)])

@@ -1,8 +1,11 @@
 """The verification-check registry and runner."""
 
+from types import MappingProxyType
+
 import pytest
 
-from pa import verify
+from pa import dihedral, verify
+from pa.quat import FinGroup
 
 
 class TestRegistry:
@@ -56,3 +59,50 @@ class TestRunner:
         assert not res.ok
         assert res.status == "fail"
         assert "synthetic failure" in res.witness["error"]
+
+
+class TestLatticeCrossCheck:
+    """Checks 1-3 close Gamma and N(Gamma) and hold ``dihedral.orbifold``'s
+    lattice answer against the closures at every point."""
+
+    def corrupt(self, monkeypatch, change):
+        orbifold = dihedral.orbifold
+        monkeypatch.setattr(dihedral, "orbifold", lambda *a: change(orbifold(*a)))
+
+    def failures(self):
+        results = verify.run_checks(["dihedral-order", "isometry-groups", "normalizer-soundness"])
+        return {r.check_id: r.witness for r in results if not r.ok}
+
+    def test_wrong_order(self, monkeypatch):
+        self.corrupt(monkeypatch, lambda rec: rec._replace(
+            cert=MappingProxyType({**rec.cert, "order": rec.cert["order"] + 2})
+        ))
+        failures = self.failures()
+        assert set(failures) == {"dihedral-order", "isometry-groups", "normalizer-soundness"}
+        assert failures["dihedral-order"] == {"point": "(0/1;1,1)", "lattice": "disagrees"}
+
+    def test_wrong_labels_or_table(self, monkeypatch):
+        def relabel(rec):
+            if rec.quotient is None or len(rec.quotient) != 4:
+                return rec
+            q = rec.quotient
+            return rec._replace(quotient=FinGroup(
+                [*q.elements[:1], *reversed(q.elements[1:])], q.identity, mul=q.mul, inv=q.inv
+            ))
+
+        self.corrupt(monkeypatch, relabel)
+        assert set(self.failures()) == {"isometry-groups", "normalizer-soundness"}
+
+        def retable(rec):
+            if rec.quotient is None or len(rec.quotient) != 4:
+                return rec
+            q = rec.quotient
+            return rec._replace(quotient=FinGroup(
+                q.elements, q.identity, mul=lambda a, b: q.identity, inv=q.inv
+            ))
+
+        monkeypatch.undo()
+        self.corrupt(monkeypatch, retable)
+        failures = self.failures()
+        assert set(failures) == {"isometry-groups", "normalizer-soundness"}
+        assert failures["isometry-groups"]["lattice"] == "disagrees"
