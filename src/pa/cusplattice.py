@@ -1,178 +1,70 @@
 """Exact Euclidean lattice spectra for the rigid cusp types S^2(2,4,4)
 and S^2(2,3,6).
 
-Each cusp group acts on the plane C = R^2; its translation lattice Lambda
-is free abelian of rank 2.  All lengths carry a symbolic scale factor l:
-a vector m*u + n*v has squared length coef2 * l^2 where
+The two cusp groups are the wallpaper groups p4 and p6.  Their translation
+lattice Lambda = Zu + Zv is free abelian of rank 2, and all lengths carry a
+symbolic scale factor l: the vector m*u + n*v has squared length coef2 * l^2
+with coef2 = scale * (m^2 + s*m*n + n^2),
 
-* T244: u = 2l, v = 2li,             coef2 = 4(m^2 + n^2);
-* T236: u = 2*sqrt(3)l, v = u*e^{i*pi/3}, coef2 = 12(m^2 + mn + n^2).
+* T244: u = 2l, v = 2li,                    s = 0, scale 4;
+* T236: u = 2*sqrt(3)l, v = u*e^{i*pi/3},   s = 1, scale 12.
 
-Isometries are exact affine maps z -> zeta^e * z + t with zeta = e^{i*pi/12}
-(a 24th root of unity, exponent stored mod 24) and t in the cyclotomic
-field Q(zeta_12), stored as a rational 4-vector in the power basis of
-zeta_12 (minimal polynomial x^4 - x^2 + 1), all scaled by l.  The group
-generators are
+The point group is generated by the rotation rho by 2pi/4 (T244) or 2pi/6
+(T236), which maps u to v and acts on lattice coordinates as
+(m, n) -> (-n, m + s*n).  Every rotation centre of p4 and p6 lies in
+(1/2)Lambda (Conway, Burgiel and Goodman-Strauss, *The Symmetries of
+Things*), so an isometry is exactly an integer triple (e, x, y): the map
+z -> rho^e * z + (x*u + y*v)/2, with e taken mod the order of rho.  The
+group generators are
 
-* T244: a = rotation by pi about 0, b, c = rotations by pi/2 about l, li
-  (relators a^2, b^4, c^4, abc);
-* T236: a = rotation by pi about sqrt(3)l, b = rotation by 2pi/3 about
-  2l*e^{i*pi/6}, c = rotation by pi/3 about 0 (relators a^2, b^3, c^6, abc).
+* T244: a = (2, 0, 0), the half-turn about 0; b = (1, 1, -1) and
+  c = (1, 1, 1), the quarter turns about l and li (relators a^2, b^4, c^4,
+  abc);
+* T236: a = (3, 2, 0), the half-turn about sqrt(3)l; b = (2, 2, 0), the
+  third turn about 2l*e^{i*pi/6}; c = (1, 0, 0), the sixth turn about 0
+  (relators a^2, b^3, c^6, abc).
 
-No floating point appears anywhere; lengths are compared via the integer
-coef2 values.
+Each kind is one ``EucLattice`` record of these numbers.  No floating point
+appears anywhere; lengths are compared via the integer coef2 values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 from .cosetenum import parse_word
-
-Vec4 = tuple[Fraction, Fraction, Fraction, Fraction]
-
-_ZERO4: Vec4 = (Fraction(0),) * 4
-
-
-def _vec(a=0, b=0, c=0, d=0) -> Vec4:
-    return (Fraction(a), Fraction(b), Fraction(c), Fraction(d))
-
-
-def _vadd(u: Vec4, v: Vec4) -> Vec4:
-    return tuple(a + b for a, b in zip(u, v))  # type: ignore[return-value]
-
-
-def _vneg(u: Vec4) -> Vec4:
-    return tuple(-a for a in u)  # type: ignore[return-value]
-
-
-def _zeta12_mul(u: Vec4, v: Vec4) -> Vec4:
-    """Product in Q(zeta_12) via x^4 = x^2 - 1."""
-    prod = [Fraction(0)] * 7
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                prod[i + j] += a * b
-    for deg in (6, 5, 4):
-        c = prod[deg]
-        if c:
-            prod[deg] = Fraction(0)
-            prod[deg - 2] += c
-            prod[deg - 4] -= c
-    return tuple(prod[:4])  # type: ignore[return-value]
-
-
-def _zeta12_power(k: int) -> Vec4:
-    """zeta_12^k as a power-basis vector (k any integer)."""
-    k %= 12
-    out = _vec(1)
-    base = _vec(0, 1)
-    for _ in range(k):
-        out = _zeta12_mul(out, base)
-    return out
-
-
-@dataclass(frozen=True)
-class EucIsometry:
-    """z -> zeta_24^rot * z + trans(l), rot in Z/24, trans in Q(zeta_12)."""
-
-    rot: int
-    trans: Vec4
-
-    def __post_init__(self):
-        object.__setattr__(self, "rot", self.rot % 24)
-        object.__setattr__(self, "trans", tuple(Fraction(t) for t in self.trans))
-
-    def _rot_apply(self, v: Vec4) -> Vec4:
-        if self.rot % 2 != 0:
-            # Odd powers of zeta_24 leave Q(zeta_12); the generators below
-            # only ever produce even exponents.
-            raise ValueError("rotation exponent leaves Q(zeta_12)")
-        return _zeta12_mul(_zeta12_power(self.rot // 2), v)
-
-    def __mul__(self, other: "EucIsometry") -> "EucIsometry":
-        # (u1,v1)(u2,v2) = (u1*u2, u1*v2 + v1): right factor acts first.
-        return EucIsometry(
-            self.rot + other.rot, _vadd(self._rot_apply(other.trans), self.trans)
-        )
-
-    def inv(self) -> "EucIsometry":
-        r = EucIsometry(-self.rot, _ZERO4)
-        return EucIsometry(-self.rot, _vneg(r._rot_apply(self.trans)))
-
-    @property
-    def is_translation(self) -> bool:
-        return self.rot == 0
-
-    @property
-    def is_identity(self) -> bool:
-        return self.rot == 0 and all(t == 0 for t in self.trans)
-
-    def __repr__(self):
-        return f"EucIsometry(rot={self.rot}/24, trans={self.trans})"
-
-
-EUC_ID = EucIsometry(0, _ZERO4)
-
-
-# ---------------------------------------------------------------------------
-# The two rigid lattices
 
 
 @dataclass(frozen=True)
 class EucLattice:
-    """Translation lattice of a rigid cusp group; lengths are symbolic in l."""
+    """Translation lattice of a rigid cusp group; lengths are symbolic in l.
 
-    kind: str  # "T244" or "T236"
+    ``s`` and ``scale`` define the form and the action of rho,
+    ``generators`` holds the triples (e, x, y) of a, b, c, and
+    ``basis_words`` evaluate to the translations by u and v.
+    """
 
-    @property
-    def point_group_order(self) -> int:
-        return 4 if self.kind == "T244" else 6
+    kind: str
+    s: int
+    scale: int
+    point_group_order: int
+    generators: tuple[tuple[int, int, int], ...]
+    basis_words: tuple[str, str]
 
     def form(self, m: int, n: int) -> int:
         """coef2 of m*u + n*v: squared length divided by l^2."""
-        if self.kind == "T244":
-            return 4 * (m * m + n * n)
-        return 12 * (m * m + m * n + n * n)
+        return self.scale * (m * m + self.s * m * n + n * n)
 
     def rotate(self, m: int, n: int) -> tuple[int, int]:
-        """Action of the point-group generator on lattice coordinates."""
-        if self.kind == "T244":
-            return (-n, m)  # u -> v, v -> -u (multiplication by i)
-        return (-n, m + n)  # u -> v, v -> v - u (multiplication by e^{i*pi/3})
-
-    def basis_vectors(self) -> tuple[Vec4, Vec4]:
-        if self.kind == "T244":
-            return (_vec(2), _vec(0, 0, 0, 2))  # 2l, 2li
-        # 2*sqrt(3)l and 2*sqrt(3)l * e^{i*pi/3}; sqrt(3) = 2z - z^3,
-        # e^{i*pi/3} = z^2 for z = zeta_12.
-        u = _vec(0, 4, 0, -2)
-        return (u, _zeta12_mul(u, _vec(0, 0, 1)))
-
-    def coords_of(self, trans: Vec4) -> tuple[int, int] | None:
-        """Integer (m, n) with m*u + n*v = trans, or None."""
-        u, v = self.basis_vectors()
-        # Solve over Q by two well-chosen coordinates, then verify fully.
-        if self.kind == "T244":
-            m_f, n_f = Fraction(trans[0], 2), Fraction(trans[3], 2)
-        else:
-            # u = (0,4,0,-2), v = (0,2,0,2): invert the 2x2 minor on
-            # coordinates 1 and 3.
-            m_f = (trans[1] - trans[3]) / 6
-            n_f = (trans[1] + 2 * trans[3]) / 6
-        if m_f.denominator != 1 or n_f.denominator != 1:
-            return None
-        m, n = int(m_f), int(n_f)
-        target = _vadd(
-            _zeta12_mul(_vec(m), u), _zeta12_mul(_vec(n), v)
-        )
-        return (m, n) if target == tuple(trans) else None
+        """Action of the point-group generator rho on lattice coordinates:
+        u -> v and v -> s*v - u."""
+        return (-n, m + self.s * n)
 
 
-T244 = EucLattice("T244")
-T236 = EucLattice("T236")
+T244 = EucLattice("T244", 0, 4, 4, ((2, 0, 0), (1, 1, -1), (1, 1, 1)), ("bba", "cca"))
+T236 = EucLattice("T236", 1, 12, 6, ((3, 2, 0), (2, 2, 0), (1, 0, 0)), ("accc", "cacc"))
 
 _KINDS = {"T244": T244, "244": T244, "T236": T236, "236": T236}
 
@@ -184,6 +76,37 @@ def lattice(kind) -> EucLattice:
         return _KINDS[str(kind)]
     except KeyError:
         raise ValueError(f"unknown lattice kind {kind!r}") from None
+
+
+class EucIsometry(NamedTuple):
+    """z -> rho^e * z + (x*u + y*v)/2 on the plane of ``lattice``, with
+    0 <= e < point_group_order."""
+
+    lattice: EucLattice
+    e: int
+    x: int
+    y: int
+
+    def __mul__(self, other: "EucIsometry") -> "EucIsometry":
+        # (e1, t1)(e2, t2) = (e1 + e2, rho^e1 * t2 + t1): right factor acts first.
+        lat, e, x, y = self
+        _, e2, x2, y2 = other
+        for _ in range(e):
+            x2, y2 = lat.rotate(x2, y2)
+        return EucIsometry(lat, (e + e2) % lat.point_group_order, x + x2, y + y2)
+
+    def inv(self) -> "EucIsometry":
+        # (e, t)^-1 = (-e, 0)(0, -t).
+        lat, e, x, y = self
+        turn = EucIsometry(lat, -e % lat.point_group_order, 0, 0)
+        return turn * EucIsometry(lat, 0, -x, -y)
+
+    @property
+    def is_identity(self) -> bool:
+        return not (self.e or self.x or self.y)
+
+    def __repr__(self):
+        return f"EucIsometry({self.lattice.kind}, e={self.e}, x={self.x}, y={self.y})"
 
 
 @dataclass(frozen=True)
@@ -219,58 +142,35 @@ class PointGroupOrbit:
 
 def generators(kind) -> dict[str, EucIsometry]:
     lat = lattice(kind)
-    if lat.kind == "T244":
-        # a: pi about 0; b: pi/2 about l; c: pi/2 about li.
-        return {
-            "a": EucIsometry(12, _ZERO4),
-            "b": EucIsometry(6, _vec(1, 0, 0, -1)),
-            "c": EucIsometry(6, _vec(1, 0, 0, 1)),
-        }
-    # a: pi about sqrt(3)l; b: 2pi/3 about 2l*e^{i*pi/6}; c: pi/3 about 0.
-    sqrt3_x2 = _vec(0, 4, 0, -2)  # 2*sqrt(3)
-    return {
-        "a": EucIsometry(12, sqrt3_x2),
-        "b": EucIsometry(8, sqrt3_x2),
-        "c": EucIsometry(4, _ZERO4),
-    }
+    return {name: EucIsometry(lat, *g) for name, g in zip("abc", lat.generators)}
 
 
 def evaluate_word(kind, word: str) -> EucIsometry:
     """Evaluate a word over a, b, c (uppercase = inverse, digits repeat)
     into an exact isometry; the empty word is the identity."""
-    gens = generators(kind)
-    by_index = [gens["a"], gens["b"], gens["c"]]
-    result = EUC_ID
+    lat = lattice(kind)
+    gens = list(generators(lat).values())
+    result = EucIsometry(lat, 0, 0, 0)
     for letter in parse_word(word, 3):
-        g = by_index[abs(letter) - 1]
+        g = gens[abs(letter) - 1]
         result = result * (g if letter > 0 else g.inv())
     return result
 
 
 def as_lattice_vector(kind, iso: EucIsometry) -> LatticeVector | None:
     """The lattice coordinates of a pure lattice translation, else None."""
-    lat = lattice(kind)
-    if not iso.is_translation:
+    _, e, x, y = iso
+    if e or x % 2 or y % 2:
         return None
-    coords = lat.coords_of(iso.trans)
-    if coords is None:
-        return None
-    return LatticeVector(lat.kind, *coords)
+    return LatticeVector(lattice(kind).kind, x // 2, y // 2)
 
 
 def word_for_vector(kind, m: int, n: int) -> str:
-    """A word evaluating to the translation by m*u + n*v.
-
-    The basis translations are u = b^2a, v = c^2a (T244) and u = ac^3,
-    v = cac^2 (T236); negative coordinates use the inverse words.
-    """
-    lat = lattice(kind)
-    if lat.kind == "T244":
-        pos_u, neg_u, pos_v, neg_v = "bba", "ABB", "cca", "ACC"
-    else:
-        pos_u, neg_u, pos_v, neg_v = "accc", "CCCA", "cacc", "CCAC"
-    word = (pos_u if m >= 0 else neg_u) * abs(m)
-    word += (pos_v if n >= 0 else neg_v) * abs(n)
+    """A word evaluating to the translation by m*u + n*v: the lattice's
+    basis words, inverted for negative coordinates."""
+    u, v = lattice(kind).basis_words
+    word = (u if m >= 0 else u[::-1].swapcase()) * abs(m)
+    word += (v if n >= 0 else v[::-1].swapcase()) * abs(n)
     return word
 
 
@@ -305,12 +205,10 @@ def _orbit_representative(members) -> LatticeVector:
 
 
 def _enumeration_radius(lat: EucLattice, coef2_max: int) -> int:
-    # T244: 4*max(m^2, n^2) <= form. T236: writing the form as
-    # 12*((m + n/2)^2 + 3n^2/4) >= 9*n^2 (and symmetrically >= 9*m^2),
-    # any vector with form <= C has |m|, |n| <= sqrt(C/9).
-    if lat.kind == "T244":
-        return isqrt(coef2_max // 4)
-    return isqrt(coef2_max // 9) + 1
+    # 4*form = scale*((2m + s*n)^2 + (4 - s^2)*n^2) >= scale*(4 - s^2)*n^2,
+    # and symmetrically in m, so a vector with form <= C has |m|, |n| <=
+    # sqrt(4C / (scale*(4 - s^2))): sqrt(C/4) for T244, sqrt(C/9) for T236.
+    return isqrt(4 * coef2_max // (lat.scale * (4 - lat.s * lat.s)))
 
 
 def vectors_with_coef2_at_most(kind, coef2_max: int) -> list[LatticeVector]:

@@ -35,6 +35,7 @@ from .orbigraph import canonical_key, make_dihedral
 from .quat import (
     FinGroup,
     ISOM_ID,
+    ISOM_ORDER_BOUND,
     GroupOverflow,
     Isom3,
     J,
@@ -410,10 +411,17 @@ def orbifold(r, d1: int, d2: int) -> Orbifold:
     (d1, d2) != (1, 1): the type is (Z2)^2, except D3 x Z2 for the trivial
     theta-orbifold; the quotient group cross-checks the tag.  For
     (d1, d2) = (1, 1) the tag comes from congruence conditions only and the
-    quotient is None (some of these types are continuous).
+    quotient is None (some of these types are continuous).  A query with
+    n > ISOM_ORDER_BOUND is refused (ValueError) before any product, since
+    the certificate could not show order(f) = n.
     """
     params = params_for(r, d1, d2)
     r, n = params.r, params.n
+    if n > ISOM_ORDER_BOUND:
+        raise ValueError(
+            f"O({r};{d1},{d2}) has n = p*d1*d2 = {n}, past the element-order "
+            f"bound {ISOM_ORDER_BOUND}"
+        )
     f = _rotation(params)
     a_gamma = TorusLattice.spanned([torus_vector(f, 2 * n)], 2 * n)
     cert = _certificate(f, 2 * len(a_gamma), n)

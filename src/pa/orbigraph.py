@@ -716,16 +716,39 @@ def descriptor_to_json(d: ParedOrbifoldDescriptor) -> dict:
     return obj
 
 
-def graph_from_json(obj: dict) -> WeightedGraphOrbifold:
-    vertices = [(v["id"], bool(v.get("boundary", False))) for v in obj["vertices"]]
-    edges = [
-        Edge(e["id"], tuple(e["ends"]), parse_weight(e["weight"]))
-        for e in obj["edges"]
-    ]
-    return WeightedGraphOrbifold(obj["ambient"], vertices, edges)
+def graph_from_json(obj) -> WeightedGraphOrbifold:
+    """The graph of a ``graph_to_json`` document.  A document of another
+    shape raises GraphStructureError: it must be an object whose "vertices"
+    are objects with a string "id" and whose "edges" are objects with a
+    string "id", two string "ends" and a "weight"."""
+    if not isinstance(obj, dict):
+        raise GraphStructureError("a graph document must be a JSON object")
+    vertices, edges = obj.get("vertices"), obj.get("edges")
+    if not isinstance(vertices, list) or not isinstance(edges, list):
+        raise GraphStructureError('a graph needs "vertices" and "edges" lists')
+    for v in vertices:
+        if not isinstance(v, dict) or not isinstance(v.get("id"), str):
+            raise GraphStructureError(f"malformed vertex {v!r}")
+    for e in edges:
+        if not (
+            isinstance(e, dict)
+            and isinstance(e.get("id"), str)
+            and isinstance(e.get("ends"), list)
+            and len(e["ends"]) == 2
+            and all(isinstance(v, str) for v in e["ends"])
+            and isinstance(e.get("weight"), (int, str))
+        ):
+            raise GraphStructureError(f"malformed edge {e!r}")
+    return WeightedGraphOrbifold(
+        obj.get("ambient"),
+        [(v["id"], bool(v.get("boundary", False))) for v in vertices],
+        [Edge(e["id"], tuple(e["ends"]), parse_weight(e["weight"])) for e in edges],
+    )
 
 
 def descriptor_from_json(obj: dict) -> ParedOrbifoldDescriptor:
     graph = graph_from_json(obj)
-    family = dict(obj.get("family") or {"tag": "custom"})
-    return _descriptor(graph, family)
+    family = obj.get("family") or {"tag": "custom"}
+    if not isinstance(family, dict) or not isinstance(family.get("tag"), str):
+        raise GraphStructureError(f"malformed family {family!r}")
+    return _descriptor(graph, dict(family))

@@ -10,31 +10,29 @@ of integers, so that products, equality and hashing are integer operations:
 
 * ``QuatExt`` -- unit quaternions with coordinates in (1/2)Z[sqrt 2], which
   holds the binary octahedral group (Conway & Smith, *On Quaternions and
-  Octonions*, ch. 3-4).  Each coordinate is (A + B*sqrt 2)/2, stored as the
-  eight integers (A_w, A_x, A_y, A_z, B_w, B_x, B_y, B_z).  A product is
-  formed over the integers and halved exactly; a product that leaves
-  (1/2)Z[sqrt 2] raises ArithmeticError instead of being rounded.
+  Octonions*, ch. 3-4).  Each coordinate is (A + B*sqrt 2)/2, and a
+  quaternion is built from and stored as its eight integers
+  (A_w, A_x, A_y, A_z, B_w, B_x, B_y, B_z).  A product is formed over the
+  integers and halved exactly; a product that leaves (1/2)Z[sqrt 2] raises
+  ArithmeticError instead of being rounded.
 
 Pairs (q1, q2) represent orientation-preserving isometries of S^3 via
 phi(q1, q2)(q) = q1 * q * q2^{-1}, whose kernel is <(-1, -1)>; ``Isom3``
 stores a ``DSElem`` pair as the key (D, a1, j1, a2, j2) canonical modulo that
-kernel (the Q(sqrt 2) computation works with raw pairs instead).  Elements
-are immutable and compare and hash as their keys.  ``Fraction`` appears only
-at the boundary: the constructors, ``DSElem.t``, ``l_angles``,
-``format_isom`` and the ``QSqrt2`` coordinate views.  ``FinGroup`` is a
-small closed multiplication universe used for closures, normalizers and
-recognition.
+kernel (the (1/2)Z[sqrt 2] computation works with raw pairs instead).
+Elements are immutable and compare and hash as their keys.  ``Fraction``
+appears only where a rational angle is parsed or printed: the constructors,
+``DSElem.t``, ``l_angles``, ``format_isom`` and the printed ``QuatExt``
+coordinates.  ``FinGroup`` is a small closed multiplication universe used
+for closures, normalizers and recognition.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
-
-HALF = Fraction(1, 2)
 
 
 def _exact(v) -> Fraction:
@@ -100,30 +98,7 @@ DS_I = DSElem(Fraction(1, 4))
 
 
 # ---------------------------------------------------------------------------
-# Q(sqrt 2) scalars and quaternions
-
-
-@dataclass(frozen=True)
-class QSqrt2:
-    """The number a + b*sqrt(2) with a, b rational: the exact view of one
-    ``QuatExt`` coordinate."""
-
-    a: Fraction
-    b: Fraction
-
-    def __post_init__(self):
-        _exact(self.a)
-        _exact(self.b)
-
-    def __repr__(self):
-        if self.b == 0:
-            return str(self.a)
-        if self.a == 0:
-            return f"{self.b}*sqrt2"
-        return f"({self.a}+{self.b}*sqrt2)"
-
-
-QS_HALF_SQRT2 = QSqrt2(0, HALF)  # 1/sqrt(2)
+# Quaternions over (1/2)Z[sqrt 2]
 
 
 def _hamilton(p, q) -> tuple[int, int, int, int]:
@@ -138,27 +113,29 @@ def _hamilton(p, q) -> tuple[int, int, int, int]:
     )
 
 
+def _coord_str(A: int, B: int) -> str:
+    """The coordinate (A + B*sqrt 2)/2 as printed: "a", "b*sqrt2" or
+    "(a+b*sqrt2)" with a = A/2 and b = B/2 in lowest terms."""
+    a, b = Fraction(A, 2), Fraction(B, 2)
+    if not b:
+        return str(a)
+    if not a:
+        return f"{b}*sqrt2"
+    return f"({a}+{b}*sqrt2)"
+
+
 class QuatExt(tuple):
     """Unit quaternion w + x*i + y*j + z*k with coordinates in (1/2)Z[sqrt 2],
-    stored as (A_w, A_x, A_y, A_z, B_w, B_x, B_y, B_z): each coordinate is
+    built from and stored as the eight integers
+    (A_w, A_x, A_y, A_z, B_w, B_x, B_y, B_z): each coordinate is
     (A + B*sqrt 2)/2."""
 
     __slots__ = ()
 
-    def __new__(cls, w: QSqrt2, x: QSqrt2, y: QSqrt2, z: QSqrt2):
-        coords = (w, x, y, z)
-        twice = [2 * c.a for c in coords] + [2 * c.b for c in coords]
-        if any(v.denominator != 1 for v in twice):
-            raise ValueError(f"coordinates {coords} are not in (1/2)Z[sqrt2]")
-        return tuple.__new__(cls, (int(v) for v in twice))
-
-    def _coord(self, i: int) -> QSqrt2:
-        return QSqrt2(Fraction(self[i], 2), Fraction(self[i + 4], 2))
-
-    w = property(lambda self: self._coord(0))
-    x = property(lambda self: self._coord(1))
-    y = property(lambda self: self._coord(2))
-    z = property(lambda self: self._coord(3))
+    def __new__(cls, *twice: int):
+        if len(twice) != 8 or not all(isinstance(v, int) for v in twice):
+            raise TypeError(f"QuatExt takes eight integers, got {twice!r}")
+        return tuple.__new__(cls, twice)
 
     def __mul__(self, o: "QuatExt") -> "QuatExt":
         # (a1 + b1*sqrt2)(a2 + b2*sqrt2) over integer quaternions a, b of
@@ -186,10 +163,6 @@ class QuatExt(tuple):
             sum(2 * u * v for u, v in zip(a, b)),
         )
 
-    def norm(self) -> QSqrt2:
-        r, s = self._norm4()
-        return QSqrt2(Fraction(r, 4), Fraction(s, 4))
-
     def inv(self):
         # Unit quaternions only; guarded by the norm invariant.
         if self._norm4() != (4, 0):
@@ -200,22 +173,18 @@ class QuatExt(tuple):
         return tuple(self)
 
     def __repr__(self):
-        return f"[{self.w} {self.x}i {self.y}j {self.z}k]"
+        w, x, y, z = (_coord_str(self[i], self[i + 4]) for i in range(4))
+        return f"[{w} {x}i {y}j {z}k]"
 
 
-def _q(w=0, x=0, y=0, z=0) -> QuatExt:
-    mk = lambda v: v if isinstance(v, QSqrt2) else QSqrt2(v, 0)
-    return QuatExt(mk(w), mk(x), mk(y), mk(z))
-
-
-Q_ONE = _q(1)
-Q_I = _q(0, 1)
-Q_J = _q(0, 0, 1)
-Q_K = _q(0, 0, 0, 1)
+Q_ONE = QuatExt(2, 0, 0, 0, 0, 0, 0, 0)
+Q_I = QuatExt(0, 2, 0, 0, 0, 0, 0, 0)
+Q_J = QuatExt(0, 0, 2, 0, 0, 0, 0, 0)
+Q_K = QuatExt(0, 0, 0, 2, 0, 0, 0, 0)
 # (1+i)/sqrt(2): an order-8 element of the binary octahedral group.
-Q_S = _q(QS_HALF_SQRT2, QS_HALF_SQRT2)
+Q_S = QuatExt(0, 0, 0, 0, 1, 1, 0, 0)
 # (1+i+j+k)/2: an order-6 Hurwitz unit.
-Q_W = _q(HALF, HALF, HALF, HALF)
+Q_W = QuatExt(1, 1, 1, 1, 0, 0, 0, 0)
 
 
 # cos and sin of 2pi*k/8, k = 0..7, each as (A, B) for (A + B*sqrt 2)/2.
@@ -387,13 +356,17 @@ def format_isom(g: Isom3) -> str:
     return f"L({t1}, {t2})" + tail
 
 
-def isom_order(g: Isom3, bound: int = 10**6) -> int:
+# The largest element order ``isom_order`` looks for.
+ISOM_ORDER_BOUND = 10**6
+
+
+def isom_order(g: Isom3) -> int:
     acc = g
-    for n in range(1, bound + 1):
+    for n in range(1, ISOM_ORDER_BOUND + 1):
         if acc == ISOM_ID:
             return n
         acc = acc * g
-    raise ValueError("order exceeds bound")
+    raise ValueError(f"order exceeds the bound {ISOM_ORDER_BOUND}")
 
 
 def group_to_json(G) -> list[str]:

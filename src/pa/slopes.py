@@ -39,21 +39,11 @@ class Slope:
     def is_infinite(self) -> bool:
         return self.p == 0
 
-    def to_fraction(self) -> Fraction:
-        if self.is_infinite:
-            raise ValueError("infinite slope has no rational value")
-        return Fraction(self.q, self.p)
-
     def __str__(self):
         return "inf" if self.is_infinite else f"{self.q}/{self.p}"
 
 
 INF_SLOPE = Slope(1, 0)
-
-
-def reduce(q: int, p: int) -> Slope:
-    """Reduced slope q/p with the sign absorbed into q; rejects (0,0)."""
-    return Slope(q, p)
 
 
 def slope(q, p=None) -> Slope:

@@ -294,6 +294,110 @@ def spectrum_per_value(kind, count):
     return [(value, orbits_per_value(lat, value)) for value in values[:count]]
 
 
+# Cusp isometries in their first form: z -> zeta_24^rot * z + trans(l), rot
+# in Z/24 and trans in the cyclotomic field Q(zeta_12), a Fraction 4-vector
+# in the power basis of zeta_12 (minimal polynomial x^4 - x^2 + 1).
+
+
+def _vec(a=0, b=0, c=0, d=0):
+    return (Fraction(a), Fraction(b), Fraction(c), Fraction(d))
+
+
+_ZERO4 = _vec()
+
+
+def _zeta12_mul(u, v):
+    """Product in Q(zeta_12) via x^4 = x^2 - 1."""
+    prod = [Fraction(0)] * 7
+    for i, a in enumerate(u):
+        if a:
+            for j, b in enumerate(v):
+                prod[i + j] += a * b
+    for deg in (6, 5, 4):
+        c, prod[deg] = prod[deg], Fraction(0)
+        prod[deg - 2] += c
+        prod[deg - 4] -= c
+    return tuple(prod[:4])
+
+
+_ZETA12_POWERS = [_vec(1)]
+for _ in range(11):
+    _ZETA12_POWERS.append(_zeta12_mul(_ZETA12_POWERS[-1], _vec(0, 1)))
+
+
+class Zeta12Isometry:
+    """z -> zeta_24^rot * z + trans(l); the cusp generators only ever
+    produce even exponents, which keep trans in Q(zeta_12)."""
+
+    def __init__(self, rot, trans):
+        self.rot = rot % 24
+        self.trans = tuple(Fraction(t) for t in trans)
+
+    def _rot_apply(self, v):
+        if self.rot % 2 != 0:
+            raise ValueError("rotation exponent leaves Q(zeta_12)")
+        return _zeta12_mul(_ZETA12_POWERS[self.rot // 2], v)
+
+    def __mul__(self, other):
+        # (u1,v1)(u2,v2) = (u1*u2, u1*v2 + v1): right factor acts first.
+        moved = self._rot_apply(other.trans)
+        return Zeta12Isometry(
+            self.rot + other.rot, tuple(a + b for a, b in zip(moved, self.trans))
+        )
+
+    def inv(self):
+        back = Zeta12Isometry(-self.rot, _ZERO4)._rot_apply(self.trans)
+        return Zeta12Isometry(-self.rot, tuple(-a for a in back))
+
+
+ZETA12_IDENTITY = Zeta12Isometry(0, _ZERO4)
+
+# 2*sqrt(3) = 4z - 2z^3 and e^{i*pi/3} = z^2 for z = zeta_12.
+_SQRT3_X2 = _vec(0, 4, 0, -2)
+
+ZETA12_BASIS = {
+    "T244": (_vec(2), _vec(0, 0, 0, 2)),  # 2l, 2li
+    "T236": (_SQRT3_X2, _zeta12_mul(_SQRT3_X2, _vec(0, 0, 1))),
+}
+
+ZETA12_GENERATORS = {
+    # a: pi about 0; b: pi/2 about l; c: pi/2 about li.
+    "T244": (
+        Zeta12Isometry(12, _ZERO4),
+        Zeta12Isometry(6, _vec(1, 0, 0, -1)),
+        Zeta12Isometry(6, _vec(1, 0, 0, 1)),
+    ),
+    # a: pi about sqrt(3)l; b: 2pi/3 about 2l*e^{i*pi/6}; c: pi/3 about 0.
+    "T236": (
+        Zeta12Isometry(12, _SQRT3_X2),
+        Zeta12Isometry(8, _SQRT3_X2),
+        Zeta12Isometry(4, _ZERO4),
+    ),
+}
+
+
+def zeta12_translation(kind, x, y):
+    """(x*u + y*v)/2 in the power basis."""
+    u, v = ZETA12_BASIS[kind]
+    return tuple((x * a + y * b) / 2 for a, b in zip(u, v))
+
+
+def zeta12_coords_of(kind, trans):
+    """Integer (m, n) with m*u + n*v = trans, or None."""
+    # Solve over Q by two well-chosen coordinates, then verify fully.
+    if kind == "T244":
+        m_f, n_f = Fraction(trans[0], 2), Fraction(trans[3], 2)
+    else:
+        # u = (0,4,0,-2), v = (0,2,0,2): invert the 2x2 minor on
+        # coordinates 1 and 3.
+        m_f = (trans[1] - trans[3]) / 6
+        n_f = (trans[1] + 2 * trans[3]) / 6
+    if m_f.denominator != 1 or n_f.denominator != 1:
+        return None
+    m, n = int(m_f), int(n_f)
+    return (m, n) if zeta12_translation(kind, 2 * m, 2 * n) == tuple(trans) else None
+
+
 # A dihedral query by closures: the first form of ``dihedral.orbifold``.
 
 

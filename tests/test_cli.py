@@ -216,6 +216,22 @@ class TestDihedral:
             assert out == ""
             assert err == "error: d1, d2 must be positive\n"
 
+    def test_order_past_bound_refused_before_any_product(self, capsys, monkeypatch):
+        # n = 500001*1*2 exceeds the element-order bound: no order is computed.
+        def isom_order(g):
+            raise AssertionError("isom_order called")
+
+        monkeypatch.setattr(dihedral, "isom_order", isom_order)
+        monkeypatch.setattr(quat, "isom_order", isom_order)
+        code, out, err = run(capsys, "dihedral", "1/500001", "1", "2")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: O(1/500001;1,2) has n = p*d1*d2 = 1000002, past the "
+            f"element-order bound {quat.ISOM_ORDER_BOUND}\n"
+        )
+        assert quat.ISOM_ORDER_BOUND == 10**6
+
 
 class TestHomology:
     def test_graph_file(self, capsys, tmp_path):
@@ -263,6 +279,34 @@ class TestHomology:
         )
         code, _, _ = run(capsys, "homology", str(path))
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            (
+                {"ambient": "S3", "vertices": 5, "edges": []},
+                'a graph needs "vertices" and "edges" lists',
+            ),
+            ([1, 2], "a graph document must be a JSON object"),
+            (
+                {
+                    "ambient": "S3",
+                    "vertices": [{"id": "a"}],
+                    "edges": [{"id": "e", "ends": ["a"], "weight": "2"}],
+                },
+                "malformed edge {'id': 'e', 'ends': ['a'], 'weight': '2'}",
+            ),
+        ],
+        ids=["vertex-count", "top-level-array", "one-end"],
+    )
+    def test_malformed_structure(self, capsys, tmp_path, document, message):
+        # One error line, not a traceback, for a file of the wrong shape.
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run(capsys, "homology", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestCusp:

@@ -4,7 +4,6 @@ import pytest
 
 import oracles
 from pa.cusplattice import (
-    EUC_ID,
     EucIsometry,
     LatticeVector,
     T236,
@@ -50,7 +49,8 @@ class TestIsometries:
                 assert evaluate_word(kind, cancel).is_identity
 
     def test_empty_word(self):
-        assert evaluate_word("T244", "") == EUC_ID
+        for lat in (T244, T236):
+            assert evaluate_word(lat, "") == EucIsometry(lat, 0, 0, 0)
 
     def test_composition_direction(self):
         gens = generators("T244")
@@ -66,12 +66,57 @@ class TestIsometries:
             assert evaluate_word(kind, packed) == evaluate_word(kind, flat)
 
     def test_half_turn_square(self):
+        # b^2 is the half-turn about 2l = u: z -> -z + u.
         b = generators("T244")["b"]
-        assert b * b == EucIsometry(12, (2, 0, 0, 0))
+        assert b * b == EucIsometry(T244, 2, 2, 0)
 
-    def test_odd_rotation_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            EucIsometry(13, (0, 0, 0, 0)) * EUC_ID
+
+class TestAgainstZeta12Model:
+    """The integer maps (e, x, y) against the Q(zeta_12) affine maps they
+    replaced: (e, x, y) -> (zeta_24^{e*24/order}, (x*u + y*v)/2)."""
+
+    def test_generators_correspond(self):
+        for kind in KINDS:
+            for g, old in zip(generators(kind).values(), oracles.ZETA12_GENERATORS[kind]):
+                self._assert_same(kind, g, old)
+
+    def test_words_up_to_length_4(self):
+        for kind in KINDS:
+            a, b, c = oracles.ZETA12_GENERATORS[kind]
+            letters = dict(zip("abcABC", (a, b, c, a.inv(), b.inv(), c.inv())))
+            images = {"": oracles.ZETA12_IDENTITY}
+            level = dict(images)
+            for _ in range(4):
+                level = {
+                    word + x: old * g
+                    for word, old in level.items()
+                    for x, g in letters.items()
+                }
+                images.update(level)
+            assert len(images) == 1 + 6 + 36 + 216 + 1296
+            for word, old in images.items():
+                self._assert_same(kind, evaluate_word(kind, word), old)
+
+    def test_half_lattice_translations(self):
+        # Every translation in the cusp group lies in the lattice; a map with
+        # an odd half-coordinate is outside the group and has no coordinates.
+        for kind in KINDS:
+            lat = lattice(kind)
+            for x in range(-3, 4):
+                for y in range(-3, 4):
+                    old = oracles.Zeta12Isometry(0, oracles.zeta12_translation(kind, x, y))
+                    self._assert_same(kind, EucIsometry(lat, 0, x, y), old)
+            assert as_lattice_vector(kind, EucIsometry(lat, 0, 1, 2)) is None
+
+    @staticmethod
+    def _assert_same(kind, iso, old):
+        lat = lattice(kind)
+        _, e, x, y = iso
+        assert old.rot == e * 24 // lat.point_group_order, (kind, iso)
+        assert old.trans == oracles.zeta12_translation(kind, x, y), (kind, iso)
+        coords = oracles.zeta12_coords_of(kind, old.trans) if old.rot == 0 else None
+        vec = as_lattice_vector(kind, iso)
+        assert vec == (None if coords is None else LatticeVector(kind, *coords))
 
 
 class TestLattices:

@@ -580,3 +580,25 @@ class TestJSON:
             ParedOrbifoldDescriptor(
                 d.graph, d.parabolic_edges, {"tag": "nonsense"}
             )
+
+    def test_malformed_documents_rejected(self):
+        good = graph_to_json(theta(2, 2, 5))
+        edge = good["edges"][0]
+        bad_documents = [
+            [1, 2],
+            "S3",
+            {**good, "vertices": 5},
+            {**good, "edges": None},
+            {**good, "vertices": [1]},
+            {**good, "vertices": [{"id": ["a"]}]},
+            {**good, "edges": [{**edge, "ends": edge["ends"][:1]}]},
+            {**good, "edges": [{**edge, "ends": [*edge["ends"], edge["ends"][0]]}]},
+            {**good, "edges": [{**edge, "weight": None}]},
+            {**good, "edges": [{key: edge[key] for key in ("ends", "weight")}]},
+        ]
+        for document in bad_documents:
+            with pytest.raises(GraphStructureError):
+                graph_from_json(document)
+        with pytest.raises(GraphStructureError):
+            descriptor_from_json({**good, "family": 5})
+        assert graph_from_json(good) == theta(2, 2, 5)

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from pa.quat import (
-    HALF,
     DS_I,
     DS_J,
     DS_ONE,
@@ -27,7 +26,7 @@ from pa.quat import (
     Q_ONE,
     Q_S,
     Q_W,
-    QSqrt2,
+    QuatExt,
     binary_octahedral,
     close,
     d2_star,
@@ -39,7 +38,6 @@ from pa.quat import (
     isom_order,
     l_angles,
     recognize,
-    _q,
 )
 
 angles = st.fractions(
@@ -64,7 +62,7 @@ def as_pair(g):
 
 def as_qs(q):
     """A QuatExt in the oracles' form: four (a, b) pairs for a + b*sqrt2."""
-    return tuple((c.a, c.b) for c in (q.w, q.x, q.y, q.z))
+    return tuple((Fraction(q[i], 2), Fraction(q[i + 4], 2)) for i in range(4))
 
 
 class TestDSElem:
@@ -123,22 +121,32 @@ class TestQuatExt:
         assert G.element_order(Q_S) == 8
         assert G.element_order(Q_W) == 6
         for q in (Q_S, Q_W):
-            assert q.norm() == QSqrt2(1, 0)
+            assert q * q.conjugate() == Q_ONE
 
     def test_sqrt2_coordinates(self):
-        assert Q_S.w == QSqrt2(0, Fraction(1, 2))
-        assert Q_S.x == QSqrt2(0, Fraction(1, 2))
+        # s = (1+i)/sqrt2: w = x = (0 + 1*sqrt2)/2.
+        assert as_qs(Q_S)[:2] == ((0, Fraction(1, 2)), (0, Fraction(1, 2)))
+        assert repr(Q_S) == "[1/2*sqrt2 1/2*sqrt2i 0j 0k]"
+        assert repr(QuatExt(1, -2, 0, 3, 1, 0, -1, 0)) == (
+            "[(1/2+1/2*sqrt2) -1i -1/2*sqrt2j 3/2k]"
+        )
 
     def test_product_leaving_half_z_sqrt2_raises(self):
         # (1/2)*(1/2) = 1/4 is not in (1/2)Z[sqrt2]: never rounded.
+        half = QuatExt(1, 0, 0, 0, 0, 0, 0, 0)
         with pytest.raises(ArithmeticError):
-            _q(HALF) * _q(HALF)
+            half * half
 
     def test_coordinate_outside_half_z_sqrt2_rejected(self):
-        with pytest.raises(ValueError):
-            _q(QSqrt2(Fraction(1, 3), 0))
-        with pytest.raises(ValueError):
-            _q(0, QSqrt2(0, Fraction(1, 4)))
+        # A quaternion is its eight integers A, B of (A + B*sqrt2)/2, so a
+        # coordinate 1/3 or sqrt2/4 would need a non-integer and is refused.
+        assert QuatExt(*Q_W) == Q_W
+        with pytest.raises(TypeError):
+            QuatExt(Fraction(2, 3), 0, 0, 0, 0, 0, 0, 0)
+        with pytest.raises(TypeError):
+            QuatExt(0, 0, 0, 0, 0, Fraction(1, 2), 0, 0)
+        with pytest.raises(TypeError):
+            QuatExt(1, 1, 1, 1)
 
 
 class TestIsom3:
@@ -273,9 +281,9 @@ class TestExactBoundary:
             lambda: L("1/2", 0),
             lambda: DSElem(0.25),
             lambda: DSElem(0.25, True),
-            lambda: QSqrt2(0.5, 0),
-            lambda: QSqrt2(0, 0.5),
-            lambda: _q(0.5),
+            lambda: QuatExt(1.0, 0, 0, 0, 0, 0, 0, 0),
+            lambda: QuatExt(0, 0, 0, 0, 0, 0, 0, 0.5),
+            lambda: QuatExt(0, 1e0, 0, 0, 0, 0, 0, 0),
         ],
     )
     def test_inexact_values_rejected(self, build):
@@ -440,4 +448,4 @@ class TestBinaryOctahedral:
 
     def test_unit_norms(self):
         for g in binary_octahedral():
-            assert g.norm() == QSqrt2(1, 0)
+            assert g * g.conjugate() == Q_ONE
