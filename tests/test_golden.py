@@ -1,0 +1,109 @@
+"""CLI outputs against recorded ones: every command in ``COMMANDS`` is run
+in process and its exit code, stdout and stderr must match
+``golden/cli.json`` byte for byte.
+
+The file holds one entry per command.  To record it again after a change
+that is meant to alter an output, run from the repository root
+
+    PYTHONPATH=src python3 tests/test_golden.py
+
+and review the diff of ``tests/golden/cli.json``.
+"""
+
+import contextlib
+import functools
+import io
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from pa import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+RECORD = GOLDEN / "cli.json"
+
+# Paths in argv are relative to the golden directory.
+COMMANDS = [
+    ["verify", "--all"],
+    ["verify", "--all", "--json"],
+    *(
+        ["dihedral", r, d1, d2, *fmt]
+        for r, d1, d2 in [
+            ("0/1", "1", "2"),
+            ("0/1", "2", "1"),
+            ("2/5", "2", "3"),
+            ("3/8", "1", "1"),
+            ("1/101", "7", "9"),
+            ("1/601", "11", "13"),
+            ("2/5", "0", "1"),
+            ("1/500001", "1", "2"),
+        ]
+        for fmt in ([], ["--json"])
+    ),
+    *(
+        ["triangle", "order", t, w, *fmt]
+        for t, w in [
+            ("2 3 5", "ab"),
+            ("2 2 600", "c7a"),
+            ("1 6 4", "b"),
+            ("3 1 1", "a"),
+            ("1 5000 5000", "b"),
+            ("2 3 7", "ab"),
+        ]
+        for fmt in ([], ["--json"])
+    ),
+    ["triangle", "image", "4,6,8 -> 2,3,4", "bC2"],
+    ["triangle", "image", "4,6,8 -> 2,3,4", "bC2", "--json"],
+    *(
+        ["cusp", kind, *opts, *fmt]
+        for kind in ["244", "236", "T244", "T236"]
+        for opts in (["--count", "24"], ["--brenner"])
+        for fmt in ([], ["--json"])
+    ),
+    ["heckoid", "2/5", "3"],
+    ["heckoid", "3/7", "5/2", "--json"],
+    ["link", "classify", "3/8"],
+    ["link", "equiv", "2/7", "4/7", "--json"],
+    ["link", "cf", "3/8", "--json"],
+    ["link", "hat", "3/8"],
+    ["homology", "dihedral_2_5_2_3.json"],
+    ["homology", "dihedral_2_5_2_3.json", "--json"],
+]
+
+
+def replay(argv: list[str]) -> dict:
+    """Run ``pa argv`` in process from the golden directory."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
+    finally:
+        os.chdir(cwd)
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@functools.cache
+def _recorded() -> dict:
+    with open(RECORD, encoding="utf-8") as fh:
+        return {" ".join(e["argv"]): e for e in json.load(fh)}
+
+
+def test_record_covers_every_command():
+    assert sorted(_recorded()) == sorted(" ".join(argv) for argv in COMMANDS)
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_output_matches_record(argv):
+    assert replay(argv) == _recorded()[" ".join(argv)]
+
+
+if __name__ == "__main__":
+    entries = [replay(argv) for argv in COMMANDS]
+    with open(RECORD, "w", encoding="utf-8") as fh:
+        json.dump(entries, fh, indent=1)
+        fh.write("\n")
+    print(f"recorded {len(entries)} commands in {RECORD}")
