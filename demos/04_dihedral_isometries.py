@@ -4,8 +4,8 @@ normalizers, and the finite isometry groups of the quotient orbifolds."""
 from pa.dihedral import (
     exceptional_isom,
     gamma,
-    isom_plus,
     normalizer,
+    orbifold,
     params_for,
 )
 from pa.quat import dihedral_degree, recognize
@@ -25,7 +25,7 @@ def main():
 
     print("\n== isometry groups across the case table ==")
     for r_text, d1, d2 in [("2/7", 1, 3), ("4/15", 1, 1), ("5/12", 1, 1), ("3/10", 1, 1)]:
-        tag, quotient = isom_plus(slope(r_text), d1, d2)
+        _, _, tag, quotient = orbifold(slope(r_text), d1, d2)
         size = f", realized with {len(quotient)} elements" if quotient else ""
         print(f"  Isom+ O({r_text};{d1},{d2}) = {tag}{size}")
 

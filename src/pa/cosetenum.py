@@ -138,37 +138,38 @@ class _Felsch:
     inverse that starts with x, and at m every one that starts with x^-1.
     A scan that leaves one gap fills it, which is a further deduction.
 
-    Power relators x^r (r >= 2) are never scanned.  The x-edges of the
-    table form chains and cycles; each power column keeps its chains as
-    head -> (tail, length) and tail -> head, and a new x-edge updates them
-    in O(1).  A chain of r cosets closes into a cycle, a longer chain or a
-    cycle whose length does not divide r is a coincidence.  Coincidence
-    processing does not update the chains; the maps of each power column
-    whose edges it moved are rebuilt from the table before the next
-    deduction.
+    A generator x with a relator x^1 (or powers of gcd 1) fixes every
+    coset: each row is made with k.x = k, and those entries are deductions
+    like any other.  Power relators x^r (r >= 2) are never scanned.  The
+    x-edges of the table form chains and cycles; each power column keeps
+    its chains as head -> (tail, length) and tail -> head, and a new x-edge
+    updates them in O(1).  A chain of r cosets closes into a cycle, a
+    longer chain or a cycle whose length does not divide r is a
+    coincidence.  Coincidence processing does not update the chains; the
+    maps of each power column whose edges it moved are rebuilt from the
+    table before the next deduction.
     """
 
     def __init__(self, pres: Presentation, max_cosets: int):
         self.ncols = 2 * pres.ngens
         self.max_cosets = max_cosets
-        self.table = [[None] * self.ncols]
-        self.p = [0]
+        self.table: list[list] = []
+        self.p: list[int] = []
         self.deductions: list[tuple[int, int]] = []
         # power columns whose chain maps no longer match the table
         self.stale: set[int] = set()
         exponents: dict[int, int] = {}
         scanned = []
         for rel in pres.relators:
-            if len(rel) >= 2 and len(set(rel)) == 1:
+            if len(set(rel)) == 1:
                 col = _column(abs(rel[0]))
                 exponents[col] = gcd(exponents.get(col, 0), len(rel))
             else:
                 scanned.append(rel)
-        # x^r and x^s together say x^gcd(r, s) = 1; x^1 is scanned.
-        for col, r in list(exponents.items()):
-            if r == 1:
-                del exponents[col]
-                scanned.append((col // 2 + 1,))
+        # x^r and x^s together say x^gcd(r, s) = 1; x^1 fixes every coset.
+        self.trivial = [col for col, r in exponents.items() if r == 1]
+        for col in self.trivial:
+            del exponents[col]
         self.power = exponents
         # per power column (the generator's column): heads, tails
         self.chains = {col: ({}, {}) for col in exponents}
@@ -182,6 +183,7 @@ class _Felsch:
                     if w not in seen:
                         seen.add(w)
                         self.conjugates[w[0]].append(w)
+        self._new_row()
 
     # -- union-find over coincident cosets ---------------------------------
     def _rep(self, k: int) -> int:
@@ -239,6 +241,15 @@ class _Felsch:
                 self._link(x, a, b)
             else:
                 self._link(x, b, a)
+
+    def _new_row(self) -> int:
+        """Append a live coset k, with k.x = k for each generator x = 1."""
+        k = len(self.table)
+        self.table.append([None] * self.ncols)
+        self.p.append(k)
+        for col in self.trivial:
+            self._put(k, col, k)
+        return k
 
     def _walk(self, c: int, x: int, steps: int) -> int:
         table = self.table
@@ -370,6 +381,7 @@ class _Felsch:
         return remap
 
     def run(self) -> CosetTable:
+        self._process_deductions()
         alpha = 0
         while alpha < len(self.table):
             row = self.table[alpha]
@@ -381,10 +393,7 @@ class _Felsch:
                 if len(self.table) >= self.max_cosets:
                     return CosetTable(self.ncols // 2, [], "overflow")
             else:
-                new = len(self.table)
-                self.table.append([None] * self.ncols)
-                self.p.append(new)
-                self._set(alpha, row.index(None), new)
+                self._set(alpha, row.index(None), self._new_row())
             self._process_deductions()
         self._compact()
         return CosetTable(self.ncols // 2, self.table, "complete")
@@ -401,40 +410,18 @@ def enumerate_cosets(pres: Presentation, max_cosets: int | None = None) -> Coset
 # Triangle groups
 
 
-def _cyclic_triangle_order(p: int, q: int, r: int):
-    """The order g of T(p, q, r) when an entry is 1, else None.  With
-    a = 1, say, c = b^-1 and the group is <b | b^q, b^r>, cyclic of order
-    gcd(q, r); so g is the gcd of the two other entries."""
-    if min(p, q, r) != 1:
-        return None
-    return gcd(*sorted((p, q, r))[1:])
+def spherical_triangle_order(p: int, q: int, r: int):
+    """The order of the triangle group T(p, q, r), or None when the triple
+    is not spherical (ValueError for an entry below 1).
 
-
-def triangle_presentation(p: int, q: int, r: int) -> Presentation:
-    """<a, b, c | a^p, b^q, c^r, abc>.
-
-    With an entry 1 the group is cyclic of order g, and x^g is added for
-    each generator whose power relator is neither x^g nor x^1: a Tietze
-    move that spares the enumeration the cosets of the longer powers.
+    With every entry >= 2 it is the closed form 2/(1/p + 1/q + 1/r - 1).
+    With an entry 1, a = 1 say, c = b^-1 and the group is <b | b^q, b^r>,
+    cyclic of order gcd(q, r): the gcd of the two other entries.
     """
     if min(p, q, r) < 1:
         raise ValueError("triangle parameters must be positive")
-    relators = [tuple([1] * p), tuple([2] * q), tuple([3] * r), (1, 2, 3)]
-    g = _cyclic_triangle_order(p, q, r)
-    if g is not None:
-        relators += [(x,) * g for x, e in enumerate((p, q, r), 1) if e not in (1, g)]
-    return Presentation(3, tuple(relators))
-
-
-def is_spherical_triple(p: int, q: int, r: int) -> bool:
-    return Fraction(1, p) + Fraction(1, q) + Fraction(1, r) > 1
-
-
-def spherical_triangle_order(p: int, q: int, r: int):
-    """Closed-form order 2/(1/p + 1/q + 1/r - 1) of the spherical triangle
-    group; None when the triple is not spherical with all entries >= 2."""
-    if min(p, q, r) < 2:
-        return None
+    if min(p, q, r) == 1:
+        return gcd(*sorted((p, q, r))[1:])
     excess = Fraction(1, p) + Fraction(1, q) + Fraction(1, r) - 1
     if excess <= 0:
         return None
@@ -444,14 +431,28 @@ def spherical_triangle_order(p: int, q: int, r: int):
     return int(order)
 
 
+def triangle_presentation(p: int, q: int, r: int) -> Presentation:
+    """<a, b, c | a^p, b^q, c^r, abc>.
+
+    With an entry 1 the group is cyclic of order g, and x^g is added for
+    each generator whose power relator is neither x^g nor x^1: a Tietze
+    move that spares the enumeration the cosets of the longer powers.
+    """
+    g = spherical_triangle_order(p, q, r)
+    relators = [tuple([1] * p), tuple([2] * q), tuple([3] * r), (1, 2, 3)]
+    if min(p, q, r) == 1:
+        relators += [(x,) * g for x, e in enumerate((p, q, r), 1) if e not in (1, g)]
+    return Presentation(3, tuple(relators))
+
+
 def triangle_table(p: int, q: int, r: int, max_cosets: int | None = None) -> CosetTable:
-    if not is_spherical_triple(p, q, r):
+    order = spherical_triangle_order(p, q, r)
+    if order is None:
         raise ValueError(f"triangle type {(p, q, r)} is not spherical")
     if max_cosets is None:
         max_cosets = max_cosets_default()
     # A complete table has one row per element and at most max_cosets rows.
-    order = spherical_triangle_order(p, q, r) or _cyclic_triangle_order(p, q, r)
-    if order is not None and order > max_cosets:
+    if order > max_cosets:
         raise ValueError(f"triangle group {(p, q, r)} overflowed the coset bound")
     table = enumerate_cosets(triangle_presentation(p, q, r), max_cosets)
     if table.status != "complete":
@@ -478,9 +479,9 @@ def _inverse_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def triangle_group(p: int, q: int, r: int, max_cosets: int | None = None):
+def triangle_group(p: int, q: int, r: int):
     """The spherical (p, q, r) triangle group as a permutation FinGroup."""
-    return coset_group(triangle_table(p, q, r, max_cosets))
+    return coset_group(triangle_table(p, q, r))
 
 
 def word_permutation(table: CosetTable, word) -> tuple[int, ...]:
@@ -525,7 +526,6 @@ def image_order(
     word,
     source: tuple[int, int, int],
     target: tuple[int, int, int] | None = None,
-    max_cosets: int | None = None,
 ) -> int:
     """Order of the image of a source-triangle-group word under the natural
     epimorphism a->a, b->b, c->c onto the (spherical) target group.
@@ -537,15 +537,13 @@ def image_order(
         target = source
     if not natural_epimorphism_valid(source, target):
         raise ValueError(f"no natural epimorphism {source} -> {target}")
-    table = triangle_table(*target, max_cosets=max_cosets)
+    table = triangle_table(*target)
     return permutation_order(word_permutation(table, word))
 
 
-def triangle_word_images(
-    ptype: tuple[int, int, int], words, max_cosets: int | None = None
-):
+def triangle_word_images(ptype: tuple[int, int, int], words):
     """The (p,q,r) permutation group together with the images of the given
     words, for conjugacy questions."""
-    table = triangle_table(*ptype, max_cosets=max_cosets)
+    table = triangle_table(*ptype)
     G = coset_group(table)
     return G, [word_permutation(table, w) for w in words]

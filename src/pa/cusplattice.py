@@ -256,14 +256,22 @@ def attaining_orbits(kind, coef2: int) -> list[PointGroupOrbit]:
     return _orbits(lat, _by_coef2(lat, coef2).get(coef2, []))
 
 
+# The most values ``spectrum`` computes: its time and memory grow
+# faster than the count, to seconds and hundreds of MB by 10 000.
+MAX_SPECTRUM_COUNT = 1000
+
+
 def spectrum(kind, count: int) -> list[tuple[int, list[PointGroupOrbit]]]:
     """The first ``count`` distinct values of L_n(Lambda)^2 / l^2 in
     increasing order, each with its point-group orbit decomposition.
 
     The cap doubles until one enumeration holds ``count`` values; the
-    orbits are built from that enumeration's vectors."""
+    orbits are built from that enumeration's vectors.  A count past
+    MAX_SPECTRUM_COUNT is refused (ValueError) before any enumeration."""
     if count < 1:
         raise ValueError("count must be >= 1")
+    if count > MAX_SPECTRUM_COUNT:
+        raise ValueError(f"count {count} is past the spectrum bound {MAX_SPECTRUM_COUNT}")
     lat = lattice(kind)
     cap = lat.form(1, 0)
     while len(buckets := _by_coef2(lat, cap)) < count:

@@ -31,7 +31,6 @@ from math import gcd
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .orbigraph import canonical_key, make_dihedral
 from .quat import (
     FinGroup,
     ISOM_ID,
@@ -441,28 +440,3 @@ def orbifold(r, d1: int, d2: int) -> Orbifold:
             f"N(Gamma)/Gamma for ({r};{d1},{d2}) is {tag}, expected {TAG_Z2SQ}"
         )
     return Orbifold(params, cert, TAG_Z2SQ, quotient)
-
-
-def isom_plus(r, d1: int, d2: int) -> tuple[str, FinGroup | None]:
-    """Isometry type of O(q/p; d1, d2) and N(Gamma)/Gamma (None for
-    (d1, d2) = (1, 1)): the (isom, quotient) view of ``orbifold``."""
-    record = orbifold(r, d1, d2)
-    return (record.isom, record.quotient)
-
-
-# ---------------------------------------------------------------------------
-# Oriented-orbifold uniqueness
-
-
-def same_oriented(a, b) -> bool:
-    """Whether parameter triples (r, d1, d2) define the same oriented
-    orbifold O(q/p;d1,d2): p = p' and either (q = q' mod p with
-    (d1,d2) = (d1',d2')) or (qq' = 1 mod p with (d1,d2) = (d2',d1')).
-
-    ``orbigraph.canonical_key`` picks the least (q mod p, d1, d2) of the two
-    forms, so two triples have the same key exactly when this rule holds.
-    For group order 2*p*d1*d2 = 4 (n = 2) the exceptional identifications,
-    p = p' = 1 with {d1,d2} = {d1',d2'} = {1,2} and p = p' = 2 with all
-    tunnel indices 1, are instances of the same rule.
-    """
-    return canonical_key(make_dihedral(*a)) == canonical_key(make_dihedral(*b))

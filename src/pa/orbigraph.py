@@ -72,11 +72,11 @@ def weight_str(w) -> str:
 
 
 def parse_weight(s):
-    if isinstance(s, int) and not isinstance(s, bool):
+    """The weight a string names ("inf" or an integer); any other value is
+    returned unchanged, for ``is_weight`` to accept or refuse."""
+    if not isinstance(s, str):
         return s
-    if s is INF or s == "inf":
-        return INF
-    return int(s)
+    return INF if s == "inf" else int(s)
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,7 @@ class WeightedGraphOrbifold:
                 raise GraphStructureError(f"duplicate vertex id {vid!r}")
             self._vertices[str(vid)] = bool(boundary)
         self._edges: dict[str, Edge] = {}
+        self._germs: dict[str, list[Edge]] = {v: [] for v in self._vertices}
         for item in edges:
             e = item if isinstance(item, Edge) else Edge(item[0], tuple(item[1]), item[2])
             if e.id in self._edges:
@@ -125,6 +126,8 @@ class WeightedGraphOrbifold:
             if not is_weight(e.weight):
                 raise GraphStructureError(f"bad weight {e.weight!r} on edge {e.id!r}")
             self._edges[e.id] = e
+            for v in e.ends:
+                self._germs[v].append(e)
         self._validate_degrees()
 
     # -- basic queries -------------------------------------------------------
@@ -144,14 +147,8 @@ class WeightedGraphOrbifold:
         return list(self._edges)
 
     def germs(self, v: str) -> list[Edge]:
-        """Incident edges with loops listed twice."""
-        out = []
-        for e in self._edges.values():
-            if e.ends[0] == v:
-                out.append(e)
-            if e.ends[1] == v:
-                out.append(e)
-        return out
+        """Incident edges in edge order, with loops listed twice."""
+        return list(self._germs.get(v, ()))
 
     def degree(self, v: str) -> int:
         return len(self.germs(v))
@@ -350,35 +347,33 @@ def surger(g: WeightedGraphOrbifold, reweight: dict) -> WeightedGraphOrbifold:
     Raises OrbifoldSurgeryError when the result cannot satisfy the sphere
     condition or the structural rules.
     """
-    new_edges = []
+    new_edges = {}
     for e in g.edges():
         if e.id in reweight:
             w = parse_weight(reweight[e.id])
             if not is_weight(w):
                 raise OrbifoldSurgeryError(f"bad weight {reweight[e.id]!r}")
             e = Edge(e.id, e.ends, w)
-        new_edges.append(e)
-    unknown = set(reweight) - {e.id for e in new_edges}
+        new_edges[e.id] = e
+    unknown = set(reweight) - set(new_edges)
     if unknown:
         raise OrbifoldSurgeryError(f"unknown edge ids {sorted(unknown)}")
 
-    by_end: dict[str, list[Edge]] = {}
-    for e in new_edges:
-        for end in e.ends:
-            by_end.setdefault(end, []).append(e)
     vertices = []
     for v in g.vertex_ids():
         boundary = g.is_boundary(v)
         if boundary:
-            germs = by_end.get(v, [])
+            germs = g.germs(v)
             if len(germs) == 3:
-                total = sum((weight_recip(e.weight) for e in germs), Fraction(0))
+                total = sum(
+                    (weight_recip(new_edges[e.id].weight) for e in germs), Fraction(0)
+                )
                 if total > 1:  # now a spherical 3-punctured sphere: cap it
                     boundary = False
         vertices.append((v, boundary))
 
     try:
-        result = _elide_weight_one(g.ambient, vertices, new_edges)
+        result = _elide_weight_one(g.ambient, vertices, new_edges.values())
     except GraphStructureError as err:
         raise OrbifoldSurgeryError(str(err)) from None
     violations = check_sc(result)

@@ -71,6 +71,17 @@ def even_subgraph_betti(vertex_ids, edge_triples):
     return n_even - len(verts) + components
 
 
+def germs_by_scan(g, v):
+    """The germs of vertex v by one scan of every edge of g, loops twice."""
+    out = []
+    for e in g.edges():
+        if e.ends[0] == v:
+            out.append(e)
+        if e.ends[1] == v:
+            out.append(e)
+    return out
+
+
 def gf2_rank_dense(rows, ncols):
     """GF(2) rank by dense elimination choosing pivots right-to-left
     (the opposite column order to the package's bitmask RREF)."""

@@ -24,7 +24,7 @@ from pa.cusplattice import (
     evaluate_word,
     spectrum,
 )
-from pa.dihedral import exceptional_isom, gamma, isom_plus, params_for
+from pa.dihedral import exceptional_isom, gamma, orbifold, params_for
 from pa.orbigraph import canonical_key, h1_z2, make_dihedral, make_heckoid
 from pa.quat import dihedral_degree, recognize
 from pa.slopes import slope
@@ -65,7 +65,7 @@ def test_criterion_1_dihedral_order_law():
 def test_criterion_2_isometry_groups():
     with criterion(2, "isometry groups (Z2)^2 / D3xZ2, < 20 s"):
         run_ok(["isometry-groups", "theta-isom"], budget=20.0)
-        tag, quotient = isom_plus(slope("2/7"), 1, 3)
+        _, _, tag, quotient = orbifold(slope("2/7"), 1, 3)
         assert tag == "(Z2)^2" and len(quotient) == 4
         assert all(quotient.element_order(g) <= 2 for g in quotient)
         theta_quotient, details = exceptional_isom()

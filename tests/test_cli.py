@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pa import cli, dihedral, quat
+from pa import cli, cusplattice, dihedral, quat
 from pa.orbigraph import graph_to_json, descriptor_to_json, make_dihedral, make_heckoid
 from pa.slopes import slope
 
@@ -280,6 +280,16 @@ class TestHomology:
         code, _, _ = run(capsys, "homology", str(path))
         assert code == 1
 
+    def test_boolean_weight_refused(self, capsys, tmp_path):
+        # JSON true is not the weight 1.
+        document = graph_to_json(make_dihedral(slope("2/5"), 2, 3).graph)
+        document["edges"][0]["weight"] = True
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run(capsys, "homology", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: bad weight True on edge 'K1'\n"
+
     @pytest.mark.parametrize(
         "document, message",
         [
@@ -336,6 +346,15 @@ class TestCusp:
     def test_bad_count(self, capsys):
         code, _, _ = run(capsys, "cusp", "244", "--count", "0")
         assert code == 1
+
+    def test_count_past_bound_refused_before_enumerating(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("vectors enumerated")
+
+        monkeypatch.setattr(cusplattice, "vectors_with_coef2_at_most", refuse)
+        code, out, err = run(capsys, "cusp", "244", "--count", "1001")
+        assert (code, out) == (1, "")
+        assert err == "error: count 1001 is past the spectrum bound 1000\n"
 
 
 class TestTriangle:

@@ -14,7 +14,6 @@ from pa.cosetenum import (
     coset_group,
     enumerate_cosets,
     image_order,
-    is_spherical_triple,
     max_cosets_default,
     natural_epimorphism_valid,
     parse_word,
@@ -44,7 +43,7 @@ SPHERICAL_TO_9 = [
     for p in range(1, 10)
     for q in range(1, 10)
     for r in range(1, 10)
-    if is_spherical_triple(p, q, r)
+    if spherical_triangle_order(p, q, r) is not None
 ]
 
 
@@ -263,12 +262,29 @@ class TestEntryOne:
         table = triangle_table(1, 10001, 10000)
         assert table.status == "complete" and table.n_cosets == 1
 
+    def test_trivial_generator_rebuilds_no_chains(self, monkeypatch):
+        # Each row is made with a fixed by a, so no a-entry is defined as a
+        # row that dies and no coincidence moves a power-column edge.
+        rebuilds = []
+        rebuild = cosetenum._Felsch._rebuild_chains
+
+        def counted(self):
+            rebuilds.append(1)
+            rebuild(self)
+
+        monkeypatch.setattr(cosetenum._Felsch, "_rebuild_chains", counted)
+        table = triangle_table(1, 5000, 5000)
+        assert table.n_cosets == 5000
+        assert permutation_order(word_permutation(table, "b")) == 5000
+        assert rebuilds == []
+
 
 class TestTableBound:
     def test_spherical_triples_complete_at_their_order(self):
-        for p in range(2, 10):
-            for q in range(2, 10):
-                for r in range(2, 10):
+        # Entry-1 triples included: their relators x^1 make no dead rows.
+        for p in range(1, 13):
+            for q in range(1, 13):
+                for r in range(1, 13):
                     order = spherical_triangle_order(p, q, r)
                     if order is None:
                         continue
@@ -277,10 +293,11 @@ class TestTableBound:
                     assert table.n_cosets == order
 
     def test_full_table_compacts_its_dead_rows(self):
-        # a = 1 in T(1,4,4), so each coset's a-entry is first defined as a
-        # new row that dies at once; only compaction keeps the table
-        # within 4 rows.
-        table = enumerate_cosets(triangle_presentation(1, 4, 4), 4)
+        # abc and bc say a = 1, but no power relator does, so each coset's
+        # a-entry is first defined as a new row that dies at once; only
+        # compaction keeps the table of this Z4 within 6 rows.
+        pres = Presentation(3, ((2,) * 4, (3,) * 4, (1, 2, 3), (2, 3)))
+        table = enumerate_cosets(pres, 6)
         assert table.status == "complete"
         assert table.n_cosets == 4
 
@@ -313,7 +330,16 @@ class TestTriangleGroups:
     def test_spherical_order_none_cases(self):
         assert spherical_triangle_order(2, 4, 4) is None
         assert spherical_triangle_order(2, 3, 7) is None
-        assert spherical_triangle_order(1, 2, 2) is None  # entries must be >= 2
+
+    def test_spherical_order_entry_one_and_below(self):
+        # An entry 1 leaves the cyclic group of order the gcd of the others.
+        assert spherical_triangle_order(1, 2, 2) == 2
+        assert spherical_triangle_order(6, 1, 4) == 2
+        assert spherical_triangle_order(3, 1, 1) == 1
+        assert spherical_triangle_order(1, 10001, 10000) == 1
+        for ptype in [(0, 2, 2), (2, -3, 5), (1, 1, 0)]:
+            with pytest.raises(ValueError, match="must be positive"):
+                spherical_triangle_order(*ptype)
 
     def test_generator_orders_are_faithful(self):
         for p, q, r in [(2, 3, 3), (2, 3, 5), (2, 2, 4)]:

@@ -4,6 +4,7 @@ import pytest
 
 import oracles
 from pa.cusplattice import (
+    MAX_SPECTRUM_COUNT,
     EucIsometry,
     LatticeVector,
     T236,
@@ -279,6 +280,9 @@ class TestSpectra:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             spectrum("T244", 0)
+        with pytest.raises(ValueError, match="past the spectrum bound 1000"):
+            spectrum("T244", MAX_SPECTRUM_COUNT + 1)
+        assert len(spectrum("T236", MAX_SPECTRUM_COUNT)) == MAX_SPECTRUM_COUNT
 
     def test_enumeration_is_complete(self):
         for kind in KINDS:

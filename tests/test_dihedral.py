@@ -23,15 +23,14 @@ from pa.dihedral import (
     exceptional_isom,
     gamma,
     is_trivial_theta,
-    isom_plus,
     normalizer,
     orbifold,
     params_for,
-    same_oriented,
     solve_k,
     torus_quotient,
     torus_vector,
 )
+from pa.orbigraph import canonical_key, make_dihedral
 from pa.quat import (
     ISOM_ID,
     J,
@@ -273,13 +272,13 @@ class TestExceptional:
 
 class TestIsomPlus:
     def test_generic_pair(self):
-        tag, Q = isom_plus(slope("2/7"), 1, 3)
+        _, _, tag, Q = orbifold(slope("2/7"), 1, 3)
         assert tag == TAG_Z2SQ
         assert Q is not None and len(Q) == 4
 
     def test_trivial_theta(self):
         for d1, d2 in [(1, 2), (2, 1)]:
-            tag, Q = isom_plus(slope("0/1"), d1, d2)
+            _, _, tag, Q = orbifold(slope("0/1"), d1, d2)
             assert tag == TAG_D3xZ2
             assert len(Q) == 12
 
@@ -296,15 +295,15 @@ class TestIsomPlus:
             ("3/10", TAG_Z2SQ),        # p even, generic
         ]
         for text, expected in cases:
-            tag, Q = isom_plus(slope(text), 1, 1)
+            _, _, tag, Q = orbifold(slope(text), 1, 1)
             assert tag == expected, text
             assert Q is None
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            isom_plus(slope("inf"), 1, 2)
+            orbifold(slope("inf"), 1, 2)
         with pytest.raises(ValueError):
-            isom_plus(slope("1/3"), 2, 4)
+            orbifold(slope("1/3"), 2, 4)
 
 
 class TestOrbifold:
@@ -315,9 +314,6 @@ class TestOrbifold:
         record = orbifold(r, 2, 3)
         assert record.params == params
         assert record.cert == cert
-        tag, quotient = isom_plus(r, 2, 3)
-        assert record.isom == tag
-        assert group_to_json(record.quotient) == group_to_json(quotient)
         assert group_to_json(record.quotient) == group_to_json(
             normalizer(params, G).quotient(G)
         )
@@ -446,6 +442,11 @@ class TestTorusModel:
         assert len(torus_quotient(a_gamma, _normalizer_rotations(params), params.n)) == 4
 
 
+def same_oriented(a, b) -> bool:
+    """Whether triples (r, d1, d2) name the same oriented orbifold."""
+    return canonical_key(make_dihedral(*a)) == canonical_key(make_dihedral(*b))
+
+
 class TestSameOriented:
     def test_frozen_cases(self):
         assert same_oriented((slope("2/7"), 2, 3), (slope("4/7"), 3, 2))
@@ -488,7 +489,7 @@ class TestSameOriented:
         ]
         for a, b in pairs:
             assert same_oriented(a, b)
-            assert isom_plus(*a)[0] == isom_plus(*b)[0]
+            assert orbifold(*a).isom == orbifold(*b).isom
 
     def test_agrees_with_first_rule_sweep(self):
         # The first form: the congruence rule plus the explicit n = 2

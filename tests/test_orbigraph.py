@@ -1,6 +1,7 @@
 """Weighted graph orbifolds: structure, surgery, homology, canonical keys."""
 
 import json
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -53,6 +54,12 @@ class TestWeights:
         assert parse_weight(INF) is INF
         assert parse_weight("7") == 7
         assert parse_weight(7) == 7
+
+    def test_non_strings_come_back_unchanged(self):
+        # Only strings are parsed; is_weight refuses what is no weight.
+        for value in (2.5, Fraction(7, 2), True, 2.0):
+            assert parse_weight(value) is value
+            assert not is_weight(parse_weight(value))
 
     def test_predicates(self):
         assert is_weight(INF) and is_weight(1) and is_weight(2)
@@ -134,6 +141,26 @@ class TestStructure:
             [("B", True)],
             [Edge("S1", ("B", "B"), 2), Edge("S2", ("B", "B"), 2)],
         )
+
+    def test_germs_match_the_edge_scan(self):
+        # Seeded cubic multigraphs from random stub pairings: loops,
+        # multiple edges and boundary vertices included.
+        rng = random.Random(11)
+        for _ in range(60):
+            n = 2 * rng.randint(1, 15)
+            stubs = [f"v{i}" for i in range(n) for _ in range(3)]
+            rng.shuffle(stubs)
+            edges = [
+                Edge(f"e{i}", (stubs[2 * i], stubs[2 * i + 1]), rng.choice([2, 3, 5, INF]))
+                for i in range(len(stubs) // 2)
+            ]
+            g = WeightedGraphOrbifold(
+                "S3", [(f"v{i}", rng.random() < 0.2) for i in range(n)], edges
+            )
+            for v in g.vertex_ids():
+                expected = oracles.germs_by_scan(g, v)
+                assert [id(e) for e in g.germs(v)] == [id(e) for e in expected], v
+                assert g.degree(v) == 3
 
     def test_germs_count_loops_twice(self):
         g = WeightedGraphOrbifold(
@@ -390,6 +417,11 @@ class TestSurgery:
         start = make_heckoid(slope("3/5"), Fraction(5, 2)).graph
         with pytest.raises(OrbifoldSurgeryError):
             surger(start, {"tminus": 1})  # germs inf vs 2 cannot merge
+
+    def test_non_integer_weights_rejected(self):
+        for w in (3.7, Fraction(7, 2), True):
+            with pytest.raises(OrbifoldSurgeryError, match="bad weight"):
+                surger(theta(2, 2, 5), {"e3": w})
 
     def test_bad_requests_rejected(self):
         g = make_dihedral(slope("1/3"), 2, 3).graph
