@@ -283,49 +283,43 @@ def vertex_geometry(g: WeightedGraphOrbifold, v: str) -> str:
 
 def _elide_weight_one(ambient, vertices, edges, name=None) -> WeightedGraphOrbifold:
     """Drop weight-1 edges and smooth the resulting degree-2 interior
-    vertices by merging their two germs (which must have equal weights)."""
+    vertices by merging their two germs (which must have equal weights).
+
+    The smallest interior vertex with no germ, one germ, or two germs on
+    distinct edges is acted on first; the merged edge takes the smaller id
+    and goes last.  A merge keeps every other vertex's degree, and a loop
+    stays a loop, so a vertex passed over is never acted on later: one walk
+    in sorted order meets the vertices in that order.  Each vertex's germs
+    are kept in edge order (loops twice) through the merges.
+    """
     vertices = dict(vertices)
     edges = {e.id: e for e in edges if e.weight != 1}
+    germs: dict[str, list[Edge]] = {v: [] for v in vertices}
+    for e in edges.values():
+        for end in e.ends:
+            germs[end].append(e)
 
-    def germs_of(v):
-        out = []
-        for e in edges.values():
-            for end in e.ends:
-                if end == v:
-                    out.append(e)
-        return out
-
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(vertices):
-            if vertices[v]:  # boundary components are never smoothed
-                continue
-            germs = germs_of(v)
-            if len(germs) == 0:
-                del vertices[v]
-                changed = True
-                break
-            if len(germs) == 1:
+    for v in sorted(vertices):
+        if vertices[v]:  # boundary components are never smoothed
+            continue
+        here = germs[v]
+        if len(here) == 0:
+            del vertices[v]
+        elif len(here) == 1:
+            raise GraphStructureError(f"elision leaves vertex {v!r} with a single germ")
+        elif len(here) == 2 and here[0] is not here[1]:  # not a free circle
+            e1, e2 = here
+            if e1.weight != e2.weight:
                 raise GraphStructureError(
-                    f"elision leaves vertex {v!r} with a single germ"
+                    f"cannot smooth vertex {v!r}: germ weights "
+                    f"{weight_str(e1.weight)} != {weight_str(e2.weight)}"
                 )
-            if len(germs) == 2:
-                e1, e2 = germs
-                if e1 is e2:
-                    continue  # free circle basepoint; a smooth point
-                if e1.weight != e2.weight:
-                    raise GraphStructureError(
-                        f"cannot smooth vertex {v!r}: germ weights "
-                        f"{weight_str(e1.weight)} != {weight_str(e2.weight)}"
-                    )
-                new_id = min(e1.id, e2.id)
-                merged = Edge(new_id, (e1.other_end(v), e2.other_end(v)), e1.weight)
-                del edges[e1.id], edges[e2.id]
-                del vertices[v]
-                edges[new_id] = merged
-                changed = True
-                break
+            merged = Edge(min(e1.id, e2.id), (e1.other_end(v), e2.other_end(v)), e1.weight)
+            del edges[e1.id], edges[e2.id], vertices[v]
+            edges[merged.id] = merged
+            for e in here:
+                end = e.other_end(v)
+                germs[end] = [g for g in germs[end] if g is not e] + [merged]
     return WeightedGraphOrbifold(
         ambient, list(vertices.items()), list(edges.values()), name=name
     )
@@ -430,7 +424,8 @@ def h1_z2(g: WeightedGraphOrbifold) -> H1Z2Report:
         if mask:
             rows.append(mask)
     pivots, reduced = _gf2_rref(rows, len(eids))
-    free = [i for i in range(len(eids)) if i not in pivots]
+    pivot_set = set(pivots)
+    free = [i for i in range(len(eids)) if i not in pivot_set]
     free_index = {c: i for i, c in enumerate(free)}
     classes: dict[str, tuple[int, ...]] = {}
     pivot_row = {c: r for c, r in zip(pivots, reduced)}
@@ -450,22 +445,42 @@ def h1_z2(g: WeightedGraphOrbifold) -> H1Z2Report:
 
 def _gf2_rref(rows, ncols):
     """Reduced row echelon form over GF(2) on bitmask rows; returns the
-    pivot column list and the reduced pivot rows (in pivot order)."""
-    pivots, reduced = [], []
-    rows = [r for r in rows if r]
+    pivot column list and the reduced pivot rows (in pivot order).
+
+    The form is unique, so the order of elimination is free.  Forward: the
+    rows wait in buckets by their lowest set bit, and the first row in
+    bucket c becomes column c's pivot row; the others in the bucket, which
+    are exactly the rows with bit c set, take it on and move to the bucket
+    of their new lowest bit.  Back: each pivot row, highest pivot first,
+    takes on the finished rows of the other pivot columns it meets; a
+    finished row has no other pivot bit, so the set to clear is read once.
+    """
+    buckets: dict[int, list[int]] = {}
+    for r in rows:
+        if r:
+            buckets.setdefault((r & -r).bit_length() - 1, []).append(r)
+    echelon = {}
     for c in range(ncols):
-        pivot_row = None
-        for i, r in enumerate(rows):
-            if r >> c & 1:
-                pivot_row = rows.pop(i)
-                break
-        if pivot_row is None:
+        bucket = buckets.pop(c, None)
+        if bucket is None:
             continue
-        rows = [r ^ pivot_row if r >> c & 1 else r for r in rows]
-        reduced = [r ^ pivot_row if r >> c & 1 else r for r in reduced]
-        pivots.append(c)
-        reduced.append(pivot_row)
-    return pivots, reduced
+        pivot_row = echelon[c] = bucket[0]
+        for r in bucket[1:]:
+            r ^= pivot_row
+            if r:
+                buckets.setdefault((r & -r).bit_length() - 1, []).append(r)
+    pivots = sorted(echelon)
+    pivot_mask = sum(1 << c for c in pivots)
+    done = {}
+    for c in reversed(pivots):
+        row = echelon[c]
+        meet = row & pivot_mask & ~(1 << c)
+        while meet:
+            low = meet & -meet
+            row ^= done[low.bit_length() - 1]
+            meet ^= low
+        done[c] = row
+    return pivots, [done[c] for c in pivots]
 
 
 # ---------------------------------------------------------------------------

@@ -52,75 +52,179 @@ def _coprime_pairs(d_max: int) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Criterion 1: dihedral order law
+# Criteria 1-3: one pass over the dihedral sweep
+#
+# Checks 1-3 walk the same points q/p (p <= 8), (d1, d2) coprime (d <= 4):
+# check 1 every point, checks 2 and 3 the points away from (1, 1) and the
+# trivial theta.  The pass closes each point's Gamma, and there N(Gamma),
+# once, and hands the point to the predicates of the checks still open.
 
 
 def _table(quotient: quat.FinGroup) -> list[list]:
     return [[quotient.mul(a, b) for b in quotient] for a in quotient]
 
 
-def _lattice_agrees(r, d1, d2, order: int, quotient=None) -> bool:
-    """Whether ``dihedral.orbifold``, which answers from torus lattices,
-    agrees with the closures: on |Gamma| and, given the closure's quotient
-    N(Gamma)/Gamma, on its tag, its elements (the printed coset labels) and
-    its multiplication table."""
-    record = dihedral.orbifold(r, d1, d2)
-    if record.cert["order"] != order:
-        return False
-    if quotient is None:
-        return True
-    return (
-        record.isom == quat.recognize(quotient)
-        and record.quotient.elements == quotient.elements
-        and _table(record.quotient) == _table(quotient)
-    )
+class _Point:
+    """The shared work at one sweep point (r; d1, d2).  Each step runs at
+    most once, when the first predicate reaches it, and keeps its value or
+    its exception for the later ones: every predicate sees what a sweep of
+    its own would have seen, in its own order."""
+
+    def __init__(self, r: Slope, d1: int, d2: int):
+        self.r, self.d1, self.d2 = r, d1, d2
+        self.name = f"({r};{d1},{d2})"
+        self._steps: dict = {}
+
+    def _once(self, step: str, compute):
+        if step not in self._steps:
+            try:
+                self._steps[step] = (compute(), None)
+            except Exception as err:
+                self._steps[step] = (None, err)
+        value, err = self._steps[step]
+        if err is not None:
+            raise err
+        return value
+
+    def params(self) -> dihedral.DihedralParams:
+        return self._once("params", lambda: dihedral.params_for(self.r, self.d1, self.d2))
+
+    def gamma(self) -> tuple:
+        """Gamma closed element by element, and its certificate."""
+        return self._once("gamma", lambda: dihedral.gamma(self.params()))
+
+    def normalizer(self) -> quat.FinGroup:
+        return self._once(
+            "normalizer", lambda: dihedral.normalizer(self.params(), self.gamma()[0])
+        )
+
+    def quotient(self) -> quat.FinGroup:
+        return self._once("quotient", lambda: self.normalizer().quotient(self.gamma()[0]))
+
+    def tag(self) -> str:
+        return self._once("tag", lambda: quat.recognize(self.quotient()))
+
+    def record(self) -> dihedral.Orbifold:
+        return self._once("record", lambda: dihedral.orbifold(self.r, self.d1, self.d2))
+
+    def lattice_agrees(self, with_quotient: bool) -> bool:
+        """Whether ``dihedral.orbifold``, which answers from torus lattices,
+        agrees with the closures: on |Gamma| and, with the closure's
+        quotient N(Gamma)/Gamma, on its tag, its elements (the printed coset
+        labels) and its multiplication table."""
+        record = self.record()
+        if record.cert["order"] != len(self.gamma()[0]):
+            return False
+        if not with_quotient:
+            return True
+        quotient = self.quotient()
+        return (
+            record.isom == self.tag()
+            and record.quotient.elements == quotient.elements
+            and _table(record.quotient) == _table(quotient)
+        )
+
+
+# Each predicate returns None when the point passes, else the check's
+# witness; an exception it lets through fails the check as ``run_checks``
+# fails a check that raises.
+
+
+def _order_fault(point: _Point) -> dict | None:
+    """Criterion 1: |Gamma| = 2n with the dihedral relation, recognized as
+    dihedral of degree n."""
+    group, cert = point.gamma()
+    n = point.params().n
+    if len(group) != 2 * n or not cert["dihedral_relation"]:
+        return {"point": point.name, "cert": dict(cert)}
+    if quat.dihedral_degree(group) != n:
+        return {"point": point.name, "not_dihedral": n}
+    if not point.lattice_agrees(False):
+        return {"point": point.name, "lattice": "disagrees"}
+    return None
+
+
+def _isometry_fault(point: _Point) -> dict | None:
+    """Criterion 2: N(Gamma)/Gamma is (Z2)^2, every element an involution."""
+    quotient = point.quotient()
+    tag = point.tag()
+    if tag != dihedral.TAG_Z2SQ or len(quotient) != 4:
+        return {"point": point.name, "tag": tag}
+    for g in quotient:
+        if quotient.mul(g, g) != quotient.identity:
+            return {"point": point.name, "non_involution": True}
+    if not point.lattice_agrees(True):
+        return {"point": point.name, "lattice": "disagrees"}
+    return None
+
+
+def _normalizer_fault(point: _Point) -> dict | None:
+    """Criterion 3: the claimed N(Gamma) normalizes Gamma and has order 8n."""
+    point.gamma()  # an ArithmeticError in Gamma itself is no normalizer fault
+    try:
+        group = point.normalizer()
+    except ArithmeticError as err:
+        return {"point": point.name, "error": str(err)}
+    if len(group) != 8 * point.params().n:
+        return {"point": point.name, "order": len(group)}
+    if not point.lattice_agrees(True):
+        return {"point": point.name, "lattice": "disagrees"}
+    return None
+
+
+# check id -> (whether it covers the points at (1, 1) and the trivial theta,
+# predicate)
+_DIHEDRAL_PREDICATES = {
+    "dihedral-order": (True, _order_fault),
+    "isometry-groups": (False, _isometry_fault),
+    "normalizer-soundness": (False, _normalizer_fault),
+}
+
+
+def _error_witness(err: Exception) -> dict:
+    return {"error": f"{type(err).__name__}: {err}"}
+
+
+def _dihedral_verdicts(ids) -> dict[str, tuple[bool, dict]]:
+    """(ok, witness) of each check in ``ids`` among checks 1-3, from one
+    pass.  A check stops at its first faulty point; only the current point's
+    groups are held."""
+    passed = {cid: 0 for cid in ids}
+    verdicts = {}
+    sweep = ((r, d1, d2) for r in _sweep_slopes(8) for d1, d2 in _coprime_pairs(4))
+    for r, d1, d2 in sweep:
+        if not passed:
+            break
+        exceptional = (d1, d2) == (1, 1) or dihedral.is_trivial_theta(r, d1, d2)
+        point = _Point(r, d1, d2)
+        for cid in list(passed):
+            whole_sweep, predicate = _DIHEDRAL_PREDICATES[cid]
+            if exceptional and not whole_sweep:
+                continue
+            try:
+                witness = predicate(point)
+            except Exception as err:
+                witness = _error_witness(err)
+            if witness is None:
+                passed[cid] += 1
+            else:
+                verdicts[cid] = (False, witness)
+                del passed[cid]
+    for cid, points in passed.items():
+        verdicts[cid] = (True, {"points": points})
+    return verdicts
 
 
 def check_dihedral_order() -> tuple[bool, dict]:
-    points = 0
-    for r in _sweep_slopes(8):
-        for d1, d2 in _coprime_pairs(4):
-            params = dihedral.params_for(r, d1, d2)
-            group, cert = dihedral.gamma(params)
-            n = params.n
-            if len(group) != 2 * n or not cert["dihedral_relation"]:
-                return False, {"point": f"({r};{d1},{d2})", "cert": dict(cert)}
-            if quat.dihedral_degree(group) != n:
-                return False, {"point": f"({r};{d1},{d2})", "not_dihedral": n}
-            if not _lattice_agrees(r, d1, d2, len(group)):
-                return False, {"point": f"({r};{d1},{d2})", "lattice": "disagrees"}
-            points += 1
-    return True, {"points": points}
-
-
-# ---------------------------------------------------------------------------
-# Criterion 2: isometry groups
-
-
-def _criterion2_domain():
-    for r in _sweep_slopes(8):
-        for d1, d2 in _coprime_pairs(4):
-            if (d1, d2) == (1, 1) or dihedral.is_trivial_theta(r, d1, d2):
-                continue
-            yield r, d1, d2
+    return _dihedral_verdicts(["dihedral-order"])["dihedral-order"]
 
 
 def check_isometry_groups() -> tuple[bool, dict]:
-    points = 0
-    for r, d1, d2 in _criterion2_domain():
-        params = dihedral.params_for(r, d1, d2)
-        group, _ = dihedral.gamma(params)
-        quotient = dihedral.normalizer(params, group).quotient(group)
-        tag = quat.recognize(quotient)
-        if tag != dihedral.TAG_Z2SQ or len(quotient) != 4:
-            return False, {"point": f"({r};{d1},{d2})", "tag": tag}
-        for g in quotient:
-            if quotient.mul(g, g) != quotient.identity:
-                return False, {"point": f"({r};{d1},{d2})", "non_involution": True}
-        if not _lattice_agrees(r, d1, d2, len(group), quotient):
-            return False, {"point": f"({r};{d1},{d2})", "lattice": "disagrees"}
-        points += 1
-    return True, {"points": points}
+    return _dihedral_verdicts(["isometry-groups"])["isometry-groups"]
+
+
+def check_normalizer_soundness() -> tuple[bool, dict]:
+    return _dihedral_verdicts(["normalizer-soundness"])["normalizer-soundness"]
 
 
 def check_theta_isom() -> tuple[bool, dict]:
@@ -132,28 +236,6 @@ def check_theta_isom() -> tuple[bool, dict]:
         and details["normalizer_isometries"] == 48
     )
     return ok, details
-
-
-# ---------------------------------------------------------------------------
-# Criterion 3: normalizer soundness
-
-
-def check_normalizer_soundness() -> tuple[bool, dict]:
-    points = 0
-    for r, d1, d2 in _criterion2_domain():
-        params = dihedral.params_for(r, d1, d2)
-        gamma_group, _ = dihedral.gamma(params)
-        try:
-            group = dihedral.normalizer(params, gamma_group)
-        except ArithmeticError as err:
-            return False, {"point": f"({r};{d1},{d2})", "error": str(err)}
-        if len(group) != 8 * params.n:
-            return False, {"point": f"({r};{d1},{d2})", "order": len(group)}
-        quotient = group.quotient(gamma_group)
-        if not _lattice_agrees(r, d1, d2, len(gamma_group), quotient):
-            return False, {"point": f"({r};{d1},{d2})", "lattice": "disagrees"}
-        points += 1
-    return True, {"points": points}
 
 
 # ---------------------------------------------------------------------------
@@ -477,13 +559,19 @@ def run_checks(selector=None) -> list[CheckResult]:
         unknown = [i for i in ids if i not in CHECKS]
         if unknown:
             raise ValueError(f"unknown check ids: {unknown}")
+    # checks 1-3 share one pass when more than one of them is selected
+    shared = [i for i in ids if i in _DIHEDRAL_PREDICATES]
+    verdicts = _dihedral_verdicts(shared) if len(shared) > 1 else {}
     results = []
     for check_id in ids:
         criterion, anchor, fn = CHECKS[check_id]
-        try:
-            ok, witness = fn()
-        except Exception as err:  # a crash is a failing check, not a crash
-            ok, witness = False, {"error": f"{type(err).__name__}: {err}"}
+        if check_id in verdicts:
+            ok, witness = verdicts[check_id]
+        else:
+            try:
+                ok, witness = fn()
+            except Exception as err:  # a crash is a failing check, not a crash
+                ok, witness = False, _error_witness(err)
         results.append(
             CheckResult(check_id, criterion, anchor, "pass" if ok else "fail", witness)
         )

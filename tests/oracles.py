@@ -5,13 +5,15 @@ structures than the package (Fraction towers instead of integer pair
 recursion, product-set growth instead of BFS closure, union-find Betti
 numbers and dense right-to-left elimination instead of bitmask RREF, HLT
 instead of Felsch coset enumeration, closed groups instead of torus
-lattices), so agreement between the two is meaningful evidence.
+lattices, one sweep per check instead of one shared pass, rescans and
+rebuilt lists instead of kept indices), so agreement between the two is
+meaningful evidence.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from pa import dihedral
+from pa import dihedral, quat
 from pa.cosetenum import CosetTable
 from pa.cusplattice import (
     PointGroupOrbit,
@@ -20,7 +22,16 @@ from pa.cusplattice import (
     vectors_with_coef2_at_most,
     word_for_vector,
 )
+from pa.orbigraph import (
+    Edge,
+    GraphStructureError,
+    H1Z2Report,
+    WeightedGraphOrbifold,
+    weight_is_even,
+    weight_str,
+)
 from pa.quat import recognize
+from pa.slopes import Slope
 
 
 def eval_cf_tower(terms):
@@ -80,6 +91,111 @@ def germs_by_scan(g, v):
         if e.ends[1] == v:
             out.append(e)
     return out
+
+
+def elide_weight_one_by_rescan(ambient, vertices, edges, name=None):
+    """The first weight-1 elision: every pass scans all edges for each
+    vertex's germs and restarts from the smallest vertex after a change."""
+    vertices = dict(vertices)
+    edges = {e.id: e for e in edges if e.weight != 1}
+
+    def germs_of(v):
+        out = []
+        for e in edges.values():
+            for end in e.ends:
+                if end == v:
+                    out.append(e)
+        return out
+
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(vertices):
+            if vertices[v]:
+                continue
+            germs = germs_of(v)
+            if len(germs) == 0:
+                del vertices[v]
+                changed = True
+                break
+            if len(germs) == 1:
+                raise GraphStructureError(
+                    f"elision leaves vertex {v!r} with a single germ"
+                )
+            if len(germs) == 2:
+                e1, e2 = germs
+                if e1 is e2:
+                    continue
+                if e1.weight != e2.weight:
+                    raise GraphStructureError(
+                        f"cannot smooth vertex {v!r}: germ weights "
+                        f"{weight_str(e1.weight)} != {weight_str(e2.weight)}"
+                    )
+                new_id = min(e1.id, e2.id)
+                merged = Edge(new_id, (e1.other_end(v), e2.other_end(v)), e1.weight)
+                del edges[e1.id], edges[e2.id]
+                del vertices[v]
+                edges[new_id] = merged
+                changed = True
+                break
+    return WeightedGraphOrbifold(
+        ambient, list(vertices.items()), list(edges.values()), name=name
+    )
+
+
+def gf2_rref_by_rebuild(rows, ncols):
+    """The first GF(2) RREF: column by column, rebuilding the lists of
+    pending and reduced rows at every pivot."""
+    pivots, reduced = [], []
+    rows = [r for r in rows if r]
+    for c in range(ncols):
+        pivot_row = None
+        for i, r in enumerate(rows):
+            if r >> c & 1:
+                pivot_row = rows.pop(i)
+                break
+        if pivot_row is None:
+            continue
+        rows = [r ^ pivot_row if r >> c & 1 else r for r in rows]
+        reduced = [r ^ pivot_row if r >> c & 1 else r for r in reduced]
+        pivots.append(c)
+        reduced.append(pivot_row)
+    return pivots, reduced
+
+
+def h1_z2_by_rebuild(g):
+    """The first ``h1_z2``: ``gf2_rref_by_rebuild`` and the free columns
+    found by membership in the pivot list."""
+    eids = sorted(g.edge_ids())
+    col = {eid: i for i, eid in enumerate(eids)}
+    rows = []
+    for eid in eids:
+        if not weight_is_even(g.edge(eid).weight):
+            rows.append(1 << col[eid])
+    for v in g.vertex_ids():
+        mask = 0
+        for e in g.germs(v):
+            if not e.is_loop:
+                mask ^= 1 << col[e.id]
+        if mask:
+            rows.append(mask)
+    pivots, reduced = gf2_rref_by_rebuild(rows, len(eids))
+    free = [i for i in range(len(eids)) if i not in pivots]
+    free_index = {c: i for i, c in enumerate(free)}
+    classes = {}
+    pivot_row = {c: r for c, r in zip(pivots, reduced)}
+    for eid in eids:
+        c = col[eid]
+        vec = [0] * len(free)
+        if c in free_index:
+            vec[free_index[c]] = 1
+        else:
+            row = pivot_row[c]
+            for fc, fi in free_index.items():
+                if row >> fc & 1:
+                    vec[fi] = 1
+        classes[eid] = tuple(vec)
+    return H1Z2Report(len(free), tuple(eids[i] for i in free), classes)
 
 
 def gf2_rank_dense(rows, ncols):
@@ -425,6 +541,114 @@ def closure_orbifold(r, d1, d2):
         return params, group, cert, dihedral.TAG_D3xZ2, quotient
     quotient = dihedral.normalizer(params, group).quotient(group)
     return params, group, cert, recognize(quotient), quotient
+
+
+# Checks 1-3 as three sweeps, each closing every group it needs itself: the
+# first form of ``verify``'s one dihedral pass.  Every library call is looked
+# up at call time, so a monkeypatch reaches the sweeps as it reaches the pass.
+
+
+def _dihedral_points():
+    for p in range(1, 9):
+        for q in range(p):
+            if gcd(q, p) != 1:
+                continue
+            for d1 in range(1, 5):
+                for d2 in range(1, 5):
+                    if gcd(d1, d2) == 1:
+                        yield Slope(q, p), d1, d2
+
+
+def _criterion2_points():
+    for r, d1, d2 in _dihedral_points():
+        if (d1, d2) != (1, 1) and not dihedral.is_trivial_theta(r, d1, d2):
+            yield r, d1, d2
+
+
+def _quotient_table(quotient):
+    return [[quotient.mul(a, b) for b in quotient] for a in quotient]
+
+
+def _lattice_agrees(r, d1, d2, order, quotient=None):
+    record = dihedral.orbifold(r, d1, d2)
+    if record.cert["order"] != order:
+        return False
+    if quotient is None:
+        return True
+    return (
+        record.isom == quat.recognize(quotient)
+        and record.quotient.elements == quotient.elements
+        and _quotient_table(record.quotient) == _quotient_table(quotient)
+    )
+
+
+def sweep_dihedral_order():
+    points = 0
+    for r, d1, d2 in _dihedral_points():
+        params = dihedral.params_for(r, d1, d2)
+        group, cert = dihedral.gamma(params)
+        n = params.n
+        if len(group) != 2 * n or not cert["dihedral_relation"]:
+            return False, {"point": f"({r};{d1},{d2})", "cert": dict(cert)}
+        if quat.dihedral_degree(group) != n:
+            return False, {"point": f"({r};{d1},{d2})", "not_dihedral": n}
+        if not _lattice_agrees(r, d1, d2, len(group)):
+            return False, {"point": f"({r};{d1},{d2})", "lattice": "disagrees"}
+        points += 1
+    return True, {"points": points}
+
+
+def sweep_isometry_groups():
+    points = 0
+    for r, d1, d2 in _criterion2_points():
+        params = dihedral.params_for(r, d1, d2)
+        group, _ = dihedral.gamma(params)
+        quotient = dihedral.normalizer(params, group).quotient(group)
+        tag = quat.recognize(quotient)
+        if tag != dihedral.TAG_Z2SQ or len(quotient) != 4:
+            return False, {"point": f"({r};{d1},{d2})", "tag": tag}
+        for g in quotient:
+            if quotient.mul(g, g) != quotient.identity:
+                return False, {"point": f"({r};{d1},{d2})", "non_involution": True}
+        if not _lattice_agrees(r, d1, d2, len(group), quotient):
+            return False, {"point": f"({r};{d1},{d2})", "lattice": "disagrees"}
+        points += 1
+    return True, {"points": points}
+
+
+def sweep_normalizer_soundness():
+    points = 0
+    for r, d1, d2 in _criterion2_points():
+        params = dihedral.params_for(r, d1, d2)
+        gamma_group, _ = dihedral.gamma(params)
+        try:
+            group = dihedral.normalizer(params, gamma_group)
+        except ArithmeticError as err:
+            return False, {"point": f"({r};{d1},{d2})", "error": str(err)}
+        if len(group) != 8 * params.n:
+            return False, {"point": f"({r};{d1},{d2})", "order": len(group)}
+        quotient = group.quotient(gamma_group)
+        if not _lattice_agrees(r, d1, d2, len(gamma_group), quotient):
+            return False, {"point": f"({r};{d1},{d2})", "lattice": "disagrees"}
+        points += 1
+    return True, {"points": points}
+
+
+DIHEDRAL_SWEEPS = {
+    "dihedral-order": sweep_dihedral_order,
+    "isometry-groups": sweep_isometry_groups,
+    "normalizer-soundness": sweep_normalizer_soundness,
+}
+
+
+def run_sweep(sweep):
+    """(status, witness) of one sweep, a raised exception failing it as
+    ``verify.run_checks`` fails a check that raises."""
+    try:
+        ok, witness = sweep()
+    except Exception as err:
+        ok, witness = False, {"error": f"{type(err).__name__}: {err}"}
+    return ("pass" if ok else "fail"), witness
 
 
 # Coset enumeration by the HLT strategy: the first enumerator of the package.

@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -15,6 +16,8 @@ from pa.orbigraph import (
     OrbifoldSurgeryError,
     ParedOrbifoldDescriptor,
     WeightedGraphOrbifold,
+    _elide_weight_one,
+    _gf2_rref,
     canonical_key,
     check_sc,
     descriptor_from_json,
@@ -46,6 +49,62 @@ def theta(w1, w2, w3, ambient="S3"):
             Edge("e3", ("v1", "v2"), w3),
         ],
     )
+
+
+def _unique_ids(rng, prefix, count):
+    return [f"{prefix}{i}" for i in rng.sample(range(10 * count + 10), count)]
+
+
+def closed_multigraph(rng, max_trivalent=30):
+    """A closed S3 graph from a random stub pairing (loops and multiple
+    edges included): trivalent vertices, four-valent vertices on weight-2
+    edges, and free circles; ids in random order."""
+    n3, n4, circles = 2 * rng.randint(0, max_trivalent // 2), rng.randint(0, 4), rng.randint(0, 2)
+    names = _unique_ids(rng, "v", n3 + n4 + circles)
+    four = set(names[n3:n3 + n4])
+    stubs = [v for v in names[:n3] for _ in range(3)] + [v for v in four for _ in range(4)]
+    rng.shuffle(stubs)
+    pairs = [(stubs[i], stubs[i + 1]) for i in range(0, len(stubs), 2)]
+    pairs += [(v, v) for v in names[n3 + n4:]]
+    weights = [
+        2 if four & {a, b} else rng.choice([2, 3, 4, 5, INF]) for a, b in pairs
+    ]
+    edges = [Edge(eid, ends, w) for eid, ends, w in zip(_unique_ids(rng, "e", len(pairs)), pairs, weights)]
+    rng.shuffle(names)
+    return WeightedGraphOrbifold("S3", [(v, False) for v in names], edges)
+
+
+def subdivided_multigraph(rng):
+    """Vertex and edge lists for the weight-1 elision: a random trivalent
+    multigraph whose edges are cut into chains through degree-2 vertices,
+    with weight-1 edges, mismatched chain weights, boundary vertices,
+    isolated vertices and free circles; ids in random order."""
+    n = 2 * rng.randint(1, 6)
+    base = _unique_ids(rng, "v", n)
+    stubs = [v for v in base for _ in range(3)]
+    rng.shuffle(stubs)
+    vertices = [(v, rng.random() < 0.25) for v in base]
+    chains = []
+    for i in range(0, len(stubs), 2):
+        weight = 1 if rng.random() < 0.05 else rng.choice([2, 3, INF])
+        inner = [(f"{stubs[i]}.{i}.{k}", False) for k in range(rng.randint(0, 3))]
+        vertices += inner
+        path = [stubs[i], *(v for v, _ in inner), stubs[i + 1]]
+        segment_weights = [weight] * (len(path) - 1)
+        if rng.random() < 0.05:
+            segment_weights[rng.randrange(len(segment_weights))] = rng.choice([1, 2, 5])
+        chains += list(zip(zip(path, path[1:]), segment_weights))
+    for k in range(rng.randint(0, 2)):
+        vertices.append((f"z{k}", False))  # isolated: elided
+        vertices.append((f"c{k}", False))  # a free circle: kept
+        chains.append((("c" + str(k), "c" + str(k)), rng.choice([2, INF])))
+    edges = [
+        Edge(eid, ends, w)
+        for eid, (ends, w) in zip(_unique_ids(rng, "e", len(chains)), chains)
+    ]
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    return vertices, edges
 
 
 class TestWeights:
@@ -378,6 +437,22 @@ class TestSurgery:
         (e,) = result.edges()
         assert e.is_loop and e.weight is INF
 
+    def test_elision_matches_the_rescan_oracle(self):
+        def outcome(elide, vertices, edges):
+            try:
+                return "graph", graph_to_json(elide("S3", vertices, edges))
+            except GraphStructureError as err:
+                return "error", str(err)
+
+        rng = random.Random(17)
+        kinds = Counter()
+        for _ in range(300):
+            vertices, edges = subdivided_multigraph(rng)
+            got = outcome(_elide_weight_one, vertices, edges)
+            assert got == outcome(oracles.elide_weight_one_by_rescan, vertices, edges)
+            kinds[got[0]] += 1
+        assert kinds["graph"] >= 50 and kinds["error"] >= 50, kinds
+
     def test_identity_surgery(self):
         g = make_dihedral(slope("1/3"), 2, 3).graph
         assert surger(g, {}) == g
@@ -538,6 +613,22 @@ class TestHomology:
             for eid in rep.basis:
                 vec = rep.meridian_class[eid]
                 assert sum(vec) == 1  # basis classes are unit vectors
+
+    def test_matches_the_rebuild_oracle(self):
+        rng = random.Random(5)
+        for _ in range(120):
+            g = closed_multigraph(rng)
+            assert h1_z2(g) == oracles.h1_z2_by_rebuild(g)
+
+    def test_rref_matches_the_rebuild_oracle(self):
+        rng = random.Random(9)
+        for _ in range(400):
+            ncols = rng.randint(1, 40)
+            rows = [
+                rng.getrandbits(ncols) & rng.getrandbits(ncols)
+                for _ in range(rng.randint(0, 50))
+            ]
+            assert _gf2_rref(rows, ncols) == oracles.gf2_rref_by_rebuild(rows, ncols)
 
     def test_rejects_open_or_foreign_graphs(self):
         with pytest.raises(ValueError):

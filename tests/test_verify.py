@@ -1,12 +1,15 @@
 """The verification-check registry and runner."""
 
+from collections import Counter
 from pathlib import Path
 from types import MappingProxyType
 
 import pytest
 
-from pa import dihedral, verify
+import oracles
+from pa import dihedral, quat, verify
 from pa.quat import FinGroup
+from pa.slopes import Slope
 
 
 class TestRegistry:
@@ -114,3 +117,116 @@ class TestLatticeCrossCheck:
         failures = self.failures()
         assert set(failures) == {"isometry-groups", "normalizer-soundness"}
         assert failures["isometry-groups"]["lattice"] == "disagrees"
+
+
+DIHEDRAL_IDS = ("dihedral-order", "isometry-groups", "normalizer-soundness")
+# every way to select checks 1-3: alone, in pairs, and with all twelve checks
+SELECTIONS = [[cid] for cid in DIHEDRAL_IDS] + [
+    [a, b] for i, a in enumerate(DIHEDRAL_IDS) for b in DIHEDRAL_IDS[i + 1:]
+] + [None]
+TARGET = (Slope(2, 5), 2, 3)  # a point of all three sweeps
+EARLY = (Slope(1, 3), 1, 1)  # a point of check 1's sweep only, before TARGET
+
+
+def _orbifold_wrong(monkeypatch):
+    orbifold = dihedral.orbifold
+
+    def wrong(r, d1, d2):
+        rec = orbifold(r, d1, d2)
+        if (r, d1, d2) != TARGET:
+            return rec
+        return rec._replace(cert=MappingProxyType({**rec.cert, "order": rec.cert["order"] + 2}))
+
+    monkeypatch.setattr(dihedral, "orbifold", wrong)
+
+
+def _normalizer_raises(monkeypatch):
+    normalizer = dihedral.normalizer
+
+    def raising(params, group):
+        if (params.r, params.d1, params.d2) == TARGET:
+            raise ArithmeticError("synthetic: fails to normalize Gamma")
+        return normalizer(params, group)
+
+    monkeypatch.setattr(dihedral, "normalizer", raising)
+
+
+def _gamma_raises(monkeypatch):
+    gamma = dihedral.gamma
+
+    def raising(params):
+        if (params.r, params.d1, params.d2) in (EARLY, TARGET):
+            raise RuntimeError(f"synthetic: no Gamma at {params.r}")
+        return gamma(params)
+
+    monkeypatch.setattr(dihedral, "gamma", raising)
+
+
+def _recognize_wrong(monkeypatch):
+    labels = oracles.closure_orbifold(*TARGET)[4].elements
+    recognize = quat.recognize
+
+    def wrong(group):
+        return "D4" if group.elements == labels else recognize(group)
+
+    monkeypatch.setattr(quat, "recognize", wrong)
+
+
+class TestOnePass:
+    """Checks 1-3 share one pass over the dihedral sweep; every verdict and
+    witness is the one the check's own sweep (``oracles.DIHEDRAL_SWEEPS``)
+    gives, under any selection."""
+
+    @pytest.mark.parametrize(
+        "fault", [_orbifold_wrong, _normalizer_raises, _gamma_raises, _recognize_wrong]
+    )
+    def test_faults_give_the_sweeps_witnesses(self, monkeypatch, fault):
+        fault(monkeypatch)
+        expected = {cid: oracles.run_sweep(sweep) for cid, sweep in oracles.DIHEDRAL_SWEEPS.items()}
+        assert any(status == "fail" for status, _ in expected.values())
+        for selection in SELECTIONS:
+            got = {
+                r.check_id: (r.status, r.witness)
+                for r in verify.run_checks(selection)
+                if r.check_id in DIHEDRAL_IDS
+            }
+            assert got == {cid: expected[cid] for cid in got}, selection
+            assert len(got) == len(selection or DIHEDRAL_IDS)
+
+    def test_fault_witnesses(self, monkeypatch):
+        # the sweeps themselves: each fault is seen where it was put
+        _normalizer_raises(monkeypatch)
+        witnesses = {r.check_id: r.witness for r in verify.run_checks(list(DIHEDRAL_IDS))}
+        assert witnesses == {
+            "dihedral-order": {"points": 242},
+            "isometry-groups": {"error": "ArithmeticError: synthetic: fails to normalize Gamma"},
+            "normalizer-soundness": {
+                "point": "(2/5;2,3)", "error": "synthetic: fails to normalize Gamma"
+            },
+        }
+        monkeypatch.undo()
+        _gamma_raises(monkeypatch)
+        failures = {r.check_id: r.witness for r in verify.run_checks(list(DIHEDRAL_IDS))}
+        assert failures == {
+            "dihedral-order": {"error": "RuntimeError: synthetic: no Gamma at 1/3"},
+            "isometry-groups": {"error": "RuntimeError: synthetic: no Gamma at 2/5"},
+            "normalizer-soundness": {"error": "RuntimeError: synthetic: no Gamma at 2/5"},
+        }
+        monkeypatch.undo()
+        _recognize_wrong(monkeypatch)
+        failures = {r.check_id: r.witness for r in verify.run_checks(None) if not r.ok}
+        assert failures == {
+            "isometry-groups": {"point": "(2/5;2,3)", "tag": "D4"},
+            "normalizer-soundness": {"point": "(2/5;2,3)", "lattice": "disagrees"},
+        }
+
+    def test_each_group_is_closed_once(self, monkeypatch):
+        calls = Counter()
+        for name in ("gamma", "normalizer", "orbifold"):
+            def counted(*args, _fn=getattr(dihedral, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(dihedral, name, counted)
+        assert all(r.ok for r in verify.run_checks(None))
+        assert calls == {"gamma": 242, "normalizer": 218, "orbifold": 242}
