@@ -8,7 +8,7 @@ from pa.dihedral import (
     orbifold,
     params_for,
 )
-from pa.quat import dihedral_degree, recognize
+from pa.groups import dihedral_degree, recognize
 from pa.slopes import slope
 
 

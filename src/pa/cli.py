@@ -13,7 +13,8 @@ import sys
 from fractions import Fraction
 
 from . import cosetenum, cusplattice, dihedral, orbigraph, verify
-from .quat import GroupOverflow, group_to_json
+from .groups import GroupOverflow
+from .quat import group_to_json
 from .slopes import (
     Slope,
     canonical,

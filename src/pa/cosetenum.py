@@ -12,7 +12,9 @@ tables.
 
 Relators are tuples of nonzero integers: g > 0 is generator g, -g its
 inverse (1-based).  Words for group-element queries use letters a, b, c
-(uppercase = inverse) with optional digit repeat counts, e.g. "b2ac2a".
+(uppercase = inverse) with optional digit repeat counts, e.g. "b2ac2a", and
+are read as runs (letter, count): a run costs O(log count) compositions of
+permutations, never one per repeated letter.
 """
 
 from __future__ import annotations
@@ -23,9 +25,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .quat import close
+from .groups import close, power
 
 DEFAULT_MAX_COSETS = 10_000
+
+# The most runs a word may have and the most digits of a repeat count.  A
+# run costs at most floor(log2 count) + popcount(count) compositions of
+# permutations over the cosets, so with the coset limit these bound the
+# cost of any word.
+MAX_WORD_RUNS = 100
+MAX_COUNT_DIGITS = 18
 
 
 def max_cosets_default() -> int:
@@ -63,13 +72,16 @@ class Presentation:
         object.__setattr__(self, "relators", rels)
 
 
-def parse_word(text: str, ngens: int = 3) -> tuple[int, ...]:
-    """Parse a word like "b2ac2a" or "ac3" over a..c / A..C into letters.
+def parse_word(text: str, ngens: int = 3) -> tuple[tuple[int, int], ...]:
+    """Parse a word like "b2ac2a" or "ac3" over a..c / A..C into runs
+    (letter, count): "b2ac2a" is ((2, 2), (1, 1), (3, 2), (1, 1)).
 
     Lowercase letters are generators, uppercase their inverses, a digit run
-    repeats the preceding letter, "^" before a digit run is allowed.
+    after a letter is its repeat count, "^" before a digit run is allowed.
+    Each letter starts a run.  A word of more than MAX_WORD_RUNS runs, or a
+    count of more than MAX_COUNT_DIGITS digits, raises ValueError.
     """
-    out: list[int] = []
+    runs: list[tuple[int, int]] = []
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
@@ -78,6 +90,8 @@ def parse_word(text: str, ngens: int = 3) -> tuple[int, ...]:
         idx = ord(ch.lower()) - ord("a") + 1
         if idx > ngens:
             raise ValueError(f"letter {ch!r} out of range in word {text!r}")
+        if len(runs) == MAX_WORD_RUNS:
+            raise ValueError(f"word has more than {MAX_WORD_RUNS} runs")
         letter = idx if ch.islower() else -idx
         i += 1
         if i < n and text[i] == "^":
@@ -87,12 +101,14 @@ def parse_word(text: str, ngens: int = 3) -> tuple[int, ...]:
         j = i
         while j < n and text[j].isdigit():
             j += 1
+        if j - i > MAX_COUNT_DIGITS:
+            raise ValueError(f"repeat count has more than {MAX_COUNT_DIGITS} digits")
         count = int(text[i:j]) if j > i else 1
         if count < 1:
             raise ValueError(f"repeat count must be >= 1 in word {text!r}")
-        out.extend([letter] * count)
+        runs.append((letter, count))
         i = j
-    return tuple(out)
+    return tuple(runs)
 
 
 def _column(letter: int) -> int:
@@ -116,17 +132,6 @@ class CosetTable:
     @property
     def n_cosets(self) -> int:
         return len(self.rows)
-
-    def act(self, coset: int, letter: int) -> int:
-        dest = self.rows[coset][_column(letter)]
-        if dest is None:
-            raise ValueError("incomplete table")
-        return dest
-
-    def act_word(self, coset: int, word) -> int:
-        for letter in word:
-            coset = self.act(coset, letter)
-        return coset
 
 
 class _Felsch:
@@ -467,7 +472,7 @@ def coset_group(table: CosetTable):
         raise ValueError("coset table did not complete")
     n = table.n_cosets
     identity = tuple(range(n))
-    gens = [word_permutation(table, (g + 1,)) for g in range(table.ngens)]
+    gens = [word_permutation(table, ((g + 1, 1),)) for g in range(table.ngens)]
     mul = lambda s, t: tuple(t[s[i]] for i in range(n))
     return close(gens, n, identity=identity, mul=mul, inv=_inverse_permutation)
 
@@ -484,20 +489,26 @@ def triangle_group(p: int, q: int, r: int):
     return coset_group(triangle_table(p, q, r))
 
 
+def _then(s: list[int], t: list[int]) -> list[int]:
+    """The permutation s followed by t, i -> t[s[i]], composed at C level."""
+    return list(map(t.__getitem__, s))
+
+
 def word_permutation(table: CosetTable, word) -> tuple[int, ...]:
-    """i -> i.word on the cosets, composed one letter at a time over the
-    whole coset vector."""
+    """i -> i.word on the cosets, for a word given as text or as runs
+    (letter, count): each run raises its column to the count by
+    square-and-multiply and composes it onto the whole coset vector."""
     if isinstance(word, str):
         word = parse_word(word, table.ngens)
     columns: dict[int, list[int]] = {}
     perm = list(range(table.n_cosets))
-    for letter in word:
+    for letter, count in word:
         col = _column(letter)
         if col not in columns:
             columns[col] = [row[col] for row in table.rows]
             if None in columns[col]:
                 raise ValueError("incomplete table")
-        perm = list(map(columns[col].__getitem__, perm))
+        perm = _then(perm, power(columns[col], count, _then))
     return tuple(perm)
 
 
@@ -523,7 +534,7 @@ def natural_epimorphism_valid(src: tuple[int, int, int], dst: tuple[int, int, in
 
 
 def image_order(
-    word,
+    word: str,
     source: tuple[int, int, int],
     target: tuple[int, int, int] | None = None,
 ) -> int:
@@ -531,14 +542,15 @@ def image_order(
     epimorphism a->a, b->b, c->c onto the (spherical) target group.
 
     With no target the order is taken in the source group itself (which
-    must then be spherical).
+    must then be spherical).  The word is parsed before any enumeration.
     """
+    runs = parse_word(word)
     if target is None:
         target = source
     if not natural_epimorphism_valid(source, target):
         raise ValueError(f"no natural epimorphism {source} -> {target}")
     table = triangle_table(*target)
-    return permutation_order(word_permutation(table, word))
+    return permutation_order(word_permutation(table, runs))
 
 
 def triangle_word_images(ptype: tuple[int, int, int], words):

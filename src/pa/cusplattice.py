@@ -35,6 +35,7 @@ from math import isqrt
 from typing import NamedTuple
 
 from .cosetenum import parse_word
+from .groups import power
 
 
 @dataclass(frozen=True)
@@ -101,10 +102,6 @@ class EucIsometry(NamedTuple):
         turn = EucIsometry(lat, -e % lat.point_group_order, 0, 0)
         return turn * EucIsometry(lat, 0, -x, -y)
 
-    @property
-    def is_identity(self) -> bool:
-        return not (self.e or self.x or self.y)
-
     def __repr__(self):
         return f"EucIsometry({self.lattice.kind}, e={self.e}, x={self.x}, y={self.y})"
 
@@ -147,13 +144,14 @@ def generators(kind) -> dict[str, EucIsometry]:
 
 def evaluate_word(kind, word: str) -> EucIsometry:
     """Evaluate a word over a, b, c (uppercase = inverse, digits repeat)
-    into an exact isometry; the empty word is the identity."""
+    into an exact isometry, each run (letter, count) raised to its count by
+    square-and-multiply; the empty word is the identity."""
     lat = lattice(kind)
     gens = list(generators(lat).values())
     result = EucIsometry(lat, 0, 0, 0)
-    for letter in parse_word(word, 3):
+    for letter, count in parse_word(word, 3):
         g = gens[abs(letter) - 1]
-        result = result * (g if letter > 0 else g.inv())
+        result = result * power(g if letter > 0 else g.inv(), count)
     return result
 
 

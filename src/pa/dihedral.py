@@ -31,11 +31,10 @@ from math import gcd
 from types import MappingProxyType
 from typing import NamedTuple
 
+from .groups import FinGroup, GroupOverflow, breadth_first, close, recognize
 from .quat import (
-    FinGroup,
     ISOM_ID,
     ISOM_ORDER_BOUND,
-    GroupOverflow,
     Isom3,
     J,
     L,
@@ -44,10 +43,7 @@ from .quat import (
     Q_ONE,
     Q_S,
     Q_W,
-    breadth_first,
-    close,
     isom_order,
-    recognize,
 )
 from .slopes import Slope, slope
 

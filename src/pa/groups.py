@@ -1,0 +1,229 @@
+"""Finite groups as closed element sets: closure, normality, quotients,
+recognition, and powers by square-and-multiply.
+
+The layer is generic over the element model: elements are hashable values,
+products come from a ``mul`` callable (the ``*`` operator by default) and
+inverses from an ``inv`` callable (an ``.inv()`` method by default).  The
+quaternion and isometry models of ``pa.quat``, the coset permutations of
+``pa.cosetenum`` and the torus quotients of ``pa.dihedral`` all close and
+recognize their groups here.
+"""
+
+from __future__ import annotations
+
+import operator
+from itertools import islice
+
+
+class GroupOverflow(Exception):
+    """Raised when a closure would exceed its element bound."""
+
+
+class FinGroup:
+    """A finite group given by its full element list and a generating set.
+
+    Elements must be hashable; ``mul`` and ``inv`` are callables (defaulting
+    to the ``*`` operator and an ``.inv()`` method).  The element list keeps
+    deterministic construction order.  ``gens`` defaults to the elements
+    themselves.  Elements and generators are tuples: cached groups are
+    shared between callers, so a group never changes once built.
+    """
+
+    def __init__(self, elements, identity, mul=operator.mul, inv=None, gens=None):
+        self.elements = tuple(elements)
+        self.gens = self.elements if gens is None else tuple(gens)
+        self._set = frozenset(self.elements)
+        self.identity = identity
+        self.mul = mul
+        self._inv = inv
+        if identity not in self._set:
+            raise ValueError("identity not among the elements")
+
+    def __len__(self):
+        return len(self.elements)
+
+    def __iter__(self):
+        return iter(self.elements)
+
+    def __contains__(self, g):
+        return g in self._set
+
+    def inv(self, g):
+        if self._inv is not None:
+            return self._inv(g)
+        return g.inv()
+
+    def element_order(self, g) -> int:
+        acc, n = g, 1
+        while acc != self.identity:
+            acc = self.mul(acc, g)
+            n += 1
+            if n > len(self.elements):
+                raise ValueError("element order exceeds group order")
+        return n
+
+    def center(self):
+        return [
+            a
+            for a in self.elements
+            if all(self.mul(a, b) == self.mul(b, a) for b in self.elements)
+        ]
+
+    def is_normal(self, H: "FinGroup") -> bool:
+        """Whether x*s*x^-1 lies in H for every generator x of this group
+        and every generator s of its subgroup H.
+
+        That is the same as H being normal: conjugation by x is an
+        automorphism, so x*H*x^-1 = <x*s*x^-1 : s in gens(H)>, which lies in
+        H exactly when the conjugated generators do, and then equals H
+        since both have |H| elements.  Every element of this group is a
+        product of its generators, so it conjugates H onto H as well.
+        """
+        return all(
+            self.mul(self.mul(x, s), self.inv(x)) in H for x in self.gens for s in H.gens
+        )
+
+    def are_conjugate(self, g, h) -> bool:
+        return any(
+            self.mul(self.mul(x, g), self.inv(x)) == h for x in self.elements
+        )
+
+    def quotient(self, H: "FinGroup") -> "FinGroup":
+        """The quotient by a normal subgroup H, as a group of coset labels.
+
+        Raises ValueError unless H's generators lie in this group and H
+        passes ``is_normal``.  Each coset is labeled by its first element in
+        this group's element order.  The quotient keeps its |Q| x |Q|
+        multiplication table over the labels and their inverses, and no
+        reference to this group or its element-to-label map.
+        """
+        if not all(s in self for s in H.gens):
+            raise ValueError("not a subset")
+        if len(self) % len(H) != 0 or not self.is_normal(H):
+            raise ValueError("not a normal subgroup")
+        label = {}
+        reps = []
+        for g in self.elements:
+            if g in label:
+                continue
+            for s in H:
+                label[self.mul(g, s)] = g
+            reps.append(g)
+        table = {(a, b): label[self.mul(a, b)] for a in reps for b in reps}
+        inverse = {a: label[self.inv(a)] for a in reps}
+        qmul = lambda a, b: table[a, b]
+        return FinGroup(reps, label[self.identity], mul=qmul, inv=inverse.__getitem__)
+
+
+def breadth_first(gens, identity, mul=operator.mul):
+    """The elements of <gens> one at a time, in breadth-first order from
+    ``identity``: each frontier element times each generator in turn, new
+    products kept in the order found.  In a finite group, closure under
+    products with the generators suffices: inverses are positive powers."""
+    seen = {identity}
+    frontier = [identity]
+    yield identity
+    while frontier:
+        new = []
+        for a in frontier:
+            for g in gens:
+                b = mul(a, g)
+                if b not in seen:
+                    seen.add(b)
+                    new.append(b)
+                    yield b
+        frontier = new
+
+
+def close(gens, bound=10**5, *, identity=None, mul=operator.mul, inv=None) -> FinGroup:
+    """Breadth-first closure of the generators into a FinGroup that records
+    them as its ``gens``, its elements in ``breadth_first`` order.
+
+    Raises GroupOverflow when more than ``bound`` elements appear.  When
+    ``identity`` is omitted it is computed as g*g^{-1} from the first
+    generator.
+    """
+    gens = tuple(gens)
+    if identity is None:
+        if not gens:
+            raise ValueError("need generators or an explicit identity")
+        g0 = gens[0]
+        identity = mul(g0, inv(g0) if inv is not None else g0.inv())
+    elements = list(islice(breadth_first(gens, identity, mul), bound + 1))
+    if len(elements) > bound:
+        raise GroupOverflow(f"closure exceeds bound {bound}")
+    return FinGroup(elements, identity, mul=mul, inv=inv, gens=gens)
+
+
+def power(g, e: int, mul=operator.mul):
+    """g^e for e >= 1 by square-and-multiply: floor(log2 e) squarings and
+    popcount(e) - 1 further products, whatever the element model."""
+    if e < 1:
+        raise ValueError(f"exponent must be >= 1, got {e}")
+    result = None
+    while True:
+        if e & 1:
+            result = g if result is None else mul(result, g)
+        e >>= 1
+        if not e:
+            return result
+        g = mul(g, g)
+
+
+# ---------------------------------------------------------------------------
+# Recognition
+
+
+def dihedral_degree(G: FinGroup):
+    """Return n if G is dihedral of order 2n (presentation
+    <a, b | a^2, b^2, (ab)^n>), else None.  D_1 = Z_2 and D_2 = (Z_2)^2
+    count as dihedral of degree 1 and 2."""
+    size = len(G)
+    if size % 2 != 0:
+        return None
+    n = size // 2
+    if n == 1:
+        return 1 if G.element_order(G.elements[-1]) <= 2 else None
+    for x in G:
+        if x == G.identity or G.element_order(x) != n:
+            continue
+        cyc = set()
+        acc = G.identity
+        for _ in range(n):
+            cyc.add(acc)
+            acc = G.mul(acc, x)
+        xi = G.inv(x)
+        for s in G:
+            if s in cyc:
+                continue
+            if G.mul(s, s) == G.identity and G.mul(G.mul(s, x), G.inv(s)) == xi:
+                return n
+    return None
+
+
+def recognize(G: FinGroup) -> str:
+    """Coarse isomorphism type of a small group.
+
+    Tags: "Z1", "Z2", "(Z2)^k", "Zn", "Dn", "D3xZ2", "other(n)".  Tie-breaks:
+    elementary abelian 2-groups win over the dihedral test (so D_2 reports
+    as "(Z2)^2"), and an order-12 dihedral group with center of order 2
+    reports via its direct-product decomposition as "D3xZ2" (D_6 and
+    D_3 x Z_2 are the same group).
+    """
+    n = len(G)
+    if n == 1:
+        return "Z1"
+    orders = [G.element_order(g) for g in G.elements]
+    if all(o <= 2 for o in orders):
+        k = n.bit_length() - 1
+        if 2**k != n:
+            return f"other({n})"
+        return "Z2" if k == 1 else f"(Z2)^{k}"
+    if n in orders:
+        return f"Z{n}"
+    dd = dihedral_degree(G)
+    if n == 12 and dd == 6 and len(G.center()) == 2:
+        return "D3xZ2"
+    if dd is not None and dd >= 3:
+        return f"D{dd}"
+    return f"other({n})"

@@ -720,12 +720,6 @@ def graph_to_json(g: WeightedGraphOrbifold) -> dict:
     }
 
 
-def descriptor_to_json(d: ParedOrbifoldDescriptor) -> dict:
-    obj = graph_to_json(d.graph)
-    obj["family"] = dict(d.family)
-    return obj
-
-
 def graph_from_json(obj) -> WeightedGraphOrbifold:
     """The graph of a ``graph_to_json`` document.  A document of another
     shape raises GraphStructureError: it must be an object whose "vertices"

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
-from . import cosetenum, cusplattice, dihedral, orbigraph, quat
+from . import cosetenum, cusplattice, dihedral, groups, orbigraph
 from .orbigraph import INF, ParedOrbifoldDescriptor
 from .slopes import Slope, hat, slope
 
@@ -60,7 +60,7 @@ def _coprime_pairs(d_max: int) -> list[tuple[int, int]]:
 # once, and hands the point to the predicates of the checks still open.
 
 
-def _table(quotient: quat.FinGroup) -> list[list]:
+def _table(quotient: groups.FinGroup) -> list[list]:
     return [[quotient.mul(a, b) for b in quotient] for a in quotient]
 
 
@@ -93,16 +93,16 @@ class _Point:
         """Gamma closed element by element, and its certificate."""
         return self._once("gamma", lambda: dihedral.gamma(self.params()))
 
-    def normalizer(self) -> quat.FinGroup:
+    def normalizer(self) -> groups.FinGroup:
         return self._once(
             "normalizer", lambda: dihedral.normalizer(self.params(), self.gamma()[0])
         )
 
-    def quotient(self) -> quat.FinGroup:
+    def quotient(self) -> groups.FinGroup:
         return self._once("quotient", lambda: self.normalizer().quotient(self.gamma()[0]))
 
     def tag(self) -> str:
-        return self._once("tag", lambda: quat.recognize(self.quotient()))
+        return self._once("tag", lambda: groups.recognize(self.quotient()))
 
     def record(self) -> dihedral.Orbifold:
         return self._once("record", lambda: dihedral.orbifold(self.r, self.d1, self.d2))
@@ -137,7 +137,7 @@ def _order_fault(point: _Point) -> dict | None:
     n = point.params().n
     if len(group) != 2 * n or not cert["dihedral_relation"]:
         return {"point": point.name, "cert": dict(cert)}
-    if quat.dihedral_degree(group) != n:
+    if groups.dihedral_degree(group) != n:
         return {"point": point.name, "not_dihedral": n}
     if not point.lattice_agrees(False):
         return {"point": point.name, "lattice": "disagrees"}
@@ -449,6 +449,7 @@ def check_heckoid_classification() -> tuple[bool, dict]:
 
 CORE_MODULES = (
     "slopes.py",
+    "groups.py",
     "quat.py",
     "orbigraph.py",
     "dihedral.py",

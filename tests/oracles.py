@@ -6,14 +6,15 @@ recursion, product-set growth instead of BFS closure, union-find Betti
 numbers and dense right-to-left elimination instead of bitmask RREF, HLT
 instead of Felsch coset enumeration, closed groups instead of torus
 lattices, one sweep per check instead of one shared pass, rescans and
-rebuilt lists instead of kept indices), so agreement between the two is
-meaningful evidence.
+rebuilt lists instead of kept indices, one letter at a time instead of runs
+by square-and-multiply), so agreement between the two is meaningful
+evidence.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from pa import dihedral, quat
+from pa import dihedral, groups
 from pa.cosetenum import CosetTable
 from pa.cusplattice import (
     PointGroupOrbit,
@@ -30,7 +31,8 @@ from pa.orbigraph import (
     weight_is_even,
     weight_str,
 )
-from pa.quat import recognize
+from pa.groups import recognize
+from pa.quat import QuatExt
 from pa.slopes import Slope
 
 
@@ -347,6 +349,35 @@ def quat_mul(p, q):
     )
 
 
+# cos and sin of 2pi*k/8, k = 0..7, each as (A, B) for (A + B*sqrt 2)/2.
+COS_SIN_8TH = (
+    ((2, 0), (0, 0)),
+    ((0, 1), (0, 1)),
+    ((0, 0), (2, 0)),
+    ((0, -1), (0, 1)),
+    ((-2, 0), (0, 0)),
+    ((0, -1), (0, -1)),
+    ((0, 0), (-2, 0)),
+    ((0, 1), (0, -1)),
+)
+
+
+def embed_ds(g):
+    """Embed a DSElem into the QuatExt model.
+
+    Only angles with denominator dividing 8 have cosine and sine in
+    Q(sqrt 2); anything else is rejected.
+    """
+    n, d, j = g
+    if 8 % d:
+        raise ValueError(f"angle {g.t} has no Q(sqrt2) coordinates")
+    (ca, cb), (sa, sb) = COS_SIN_8TH[n * (8 // d)]
+    if j:
+        # (cos + i sin) * j = cos*j + sin*k
+        return QuatExt(0, 0, ca, sa, 0, 0, cb, sb)
+    return QuatExt(ca, sa, 0, 0, cb, sb, 0, 0)
+
+
 # The dihedral congruence witness and the oriented-orbifold rule, in their
 # first forms.
 
@@ -576,7 +607,7 @@ def _lattice_agrees(r, d1, d2, order, quotient=None):
     if quotient is None:
         return True
     return (
-        record.isom == quat.recognize(quotient)
+        record.isom == groups.recognize(quotient)
         and record.quotient.elements == quotient.elements
         and _quotient_table(record.quotient) == _quotient_table(quotient)
     )
@@ -590,7 +621,7 @@ def sweep_dihedral_order():
         n = params.n
         if len(group) != 2 * n or not cert["dihedral_relation"]:
             return False, {"point": f"({r};{d1},{d2})", "cert": dict(cert)}
-        if quat.dihedral_degree(group) != n:
+        if groups.dihedral_degree(group) != n:
             return False, {"point": f"({r};{d1},{d2})", "not_dihedral": n}
         if not _lattice_agrees(r, d1, d2, len(group)):
             return False, {"point": f"({r};{d1},{d2})", "lattice": "disagrees"}
@@ -604,7 +635,7 @@ def sweep_isometry_groups():
         params = dihedral.params_for(r, d1, d2)
         group, _ = dihedral.gamma(params)
         quotient = dihedral.normalizer(params, group).quotient(group)
-        tag = quat.recognize(quotient)
+        tag = groups.recognize(quotient)
         if tag != dihedral.TAG_Z2SQ or len(quotient) != 4:
             return False, {"point": f"({r};{d1},{d2})", "tag": tag}
         for g in quotient:
@@ -806,3 +837,58 @@ class HLTEnumerator:
                     return CosetTable(self.pres.ngens, [], "overflow")
         self._compact()
         return CosetTable(self.pres.ngens, self.table, "complete")
+
+
+# Words one letter at a time: the first form of ``cosetenum``'s word path,
+# which expanded every repeat count and walked one coset through one table
+# entry per letter.
+
+
+def word_letters(text, ngens=3):
+    """The letters of a word like "b2ac2a", each repeat count expanded:
+    (2, 2, 1, 3, 3, 1).  Uppercase letters are inverses (negative)."""
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if not ch.isalpha():
+            raise ValueError(f"bad character {ch!r} in word {text!r}")
+        idx = ord(ch.lower()) - ord("a") + 1
+        if idx > ngens:
+            raise ValueError(f"letter {ch!r} out of range in word {text!r}")
+        letter = idx if ch.islower() else -idx
+        i += 1
+        if i < n and text[i] == "^":
+            i += 1
+            if i >= n or not text[i].isdigit():
+                raise ValueError(f"'^' needs a repeat count in word {text!r}")
+        j = i
+        while j < n and text[j].isdigit():
+            j += 1
+        count = int(text[i:j]) if j > i else 1
+        if count < 1:
+            raise ValueError(f"repeat count must be >= 1 in word {text!r}")
+        out.extend([letter] * count)
+        i = j
+    return tuple(out)
+
+
+def act(table, coset, letter):
+    """coset.letter from one entry of a complete ``CosetTable``."""
+    col = 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
+    dest = table.rows[coset][col]
+    if dest is None:
+        raise ValueError("incomplete table")
+    return dest
+
+
+def act_word(table, coset, letters):
+    for letter in letters:
+        coset = act(table, coset, letter)
+    return coset
+
+
+def act_word_permutation(table, word):
+    """i -> i.word one coset and one letter at a time."""
+    letters = word_letters(word, table.ngens)
+    return tuple(act_word(table, i, letters) for i in range(table.n_cosets))

@@ -26,7 +26,7 @@ from pa.cusplattice import (
 )
 from pa.dihedral import exceptional_isom, gamma, orbifold, params_for
 from pa.orbigraph import canonical_key, h1_z2, make_dihedral, make_heckoid
-from pa.quat import dihedral_degree, recognize
+from pa.groups import dihedral_degree, recognize
 from pa.slopes import slope
 
 
@@ -151,7 +151,7 @@ def test_criterion_8_heckoid_classification():
 def test_criterion_9_no_floating_point():
     with criterion(9, "static scan: no float/complex in core modules"):
         results = run_ok(["no-floats"])
-        assert len(results[0].witness["scanned"]) == 6
+        assert len(results[0].witness["scanned"]) == 7
         assert not results[0].witness["offenders"]
 
 

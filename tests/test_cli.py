@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from pa import cli, cusplattice, dihedral, quat
-from pa.orbigraph import graph_to_json, descriptor_to_json, make_dihedral, make_heckoid
+from pa import cli, cosetenum, cusplattice, dihedral, quat
+from pa.orbigraph import graph_to_json, make_dihedral, make_heckoid
 from pa.slopes import slope
 
 
@@ -246,9 +246,8 @@ class TestHomology:
 
     def test_descriptor_file(self, capsys, tmp_path):
         path = tmp_path / "desc.json"
-        path.write_text(
-            json.dumps(descriptor_to_json(make_heckoid(slope("2/5"), 3)))
-        )
+        d = make_heckoid(slope("2/5"), 3)
+        path.write_text(json.dumps({**graph_to_json(d.graph), "family": dict(d.family)}))
         code, payload, _ = run_json(capsys, "homology", str(path))
         assert code == 0
         assert payload["dimension"] == 1
@@ -408,6 +407,26 @@ class TestTriangle:
     def test_image_malformed_map(self, capsys):
         code, _, _ = run(capsys, "triangle", "image", "2 4 4", "b2a")
         assert code == 2
+
+    def test_huge_repeat_count(self, capsys):
+        code, out, err = run(capsys, "triangle", "order", "2 3 5", "a99999999999")
+        assert code == 0 and err == ""
+        assert out == "|a99999999999| = 2 in T(2, 3, 5)\n"
+
+    def test_word_past_the_run_bound(self, capsys):
+        word = "ab" * cosetenum.MAX_WORD_RUNS
+        code, out, err = run(capsys, "triangle", "order", "2 3 5", word)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_malformed_word_refused_before_enumeration(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cosetenum, "triangle_table", lambda *a, **k: calls.append(a))
+        code, _, err = run(capsys, "triangle", "order", "1 5000 5000", "x")
+        assert code == 1 and err.startswith("error: ")
+        code, _, _ = run(capsys, "triangle", "image", "2 4 4 -> 2 2 4", "b2a0")
+        assert code == 1
+        assert calls == []
 
 
 class TestVerify:

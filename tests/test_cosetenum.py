@@ -10,6 +10,8 @@ from pa import cosetenum
 from pa.cosetenum import (
     CosetTable,
     DEFAULT_MAX_COSETS,
+    MAX_COUNT_DIGITS,
+    MAX_WORD_RUNS,
     Presentation,
     coset_group,
     enumerate_cosets,
@@ -25,7 +27,7 @@ from pa.cosetenum import (
     triangle_word_images,
     word_permutation,
 )
-from pa.quat import recognize
+from pa.groups import recognize
 
 
 SPHERICAL = [
@@ -56,21 +58,39 @@ def random_words(rng, count, ngens=3):
     ]
 
 
-def act_word_permutation(table, word):
-    """i -> i.word one coset and one letter at a time."""
-    letters = parse_word(word, table.ngens)
-    return tuple(table.act_word(i, letters) for i in range(table.n_cosets))
+def as_runs(letters):
+    """A relator's letters as runs of one letter each."""
+    return tuple((x, 1) for x in letters)
+
+
+def expand(runs):
+    return tuple(letter for letter, count in runs for _ in range(count))
 
 
 class TestParseWord:
     def test_examples(self):
-        assert parse_word("b2a") == (2, 2, 1)
-        assert parse_word("ac3") == (1, 3, 3, 3)
-        assert parse_word("b2ac2a") == (2, 2, 1, 3, 3, 1)
-        assert parse_word("AB") == (-1, -2)
-        assert parse_word("a^2") == (1, 1)
+        assert parse_word("b2a") == ((2, 2), (1, 1))
+        assert parse_word("ac3") == ((1, 1), (3, 3))
+        assert parse_word("b2ac2a") == ((2, 2), (1, 1), (3, 2), (1, 1))
+        assert parse_word("AB") == ((-1, 1), (-2, 1))
+        assert parse_word("a^2") == ((1, 2),)
+        assert parse_word("aa") == ((1, 1), (1, 1))
         assert parse_word("") == ()
-        assert parse_word("ab", 2) == (1, 2)
+        assert parse_word("ab", 2) == ((1, 1), (2, 1))
+        assert parse_word("a99999999999") == ((1, 99999999999),)
+
+    def test_runs_expand_to_the_letters(self):
+        for word in ("b2a", "ac3", "b2ac2a", "AB", "a^2", "", "C12bA^3", "cCc"):
+            assert expand(parse_word(word)) == oracles.word_letters(word), word
+        assert oracles.word_letters("b2ac2a") == (2, 2, 1, 3, 3, 1)
+
+    def test_bounds(self):
+        assert len(parse_word("ab" * (MAX_WORD_RUNS // 2))) == MAX_WORD_RUNS
+        with pytest.raises(ValueError, match="runs"):
+            parse_word("ab" * (MAX_WORD_RUNS // 2) + "c")
+        assert parse_word("a" + "9" * MAX_COUNT_DIGITS) == ((1, 10**MAX_COUNT_DIGITS - 1),)
+        with pytest.raises(ValueError, match="digits"):
+            parse_word("a" + "1" * (MAX_COUNT_DIGITS + 1))
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -129,7 +149,7 @@ class TestEnumeration:
             table = triangle_table(*ptype)
             identity = tuple(range(table.n_cosets))
             for rel in triangle_presentation(*ptype).relators:
-                assert word_permutation(table, rel) == identity
+                assert word_permutation(table, as_runs(rel)) == identity
             assert word_permutation(table, "abc") == identity
 
 
@@ -144,7 +164,7 @@ class TestAgainstHLT:
         assert table.n_cosets == oracle.n_cosets
         for word in random_words(rng, words, pres.ngens):
             assert permutation_order(word_permutation(table, word)) == permutation_order(
-                act_word_permutation(oracle, word)
+                oracles.act_word_permutation(oracle, word)
             ), word
 
     def test_spherical_triples_to_9(self):
@@ -200,7 +220,7 @@ class TestAgainstHLT:
             assert table.n_cosets == oracle.n_cosets, rels
             complete += table.status == "complete"
             for rel in rels:
-                assert word_permutation(table, rel) == tuple(range(table.n_cosets))
+                assert word_permutation(table, as_runs(rel)) == tuple(range(table.n_cosets))
         assert complete >= 40
 
     def test_infinite_group_overflows_in_both(self):
@@ -235,7 +255,7 @@ class TestEntryOne:
             assert table.n_cosets == oracle.n_cosets == g, (p, q, r)
             for word in random_words(rng, 2):
                 assert permutation_order(word_permutation(table, word)) == permutation_order(
-                    act_word_permutation(oracle, word)
+                    oracles.act_word_permutation(oracle, word)
                 ), ((p, q, r), word)
 
     def test_presentation_adds_the_cyclic_relators(self):
@@ -363,7 +383,7 @@ class TestPermutations:
         for ptype in [(2, 3, 5), (2, 2, 600), (1, 4, 6)]:
             table = triangle_table(*ptype)
             for word in ["", "a", "C", *random_words(rng, 10)]:
-                assert word_permutation(table, word) == act_word_permutation(table, word)
+                assert word_permutation(table, word) == oracles.act_word_permutation(table, word)
 
     def test_word_permutation_on_incomplete_table(self):
         with pytest.raises(ValueError):
@@ -472,11 +492,68 @@ class TestCosetLimit:
 
 class TestCosetTable:
     def test_act_word(self):
+        # the letter-at-a-time oracle, and the word path on the same table
         table = triangle_table(2, 3, 3)
-        assert table.act_word(0, parse_word("abc")) == 0
-        assert table.act(0, 1) == table.act_word(0, (1,))
+        assert oracles.act_word(table, 0, oracles.word_letters("abc")) == 0
+        assert word_permutation(table, "abc")[0] == 0
+        assert oracles.act(table, 0, 1) == oracles.act_word(table, 0, (1,))
+        assert oracles.act(table, 0, 1) == word_permutation(table, "a")[0]
 
     def test_incomplete_lookup(self):
         table = CosetTable(1, [[None, None]], "partial")
         with pytest.raises(ValueError):
-            table.act(0, 1)
+            oracles.act(table, 0, 1)
+        with pytest.raises(ValueError):
+            word_permutation(table, "a")
+
+
+WORD_GROUPS = [(2, 3, 5), (2, 2, 600), (1, 6, 4)]
+
+
+def run_words(rng, count):
+    """Seeded words of up to 8 runs, counts up to 50, both cases."""
+    return [
+        "".join(rng.choice("abcABC") + str(rng.randint(1, 50)) for _ in range(rng.randint(1, 8)))
+        for _ in range(count)
+    ]
+
+
+class TestWordRuns:
+    """Words as runs: each run's column raised to its count by
+    square-and-multiply, against the letter-at-a-time oracle."""
+
+    @pytest.mark.parametrize("ptype", WORD_GROUPS)
+    def test_sweep_against_letters(self, ptype):
+        rng = random.Random(sum(ptype))
+        table = triangle_table(*ptype)
+        for word in run_words(rng, 40):
+            assert word_permutation(table, word) == oracles.act_word_permutation(table, word), word
+
+    @pytest.mark.parametrize("ptype", WORD_GROUPS)
+    def test_huge_count_is_count_mod_order(self, ptype):
+        rng = random.Random(11)
+        table = triangle_table(*ptype)
+        identity = tuple(range(table.n_cosets))
+        for letter in (1, 2, 3, -1, -2, -3):
+            order = permutation_order(word_permutation(table, ((letter, 1),)))
+            for count in [10**17, 99999999999, *(rng.randrange(10**12, 10**18) for _ in range(5))]:
+                reduced = count % order
+                expected = word_permutation(table, ((letter, reduced),)) if reduced else identity
+                assert word_permutation(table, ((letter, count),)) == expected, (letter, count)
+
+    def test_huge_count_in_a_word(self):
+        assert image_order("a99999999999", (2, 3, 5)) == 2
+        assert image_order("b2a99999999999c", (2, 3, 5)) == image_order("b2ac", (2, 3, 5))
+
+    def test_malformed_word_refused_before_enumeration(self, monkeypatch):
+        calls = []
+        table = cosetenum.triangle_table
+        monkeypatch.setattr(
+            cosetenum, "triangle_table", lambda *a, **k: calls.append(a) or table(*a, **k)
+        )
+        for word in ("x", "a0", "a" * (MAX_WORD_RUNS + 1), "a" + "1" * (MAX_COUNT_DIGITS + 1)):
+            with pytest.raises(ValueError):
+                image_order(word, (1, 5000, 5000))
+        assert calls == []
+        assert image_order("b", (1, 5000, 5000)) == 5000
+        assert calls == [(1, 5000, 5000)]

@@ -30,6 +30,7 @@ from pa.dihedral import (
     torus_quotient,
     torus_vector,
 )
+from pa.groups import close, dihedral_degree, recognize
 from pa.orbigraph import canonical_key, make_dihedral
 from pa.quat import (
     ISOM_ID,
@@ -41,11 +42,8 @@ from pa.quat import (
     Q_ONE,
     Q_S,
     Q_W,
-    close,
-    dihedral_degree,
     group_to_json,
     isom_order,
-    recognize,
 )
 from pa.slopes import Slope, slope
 

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from pa.groups import GroupOverflow, close, dihedral_degree, recognize
 from pa.quat import (
-    DS_I,
     DS_J,
     DS_ONE,
     DSElem,
-    GroupOverflow,
     ISOM_ID,
     Isom3,
     J,
@@ -22,23 +21,25 @@ from pa.quat import (
     L,
     Q_I,
     Q_J,
-    Q_K,
     Q_ONE,
     Q_S,
     Q_W,
     QuatExt,
     binary_octahedral,
-    close,
-    d2_star,
-    dihedral_degree,
-    embed_ds,
     format_isom,
     group_to_json,
     is_L,
     isom_order,
     l_angles,
-    recognize,
 )
+
+DS_I = DSElem(Fraction(1, 4))
+Q_K = QuatExt(0, 0, 0, 2, 0, 0, 0, 0)
+
+
+def d2_star():
+    """The quaternion group {+-1, +-i, +-j, +-k} inside O*."""
+    return close([Q_I, Q_J], 16, identity=Q_ONE)
 
 angles = st.fractions(
     min_value=0, max_value=1, max_denominator=12
@@ -106,7 +107,7 @@ class TestDSElem:
         ]
         for a in elems:
             for b in elems:
-                assert embed_ds(a) * embed_ds(b) == embed_ds(a * b)
+                assert oracles.embed_ds(a) * oracles.embed_ds(b) == oracles.embed_ds(a * b)
 
 
 class TestQuatExt:

@@ -7,8 +7,8 @@ from types import MappingProxyType
 import pytest
 
 import oracles
-from pa import dihedral, quat, verify
-from pa.quat import FinGroup
+from pa import dihedral, groups, verify
+from pa.groups import FinGroup
 from pa.slopes import Slope
 
 
@@ -164,12 +164,12 @@ def _gamma_raises(monkeypatch):
 
 def _recognize_wrong(monkeypatch):
     labels = oracles.closure_orbifold(*TARGET)[4].elements
-    recognize = quat.recognize
+    recognize = groups.recognize
 
     def wrong(group):
         return "D4" if group.elements == labels else recognize(group)
 
-    monkeypatch.setattr(quat, "recognize", wrong)
+    monkeypatch.setattr(groups, "recognize", wrong)
 
 
 class TestOnePass:
