@@ -10,11 +10,12 @@ none are dead the enumeration reports overflow instead of answering.
 Definition and scanning order are fixed, so repeated runs build identical
 tables.
 
-Relators are tuples of nonzero integers: g > 0 is generator g, -g its
-inverse (1-based).  Words for group-element queries use letters a, b, c
-(uppercase = inverse) with optional digit repeat counts, e.g. "b2ac2a", and
-are read as runs (letter, count): a run costs O(log count) compositions of
-permutations, never one per repeated letter.
+Letters are nonzero integers: g > 0 is generator g, -g its inverse
+(1-based).  Relators and words are runs (letter, count), so a power x^r is
+one run whatever r is.  Words for group-element queries use letters a, b, c
+(uppercase = inverse) with optional digit repeat counts, e.g. "b2ac2a"; a
+run costs O(log count) compositions of permutations, never one per repeated
+letter.
 """
 
 from __future__ import annotations
@@ -53,23 +54,33 @@ def max_cosets_default() -> int:
 
 @dataclass(frozen=True)
 class Presentation:
-    """<x_1..x_n | relators>, relators freely reduced, letters in range."""
+    """<x_1..x_n | relators>, each relator a word of runs (letter, count)
+    as ``parse_word`` reads them: x^r is ((x, r),) and abc is
+    ((1, 1), (2, 1), (3, 1)).  Adjacent runs of one letter are merged;
+    letters must be in range, counts positive and the word freely reduced.
+    """
 
     ngens: int
-    relators: tuple[tuple[int, ...], ...]
+    relators: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self):
         if self.ngens < 1:
             raise ValueError("need at least one generator")
-        rels = tuple(tuple(r) for r in self.relators)
-        for rel in rels:
-            for x in rel:
+        rels = []
+        for word in self.relators:
+            rel: list[tuple[int, int]] = []
+            for x, count in word:
                 if x == 0 or abs(x) > self.ngens:
-                    raise ValueError(f"letter {x} out of range in relator {rel}")
-            for u, v in zip(rel, rel[1:]):
-                if u == -v:
-                    raise ValueError(f"relator {rel} is not freely reduced")
-        object.__setattr__(self, "relators", rels)
+                    raise ValueError(f"letter {x} out of range in relator {word}")
+                if count < 1:
+                    raise ValueError(f"run count {count} below 1 in relator {word}")
+                if rel and rel[-1][0] == -x:
+                    raise ValueError(f"relator {word} is not freely reduced")
+                if rel and rel[-1][0] == x:
+                    count += rel.pop()[1]
+                rel.append((x, count))
+            rels.append(tuple(rel))
+        object.__setattr__(self, "relators", tuple(rels))
 
 
 def parse_word(text: str, ngens: int = 3) -> tuple[tuple[int, int], ...]:
@@ -143,9 +154,9 @@ class _Felsch:
     inverse that starts with x, and at m every one that starts with x^-1.
     A scan that leaves one gap fills it, which is a further deduction.
 
-    A generator x with a relator x^1 (or powers of gcd 1) fixes every
-    coset: each row is made with k.x = k, and those entries are deductions
-    like any other.  Power relators x^r (r >= 2) are never scanned.  The
+    A relator of one run is a power relator x^r.  A generator x with a
+    relator x^1 (or powers of gcd 1) fixes every coset: each row is made
+    with k.x = k, and those entries are deductions like any other.  Power relators x^r (r >= 2) are never scanned.  The
     x-edges of the table form chains and cycles; each power column keeps
     its chains as head -> (tail, length) and tail -> head, and a new x-edge
     updates them in O(1).  A chain of r cosets closes into a cycle, a
@@ -166,11 +177,12 @@ class _Felsch:
         exponents: dict[int, int] = {}
         scanned = []
         for rel in pres.relators:
-            if len(set(rel)) == 1:
-                col = _column(abs(rel[0]))
-                exponents[col] = gcd(exponents.get(col, 0), len(rel))
+            if len(rel) == 1:
+                ((x, r),) = rel
+                col = _column(abs(x))
+                exponents[col] = gcd(exponents.get(col, 0), r)
             else:
-                scanned.append(rel)
+                scanned.append(tuple(x for x, count in rel for _ in range(count)))
         # x^r and x^s together say x^gcd(r, s) = 1; x^1 fixes every coset.
         self.trivial = [col for col, r in exponents.items() if r == 1]
         for col in self.trivial:
@@ -437,16 +449,16 @@ def spherical_triangle_order(p: int, q: int, r: int):
 
 
 def triangle_presentation(p: int, q: int, r: int) -> Presentation:
-    """<a, b, c | a^p, b^q, c^r, abc>.
+    """<a, b, c | a^p, b^q, c^r, abc>, each power relator one run.
 
     With an entry 1 the group is cyclic of order g, and x^g is added for
     each generator whose power relator is neither x^g nor x^1: a Tietze
     move that spares the enumeration the cosets of the longer powers.
     """
     g = spherical_triangle_order(p, q, r)
-    relators = [tuple([1] * p), tuple([2] * q), tuple([3] * r), (1, 2, 3)]
+    relators = [((1, p),), ((2, q),), ((3, r),), ((1, 1), (2, 1), (3, 1))]
     if min(p, q, r) == 1:
-        relators += [(x,) * g for x, e in enumerate((p, q, r), 1) if e not in (1, g)]
+        relators += [((x, g),) for x, e in enumerate((p, q, r), 1) if e not in (1, g)]
     return Presentation(3, tuple(relators))
 
 

@@ -18,8 +18,10 @@ so each is A x| <J> for a finite subgroup A of the torus (Q/Z)^2.
 ``orbifold`` answers a query from these torus lattices: orders, membership
 and the quotient N/Gamma = A_N/A_Gamma come from 2x2 Hermite forms, and only
 the certificate's element orders and four coset labels are formed as
-isometries.  ``gamma`` and ``normalizer`` close the groups element by
-element; the verification checks use them as the independent evidence.
+isometries.  The orders are read from their known multiples n and 2 in
+O(log n) products, from the primes of p, d1 and d2.  ``gamma`` and
+``normalizer`` close the groups coset by coset; the verification checks
+use them as the independent evidence.
 """
 
 from __future__ import annotations
@@ -31,20 +33,16 @@ from math import gcd
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .groups import FinGroup, GroupOverflow, breadth_first, close, recognize
-from .quat import (
-    ISOM_ID,
-    ISOM_ORDER_BOUND,
-    Isom3,
-    J,
-    L,
-    Q_I,
-    Q_J,
-    Q_ONE,
-    Q_S,
-    Q_W,
-    isom_order,
+from .groups import (
+    FinGroup,
+    GroupOverflow,
+    breadth_first,
+    close,
+    extend,
+    order_from_multiple,
+    recognize,
 )
+from .quat import ISOM_ID, Isom3, J, L, Q_I, Q_J, Q_ONE, Q_S, Q_W
 from .slopes import Slope, slope
 
 # Isometry-type tags; ":" denotes a semidirect product.
@@ -56,6 +54,10 @@ TAG_S1_Z2 = "S1:Z2"
 TAG_S1_Z2SQ = "S1:(Z2)^2"
 TAG_TORUS_Z2 = "(S1xS1):Z2"
 TAG_TORUS_Z2SQ = "(S1xS1):(Z2)^2"
+
+# The largest p, d1 or d2 that ``orbifold`` factors: trial division then
+# takes at most about 10**6 steps per entry.
+FACTOR_BOUND = 10**12
 
 
 @dataclass(frozen=True)
@@ -142,29 +144,45 @@ def _normalizer_rotations(params: DihedralParams) -> list[Isom3]:
     ]
 
 
-def _certificate(f: Isom3, order: int, n: int) -> Mapping:
-    """|Gamma| = ``order`` against 2n, with order(f), order(J) and the
+def _prime_factors(m: int) -> list[int]:
+    """The distinct primes of m >= 1, by trial division."""
+    primes, d = [], 2
+    while d * d <= m:
+        if m % d == 0:
+            primes.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1 if d == 2 else 2
+    if m > 1:
+        primes.append(m)
+    return primes
+
+
+def _certificate(f: Isom3, order: int, order_f, n: int) -> Mapping:
+    """|Gamma| = ``order`` against 2n, with ``order_f``, order(J) and the
     dihedral relation J f J^-1 = f^-1 checked element-exactly; read-only."""
     return MappingProxyType({
         "order": order,
         "expected_order": 2 * n,
-        "order_f": isom_order(f),
-        "order_J": isom_order(J),
+        "order_f": order_f,
+        "order_J": order_from_multiple(J, 2, (2,), ISOM_ID),
         "dihedral_relation": J * f * J.inv() == f.inv(),
     })
 
 
 def gamma(params: DihedralParams) -> tuple[FinGroup, Mapping]:
-    """The orbifold group Gamma = <f, J>, closed element by element, with
-    its verification certificate.
+    """The orbifold group Gamma = <f, J>, closed coset by coset: <f> first,
+    then extended by J (``groups.extend``), with its verification
+    certificate.
 
-    The certificate records |Gamma| = 2n, order(f) = n, order(J) = 2 and
-    the dihedral relation J f J^-1 = f^-1, all checked element-exactly.
+    The certificate records |Gamma| = 2n, order(f) = |<f>| = n, order(J) = 2
+    and the dihedral relation J f J^-1 = f^-1, all checked element-exactly.
     """
     n = params.n
     f = _rotation(params)
-    group = close([f, J], 4 * n)
-    cert = _certificate(f, len(group), n)
+    cyclic = close([f], 2 * n)
+    group = extend(cyclic, [J], 4 * n)
+    cert = _certificate(f, len(group), len(cyclic), n)
     if len(group) != 2 * n:
         raise GroupOverflow(
             f"|Gamma| = {len(group)} != 2n = {2 * n}; arithmetic bug"
@@ -177,7 +195,10 @@ def normalizer(params: DihedralParams, group: FinGroup) -> FinGroup:
     ``FinGroup.is_normal`` to normalize ``group``, the Gamma of ``params``
     (ArithmeticError otherwise).
 
-    Defined away from (d1, d2) = (1, 1) and the trivial theta-orbifold.
+    The closure extends ``group`` coset by coset by the four generators at
+    once (``groups.extend``); they contain f, their first squared, so the
+    group is theirs alone, and they are its ``gens``.  Defined away from
+    (d1, d2) = (1, 1) and the trivial theta-orbifold.
     """
     r, d1, d2 = params.r, params.d1, params.d2
     if (d1, d2) == (1, 1):
@@ -186,7 +207,9 @@ def normalizer(params: DihedralParams, group: FinGroup) -> FinGroup:
         raise ValueError(
             "the trivial theta-orbifold is exceptional; use exceptional_isom()"
         )
-    norm = close([*_normalizer_rotations(params), J], 16 * params.n)
+    declared = (*_normalizer_rotations(params), J)
+    closed = extend(group, declared, 16 * params.n)
+    norm = FinGroup(closed.elements, ISOM_ID, gens=declared)
     if not norm.is_normal(group):
         raise ArithmeticError(
             f"claimed N(Gamma) of ({r};{d1},{d2}) fails to normalize Gamma"
@@ -406,20 +429,23 @@ def orbifold(r, d1: int, d2: int) -> Orbifold:
     (d1, d2) != (1, 1): the type is (Z2)^2, except D3 x Z2 for the trivial
     theta-orbifold; the quotient group cross-checks the tag.  For
     (d1, d2) = (1, 1) the tag comes from congruence conditions only and the
-    quotient is None (some of these types are continuous).  A query with
-    n > ISOM_ORDER_BOUND is refused (ValueError) before any product, since
-    the certificate could not show order(f) = n.
+    quotient is None (some of these types are continuous).  order(f) comes
+    from its multiple n and the primes of p, d1 and d2, each factored by
+    trial division; a query with p, d1 or d2 past FACTOR_BOUND is refused
+    (ValueError) before any product.
     """
     params = params_for(r, d1, d2)
     r, n = params.r, params.n
-    if n > ISOM_ORDER_BOUND:
-        raise ValueError(
-            f"O({r};{d1},{d2}) has n = p*d1*d2 = {n}, past the element-order "
-            f"bound {ISOM_ORDER_BOUND}"
-        )
+    for name, m in (("p", r.p), ("d1", d1), ("d2", d2)):
+        if m > FACTOR_BOUND:
+            raise ValueError(
+                f"O({r};{d1},{d2}) has {name} = {m}, past the factoring bound {FACTOR_BOUND}"
+            )
+    primes = sorted({ell for m in (r.p, d1, d2) for ell in _prime_factors(m)})
     f = _rotation(params)
     a_gamma = TorusLattice.spanned([torus_vector(f, 2 * n)], 2 * n)
-    cert = _certificate(f, 2 * len(a_gamma), n)
+    order_f = order_from_multiple(f, n, primes, ISOM_ID)
+    cert = _certificate(f, 2 * len(a_gamma), order_f, n)
     if (cert["order"], cert["order_f"], cert["order_J"], cert["dihedral_relation"]) != (
         2 * n, n, 2, True
     ):

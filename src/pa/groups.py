@@ -1,5 +1,6 @@
-"""Finite groups as closed element sets: closure, normality, quotients,
-recognition, and powers by square-and-multiply.
+"""Finite groups as closed element sets: closure, extension of a closed
+subgroup coset by coset, normality, quotients, recognition, powers by
+square-and-multiply, and element orders from a known multiple.
 
 The layer is generic over the element model: elements are hashable values,
 products come from a ``mul`` callable (the ``*`` operator by default) and
@@ -25,8 +26,8 @@ class FinGroup:
     Elements must be hashable; ``mul`` and ``inv`` are callables (defaulting
     to the ``*`` operator and an ``.inv()`` method).  The element list keeps
     deterministic construction order.  ``gens`` defaults to the elements
-    themselves.  Elements and generators are tuples: cached groups are
-    shared between callers, so a group never changes once built.
+    themselves.  Elements and generators are tuples, so a group never
+    changes once built.
     """
 
     def __init__(self, elements, identity, mul=operator.mul, inv=None, gens=None):
@@ -155,6 +156,41 @@ def close(gens, bound=10**5, *, identity=None, mul=operator.mul, inv=None) -> Fi
     return FinGroup(elements, identity, mul=mul, inv=inv, gens=gens)
 
 
+def extend(H: FinGroup, gens, bound=10**5) -> FinGroup:
+    """<H, gens> from the closed group H, coset by coset (Dimino's
+    algorithm; Butler, *Fundamental Algorithms for Permutation Groups*,
+    LNCS 559, 1991).
+
+    The right cosets H*y are found breadth-first: each representative y in
+    turn, in the order found, times H's generators and then ``gens``.  A
+    product z outside every coset so far starts the coset H*z, listed as
+    h*z over H's elements in order, so that it begins with z.  A new coset
+    costs |H| products, and each (representative, generator) pair one
+    product and one membership test.  The result lists H's elements first
+    and records H's generators followed by ``gens`` as its ``gens``.
+
+    Raises GroupOverflow when more than ``bound`` elements appear.
+    """
+    gens = tuple(gens)
+    search = H.gens + gens
+    mul = H.mul
+    elements = list(H.elements)
+    seen = set(elements)
+    reps = [H.identity]
+    for y in reps:  # grows while it is read: breadth-first over the cosets
+        for s in search:
+            z = mul(y, s)
+            if z in seen:
+                continue
+            if len(elements) + len(H) > bound:
+                raise GroupOverflow(f"closure exceeds bound {bound}")
+            coset = [mul(h, z) for h in H.elements]
+            elements += coset
+            seen.update(coset)
+            reps.append(z)
+    return FinGroup(elements, H.identity, mul=mul, inv=H._inv, gens=search)
+
+
 def power(g, e: int, mul=operator.mul):
     """g^e for e >= 1 by square-and-multiply: floor(log2 e) squarings and
     popcount(e) - 1 further products, whatever the element model."""
@@ -168,6 +204,33 @@ def power(g, e: int, mul=operator.mul):
         if not e:
             return result
         g = mul(g, g)
+
+
+def order_from_multiple(g, n: int, primes, identity, mul=operator.mul):
+    """The order of g, given a multiple n of it and the primes of n, or
+    None when g^n != identity (the order does not divide n).
+
+    Tests g^n = identity, then for each prime l divides the order by l while
+    g^(order/l) = identity (Cohen, *A Course in Computational Algebraic
+    Number Theory*, 1993, Alg. 1.4.3): O(log n * omega(n)) products by
+    ``power``.  ``primes`` must hold every prime factor of n: ValueError if
+    one is missing, or if an entry is below 2.
+    """
+    rest = n
+    for ell in primes:
+        if ell < 2:
+            raise ValueError(f"{ell} is not a prime")
+        while rest % ell == 0:
+            rest //= ell
+    if rest != 1:
+        raise ValueError(f"the primes {list(primes)} do not factor {n}")
+    if power(g, n, mul) != identity:
+        return None
+    order = n
+    for ell in primes:
+        while order % ell == 0 and power(g, order // ell, mul) == identity:
+            order //= ell
+    return order
 
 
 # ---------------------------------------------------------------------------

@@ -325,19 +325,6 @@ def format_isom(g: Isom3) -> str:
     return f"L({t1}, {t2})" + tail
 
 
-# The largest element order ``isom_order`` looks for.
-ISOM_ORDER_BOUND = 10**6
-
-
-def isom_order(g: Isom3) -> int:
-    acc = g
-    for n in range(1, ISOM_ORDER_BOUND + 1):
-        if acc == ISOM_ID:
-            return n
-        acc = acc * g
-    raise ValueError(f"order exceeds the bound {ISOM_ORDER_BOUND}")
-
-
 def group_to_json(G) -> list[str]:
     """Element list as printable strings, in the group's element order."""
     return [format_isom(g) if isinstance(g, Isom3) else repr(g) for g in G]

@@ -90,7 +90,7 @@ class _Point:
         return self._once("params", lambda: dihedral.params_for(self.r, self.d1, self.d2))
 
     def gamma(self) -> tuple:
-        """Gamma closed element by element, and its certificate."""
+        """Gamma closed coset by coset, and its certificate."""
         return self._once("gamma", lambda: dihedral.gamma(self.params()))
 
     def normalizer(self) -> groups.FinGroup:

@@ -5,14 +5,17 @@ structures than the package (Fraction towers instead of integer pair
 recursion, product-set growth instead of BFS closure, union-find Betti
 numbers and dense right-to-left elimination instead of bitmask RREF, HLT
 instead of Felsch coset enumeration, closed groups instead of torus
-lattices, one sweep per check instead of one shared pass, rescans and
-rebuilt lists instead of kept indices, one letter at a time instead of runs
-by square-and-multiply), so agreement between the two is meaningful
+lattices, breadth-first closures instead of coset-by-coset extension,
+element orders by walking the powers instead of from a known multiple, one
+sweep per check instead of one shared pass, rescans and rebuilt lists
+instead of kept indices, one letter at a time instead of runs by
+square-and-multiply), so agreement between the two is meaningful
 evidence.
 """
 
 from fractions import Fraction
 from math import gcd
+from types import MappingProxyType
 
 from pa import dihedral, groups
 from pa.cosetenum import CosetTable
@@ -32,7 +35,7 @@ from pa.orbigraph import (
     weight_str,
 )
 from pa.groups import recognize
-from pa.quat import QuatExt
+from pa.quat import ISOM_ID, J, QuatExt
 from pa.slopes import Slope
 
 
@@ -556,27 +559,73 @@ def zeta12_coords_of(kind, trans):
     return (m, n) if zeta12_translation(kind, 2 * m, 2 * n) == tuple(trans) else None
 
 
+# Gamma and N(Gamma) closed breadth-first, element orders by walking the
+# powers: the first forms of ``dihedral.gamma``, ``dihedral.normalizer`` and
+# the certificate's ``order_from_multiple``.
+
+ISOM_ORDER_BOUND = 10**6
+
+
+def isom_order(g):
+    """The order of an isometry, walking g, g^2, ... up to ISOM_ORDER_BOUND."""
+    acc = g
+    for n in range(1, ISOM_ORDER_BOUND + 1):
+        if acc == ISOM_ID:
+            return n
+        acc = acc * g
+    raise ValueError(f"order exceeds the bound {ISOM_ORDER_BOUND}")
+
+
+def closure_gamma(params):
+    """Gamma = close([f, J]) and its certificate, orders by the walk."""
+    n = params.n
+    f = dihedral._rotation(params)
+    group = groups.close([f, J], 4 * n)
+    cert = MappingProxyType({
+        "order": len(group),
+        "expected_order": 2 * n,
+        "order_f": isom_order(f),
+        "order_J": isom_order(J),
+        "dihedral_relation": J * f * J.inv() == f.inv(),
+    })
+    if len(group) != 2 * n:
+        raise groups.GroupOverflow(f"|Gamma| = {len(group)} != 2n = {2 * n}; arithmetic bug")
+    return group, cert
+
+
+def closure_normalizer(params, group):
+    """N(Gamma) = close([*rotations, J]), checked to normalize ``group``."""
+    r, d1, d2 = params.r, params.d1, params.d2
+    norm = groups.close([*dihedral._normalizer_rotations(params), J], 16 * params.n)
+    if not norm.is_normal(group):
+        raise ArithmeticError(f"claimed N(Gamma) of ({r};{d1},{d2}) fails to normalize Gamma")
+    return norm
+
+
 # A dihedral query by closures: the first form of ``dihedral.orbifold``.
 
 
 def closure_orbifold(r, d1, d2):
     """(params, Gamma, cert, isom, quotient) with Gamma and N(Gamma) closed
-    element by element, N(Gamma)/Gamma from ``FinGroup.quotient`` and its
-    tag from ``recognize``; the quotient is None for (d1, d2) = (1, 1)."""
+    breadth-first, N(Gamma)/Gamma from ``FinGroup.quotient`` and its tag
+    from ``recognize``; the quotient is None for (d1, d2) = (1, 1)."""
     params = dihedral.params_for(r, d1, d2)
-    group, cert = dihedral.gamma(params)
+    group, cert = closure_gamma(params)
     if (d1, d2) == (1, 1):
         return params, group, cert, dihedral._isom_tag_d1(params.r), None
     if dihedral.is_trivial_theta(params.r, d1, d2):
         quotient, _ = dihedral.exceptional_isom()
         return params, group, cert, dihedral.TAG_D3xZ2, quotient
-    quotient = dihedral.normalizer(params, group).quotient(group)
+    quotient = closure_normalizer(params, group).quotient(group)
     return params, group, cert, recognize(quotient), quotient
 
 
-# Checks 1-3 as three sweeps, each closing every group it needs itself: the
-# first form of ``verify``'s one dihedral pass.  Every library call is looked
-# up at call time, so a monkeypatch reaches the sweeps as it reaches the pass.
+# Checks 1-3 as three sweeps, each closing every group it needs itself,
+# breadth-first: the first form of ``verify``'s one dihedral pass.  Every
+# call is looked up at call time, so a monkeypatch of ``closure_gamma`` or
+# ``closure_normalizer`` reaches the sweeps as one of ``dihedral.gamma`` or
+# ``dihedral.normalizer`` reaches the pass, and one of the other library
+# calls reaches both.
 
 
 def _dihedral_points():
@@ -617,7 +666,7 @@ def sweep_dihedral_order():
     points = 0
     for r, d1, d2 in _dihedral_points():
         params = dihedral.params_for(r, d1, d2)
-        group, cert = dihedral.gamma(params)
+        group, cert = closure_gamma(params)
         n = params.n
         if len(group) != 2 * n or not cert["dihedral_relation"]:
             return False, {"point": f"({r};{d1},{d2})", "cert": dict(cert)}
@@ -633,8 +682,8 @@ def sweep_isometry_groups():
     points = 0
     for r, d1, d2 in _criterion2_points():
         params = dihedral.params_for(r, d1, d2)
-        group, _ = dihedral.gamma(params)
-        quotient = dihedral.normalizer(params, group).quotient(group)
+        group, _ = closure_gamma(params)
+        quotient = closure_normalizer(params, group).quotient(group)
         tag = groups.recognize(quotient)
         if tag != dihedral.TAG_Z2SQ or len(quotient) != 4:
             return False, {"point": f"({r};{d1},{d2})", "tag": tag}
@@ -651,9 +700,9 @@ def sweep_normalizer_soundness():
     points = 0
     for r, d1, d2 in _criterion2_points():
         params = dihedral.params_for(r, d1, d2)
-        gamma_group, _ = dihedral.gamma(params)
+        gamma_group, _ = closure_gamma(params)
         try:
-            group = dihedral.normalizer(params, gamma_group)
+            group = closure_normalizer(params, gamma_group)
         except ArithmeticError as err:
             return False, {"point": f"({r};{d1},{d2})", "error": str(err)}
         if len(group) != 8 * params.n:
@@ -694,10 +743,12 @@ class HLTEnumerator:
     from every coset, the power relators included), with one lookahead and
     compaction pass when the coset limit is hit; a second hit reports
     overflow.  ``HLTEnumerator(pres, max_cosets).run()`` gives a
-    ``CosetTable``."""
+    ``CosetTable``.  Each relator is scanned letter by letter, its runs
+    expanded."""
 
     def __init__(self, pres, max_cosets):
         self.pres = pres
+        self.relators = [tuple(x for x, count in rel for _ in range(count)) for rel in pres.relators]
         self.ncols = 2 * pres.ngens
         self.max_cosets = max_cosets
         self.table = [[None] * self.ncols]
@@ -793,7 +844,7 @@ class HLTEnumerator:
             if self._rep(alpha) != alpha:
                 alpha += 1
                 continue
-            for rel in self.pres.relators:
+            for rel in self.relators:
                 self._scan(alpha, rel, fill=True)
                 if self._rep(alpha) != alpha:
                     break
@@ -807,7 +858,7 @@ class HLTEnumerator:
         for alpha in range(len(self.table)):
             if self._rep(alpha) != alpha:
                 continue
-            for rel in self.pres.relators:
+            for rel in self.relators:
                 self._scan(alpha, rel, fill=False)
                 if self._rep(alpha) != alpha:
                     break

@@ -1,6 +1,7 @@
 """End-to-end command-line tests via main(argv)."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -172,7 +173,7 @@ class TestDihedral:
         # closure, and no element-by-element Gamma or N(Gamma).
         calls = []
         for owner, name in ((dihedral, "gamma"), (dihedral, "normalizer"),
-                            (dihedral, "close"), (quat, "close")):
+                            (dihedral, "close"), (dihedral, "extend"), (quat, "close")):
             fn = getattr(owner, name)
             monkeypatch.setattr(
                 owner, name, lambda *a, name=name, fn=fn, **k: calls.append(name) or fn(*a, **k)
@@ -217,20 +218,36 @@ class TestDihedral:
             assert err == "error: d1, d2 must be positive\n"
 
     def test_order_past_bound_refused_before_any_product(self, capsys, monkeypatch):
-        # n = 500001*1*2 exceeds the element-order bound: no order is computed.
-        def isom_order(g):
-            raise AssertionError("isom_order called")
+        # p, d1 or d2 past the factoring bound: refused before any product.
+        def product(a, b):
+            raise AssertionError("Isom3 product formed")
 
-        monkeypatch.setattr(dihedral, "isom_order", isom_order)
-        monkeypatch.setattr(quat, "isom_order", isom_order)
-        code, out, err = run(capsys, "dihedral", "1/500001", "1", "2")
-        assert code == 1
-        assert out == ""
-        assert err == (
-            "error: O(1/500001;1,2) has n = p*d1*d2 = 1000002, past the "
-            f"element-order bound {quat.ISOM_ORDER_BOUND}\n"
-        )
-        assert quat.ISOM_ORDER_BOUND == 10**6
+        monkeypatch.setattr(quat.Isom3, "__mul__", product)
+        big = str(dihedral.FACTOR_BOUND + 1)
+        for argv, name in (((f"1/{big}", "1", "2"), "p"), (("1/3", big, "1"), "d1"),
+                           (("1/3", "2", big), "d2")):
+            code, out, err = run(capsys, "dihedral", *argv)
+            assert code == 1
+            assert out == ""
+            assert err == (
+                f"error: O({argv[0]};{argv[1]},{argv[2]}) has {name} = {big}, past the "
+                f"factoring bound {dihedral.FACTOR_BOUND}\n"
+            )
+        assert dihedral.FACTOR_BOUND == 10**12
+
+    def test_order_from_a_multiple_costs_log_n_products(self, capsys, monkeypatch):
+        # n = 930000 and n = 62999999999307 (p prime, at the factoring
+        # bound): order(f) from its multiple n, not a walk of n products.
+        products = []
+        mul = quat.Isom3.__mul__
+        monkeypatch.setattr(quat.Isom3, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+        for argv, group in ((("3/1000", "30", "31"), "D930000"),
+                            (("5/999999999989", "7", "9"), "D62999999999307")):
+            products.clear()
+            code, payload, _ = run_json(capsys, "dihedral", *argv)
+            assert code == 0
+            assert payload["group"] == group and payload["quotient_order"] == 4
+            assert len(products) < 1000, f"{len(products)} Isom3 products"
 
 
 class TestHomology:
@@ -375,6 +392,22 @@ class TestTriangle:
         code, payload, _ = run_json(capsys, "triangle", "order", "1 10001 10000", "a")
         assert code == 0
         assert payload["order"] == 1
+
+    @pytest.mark.parametrize("ptype", ["1,10000000,9999999", "1,99999999999,99999999998"])
+    def test_order_with_an_entry_one_and_long_powers(self, capsys, monkeypatch, ptype):
+        # Each power relator is one run: no relator is built letter by
+        # letter, so the trivial group answers without allocating for its
+        # powers (once 246 MB, or a MemoryError for the second triple).
+        monkeypatch.delenv("PA_MAX_COSETS", raising=False)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "triangle", "order", ptype, "a")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+        assert out == f"|a| = 1 in T({ptype.replace(',', ', ')})\n"
+        assert peak < 2**20, f"{peak} bytes at peak"
 
     def test_order_t22_3000_within_the_coset_bound(self, capsys, monkeypatch):
         # T(2,2,3000) has order 6000, below the default bound of 10000.

@@ -105,31 +105,44 @@ class TestParseWord:
             parse_word("a-b")
 
 
+def letters(ngens, *relators):
+    """The presentation of relators given letter by letter."""
+    return Presentation(ngens, tuple(as_runs(rel) for rel in relators))
+
+
 class TestPresentation:
     def test_validation(self):
         with pytest.raises(ValueError):
             Presentation(0, ())
         with pytest.raises(ValueError):
-            Presentation(2, ((3,),))
+            Presentation(2, (((3, 1),),))
         with pytest.raises(ValueError):
-            Presentation(2, ((1, -1),))
+            Presentation(2, (((1, 1), (-1, 1)),))
+        with pytest.raises(ValueError):
+            Presentation(2, (((1, 2), (1, 1), (-1, 3)),))
+        with pytest.raises(ValueError):
+            Presentation(2, (((1, 0),),))
+
+    def test_runs_of_one_letter_merge(self):
+        pres = letters(2, (1, 1, 1), (2, 1, 1, -2), (-1, -1))
+        assert pres.relators == (((1, 3),), ((2, 1), (1, 2), (-2, 1)), ((-1, 2),))
 
     def test_triangle_presentation(self):
         pres = triangle_presentation(2, 3, 3)
-        assert pres.relators == ((1, 1), (2, 2, 2), (3, 3, 3), (1, 2, 3))
+        assert pres.relators == (((1, 2),), ((2, 3),), ((3, 3),), ((1, 1), (2, 1), (3, 1)))
         with pytest.raises(ValueError):
             triangle_presentation(0, 2, 2)
 
 
 class TestEnumeration:
     def test_s3_presentation(self):
-        pres = Presentation(2, ((1, 1), (2, 2), (1, 2, 1, 2, 1, 2)))
+        pres = letters(2, (1, 1), (2, 2), (1, 2, 1, 2, 1, 2))
         table = enumerate_cosets(pres)
         assert table.status == "complete"
         assert table.n_cosets == 6
 
     def test_cyclic(self):
-        table = enumerate_cosets(Presentation(1, ((1,) * 7,)))
+        table = enumerate_cosets(Presentation(1, (((1, 7),),)))
         assert table.n_cosets == 7
 
     def test_overflow_reported(self):
@@ -149,7 +162,7 @@ class TestEnumeration:
             table = triangle_table(*ptype)
             identity = tuple(range(table.n_cosets))
             for rel in triangle_presentation(*ptype).relators:
-                assert word_permutation(table, as_runs(rel)) == identity
+                assert word_permutation(table, rel) == identity
             assert word_permutation(table, "abc") == identity
 
 
@@ -181,15 +194,15 @@ class TestAgainstHLT:
         rng = random.Random(7)
         commutator = (1, 2, -1, -2)
         for pres in [
-            Presentation(2, ((1,) * 4, (1, 1, -2, -2), (1, 2, 1, -2))),  # Q8
-            Presentation(2, ((1, 1), (2, 2, 2), (1, 2) * 7, commutator * 4)),  # PSL(2,7)
-            Presentation(2, ((1, 1), (1, 1, 1), (2,) * 5, (1, 2, 1, -2))),  # a = 1: Z5
-            Presentation(2, ((-1,) * 6, (-2, -2), (1, 2, 1, 2))),  # D6, inverse powers
-            Presentation(5, ((1, 2, -3), (2, 3, -4), (3, 4, -5), (4, 5, -1), (5, 1, -2))),
+            letters(2, (1,) * 4, (1, 1, -2, -2), (1, 2, 1, -2)),  # Q8
+            letters(2, (1, 1), (2, 2, 2), (1, 2) * 7, commutator * 4),  # PSL(2,7)
+            letters(2, (1, 1), (1, 1, 1), (2,) * 5, (1, 2, 1, -2)),  # a = 1: Z5
+            letters(2, (-1,) * 6, (-2, -2), (1, 2, 1, 2)),  # D6, inverse powers
+            letters(5, (1, 2, -3), (2, 3, -4), (3, 4, -5), (4, 5, -1), (5, 1, -2)),
             # trivial; needs the deductions of coincidence processing
-            Presentation(
+            letters(
                 2,
-                ((1,) * 10, (2,) * 6, (2, 1, 2, 1, 2), (-2, -1, 2, 1, 2), (-1, -1, 2, -1, -1, -1, -2)),
+                (1,) * 10, (2,) * 6, (2, 1, 2, 1, 2), (-2, -1, 2, 1, 2), (-1, -1, 2, -1, -1, -1, -2),
             ),
         ]:
             self.compare(pres, rng, words=3)
@@ -213,7 +226,7 @@ class TestAgainstHLT:
                     if not word or word[-1] != -x:
                         word.append(x)
                 rels.append(tuple(word))
-            pres = Presentation(ngens, tuple(rels))
+            pres = letters(ngens, *rels)
             table = enumerate_cosets(pres, 1500)
             oracle = oracles.HLTEnumerator(pres, 1500).run()
             assert table.status == oracle.status, rels
@@ -235,7 +248,7 @@ class TestEntryOne:
 
     @staticmethod
     def plain(p, q, r):
-        return Presentation(3, ((1,) * p, (2,) * q, (3,) * r, (1, 2, 3)))
+        return letters(3, (1,) * p, (2,) * q, (3,) * r, (1, 2, 3))
 
     def test_triples_to_12_against_hlt(self):
         rng = random.Random(12)
@@ -259,14 +272,17 @@ class TestEntryOne:
                 ), ((p, q, r), word)
 
     def test_presentation_adds_the_cyclic_relators(self):
+        abc = ((1, 1), (2, 1), (3, 1))
         assert triangle_presentation(1, 6, 4).relators == (
-            (1,), (2,) * 6, (3,) * 4, (1, 2, 3), (2, 2), (3, 3)
+            ((1, 1),), ((2, 6),), ((3, 4),), abc, ((2, 2),), ((3, 2),)
         )
         assert triangle_presentation(3, 1, 1).relators == (
-            (1,) * 3, (2,), (3,), (1, 2, 3), (1,)
+            ((1, 3),), ((2, 1),), ((3, 1),), abc, ((1, 1),)
         )
         # Nothing to add when the powers are already x^g or x^1.
-        assert triangle_presentation(1, 4, 4).relators == ((1,), (2,) * 4, (3,) * 4, (1, 2, 3))
+        assert triangle_presentation(1, 4, 4).relators == (
+            ((1, 1),), ((2, 4),), ((3, 4),), abc
+        )
 
     def test_order_is_checked_against_the_bound_up_front(self, monkeypatch):
         def refuse(*args):
@@ -316,7 +332,7 @@ class TestTableBound:
         # abc and bc say a = 1, but no power relator does, so each coset's
         # a-entry is first defined as a new row that dies at once; only
         # compaction keeps the table of this Z4 within 6 rows.
-        pres = Presentation(3, ((2,) * 4, (3,) * 4, (1, 2, 3), (2, 3)))
+        pres = letters(3, (2,) * 4, (3,) * 4, (1, 2, 3), (2, 3))
         table = enumerate_cosets(pres, 6)
         assert table.status == "complete"
         assert table.n_cosets == 4

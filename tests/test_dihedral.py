@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 import oracles
+from pa import cli, dihedral
 from pa.dihedral import (
     DihedralParams,
     TAG_D3xZ2,
@@ -19,6 +20,7 @@ from pa.dihedral import (
     TAG_Z2SQ,
     TorusLattice,
     _normalizer_rotations,
+    _prime_factors,
     _rotation,
     exceptional_isom,
     gamma,
@@ -30,7 +32,7 @@ from pa.dihedral import (
     torus_quotient,
     torus_vector,
 )
-from pa.groups import close, dihedral_degree, recognize
+from pa.groups import close, dihedral_degree, order_from_multiple, recognize
 from pa.orbigraph import canonical_key, make_dihedral
 from pa.quat import (
     ISOM_ID,
@@ -43,7 +45,6 @@ from pa.quat import (
     Q_S,
     Q_W,
     group_to_json,
-    isom_order,
 )
 from pa.slopes import Slope, slope
 
@@ -158,7 +159,7 @@ class TestGamma:
             Fraction(params.k2, p * params.d1),
         )
         assert J * f * J.inv() == f.inv()
-        assert isom_order(f) == params.n
+        assert oracles.isom_order(f) == params.n
 
 
 class TestNormalizer:
@@ -315,8 +316,9 @@ class TestOrbifold:
         assert group_to_json(record.quotient) == group_to_json(
             normalizer(params, G).quotient(G)
         )
+        # the same elements; the breadth-first closure lists them otherwise
         _, group, _, _, _ = oracles.closure_orbifold(r, 2, 3)
-        assert list(group) == list(G)
+        assert len(group) == len(G) and set(group) == set(G)
 
     def test_formula_only_and_theta(self):
         record = orbifold(slope("3/8"), 1, 1)
@@ -331,6 +333,61 @@ class TestOrbifold:
 
 def _table(quotient):
     return [[quotient.mul(a, b) for b in quotient] for a in quotient]
+
+
+class TestCosetByCoset:
+    """``gamma`` and ``normalizer`` close coset by coset (``groups.extend``)
+    and the certificate reads order(f) from its multiple n; the breadth-first
+    closures and the walk over the powers are the reference at every point
+    of the sweep of checks 1-3."""
+
+    def test_agrees_with_breadth_first_sweep(self):
+        quotients = 0
+        for r, d1, d2 in oracles._dihedral_points():
+            params = params_for(r, d1, d2)
+            G, cert = gamma(params)
+            reference, reference_cert = oracles.closure_gamma(params)
+            assert len(G) == len(reference) and set(G) == set(reference), (r, d1, d2)
+            assert cert == reference_cert, (r, d1, d2)
+            f = _rotation(params)
+            primes = sorted({ell for m in (r.p, d1, d2) for ell in _prime_factors(m)})
+            assert order_from_multiple(f, params.n, primes, ISOM_ID) == oracles.isom_order(f)
+            if (d1, d2) == (1, 1) or is_trivial_theta(r, d1, d2):
+                continue
+            N = normalizer(params, G)
+            reference_n = oracles.closure_normalizer(params, reference)
+            assert len(N) == len(reference_n) and set(N) == set(reference_n), (r, d1, d2)
+            assert N.gens == reference_n.gens
+            # the same coset labels, in the same order, and the same table
+            Q, reference_q = N.quotient(G), reference_n.quotient(reference)
+            assert Q.elements == reference_q.elements, (r, d1, d2)
+            assert _table(Q) == _table(reference_q), (r, d1, d2)
+            quotients += 1
+        assert quotients == 218
+
+    @pytest.mark.parametrize("order", ["2n", "n/2"])
+    def test_wrong_rotation_fails_the_certificate(self, monkeypatch, capsys, order):
+        # A wrong f of order 2n (not dividing n) or n/2: the certificate
+        # records order_f None or n/2, the query raises ArithmeticError and
+        # the command exits 1.
+        def wrong(params):
+            denominator = 2 * params.n if order == "2n" else params.n // 2
+            return L(Fraction(1, denominator), 0)
+
+        monkeypatch.setattr(dihedral, "_rotation", wrong)
+        recorded = "None" if order == "2n" else "15"
+        with pytest.raises(ArithmeticError, match=f"'order_f': {recorded}"):
+            orbifold(slope("2/5"), 2, 3)
+        assert cli.main(["dihedral", "2/5", "2", "3"]) == 1
+        assert f"'order_f': {recorded}" in capsys.readouterr().err
+
+    def test_prime_factors(self):
+        for m in range(1, 2000):
+            expected = [d for d in range(2, m + 1) if m % d == 0 and all(d % e for e in range(2, d))]
+            assert _prime_factors(m) == expected, m
+        assert _prime_factors(999999999989) == [999999999989]
+        assert _prime_factors(10**12) == [2, 5]
+        assert _prime_factors(2 * 999983**2) == [2, 999983]
 
 
 def _torus_sweep():

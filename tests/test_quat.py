@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from pa.groups import GroupOverflow, close, dihedral_degree, recognize
+from pa.groups import (
+    GroupOverflow,
+    close,
+    dihedral_degree,
+    extend,
+    order_from_multiple,
+    recognize,
+)
 from pa.quat import (
     DS_J,
     DS_ONE,
@@ -29,7 +36,6 @@ from pa.quat import (
     format_isom,
     group_to_json,
     is_L,
-    isom_order,
     l_angles,
 )
 
@@ -257,15 +263,26 @@ class TestIsom3:
         assert recognize(quotient) == "(Z2)^2"
 
     def test_orders(self):
-        assert isom_order(J) == 2
-        assert isom_order(J1) == 4
-        assert isom_order(J2) == 4
-        assert isom_order(L(Fraction(1, 6), Fraction(1, 2))) == 6
+        # the walk over the powers, and the order read from a multiple
+        for g, order in ((J, 2), (J1, 4), (J2, 4), (L(Fraction(1, 6), Fraction(1, 2)), 6)):
+            assert oracles.isom_order(g) == order
+            assert order_from_multiple(g, 12, (2, 3), ISOM_ID) == order
+            assert order_from_multiple(g, order, (2, 3) if order == 6 else (2,), ISOM_ID) == order
+        # J1 has order 4, which does not divide 6
+        assert order_from_multiple(J1, 6, (2, 3), ISOM_ID) is None
+        assert order_from_multiple(ISOM_ID, 1, (), ISOM_ID) == 1
+
+    def test_order_from_multiple_needs_every_prime(self):
+        with pytest.raises(ValueError, match="do not factor"):
+            order_from_multiple(J1, 12, (2,), ISOM_ID)
+        with pytest.raises(ValueError, match="not a prime"):
+            order_from_multiple(J1, 12, (1, 2, 3), ISOM_ID)
 
     def test_order_matches_dihedral_n(self):
         # (p,d1,d2,k1,k2) = (3,1,2,1,1): f = L(1/6, 1/3) has order 6 = p*d1*d2
         f = L(Fraction(1, 6), Fraction(1, 3))
-        assert isom_order(f) == 6
+        assert oracles.isom_order(f) == 6
+        assert order_from_multiple(f, 6, (2, 3), ISOM_ID) == 6
 
     def test_format(self):
         assert format_isom(L(Fraction(1, 3), Fraction(1, 4))) == "L(1/3, 1/4)"
@@ -408,6 +425,32 @@ class TestFinGroup:
                 assert G.is_normal(H) == expected, (gens, g)
                 seen.add(expected)
         assert seen == {True, False}
+
+    def test_extend_agrees_with_close(self):
+        # <H, x> coset by coset against the breadth-first closure, for every
+        # cyclic subgroup H of the binary octahedral group, most of them not
+        # normal, and x each generator of the group and i, j.
+        normal = set()
+        for g in binary_octahedral():
+            H = close([g], 48, identity=Q_ONE)
+            normal.add(binary_octahedral().is_normal(H))
+            for x in (Q_S, Q_W, Q_I, Q_J):
+                G = extend(H, [x], 48)
+                expected = close([g, x], 48, identity=Q_ONE)
+                assert len(G) == len(expected) and set(G) == set(expected), (g, x)
+                assert G.gens == (g, x)
+                assert G.elements[: len(H)] == H.elements
+                # each block of |H| elements is a right coset H*y listed from y
+                for start in range(0, len(G), len(H)):
+                    y = G.elements[start]
+                    assert G.elements[start : start + len(H)] == tuple(h * y for h in H)
+        assert normal == {True, False}
+
+    def test_extend_overflow(self):
+        H = close([Q_S], 48, identity=Q_ONE)
+        assert len(extend(H, [Q_W], 48)) == 48
+        with pytest.raises(GroupOverflow):
+            extend(H, [Q_W], 47)
 
     def test_recognition_tags(self):
         assert recognize(close([ISOM_ID])) == "Z1"
