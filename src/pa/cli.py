@@ -38,10 +38,13 @@ def _emit(args, payload: dict, lines) -> None:
 
 
 def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"bad index {text!r}") from None
+    # No exponents: Fraction("1e9999999") would compute 10**9999999.
+    if "e" not in text.lower():
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise argparse.ArgumentTypeError(f"bad index {text!r}")
 
 
 def _slope_arg(text: str) -> Slope:
@@ -210,7 +213,10 @@ def cmd_dihedral(args) -> int:
 
 def cmd_homology(args) -> int:
     with open(args.path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{args.path}: JSON nested too deeply") from None
     if "family" in obj:
         graph = orbigraph.descriptor_from_json(obj).graph
     else:

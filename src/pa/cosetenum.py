@@ -20,7 +20,6 @@ letter.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +27,8 @@ from math import gcd, lcm
 
 from .groups import close, power
 
-DEFAULT_MAX_COSETS = 10_000
+# The most rows a coset table may hold, read at call time.
+MAX_COSETS = 10_000
 
 # The most runs a word may have and the most digits of a repeat count.  A
 # run costs at most floor(log2 count) + popcount(count) compositions of
@@ -36,20 +36,6 @@ DEFAULT_MAX_COSETS = 10_000
 # cost of any word.
 MAX_WORD_RUNS = 100
 MAX_COUNT_DIGITS = 18
-
-
-def max_cosets_default() -> int:
-    """Coset limit: PA_MAX_COSETS from the environment, else 10000."""
-    raw = os.environ.get("PA_MAX_COSETS")
-    if raw is None:
-        return DEFAULT_MAX_COSETS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"PA_MAX_COSETS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError("PA_MAX_COSETS must be positive")
-    return value
 
 
 @dataclass(frozen=True)
@@ -416,11 +402,10 @@ class _Felsch:
         return CosetTable(self.ncols // 2, self.table, "complete")
 
 
-def enumerate_cosets(pres: Presentation, max_cosets: int | None = None) -> CosetTable:
-    """Enumerate the cosets of the trivial subgroup (the regular action)."""
-    if max_cosets is None:
-        max_cosets = max_cosets_default()
-    return _Felsch(pres, max_cosets).run()
+def enumerate_cosets(pres: Presentation) -> CosetTable:
+    """Enumerate the cosets of the trivial subgroup (the regular action),
+    in a table of at most MAX_COSETS rows."""
+    return _Felsch(pres, MAX_COSETS).run()
 
 
 # ---------------------------------------------------------------------------
@@ -462,16 +447,14 @@ def triangle_presentation(p: int, q: int, r: int) -> Presentation:
     return Presentation(3, tuple(relators))
 
 
-def triangle_table(p: int, q: int, r: int, max_cosets: int | None = None) -> CosetTable:
+def triangle_table(p: int, q: int, r: int) -> CosetTable:
     order = spherical_triangle_order(p, q, r)
     if order is None:
         raise ValueError(f"triangle type {(p, q, r)} is not spherical")
-    if max_cosets is None:
-        max_cosets = max_cosets_default()
-    # A complete table has one row per element and at most max_cosets rows.
-    if order > max_cosets:
+    # A complete table has one row per element and at most MAX_COSETS rows.
+    if order > MAX_COSETS:
         raise ValueError(f"triangle group {(p, q, r)} overflowed the coset bound")
-    table = enumerate_cosets(triangle_presentation(p, q, r), max_cosets)
+    table = enumerate_cosets(triangle_presentation(p, q, r))
     if table.status != "complete":
         raise ValueError(f"triangle group {(p, q, r)} overflowed the coset bound")
     return table
@@ -483,10 +466,8 @@ def coset_group(table: CosetTable):
     if table.status != "complete":
         raise ValueError("coset table did not complete")
     n = table.n_cosets
-    identity = tuple(range(n))
     gens = [word_permutation(table, ((g + 1, 1),)) for g in range(table.ngens)]
-    mul = lambda s, t: tuple(t[s[i]] for i in range(n))
-    return close(gens, n, identity=identity, mul=mul, inv=_inverse_permutation)
+    return close(gens, n, identity=tuple(range(n)), mul=_then, inv=_inverse_permutation)
 
 
 def _inverse_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -501,9 +482,12 @@ def triangle_group(p: int, q: int, r: int):
     return coset_group(triangle_table(p, q, r))
 
 
-def _then(s: list[int], t: list[int]) -> list[int]:
-    """The permutation s followed by t, i -> t[s[i]], composed at C level."""
-    return list(map(t.__getitem__, s))
+def _then(s, t) -> tuple[int, ...]:
+    """The permutation s followed by t, i -> t[s[i]], for lists or tuples.
+
+    Indexing in a list comprehension is as fast on tuples as on lists;
+    ``map(t.__getitem__, s)`` takes twice as long when t is a tuple."""
+    return tuple([t[i] for i in s])
 
 
 def word_permutation(table: CosetTable, word) -> tuple[int, ...]:
@@ -513,7 +497,7 @@ def word_permutation(table: CosetTable, word) -> tuple[int, ...]:
     if isinstance(word, str):
         word = parse_word(word, table.ngens)
     columns: dict[int, list[int]] = {}
-    perm = list(range(table.n_cosets))
+    perm = tuple(range(table.n_cosets))
     for letter, count in word:
         col = _column(letter)
         if col not in columns:
@@ -521,7 +505,7 @@ def word_permutation(table: CosetTable, word) -> tuple[int, ...]:
             if None in columns[col]:
                 raise ValueError("incomplete table")
         perm = _then(perm, power(columns[col], count, _then))
-    return tuple(perm)
+    return perm
 
 
 def permutation_order(perm: tuple[int, ...]) -> int:

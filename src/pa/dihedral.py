@@ -20,8 +20,12 @@ and the quotient N/Gamma = A_N/A_Gamma come from 2x2 Hermite forms, and only
 the certificate's element orders and four coset labels are formed as
 isometries.  The orders are read from their known multiples n and 2 in
 O(log n) products, from the primes of p, d1 and d2.  ``gamma`` and
-``normalizer`` close the groups coset by coset; the verification checks
-use them as the independent evidence.
+``normalizer`` close the groups coset by coset (``groups.extend``); the
+verification checks use them as the independent evidence.  The labels are
+built, not merely matched: ``torus_quotient`` runs the coset search of
+``normalizer``'s extension itself, with a lattice key in place of each
+membership test, so it names every coset by the representative that
+starts it in the closure, which is the label ``FinGroup.quotient`` reads.
 """
 
 from __future__ import annotations
@@ -33,15 +37,7 @@ from math import gcd
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .groups import (
-    FinGroup,
-    GroupOverflow,
-    breadth_first,
-    close,
-    extend,
-    order_from_multiple,
-    recognize,
-)
+from .groups import FinGroup, GroupOverflow, close, extend, order_from_multiple, recognize
 from .quat import ISOM_ID, Isom3, J, L, Q_I, Q_J, Q_ONE, Q_S, Q_W
 from .slopes import Slope, slope
 
@@ -299,12 +295,17 @@ def torus_quotient(a_gamma: TorusLattice, rotations, n: int) -> FinGroup:
     Raises ArithmeticError unless |A_N| = 4n, A_Gamma lies in A_N and
     2*A_N lies in A_Gamma.  The last is the normality of Gamma in N:
     J*L(s)*J = L(-s) and L(s)*J*L(-s) = L(2s)*J.  N/Gamma = A_N/A_Gamma, as
-    J lies in Gamma, and it is (Z2)^2, spanned by the images of the
-    rotations; so each coset of Gamma first appears by depth 2 of the
-    breadth-first closure of [*rotations, J].  That search, replayed in
-    ``close``'s order up to the fourth coset (at most 21 products), labels
-    each coset by its first element, as ``FinGroup.quotient`` would over
-    the closure; the table comes from coset keys.
+    J lies in Gamma, so two elements lie in one coset of Gamma exactly when
+    their torus vectors have the same key mod A_Gamma.
+
+    The labels replay ``normalizer``'s coset search (``groups.extend``
+    from Gamma) on keys: representatives from ISOM_ID, each times
+    (*rotations, J) in turn, a product starting a new coset exactly when
+    its key is new, up to the fourth coset.  ``extend`` also tries Gamma's
+    own generators f and J first, but those never leave the coset of the
+    normal subgroup Gamma they start from.  Each new coset is listed from
+    its representative, so the labels are those ``FinGroup.quotient``
+    gives over the closure, by construction; the table comes from keys.
     """
     M = a_gamma.M
     a_norm = TorusLattice.spanned([torus_vector(g, M) for g in rotations], M)
@@ -316,15 +317,21 @@ def torus_quotient(a_gamma: TorusLattice, rotations, n: int) -> FinGroup:
         raise ArithmeticError(
             f"the claimed N(Gamma) fails to normalize Gamma: {a_norm}, 4n = {4 * n}"
         )
-    label = {}
-    for g in breadth_first([*rotations, J], ISOM_ID):
-        label.setdefault(a_gamma.key(*torus_vector(g, M)), g)
-        if len(label) == 4:
-            break
+    search = (*rotations, J)
+    reps = [ISOM_ID]
+    label = {(0, 0): ISOM_ID}
+    # reps grows while it is read: breadth-first over the cosets
+    for z in (y * s for y in reps for s in search):
+        key = a_gamma.key(*torus_vector(z, M))
+        if key not in label:
+            label[key] = z
+            reps.append(z)
+            if len(reps) == 4:
+                break
     # (L(s)*J^e)*(L(t)*J^k) = L(s +- t)*J^(e+k) and 2t lies in A_Gamma, so
     # the product's coset has the key of s + t, and each coset is its own
     # inverse.
-    vectors = {g: torus_vector(g, M) for g in label.values()}
+    vectors = {g: torus_vector(g, M) for g in reps}
     table = {
         (a, b): label[a_gamma.key(x + u, y + v)]
         for a, (x, y) in vectors.items()

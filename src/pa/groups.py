@@ -1,6 +1,7 @@
-"""Finite groups as closed element sets: closure, extension of a closed
-subgroup coset by coset, normality, quotients, recognition, powers by
-square-and-multiply, and element orders from a known multiple.
+"""Finite groups as closed element sets: extension of a closed subgroup
+coset by coset (closure is extension of the trivial group), normality,
+quotients, recognition, powers by square-and-multiply, and element orders
+from a known multiple.
 
 The layer is generic over the element model: elements are hashable values,
 products come from a ``mul`` callable (the ``*`` operator by default) and
@@ -13,7 +14,6 @@ recognize their groups here.
 from __future__ import annotations
 
 import operator
-from itertools import islice
 
 
 class GroupOverflow(Exception):
@@ -25,9 +25,10 @@ class FinGroup:
 
     Elements must be hashable; ``mul`` and ``inv`` are callables (defaulting
     to the ``*`` operator and an ``.inv()`` method).  The element list keeps
-    deterministic construction order.  ``gens`` defaults to the elements
-    themselves.  Elements and generators are tuples, so a group never
-    changes once built.
+    deterministic construction order and begins with the identity
+    (ValueError otherwise).  ``gens`` defaults to the elements themselves.
+    Elements and generators are tuples, so a group never changes once
+    built.
     """
 
     def __init__(self, elements, identity, mul=operator.mul, inv=None, gens=None):
@@ -37,8 +38,8 @@ class FinGroup:
         self.identity = identity
         self.mul = mul
         self._inv = inv
-        if identity not in self._set:
-            raise ValueError("identity not among the elements")
+        if not self.elements or self.elements[0] != identity:
+            raise ValueError("the identity must be the first element")
 
     def __len__(self):
         return len(self.elements)
@@ -116,29 +117,11 @@ class FinGroup:
         return FinGroup(reps, label[self.identity], mul=qmul, inv=inverse.__getitem__)
 
 
-def breadth_first(gens, identity, mul=operator.mul):
-    """The elements of <gens> one at a time, in breadth-first order from
-    ``identity``: each frontier element times each generator in turn, new
-    products kept in the order found.  In a finite group, closure under
-    products with the generators suffices: inverses are positive powers."""
-    seen = {identity}
-    frontier = [identity]
-    yield identity
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                b = mul(a, g)
-                if b not in seen:
-                    seen.add(b)
-                    new.append(b)
-                    yield b
-        frontier = new
-
-
 def close(gens, bound=10**5, *, identity=None, mul=operator.mul, inv=None) -> FinGroup:
-    """Breadth-first closure of the generators into a FinGroup that records
-    them as its ``gens``, its elements in ``breadth_first`` order.
+    """The closure of the generators into a FinGroup that records them as
+    its ``gens``: ``extend`` from the trivial group, so its elements come
+    in breadth-first order from the identity, each element found times
+    each generator in turn.
 
     Raises GroupOverflow when more than ``bound`` elements appear.  When
     ``identity`` is omitted it is computed as g*g^{-1} from the first
@@ -150,10 +133,8 @@ def close(gens, bound=10**5, *, identity=None, mul=operator.mul, inv=None) -> Fi
             raise ValueError("need generators or an explicit identity")
         g0 = gens[0]
         identity = mul(g0, inv(g0) if inv is not None else g0.inv())
-    elements = list(islice(breadth_first(gens, identity, mul), bound + 1))
-    if len(elements) > bound:
-        raise GroupOverflow(f"closure exceeds bound {bound}")
-    return FinGroup(elements, identity, mul=mul, inv=inv, gens=gens)
+    trivial = FinGroup([identity], identity, mul=mul, inv=inv, gens=())
+    return extend(trivial, gens, bound)
 
 
 def extend(H: FinGroup, gens, bound=10**5) -> FinGroup:
@@ -163,17 +144,22 @@ def extend(H: FinGroup, gens, bound=10**5) -> FinGroup:
 
     The right cosets H*y are found breadth-first: each representative y in
     turn, in the order found, times H's generators and then ``gens``.  A
-    product z outside every coset so far starts the coset H*z, listed as
-    h*z over H's elements in order, so that it begins with z.  A new coset
-    costs |H| products, and each (representative, generator) pair one
-    product and one membership test.  The result lists H's elements first
-    and records H's generators followed by ``gens`` as its ``gens``.
+    product z outside every coset so far starts the coset H*z, listed as z
+    followed by h*z over H's other elements in order (H lists its identity
+    first).  A new coset costs |H| - 1 products, and each (representative,
+    generator) pair one product and one membership test; in a finite group
+    closure under the generators suffices, as inverses are positive
+    powers.  The result lists H's elements first and records H's
+    generators followed by ``gens`` as its ``gens``.  From the trivial
+    group the cosets are single elements and the search is the
+    breadth-first closure of ``close``.
 
     Raises GroupOverflow when more than ``bound`` elements appear.
     """
-    gens = tuple(gens)
-    search = H.gens + gens
+    search = H.gens + tuple(gens)
     mul = H.mul
+    others = H.elements[1:]
+    size = len(H.elements)
     elements = list(H.elements)
     seen = set(elements)
     reps = [H.identity]
@@ -182,11 +168,14 @@ def extend(H: FinGroup, gens, bound=10**5) -> FinGroup:
             z = mul(y, s)
             if z in seen:
                 continue
-            if len(elements) + len(H) > bound:
+            if len(elements) + size > bound:
                 raise GroupOverflow(f"closure exceeds bound {bound}")
-            coset = [mul(h, z) for h in H.elements]
-            elements += coset
-            seen.update(coset)
+            elements.append(z)
+            seen.add(z)
+            if others:
+                coset = [mul(h, z) for h in others]
+                elements += coset
+                seen.update(coset)
             reps.append(z)
     return FinGroup(elements, H.identity, mul=mul, inv=H._inv, gens=search)
 

@@ -12,6 +12,7 @@ import io
 import tokenize
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from pathlib import Path
 
@@ -65,61 +66,55 @@ def _table(quotient: groups.FinGroup) -> list[list]:
 
 
 class _Point:
-    """The shared work at one sweep point (r; d1, d2).  Each step runs at
-    most once, when the first predicate reaches it, and keeps its value or
-    its exception for the later ones: every predicate sees what a sweep of
-    its own would have seen, in its own order."""
+    """The shared work at one sweep point (r; d1, d2).  Each step runs when
+    the first predicate reaches it and keeps its value for the later ones.
+    A step that raises keeps nothing, so the next predicate that reaches it
+    runs it again and meets the same exception: the steps are
+    deterministic, and every predicate sees what a sweep of its own would
+    have seen, in its own order."""
 
     def __init__(self, r: Slope, d1: int, d2: int):
         self.r, self.d1, self.d2 = r, d1, d2
         self.name = f"({r};{d1},{d2})"
-        self._steps: dict = {}
 
-    def _once(self, step: str, compute):
-        if step not in self._steps:
-            try:
-                self._steps[step] = (compute(), None)
-            except Exception as err:
-                self._steps[step] = (None, err)
-        value, err = self._steps[step]
-        if err is not None:
-            raise err
-        return value
-
+    @cached_property
     def params(self) -> dihedral.DihedralParams:
-        return self._once("params", lambda: dihedral.params_for(self.r, self.d1, self.d2))
+        return dihedral.params_for(self.r, self.d1, self.d2)
 
+    @cached_property
     def gamma(self) -> tuple:
         """Gamma closed coset by coset, and its certificate."""
-        return self._once("gamma", lambda: dihedral.gamma(self.params()))
+        return dihedral.gamma(self.params)
 
+    @cached_property
     def normalizer(self) -> groups.FinGroup:
-        return self._once(
-            "normalizer", lambda: dihedral.normalizer(self.params(), self.gamma()[0])
-        )
+        return dihedral.normalizer(self.params, self.gamma[0])
 
+    @cached_property
     def quotient(self) -> groups.FinGroup:
-        return self._once("quotient", lambda: self.normalizer().quotient(self.gamma()[0]))
+        return self.normalizer.quotient(self.gamma[0])
 
+    @cached_property
     def tag(self) -> str:
-        return self._once("tag", lambda: groups.recognize(self.quotient()))
+        return groups.recognize(self.quotient)
 
+    @cached_property
     def record(self) -> dihedral.Orbifold:
-        return self._once("record", lambda: dihedral.orbifold(self.r, self.d1, self.d2))
+        return dihedral.orbifold(self.r, self.d1, self.d2)
 
     def lattice_agrees(self, with_quotient: bool) -> bool:
         """Whether ``dihedral.orbifold``, which answers from torus lattices,
         agrees with the closures: on |Gamma| and, with the closure's
         quotient N(Gamma)/Gamma, on its tag, its elements (the printed coset
         labels) and its multiplication table."""
-        record = self.record()
-        if record.cert["order"] != len(self.gamma()[0]):
+        record = self.record
+        if record.cert["order"] != len(self.gamma[0]):
             return False
         if not with_quotient:
             return True
-        quotient = self.quotient()
+        quotient = self.quotient
         return (
-            record.isom == self.tag()
+            record.isom == self.tag
             and record.quotient.elements == quotient.elements
             and _table(record.quotient) == _table(quotient)
         )
@@ -133,8 +128,8 @@ class _Point:
 def _order_fault(point: _Point) -> dict | None:
     """Criterion 1: |Gamma| = 2n with the dihedral relation, recognized as
     dihedral of degree n."""
-    group, cert = point.gamma()
-    n = point.params().n
+    group, cert = point.gamma
+    n = point.params.n
     if len(group) != 2 * n or not cert["dihedral_relation"]:
         return {"point": point.name, "cert": dict(cert)}
     if groups.dihedral_degree(group) != n:
@@ -146,8 +141,8 @@ def _order_fault(point: _Point) -> dict | None:
 
 def _isometry_fault(point: _Point) -> dict | None:
     """Criterion 2: N(Gamma)/Gamma is (Z2)^2, every element an involution."""
-    quotient = point.quotient()
-    tag = point.tag()
+    quotient = point.quotient
+    tag = point.tag
     if tag != dihedral.TAG_Z2SQ or len(quotient) != 4:
         return {"point": point.name, "tag": tag}
     for g in quotient:
@@ -160,12 +155,12 @@ def _isometry_fault(point: _Point) -> dict | None:
 
 def _normalizer_fault(point: _Point) -> dict | None:
     """Criterion 3: the claimed N(Gamma) normalizes Gamma and has order 8n."""
-    point.gamma()  # an ArithmeticError in Gamma itself is no normalizer fault
+    point.gamma  # an ArithmeticError in Gamma itself is no normalizer fault
     try:
-        group = point.normalizer()
+        group = point.normalizer
     except ArithmeticError as err:
         return {"point": point.name, "error": str(err)}
-    if len(group) != 8 * point.params().n:
+    if len(group) != 8 * point.params.n:
         return {"point": point.name, "order": len(group)}
     if not point.lattice_agrees(True):
         return {"point": point.name, "lattice": "disagrees"}

@@ -13,6 +13,7 @@ square-and-multiply), so agreement between the two is meaningful
 evidence.
 """
 
+import operator
 from fractions import Fraction
 from math import gcd
 from types import MappingProxyType
@@ -559,6 +560,37 @@ def zeta12_coords_of(kind, trans):
     return (m, n) if zeta12_translation(kind, 2 * m, 2 * n) == tuple(trans) else None
 
 
+# Breadth-first closure element by element: the first form of
+# ``groups.close``, which is now ``groups.extend`` from the trivial group.
+
+
+def breadth_first(gens, identity, mul=operator.mul):
+    """The elements of <gens> one at a time, in breadth-first order from
+    ``identity``: each frontier element times each generator in turn, new
+    products kept in the order found.  In a finite group, closure under
+    products with the generators suffices: inverses are positive powers."""
+    seen = {identity}
+    frontier = [identity]
+    yield identity
+    while frontier:
+        new = []
+        for a in frontier:
+            for g in gens:
+                b = mul(a, g)
+                if b not in seen:
+                    seen.add(b)
+                    new.append(b)
+                    yield b
+        frontier = new
+
+
+def breadth_first_group(gens, identity, mul=operator.mul, inv=None):
+    """<gens> as a FinGroup listed in ``breadth_first`` order."""
+    gens = tuple(gens)
+    elements = breadth_first(gens, identity, mul)
+    return groups.FinGroup(elements, identity, mul=mul, inv=inv, gens=gens)
+
+
 # Gamma and N(Gamma) closed breadth-first, element orders by walking the
 # powers: the first forms of ``dihedral.gamma``, ``dihedral.normalizer`` and
 # the certificate's ``order_from_multiple``.
@@ -577,10 +609,11 @@ def isom_order(g):
 
 
 def closure_gamma(params):
-    """Gamma = close([f, J]) and its certificate, orders by the walk."""
+    """Gamma = <f, J> closed breadth-first and its certificate, orders by
+    the walk."""
     n = params.n
     f = dihedral._rotation(params)
-    group = groups.close([f, J], 4 * n)
+    group = breadth_first_group([f, J], ISOM_ID)
     cert = MappingProxyType({
         "order": len(group),
         "expected_order": 2 * n,
@@ -594,9 +627,10 @@ def closure_gamma(params):
 
 
 def closure_normalizer(params, group):
-    """N(Gamma) = close([*rotations, J]), checked to normalize ``group``."""
+    """N(Gamma) = <*rotations, J> closed breadth-first, checked to normalize
+    ``group``."""
     r, d1, d2 = params.r, params.d1, params.d2
-    norm = groups.close([*dihedral._normalizer_rotations(params), J], 16 * params.n)
+    norm = breadth_first_group([*dihedral._normalizer_rotations(params), J], ISOM_ID)
     if not norm.is_normal(group):
         raise ArithmeticError(f"claimed N(Gamma) of ({r};{d1},{d2}) fails to normalize Gamma")
     return norm

@@ -115,6 +115,16 @@ class TestHeckoid:
         code, _, _ = run(capsys, "heckoid", "3/5", "x")
         assert code == 2
 
+    def test_exponent_refused(self, capsys):
+        # Fraction would compute 10**exponent: 13 s for 1e-9999999 before
+        # the text failed.  A decimal point alone stays valid.
+        for index in ("1e-9999999", "7e9999999", "25E-1", "2.5e0"):
+            code, out, err = run(capsys, "heckoid", "3/5", index)
+            assert (code, out) == (2, ""), index
+            assert f"bad index {index!r}" in err
+        code, payload, _ = run_json(capsys, "heckoid", "3/5", "2.5")
+        assert code == 0 and payload["key"] == "M1[4/5;5]"
+
 
 class TestDihedral:
     def test_generic(self, capsys):
@@ -273,6 +283,14 @@ class TestHomology:
         code, _, err = run(capsys, "homology", str(tmp_path / "absent.json"))
         assert code == 1
 
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        # The JSON reader's recursion limit is an error line, not a traceback.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        code, out, err = run(capsys, "homology", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: JSON nested too deeply\n"
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nonsense")
@@ -379,26 +397,23 @@ class TestTriangle:
         assert code == 0
         assert payload["order"] == 2
 
-    def test_order_past_the_coset_bound(self, capsys, monkeypatch):
+    def test_order_past_the_coset_bound(self, capsys):
         # T(2,2,20000) has order 40000, above the default bound of 10000.
-        monkeypatch.delenv("PA_MAX_COSETS", raising=False)
         code, out, err = run(capsys, "triangle", "order", "2 2 20000", "a")
         assert code == 1 and out == ""
         assert "overflowed the coset bound" in err
 
-    def test_order_with_an_entry_one(self, capsys, monkeypatch):
+    def test_order_with_an_entry_one(self, capsys):
         # T(1,10001,10000) is trivial: c = b^-1, so b^gcd(10001, 10000) = 1.
-        monkeypatch.delenv("PA_MAX_COSETS", raising=False)
         code, payload, _ = run_json(capsys, "triangle", "order", "1 10001 10000", "a")
         assert code == 0
         assert payload["order"] == 1
 
     @pytest.mark.parametrize("ptype", ["1,10000000,9999999", "1,99999999999,99999999998"])
-    def test_order_with_an_entry_one_and_long_powers(self, capsys, monkeypatch, ptype):
+    def test_order_with_an_entry_one_and_long_powers(self, capsys, ptype):
         # Each power relator is one run: no relator is built letter by
         # letter, so the trivial group answers without allocating for its
         # powers (once 246 MB, or a MemoryError for the second triple).
-        monkeypatch.delenv("PA_MAX_COSETS", raising=False)
         tracemalloc.start()
         try:
             code, out, err = run(capsys, "triangle", "order", ptype, "a")
@@ -409,9 +424,8 @@ class TestTriangle:
         assert out == f"|a| = 1 in T({ptype.replace(',', ', ')})\n"
         assert peak < 2**20, f"{peak} bytes at peak"
 
-    def test_order_t22_3000_within_the_coset_bound(self, capsys, monkeypatch):
+    def test_order_t22_3000_within_the_coset_bound(self, capsys):
         # T(2,2,3000) has order 6000, below the default bound of 10000.
-        monkeypatch.delenv("PA_MAX_COSETS", raising=False)
         code, payload, _ = run_json(capsys, "triangle", "order", "2 2 3000", "a")
         assert code == 0
         assert payload["order"] == 2

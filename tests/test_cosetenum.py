@@ -9,14 +9,13 @@ import oracles
 from pa import cosetenum
 from pa.cosetenum import (
     CosetTable,
-    DEFAULT_MAX_COSETS,
+    MAX_COSETS,
     MAX_COUNT_DIGITS,
     MAX_WORD_RUNS,
     Presentation,
     coset_group,
     enumerate_cosets,
     image_order,
-    max_cosets_default,
     natural_epimorphism_valid,
     parse_word,
     permutation_order,
@@ -145,8 +144,9 @@ class TestEnumeration:
         table = enumerate_cosets(Presentation(1, (((1, 7),),)))
         assert table.n_cosets == 7
 
-    def test_overflow_reported(self):
-        table = enumerate_cosets(triangle_presentation(2, 4, 4), 500)
+    def test_overflow_reported(self, monkeypatch):
+        monkeypatch.setattr(cosetenum, "MAX_COSETS", 500)
+        table = enumerate_cosets(triangle_presentation(2, 4, 4))
         assert table.status == "overflow"
         assert table.n_cosets == 0
         with pytest.raises(ValueError):
@@ -172,7 +172,7 @@ class TestAgainstHLT:
 
     def compare(self, pres, rng, words=5):
         table = enumerate_cosets(pres)
-        oracle = oracles.HLTEnumerator(pres, DEFAULT_MAX_COSETS).run()
+        oracle = oracles.HLTEnumerator(pres, MAX_COSETS).run()
         assert table.status == oracle.status == "complete"
         assert table.n_cosets == oracle.n_cosets
         for word in random_words(rng, words, pres.ngens):
@@ -207,9 +207,10 @@ class TestAgainstHLT:
         ]:
             self.compare(pres, rng, words=3)
 
-    def test_random_presentations(self):
+    def test_random_presentations(self, monkeypatch):
         # Power relators on most generators plus a few short random
         # relators; most of these groups are finite and small.
+        monkeypatch.setattr(cosetenum, "MAX_COSETS", 1500)
         rng = random.Random(9)
         complete = 0
         for _ in range(60):
@@ -227,7 +228,7 @@ class TestAgainstHLT:
                         word.append(x)
                 rels.append(tuple(word))
             pres = letters(ngens, *rels)
-            table = enumerate_cosets(pres, 1500)
+            table = enumerate_cosets(pres)
             oracle = oracles.HLTEnumerator(pres, 1500).run()
             assert table.status == oracle.status, rels
             assert table.n_cosets == oracle.n_cosets, rels
@@ -236,9 +237,10 @@ class TestAgainstHLT:
                 assert word_permutation(table, as_runs(rel)) == tuple(range(table.n_cosets))
         assert complete >= 40
 
-    def test_infinite_group_overflows_in_both(self):
+    def test_infinite_group_overflows_in_both(self, monkeypatch):
+        monkeypatch.setattr(cosetenum, "MAX_COSETS", 2000)
         pres = triangle_presentation(2, 3, 7)
-        assert enumerate_cosets(pres, 2000).status == "overflow"
+        assert enumerate_cosets(pres).status == "overflow"
         assert oracles.HLTEnumerator(pres, 2000).run().status == "overflow"
 
 
@@ -263,7 +265,7 @@ class TestEntryOne:
         for p, q, r in triples:
             g = gcd(*sorted((p, q, r))[1:])
             table = triangle_table(p, q, r)
-            oracle = oracles.HLTEnumerator(self.plain(p, q, r), DEFAULT_MAX_COSETS).run()
+            oracle = oracles.HLTEnumerator(self.plain(p, q, r), MAX_COSETS).run()
             assert oracle.status == "complete"
             assert table.n_cosets == oracle.n_cosets == g, (p, q, r)
             for word in random_words(rng, 2):
@@ -288,7 +290,6 @@ class TestEntryOne:
         def refuse(*args):
             raise AssertionError("enumerated past the bound")
 
-        monkeypatch.delenv("PA_MAX_COSETS", raising=False)
         monkeypatch.setattr(cosetenum, "enumerate_cosets", refuse)
         # Cyclic of order 20000, past the default bound of 10000.
         with pytest.raises(ValueError, match="overflowed the coset bound"):
@@ -316,7 +317,7 @@ class TestEntryOne:
 
 
 class TestTableBound:
-    def test_spherical_triples_complete_at_their_order(self):
+    def test_spherical_triples_complete_at_their_order(self, monkeypatch):
         # Entry-1 triples included: their relators x^1 make no dead rows.
         for p in range(1, 13):
             for q in range(1, 13):
@@ -324,21 +325,24 @@ class TestTableBound:
                     order = spherical_triangle_order(p, q, r)
                     if order is None:
                         continue
-                    table = enumerate_cosets(triangle_presentation(p, q, r), order)
+                    monkeypatch.setattr(cosetenum, "MAX_COSETS", order)
+                    table = enumerate_cosets(triangle_presentation(p, q, r))
                     assert table.status == "complete", (p, q, r)
                     assert table.n_cosets == order
 
-    def test_full_table_compacts_its_dead_rows(self):
+    def test_full_table_compacts_its_dead_rows(self, monkeypatch):
         # abc and bc say a = 1, but no power relator does, so each coset's
         # a-entry is first defined as a new row that dies at once; only
         # compaction keeps the table of this Z4 within 6 rows.
         pres = letters(3, (2,) * 4, (3,) * 4, (1, 2, 3), (2, 3))
-        table = enumerate_cosets(pres, 6)
+        monkeypatch.setattr(cosetenum, "MAX_COSETS", 6)
+        table = enumerate_cosets(pres)
         assert table.status == "complete"
         assert table.n_cosets == 4
 
-    def test_t22_4999_completes_at_its_order(self):
-        table = enumerate_cosets(triangle_presentation(2, 2, 4999), 9998)
+    def test_t22_4999_completes_at_its_order(self, monkeypatch):
+        monkeypatch.setattr(cosetenum, "MAX_COSETS", 9998)
+        table = enumerate_cosets(triangle_presentation(2, 2, 4999))
         assert table.status == "complete"
         assert table.n_cosets == 9998
         assert permutation_order(word_permutation(table, "c")) == 4999
@@ -471,24 +475,11 @@ class TestConjugacy:
 
 
 class TestCosetLimit:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("PA_MAX_COSETS", raising=False)
-        assert max_cosets_default() == DEFAULT_MAX_COSETS == 10_000
-
-    def test_override(self, monkeypatch):
-        monkeypatch.setenv("PA_MAX_COSETS", "123")
-        assert max_cosets_default() == 123
-
-    def test_invalid_values(self, monkeypatch):
-        monkeypatch.setenv("PA_MAX_COSETS", "zero")
-        with pytest.raises(ValueError):
-            max_cosets_default()
-        monkeypatch.setenv("PA_MAX_COSETS", "0")
-        with pytest.raises(ValueError):
-            max_cosets_default()
+    def test_default(self):
+        assert MAX_COSETS == cosetenum.MAX_COSETS == 10_000
 
     def test_small_limit_overflows(self, monkeypatch):
-        monkeypatch.setenv("PA_MAX_COSETS", "30")
+        monkeypatch.setattr(cosetenum, "MAX_COSETS", 30)
         with pytest.raises(ValueError):
             triangle_table(2, 3, 5)
 
@@ -499,9 +490,10 @@ class TestCosetLimit:
             raise AssertionError("enumerate_cosets called")
 
         monkeypatch.setattr(cosetenum, "enumerate_cosets", enumerate_cosets)
+        monkeypatch.setattr(cosetenum, "MAX_COSETS", 59)
         with pytest.raises(ValueError, match="overflowed the coset bound"):
-            triangle_table(2, 3, 5, max_cosets=59)
-        monkeypatch.setenv("PA_MAX_COSETS", "10000")
+            triangle_table(2, 3, 5)
+        monkeypatch.setattr(cosetenum, "MAX_COSETS", 10_000)
         with pytest.raises(ValueError, match="overflowed the coset bound"):
             triangle_table(2, 2, 20000)
 

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from pa import cosetenum, dihedral, groups, verify
 from pa.groups import (
+    FinGroup,
     GroupOverflow,
     close,
     dihedral_degree,
@@ -365,9 +367,20 @@ class TestFinGroup:
             close([Q_S, Q_W], 10, identity=Q_ONE)
 
     def test_bound_admits_exactly_the_group_order(self):
-        assert len(close([Q_S, Q_W], 48, identity=Q_ONE)) == 48
-        with pytest.raises(GroupOverflow):
-            close([Q_S, Q_W], 47, identity=Q_ONE)
+        # At exactly |G| the closure passes; one element short, it raises
+        # the same GroupOverflow, whatever the group.
+        f = dihedral._rotation(dihedral.params_for(Fraction(2, 5), 2, 3))
+        for gens, identity in (
+            ([Q_S, Q_W], Q_ONE),
+            ([Q_S], Q_ONE),
+            ([f], ISOM_ID),
+            ([f, J], ISOM_ID),
+            ([J], ISOM_ID),
+        ):
+            order = oracles.closure_count(gens, lambda a, b: a * b, identity)
+            assert len(close(gens, order, identity=identity)) == order
+            with pytest.raises(GroupOverflow, match=f"^closure exceeds bound {order - 1}$"):
+                close(gens, order - 1, identity=identity)
 
     def test_element_order_and_center(self):
         G = close([L(Fraction(1, 4), 0)])
@@ -432,11 +445,11 @@ class TestFinGroup:
         # normal, and x each generator of the group and i, j.
         normal = set()
         for g in binary_octahedral():
-            H = close([g], 48, identity=Q_ONE)
+            H = oracles.breadth_first_group([g], Q_ONE)
             normal.add(binary_octahedral().is_normal(H))
             for x in (Q_S, Q_W, Q_I, Q_J):
                 G = extend(H, [x], 48)
-                expected = close([g, x], 48, identity=Q_ONE)
+                expected = oracles.breadth_first_group([g, x], Q_ONE)
                 assert len(G) == len(expected) and set(G) == set(expected), (g, x)
                 assert G.gens == (g, x)
                 assert G.elements[: len(H)] == H.elements
@@ -445,6 +458,42 @@ class TestFinGroup:
                     y = G.elements[start]
                     assert G.elements[start : start + len(H)] == tuple(h * y for h in H)
         assert normal == {True, False}
+
+    def test_close_agrees_with_breadth_first(self, monkeypatch):
+        # close is extend from the trivial group: the same elements in the
+        # same order as the breadth-first oracle, on the binary octahedral
+        # group, each of its cyclic subgroups and every group the program
+        # closes for checks 1-3 (<f> at each point), the trivial
+        # theta-orbifold (both pair groups) and check 6 (the triangle
+        # groups as permutations).
+        closed = []
+
+        def recording(*args, **kwargs):
+            closed.append(groups.close(*args, **kwargs))
+            return closed[-1]
+
+        monkeypatch.setattr(dihedral, "close", recording)
+        monkeypatch.setattr(cosetenum, "close", recording)
+        points = list(oracles._dihedral_points())
+        for r, d1, d2 in points:
+            dihedral.gamma(dihedral.params_for(r, d1, d2))
+        assert [len(G) for G in closed] == [
+            dihedral.params_for(*point).n for point in points
+        ]
+        dihedral.exceptional_isom()
+        assert [len(G) for G in closed[len(points):]] == [8, 96]
+        assert verify.check_triangle_orders()[0] and verify.check_triangle_images()[0]
+        assert len(closed) > len(points) + 2
+        octahedral = binary_octahedral()
+        cyclic = [close([g], 48, identity=Q_ONE) for g in octahedral]
+        for G in [octahedral, *cyclic, *closed]:
+            assert G.elements == tuple(oracles.breadth_first(G.gens, G.identity, G.mul))
+
+    def test_identity_must_come_first(self):
+        assert FinGroup([ISOM_ID, J], ISOM_ID).elements == (ISOM_ID, J)
+        for elements in ([J, ISOM_ID], [J], []):
+            with pytest.raises(ValueError, match="the identity must be the first element"):
+                FinGroup(elements, ISOM_ID)
 
     def test_extend_overflow(self):
         H = close([Q_S], 48, identity=Q_ONE)
