@@ -327,12 +327,12 @@ def cmd_triangle_image(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    unknown = sorted(set(args.checks) - set(verify.CHECKS))
+    if unknown:
+        raise UsageError(f"unknown check ids: {', '.join(unknown)}")
     if args.all:
         selector = None
     elif args.checks:
-        unknown = sorted(set(args.checks) - set(verify.CHECKS))
-        if unknown:
-            raise UsageError(f"unknown check ids: {', '.join(unknown)}")
         selector = args.checks
     else:
         raise UsageError("verify needs --all or at least one check id")

@@ -20,12 +20,14 @@ and the quotient N/Gamma = A_N/A_Gamma come from 2x2 Hermite forms, and only
 the certificate's element orders and four coset labels are formed as
 isometries.  The orders are read from their known multiples n and 2 in
 O(log n) products, from the primes of p, d1 and d2.  ``gamma`` and
-``normalizer`` close the groups coset by coset (``groups.extend``); the
-verification checks use them as the independent evidence.  The labels are
-built, not merely matched: ``torus_quotient`` runs the coset search of
-``normalizer``'s extension itself, with a lattice key in place of each
-membership test, so it names every coset by the representative that
-starts it in the closure, which is the label ``FinGroup.quotient`` reads.
+``normalizer`` close the groups coset by coset (``groups.extend``), N(Gamma)
+from Gamma, so ``FinGroup.quotient`` reads N(Gamma)/Gamma from the cosets
+the extension listed; the verification checks use them as the independent
+evidence.  The labels are built, not merely matched: ``torus_quotient``
+runs the coset search of ``normalizer``'s extension itself, with a lattice
+key in place of each membership test, so it names every coset by the
+representative that starts it in the closure, which is the label
+``FinGroup.quotient`` reads.
 """
 
 from __future__ import annotations
@@ -192,9 +194,11 @@ def normalizer(params: DihedralParams, group: FinGroup) -> FinGroup:
     (ArithmeticError otherwise).
 
     The closure extends ``group`` coset by coset by the four generators at
-    once (``groups.extend``); they contain f, their first squared, so the
-    group is theirs alone, and they are its ``gens``.  Defined away from
-    (d1, d2) = (1, 1) and the trivial theta-orbifold.
+    once (``groups.extend``), and ``group`` stays its ``base``, so
+    ``quotient(group)`` reads the cosets the extension listed.  The
+    generators contain f, their first squared, so the group is theirs
+    alone, and they are its ``gens``.  Defined away from (d1, d2) = (1, 1)
+    and the trivial theta-orbifold.
     """
     r, d1, d2 = params.r, params.d1, params.d2
     if (d1, d2) == (1, 1):
@@ -205,7 +209,7 @@ def normalizer(params: DihedralParams, group: FinGroup) -> FinGroup:
         )
     declared = (*_normalizer_rotations(params), J)
     closed = extend(group, declared, 16 * params.n)
-    norm = FinGroup(closed.elements, ISOM_ID, gens=declared)
+    norm = FinGroup(closed.elements, ISOM_ID, gens=declared, base=group)
     if not norm.is_normal(group):
         raise ArithmeticError(
             f"claimed N(Gamma) of ({r};{d1},{d2}) fails to normalize Gamma"
@@ -359,19 +363,15 @@ def exceptional_isom() -> tuple[FinGroup, dict]:
     Gamma~ = <(i,i), (j,j)> has 8 elements, its normalizer is
     {(u, +-u) : u in O*} with 96 elements (image of order 48 in
     Isom+(S^3)), and the quotient N(Gamma~)/Gamma~ of order 12 is the
-    isometry group, recognized as D3 x Z2.
+    isometry group, recognized as D3 x Z2.  N(Gamma~) is closed by
+    extending Gamma~ coset by coset (``groups.extend``), so the quotient is
+    read from the 12 cosets the extension listed.
     """
     one = (Q_ONE, Q_ONE)
     gamma_raw = close(
         [(Q_I, Q_I), (Q_J, Q_J)], 16, identity=one, mul=_pair_mul, inv=_pair_inv
     )
-    n_raw = close(
-        [(Q_S, Q_S), (Q_W, Q_W), (Q_ONE, -Q_ONE)],
-        192,
-        identity=one,
-        mul=_pair_mul,
-        inv=_pair_inv,
-    )
+    n_raw = extend(gamma_raw, [(Q_S, Q_S), (Q_W, Q_W), (Q_ONE, -Q_ONE)], 192)
     quotient = n_raw.quotient(gamma_raw)
     isometry_classes = {
         min((g[0].key(), g[1].key()), ((-g[0]).key(), (-g[1]).key())) for g in n_raw

@@ -1,7 +1,7 @@
 """Finite groups as closed element sets: extension of a closed subgroup
 coset by coset (closure is extension of the trivial group), normality,
-quotients, recognition, powers by square-and-multiply, and element orders
-from a known multiple.
+quotients read from an extension's cosets, recognition, powers by
+square-and-multiply, and element orders from a known multiple.
 
 The layer is generic over the element model: elements are hashable values,
 products come from a ``mul`` callable (the ``*`` operator by default) and
@@ -27,14 +27,19 @@ class FinGroup:
     to the ``*`` operator and an ``.inv()`` method).  The element list keeps
     deterministic construction order and begins with the identity
     (ValueError otherwise).  ``gens`` defaults to the elements themselves.
-    Elements and generators are tuples, so a group never changes once
-    built.
+    ``base`` is the subgroup H this group was built from by ``extend``, its
+    elements listed as the right cosets H*z, one contiguous block of |H|
+    each; None for a group given by its element list.  Elements and
+    generators are tuples, so a group never changes once built.
     """
 
-    def __init__(self, elements, identity, mul=operator.mul, inv=None, gens=None):
+    def __init__(
+        self, elements, identity, mul=operator.mul, inv=None, gens=None, base=None
+    ):
         self.elements = tuple(elements)
         self.gens = self.elements if gens is None else tuple(gens)
-        self._set = frozenset(self.elements)
+        self.base = base
+        self._index = dict(zip(self.elements, range(len(self.elements))))
         self.identity = identity
         self.mul = mul
         self._inv = inv
@@ -48,7 +53,7 @@ class FinGroup:
         return iter(self.elements)
 
     def __contains__(self, g):
-        return g in self._set
+        return g in self._index
 
     def inv(self, g):
         if self._inv is not None:
@@ -91,30 +96,33 @@ class FinGroup:
         )
 
     def quotient(self, H: "FinGroup") -> "FinGroup":
-        """The quotient by a normal subgroup H, as a group of coset labels.
+        """The quotient by the normal subgroup H this group extends, as a
+        group of coset labels.
 
-        Raises ValueError unless H's generators lie in this group and H
-        passes ``is_normal``.  Each coset is labeled by its first element in
-        this group's element order.  The quotient keeps its |Q| x |Q|
-        multiplication table over the labels and their inverses, and no
-        reference to this group or its element-to-label map.
+        Raises ValueError unless H is this group's ``base`` and passes
+        ``is_normal``.  ``extend`` listed the cosets as contiguous blocks of
+        |H| elements, the right cosets H*z, which for a normal H are the left
+        cosets z*H; each is labeled by its first element, so the element at
+        position i has the label at position i - i % |H|.  Only the |Q| x |Q|
+        table entries and the |Q| inverses are formed as products.  The
+        quotient keeps that table and the inverses, and no reference to this
+        group, H or the position index.
         """
-        if not all(s in self for s in H.gens):
-            raise ValueError("not a subset")
-        if len(self) % len(H) != 0 or not self.is_normal(H):
+        if H is not self.base:
+            raise ValueError("not the subgroup this group extends")
+        if not self.is_normal(H):
             raise ValueError("not a normal subgroup")
-        label = {}
-        reps = []
-        for g in self.elements:
-            if g in label:
-                continue
-            for s in H:
-                label[self.mul(g, s)] = g
-            reps.append(g)
-        table = {(a, b): label[self.mul(a, b)] for a in reps for b in reps}
-        inverse = {a: label[self.inv(a)] for a in reps}
+        size, elements, index = len(H), self.elements, self._index
+
+        def label(g):
+            i = index[g]
+            return elements[i - i % size]
+
+        reps = elements[::size]
+        table = {(a, b): label(self.mul(a, b)) for a in reps for b in reps}
+        inverse = {a: label(self.inv(a)) for a in reps}
         qmul = lambda a, b: table[a, b]
-        return FinGroup(reps, label[self.identity], mul=qmul, inv=inverse.__getitem__)
+        return FinGroup(reps, self.identity, mul=qmul, inv=inverse.__getitem__)
 
 
 def close(gens, bound=10**5, *, identity=None, mul=operator.mul, inv=None) -> FinGroup:
@@ -150,8 +158,9 @@ def extend(H: FinGroup, gens, bound=10**5) -> FinGroup:
     generator) pair one product and one membership test; in a finite group
     closure under the generators suffices, as inverses are positive
     powers.  The result lists H's elements first and records H's
-    generators followed by ``gens`` as its ``gens``.  From the trivial
-    group the cosets are single elements and the search is the
+    generators followed by ``gens`` as its ``gens``, and H as its
+    ``base``, so ``quotient(H)`` reads the cosets from the blocks.  From the
+    trivial group the cosets are single elements and the search is the
     breadth-first closure of ``close``.
 
     Raises GroupOverflow when more than ``bound`` elements appear.
@@ -177,7 +186,7 @@ def extend(H: FinGroup, gens, bound=10**5) -> FinGroup:
                 elements += coset
                 seen.update(coset)
             reps.append(z)
-    return FinGroup(elements, H.identity, mul=mul, inv=H._inv, gens=search)
+    return FinGroup(elements, H.identity, mul=mul, inv=H._inv, gens=search, base=H)
 
 
 def power(g, e: int, mul=operator.mul):
@@ -229,7 +238,11 @@ def order_from_multiple(g, n: int, primes, identity, mul=operator.mul):
 def dihedral_degree(G: FinGroup):
     """Return n if G is dihedral of order 2n (presentation
     <a, b | a^2, b^2, (ab)^n>), else None.  D_1 = Z_2 and D_2 = (Z_2)^2
-    count as dihedral of degree 1 and 2."""
+    count as dihedral of degree 1 and 2.
+
+    Each candidate x walks its powers once, order(x) - 1 products, and the
+    walk is both its order and the cycle <x> (ValueError if the order
+    exceeds |G|, as in ``element_order``)."""
     size = len(G)
     if size % 2 != 0:
         return None
@@ -237,13 +250,17 @@ def dihedral_degree(G: FinGroup):
     if n == 1:
         return 1 if G.element_order(G.elements[-1]) <= 2 else None
     for x in G:
-        if x == G.identity or G.element_order(x) != n:
+        if x == G.identity:
             continue
-        cyc = set()
-        acc = G.identity
-        for _ in range(n):
+        cyc = {G.identity}
+        acc = x
+        while acc != G.identity:
+            if len(cyc) == size:
+                raise ValueError("element order exceeds group order")
             cyc.add(acc)
             acc = G.mul(acc, x)
+        if len(cyc) != n:
+            continue
         xi = G.inv(x)
         for s in G:
             if s in cyc:
@@ -251,7 +268,6 @@ def dihedral_degree(G: FinGroup):
             if G.mul(s, s) == G.identity and G.mul(G.mul(s, x), G.inv(s)) == xi:
                 return n
     return None
-
 
 def recognize(G: FinGroup) -> str:
     """Coarse isomorphism type of a small group.

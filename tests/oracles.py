@@ -9,8 +9,9 @@ lattices, breadth-first closures instead of coset-by-coset extension,
 element orders by walking the powers instead of from a known multiple, one
 sweep per check instead of one shared pass, rescans and rebuilt lists
 instead of kept indices, one letter at a time instead of runs by
-square-and-multiply), so agreement between the two is meaningful
-evidence.
+square-and-multiply, quotient labels from products instead of from an
+extension's coset blocks, a cycle walked twice instead of once), so
+agreement between the two is meaningful evidence.
 """
 
 import operator
@@ -591,6 +592,64 @@ def breadth_first_group(gens, identity, mul=operator.mul, inv=None):
     return groups.FinGroup(elements, identity, mul=mul, inv=inv, gens=gens)
 
 
+# Quotients labelled by products, and dihedral recognition walking each
+# cycle twice: the first forms of ``FinGroup.quotient`` and
+# ``groups.dihedral_degree``.
+
+
+def quotient(G, H):
+    """G/H for any normal subgroup H of G, as a group of coset labels.
+
+    Raises ValueError unless H's generators lie in G and H passes
+    ``G.is_normal``.  Each coset is labeled by its first element in G's
+    element order, found by labelling g*h for every h in H from each
+    unlabelled g: one product per element of G.
+    """
+    if not all(s in G for s in H.gens):
+        raise ValueError("not a subset")
+    if len(G) % len(H) != 0 or not G.is_normal(H):
+        raise ValueError("not a normal subgroup")
+    label = {}
+    reps = []
+    for g in G.elements:
+        if g in label:
+            continue
+        for s in H:
+            label[G.mul(g, s)] = g
+        reps.append(g)
+    table = {(a, b): label[G.mul(a, b)] for a in reps for b in reps}
+    inverse = {a: label[G.inv(a)] for a in reps}
+    qmul = lambda a, b: table[a, b]
+    return groups.FinGroup(reps, label[G.identity], mul=qmul, inv=inverse.__getitem__)
+
+
+def dihedral_degree(G):
+    """n if G is dihedral of order 2n, else None, as ``groups.dihedral_degree``
+    but with each candidate's order from ``G.element_order`` and its cycle
+    from a second walk of n products."""
+    size = len(G)
+    if size % 2 != 0:
+        return None
+    n = size // 2
+    if n == 1:
+        return 1 if G.element_order(G.elements[-1]) <= 2 else None
+    for x in G:
+        if x == G.identity or G.element_order(x) != n:
+            continue
+        cyc = set()
+        acc = G.identity
+        for _ in range(n):
+            cyc.add(acc)
+            acc = G.mul(acc, x)
+        xi = G.inv(x)
+        for s in G:
+            if s in cyc:
+                continue
+            if G.mul(s, s) == G.identity and G.mul(G.mul(s, x), G.inv(s)) == xi:
+                return n
+    return None
+
+
 # Gamma and N(Gamma) closed breadth-first, element orders by walking the
 # powers: the first forms of ``dihedral.gamma``, ``dihedral.normalizer`` and
 # the certificate's ``order_from_multiple``.
@@ -641,17 +700,17 @@ def closure_normalizer(params, group):
 
 def closure_orbifold(r, d1, d2):
     """(params, Gamma, cert, isom, quotient) with Gamma and N(Gamma) closed
-    breadth-first, N(Gamma)/Gamma from ``FinGroup.quotient`` and its tag
-    from ``recognize``; the quotient is None for (d1, d2) = (1, 1)."""
+    breadth-first, N(Gamma)/Gamma from ``quotient`` and its tag from
+    ``recognize``; the quotient is None for (d1, d2) = (1, 1)."""
     params = dihedral.params_for(r, d1, d2)
     group, cert = closure_gamma(params)
     if (d1, d2) == (1, 1):
         return params, group, cert, dihedral._isom_tag_d1(params.r), None
     if dihedral.is_trivial_theta(params.r, d1, d2):
-        quotient, _ = dihedral.exceptional_isom()
-        return params, group, cert, dihedral.TAG_D3xZ2, quotient
-    quotient = closure_normalizer(params, group).quotient(group)
-    return params, group, cert, recognize(quotient), quotient
+        factor, _ = dihedral.exceptional_isom()
+        return params, group, cert, dihedral.TAG_D3xZ2, factor
+    factor = quotient(closure_normalizer(params, group), group)
+    return params, group, cert, recognize(factor), factor
 
 
 # Checks 1-3 as three sweeps, each closing every group it needs itself,
@@ -683,16 +742,16 @@ def _quotient_table(quotient):
     return [[quotient.mul(a, b) for b in quotient] for a in quotient]
 
 
-def _lattice_agrees(r, d1, d2, order, quotient=None):
+def _lattice_agrees(r, d1, d2, order, factor=None):
     record = dihedral.orbifold(r, d1, d2)
     if record.cert["order"] != order:
         return False
-    if quotient is None:
+    if factor is None:
         return True
     return (
-        record.isom == groups.recognize(quotient)
-        and record.quotient.elements == quotient.elements
-        and _quotient_table(record.quotient) == _quotient_table(quotient)
+        record.isom == groups.recognize(factor)
+        and record.quotient.elements == factor.elements
+        and _quotient_table(record.quotient) == _quotient_table(factor)
     )
 
 
@@ -704,7 +763,7 @@ def sweep_dihedral_order():
         n = params.n
         if len(group) != 2 * n or not cert["dihedral_relation"]:
             return False, {"point": f"({r};{d1},{d2})", "cert": dict(cert)}
-        if groups.dihedral_degree(group) != n:
+        if dihedral_degree(group) != n:
             return False, {"point": f"({r};{d1},{d2})", "not_dihedral": n}
         if not _lattice_agrees(r, d1, d2, len(group)):
             return False, {"point": f"({r};{d1},{d2})", "lattice": "disagrees"}
@@ -717,14 +776,14 @@ def sweep_isometry_groups():
     for r, d1, d2 in _criterion2_points():
         params = dihedral.params_for(r, d1, d2)
         group, _ = closure_gamma(params)
-        quotient = closure_normalizer(params, group).quotient(group)
-        tag = groups.recognize(quotient)
-        if tag != dihedral.TAG_Z2SQ or len(quotient) != 4:
+        factor = quotient(closure_normalizer(params, group), group)
+        tag = groups.recognize(factor)
+        if tag != dihedral.TAG_Z2SQ or len(factor) != 4:
             return False, {"point": f"({r};{d1},{d2})", "tag": tag}
-        for g in quotient:
-            if quotient.mul(g, g) != quotient.identity:
+        for g in factor:
+            if factor.mul(g, g) != factor.identity:
                 return False, {"point": f"({r};{d1},{d2})", "non_involution": True}
-        if not _lattice_agrees(r, d1, d2, len(group), quotient):
+        if not _lattice_agrees(r, d1, d2, len(group), factor):
             return False, {"point": f"({r};{d1},{d2})", "lattice": "disagrees"}
         points += 1
     return True, {"points": points}
@@ -741,8 +800,8 @@ def sweep_normalizer_soundness():
             return False, {"point": f"({r};{d1},{d2})", "error": str(err)}
         if len(group) != 8 * params.n:
             return False, {"point": f"({r};{d1},{d2})", "order": len(group)}
-        quotient = group.quotient(gamma_group)
-        if not _lattice_agrees(r, d1, d2, len(gamma_group), quotient):
+        factor = quotient(group, gamma_group)
+        if not _lattice_agrees(r, d1, d2, len(gamma_group), factor):
             return False, {"point": f"({r};{d1},{d2})", "lattice": "disagrees"}
         points += 1
     return True, {"points": points}

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from pa import cli, cosetenum, cusplattice, dihedral, quat
+from pa import cli, cosetenum, cusplattice, dihedral, quat, verify
 from pa.orbigraph import graph_to_json, make_dihedral, make_heckoid
 from pa.slopes import slope
 
@@ -192,9 +192,10 @@ class TestDihedral:
             code, _, _ = run(capsys, "dihedral", *argv, "--json")
             assert code == 0
         assert calls == []
-        # The trivial theta-orbifold stays on the binary octahedral closure.
+        # The trivial theta-orbifold stays on the binary octahedral closure:
+        # Gamma~ closed, then extended to N(Gamma~).
         code, _, _ = run(capsys, "dihedral", "0/1", "1", "2")
-        assert code == 0 and calls == ["close", "close"]
+        assert code == 0 and calls == ["close", "extend"]
 
     def test_certificate_is_read_only(self, capsys):
         code, fresh, _ = run(capsys, "dihedral", "2/5", "2", "3", "--json")
@@ -500,6 +501,16 @@ class TestVerify:
     def test_no_selector(self, capsys):
         code, _, _ = run(capsys, "verify")
         assert code == 2
+
+    def test_unknown_check_with_all(self, capsys, monkeypatch):
+        # An unknown id is refused before any check runs, with or without
+        # --all.
+        monkeypatch.setattr(verify, "run_checks", lambda *a: pytest.fail("checks ran"))
+        for argv in (("verify", "--all", "bogus-check"),
+                     ("verify", "--all", "cusp-244", "bogus-check", "--json")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert "unknown check ids: bogus-check" in err
 
 
 class TestUsage:

@@ -32,10 +32,18 @@ from pa.dihedral import (
     torus_quotient,
     torus_vector,
 )
-from pa.groups import close, dihedral_degree, order_from_multiple, recognize
+from pa.groups import (
+    FinGroup,
+    close,
+    dihedral_degree,
+    extend,
+    order_from_multiple,
+    recognize,
+)
 from pa.orbigraph import canonical_key, make_dihedral
 from pa.quat import (
     ISOM_ID,
+    Isom3,
     J,
     J1,
     L,
@@ -44,6 +52,7 @@ from pa.quat import (
     Q_ONE,
     Q_S,
     Q_W,
+    binary_octahedral,
     group_to_json,
 )
 from pa.slopes import Slope, slope
@@ -359,7 +368,7 @@ class TestCosetByCoset:
             assert len(N) == len(reference_n) and set(N) == set(reference_n), (r, d1, d2)
             assert N.gens == reference_n.gens
             # the same coset labels, in the same order, and the same table
-            Q, reference_q = N.quotient(G), reference_n.quotient(reference)
+            Q, reference_q = N.quotient(G), oracles.quotient(reference_n, reference)
             assert Q.elements == reference_q.elements, (r, d1, d2)
             assert _table(Q) == _table(reference_q), (r, d1, d2)
             quotients += 1
@@ -388,6 +397,92 @@ class TestCosetByCoset:
         assert _prime_factors(999999999989) == [999999999989]
         assert _prime_factors(10**12) == [2, 5]
         assert _prime_factors(2 * 999983**2) == [2, 999983]
+
+
+class TestQuotientFromCosets:
+    """``FinGroup.quotient`` reads N(Gamma)/Gamma from the coset blocks that
+    ``groups.extend`` listed, and ``dihedral_degree`` walks each cycle once;
+    the product-labelling quotient and the two-walk recognition of
+    ``oracles`` are the reference."""
+
+    @staticmethod
+    def assert_same_quotient(Q, expected, where):
+        assert Q.elements == expected.elements, where
+        assert _table(Q) == _table(expected), where
+        assert [Q.inv(g) for g in Q] == [expected.inv(g) for g in expected], where
+
+    def test_agrees_with_product_labels_sweep(self):
+        # every N(Gamma)/Gamma of checks 1-3, and theta's N(Gamma~)/Gamma~
+        quotients = 0
+        for r, d1, d2 in oracles._criterion2_points():
+            params = params_for(r, d1, d2)
+            G, _ = gamma(params)
+            N = normalizer(params, G)
+            assert N.base is G
+            self.assert_same_quotient(N.quotient(G), oracles.quotient(N, G), (r, d1, d2))
+            quotients += 1
+        assert quotients == 218
+        gamma_raw = close(
+            [(Q_I, Q_I), (Q_J, Q_J)], 16, identity=(Q_ONE, Q_ONE),
+            mul=dihedral._pair_mul, inv=dihedral._pair_inv,
+        )
+        n_raw = extend(gamma_raw, [(Q_S, Q_S), (Q_W, Q_W), (Q_ONE, -Q_ONE)], 192)
+        theta = n_raw.quotient(gamma_raw)
+        self.assert_same_quotient(theta, oracles.quotient(n_raw, gamma_raw), "theta")
+        self.assert_same_quotient(exceptional_isom()[0], theta, "theta")
+
+    def test_quotient_forms_no_product_per_element(self, monkeypatch):
+        # |Q|^2 table entries, |Q| inverses and the is_normal conjugations,
+        # whatever n: the same count at n = 4 and n = 195.
+        calls = []
+        mul, inv = Isom3.__mul__, Isom3.inv
+
+        def counted(kind, fn):
+            return lambda *a: calls.append(kind) or fn(*a)
+
+        counts = {}
+        for point in ((slope("0/1"), 1, 4), (slope("1/13"), 3, 5)):
+            params = params_for(*point)
+            G, _ = gamma(params)
+            N = normalizer(params, G)
+            monkeypatch.setattr(Isom3, "__mul__", counted("mul", mul))
+            monkeypatch.setattr(Isom3, "inv", counted("inv", inv))
+            Q = N.quotient(G)
+            monkeypatch.undo()
+            counts[params.n] = (calls.count("mul"), calls.count("inv"))
+            calls.clear()
+            assert len(Q) == 4 and len(N) == 8 * params.n
+        conjugations = len(N.gens) * len(G.gens)
+        assert counts == {
+            4: (4 * 4 + 2 * conjugations, 4 + conjugations),
+            195: (4 * 4 + 2 * conjugations, 4 + conjugations),
+        }
+
+    def test_dihedral_degree_agrees_with_two_walks(self):
+        # every check-1 Gamma (D_1 and D_2 among them), the binary octahedral
+        # group and each of its cyclic subgroups, and (Z2)^3
+        degrees = set()
+        for r, d1, d2 in oracles._dihedral_points():
+            G, _ = gamma(params_for(r, d1, d2))
+            assert dihedral_degree(G) == oracles.dihedral_degree(G) == len(G) // 2
+            degrees.add(len(G) // 2)
+        assert {1, 2} <= degrees
+        octahedral = binary_octahedral()
+        cube = close([J, L(Fraction(1, 2), 0), L(0, Fraction(1, 2))])
+        assert recognize(cube) == TAG_Z2CUBE
+        answers = set()
+        for G in (octahedral, cube, *(close([g], 48, identity=Q_ONE) for g in octahedral)):
+            answers.add(dihedral_degree(G))
+            assert dihedral_degree(G) == oracles.dihedral_degree(G), G.gens
+        assert answers == {None, 1}
+
+    def test_dihedral_degree_guard(self):
+        # an element of order 5 in a four-element list is no group
+        fifth = L(Fraction(1, 5), 0)
+        fake = FinGroup([ISOM_ID, fifth, J, J1], ISOM_ID)
+        for degree in (dihedral_degree, oracles.dihedral_degree):
+            with pytest.raises(ValueError, match="element order exceeds group order"):
+                degree(fake)
 
 
 def _torus_sweep():

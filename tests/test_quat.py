@@ -1,6 +1,7 @@
 """Exact quaternion-angle arithmetic, Isom+(S^3) model, group machinery."""
 
 import gc
+import types
 import weakref
 from fractions import Fraction
 
@@ -260,9 +261,10 @@ class TestIsom3:
         G = close([J, J1], 16)
         assert len(G) == 8
         assert antipodal in G.center()
-        quotient = G.quotient(close([antipodal], 4))
-        assert len(quotient) == 4
-        assert recognize(quotient) == "(Z2)^2"
+        A = close([antipodal], 4)
+        for quotient in (oracles.quotient(G, A), extend(A, [J, J1], 16).quotient(A)):
+            assert len(quotient) == 4
+            assert recognize(quotient) == "(Z2)^2"
 
     def test_orders(self):
         # the walk over the powers, and the order read from a multiple
@@ -327,6 +329,24 @@ class TestExactBoundary:
         assert repr(element) == before
 
 
+def _reachable(root):
+    """Every object reachable from ``root`` through references, without
+    entering modules, classes or a function's globals: what ``root`` keeps
+    alive beyond the program's code."""
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+            stack.extend(obj.__defaults__ or ())
+        else:
+            stack.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
 class TestFinGroup:
     def test_close_j(self):
         assert len(close([J])) == 2
@@ -389,35 +409,49 @@ class TestFinGroup:
         assert len(G.center()) == 4  # cyclic, abelian
 
     def test_quotient(self):
-        G = close([L(Fraction(1, 4), 0)])
         S = close([L(Fraction(1, 2), 0)])
+        G = extend(S, [L(Fraction(1, 4), 0)])
+        assert G.base is S and len(G) == 4
         Q = G.quotient(S)
         assert len(Q) == 2
         assert recognize(Q) == "Z2"
 
     def test_quotient_does_not_keep_its_group_alive(self):
-        # A quotient multiplies through its own table over the coset labels.
-        G = close([L(Fraction(1, 4), 0), J])
-        ref = weakref.ref(G)
-        Q = G.quotient(close([L(Fraction(1, 2), 0)]))
-        del G
+        # A quotient multiplies through its own table over the coset labels:
+        # nothing it holds reaches the group, its base or its position index.
+        H = close([L(Fraction(1, 2), 0)])
+        G = extend(H, [L(Fraction(1, 4), 0), J])
+        group_ref, base_ref, index = weakref.ref(G), weakref.ref(H), G._index
+        Q = G.quotient(H)
+        assert all(obj is not index for obj in _reachable(Q))
+        del G, H
         gc.collect()
-        assert ref() is None
+        assert group_ref() is None and base_ref() is None
         assert len(Q) == 4
         assert recognize(Q) == "(Z2)^2"
         assert all(Q.mul(x, Q.inv(x)) == Q.identity for x in Q)
 
     def test_quotient_rejects_non_subgroup(self):
-        G = close([L(Fraction(1, 4), 0)])
-        with pytest.raises(ValueError):
-            G.quotient(close([J]))
+        # Only the group's base: not a subgroup outside it, and not a group
+        # equal to the base but built apart from it.
+        S = close([L(Fraction(1, 2), 0)])
+        G = extend(S, [L(Fraction(1, 4), 0)])
+        for H in (close([J]), close([L(Fraction(1, 2), 0)]), G):
+            with pytest.raises(ValueError, match="not the subgroup this group extends"):
+                G.quotient(H)
+        with pytest.raises(ValueError, match="not the subgroup this group extends"):
+            FinGroup(G.elements, ISOM_ID).quotient(S)
+        with pytest.raises(ValueError, match="not a subset"):
+            oracles.quotient(G, close([J]))
 
     def test_quotient_rejects_non_normal_subgroup(self):
-        G = close([L(Fraction(1, 4), Fraction(1, 2)), J])
         H = close([J])
-        assert len(G) == 8 and all(h in G for h in H)
+        G = extend(H, [L(Fraction(1, 4), Fraction(1, 2))])
+        assert len(G) == 8 and G.base is H
         with pytest.raises(ValueError, match="not a normal subgroup"):
             G.quotient(H)
+        with pytest.raises(ValueError, match="not a normal subgroup"):
+            oracles.quotient(G, H)
 
     def test_is_normal_agrees_with_all_elements_form(self):
         # The generator test against conjugating all of H by every element,
@@ -480,10 +514,22 @@ class TestFinGroup:
         assert [len(G) for G in closed] == [
             dihedral.params_for(*point).n for point in points
         ]
-        dihedral.exceptional_isom()
-        assert [len(G) for G in closed[len(points):]] == [8, 96]
+        # the trivial theta-orbifold closes Gamma~ and extends it to N(Gamma~)
+        quotient, _ = dihedral.exceptional_isom()
+        assert [len(G) for G in closed[len(points):]] == [8]
+        # the labels and table of N(Gamma~)'s former closure from the identity
+        gamma_raw = closed[-1]
+        former = oracles.breadth_first_group(
+            [(Q_S, Q_S), (Q_W, Q_W), (Q_ONE, -Q_ONE)],
+            gamma_raw.identity, gamma_raw.mul, gamma_raw._inv,
+        )
+        expected = oracles.quotient(former, gamma_raw)
+        assert quotient.elements == expected.elements
+        assert [[quotient.mul(a, b) for b in quotient] for a in quotient] == [
+            [expected.mul(a, b) for b in expected] for a in expected
+        ]
         assert verify.check_triangle_orders()[0] and verify.check_triangle_images()[0]
-        assert len(closed) > len(points) + 2
+        assert len(closed) > len(points) + 1
         octahedral = binary_octahedral()
         cyclic = [close([g], 48, identity=Q_ONE) for g in octahedral]
         for G in [octahedral, *cyclic, *closed]:
