@@ -20,8 +20,8 @@ def main():
     print(f"  |Gamma| = {len(G)} = 2*5*2*3, recognized as D{dihedral_degree(G)}")
     print(f"  certificate: {cert}")
 
-    N = normalizer(params, G)
-    print(f"  |N(Gamma)| = {len(N)}, index {len(N) // len(G)}")
+    Q = normalizer(params, G)  # N(Gamma)/Gamma, found from Gamma's cosets
+    print(f"  |N(Gamma)| = {len(G) * len(Q)}, index {len(Q)}")
 
     print("\n== isometry groups across the case table ==")
     for r_text, d1, d2 in [("2/7", 1, 3), ("4/15", 1, 1), ("5/12", 1, 1), ("3/10", 1, 1)]:

@@ -19,15 +19,14 @@ so each is A x| <J> for a finite subgroup A of the torus (Q/Z)^2.
 and the quotient N/Gamma = A_N/A_Gamma come from 2x2 Hermite forms, and only
 the certificate's element orders and four coset labels are formed as
 isometries.  The orders are read from their known multiples n and 2 in
-O(log n) products, from the primes of p, d1 and d2.  ``gamma`` and
-``normalizer`` close the groups coset by coset (``groups.extend``), N(Gamma)
-from Gamma, so ``FinGroup.quotient`` reads N(Gamma)/Gamma from the cosets
-the extension listed; the verification checks use them as the independent
-evidence.  The labels are built, not merely matched: ``torus_quotient``
-runs the coset search of ``normalizer``'s extension itself, with a lattice
-key in place of each membership test, so it names every coset by the
-representative that starts it in the closure, which is the label
-``FinGroup.quotient`` reads.
+O(log n) products, from the primes of p, d1 and d2.  ``gamma`` closes
+Gamma coset by coset (``groups.extend``), and ``normalizer`` finds
+N(Gamma)/Gamma from Gamma's cosets (``FinGroup.quotient``) without listing
+N(Gamma); the verification checks use them as the independent evidence.
+The labels are built, not merely matched: ``torus_quotient`` runs
+``FinGroup.quotient``'s coset search itself, with a lattice key in place of
+each membership test, so it names every coset by the representative that
+starts it there.
 """
 
 from __future__ import annotations
@@ -189,16 +188,15 @@ def gamma(params: DihedralParams) -> tuple[FinGroup, Mapping]:
 
 
 def normalizer(params: DihedralParams, group: FinGroup) -> FinGroup:
-    """N(Gamma) = <L(k1/2pd2, k2/2pd1), L(1/2,0), L(0,1/2), J>, verified by
-    ``FinGroup.is_normal`` to normalize ``group``, the Gamma of ``params``
+    """N(Gamma)/Gamma for N(Gamma) = <L(k1/2pd2, k2/2pd1), L(1/2,0),
+    L(0,1/2), J>, verified to normalize ``group``, the Gamma of ``params``
     (ArithmeticError otherwise).
 
-    The closure extends ``group`` coset by coset by the four generators at
-    once (``groups.extend``), and ``group`` stays its ``base``, so
-    ``quotient(group)`` reads the cosets the extension listed.  The
-    generators contain f, their first squared, so the group is theirs
-    alone, and they are its ``gens``.  Defined away from (d1, d2) = (1, 1)
-    and the trivial theta-orbifold.
+    The quotient is ``group.quotient`` of the four generators: coset
+    representatives found from Gamma's cosets, N(Gamma) never listed, and
+    |N(Gamma)| = |Gamma| * |quotient| (GroupOverflow past 16n).  The
+    generators contain f, their first squared, so N(Gamma) is theirs alone.
+    Defined away from (d1, d2) = (1, 1) and the trivial theta-orbifold.
     """
     r, d1, d2 = params.r, params.d1, params.d2
     if (d1, d2) == (1, 1):
@@ -208,13 +206,12 @@ def normalizer(params: DihedralParams, group: FinGroup) -> FinGroup:
             "the trivial theta-orbifold is exceptional; use exceptional_isom()"
         )
     declared = (*_normalizer_rotations(params), J)
-    closed = extend(group, declared, 16 * params.n)
-    norm = FinGroup(closed.elements, ISOM_ID, gens=declared, base=group)
-    if not norm.is_normal(group):
+    try:
+        return group.quotient(declared, 16 * params.n)
+    except ValueError as err:
         raise ArithmeticError(
             f"claimed N(Gamma) of ({r};{d1},{d2}) fails to normalize Gamma"
-        )
-    return norm
+        ) from err
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +299,11 @@ def torus_quotient(a_gamma: TorusLattice, rotations, n: int) -> FinGroup:
     J lies in Gamma, so two elements lie in one coset of Gamma exactly when
     their torus vectors have the same key mod A_Gamma.
 
-    The labels replay ``normalizer``'s coset search (``groups.extend``
-    from Gamma) on keys: representatives from ISOM_ID, each times
+    The labels replay ``normalizer``'s coset search (``FinGroup.quotient``
+    of Gamma) on keys: representatives from ISOM_ID, each times
     (*rotations, J) in turn, a product starting a new coset exactly when
-    its key is new, up to the fourth coset.  ``extend`` also tries Gamma's
-    own generators f and J first, but those never leave the coset of the
-    normal subgroup Gamma they start from.  Each new coset is listed from
-    its representative, so the labels are those ``FinGroup.quotient``
-    gives over the closure, by construction; the table comes from keys.
+    its key is new, up to the fourth coset.  So the labels are those
+    ``normalizer`` gives, by construction; the table comes from keys.
     """
     M = a_gamma.M
     a_norm = TorusLattice.spanned([torus_vector(g, M) for g in rotations], M)
@@ -363,16 +357,18 @@ def exceptional_isom() -> tuple[FinGroup, dict]:
     Gamma~ = <(i,i), (j,j)> has 8 elements, its normalizer is
     {(u, +-u) : u in O*} with 96 elements (image of order 48 in
     Isom+(S^3)), and the quotient N(Gamma~)/Gamma~ of order 12 is the
-    isometry group, recognized as D3 x Z2.  N(Gamma~) is closed by
-    extending Gamma~ coset by coset (``groups.extend``), so the quotient is
-    read from the 12 cosets the extension listed.
+    isometry group, recognized as D3 x Z2.  The quotient comes from
+    Gamma~'s cosets (``FinGroup.quotient``), and N(Gamma~) is listed by
+    extending Gamma~ coset by coset (``groups.extend``) only to count its
+    pairs and isometries.
     """
     one = (Q_ONE, Q_ONE)
     gamma_raw = close(
         [(Q_I, Q_I), (Q_J, Q_J)], 16, identity=one, mul=_pair_mul, inv=_pair_inv
     )
-    n_raw = extend(gamma_raw, [(Q_S, Q_S), (Q_W, Q_W), (Q_ONE, -Q_ONE)], 192)
-    quotient = n_raw.quotient(gamma_raw)
+    generators = [(Q_S, Q_S), (Q_W, Q_W), (Q_ONE, -Q_ONE)]
+    quotient = gamma_raw.quotient(generators, 192)
+    n_raw = extend(gamma_raw, generators, 192)
     isometry_classes = {
         min((g[0].key(), g[1].key()), ((-g[0]).key(), (-g[1]).key())) for g in n_raw
     }

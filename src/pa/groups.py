@@ -1,7 +1,8 @@
 """Finite groups as closed element sets: extension of a closed subgroup
 coset by coset (closure is extension of the trivial group), normality,
-quotients read from an extension's cosets, recognition, powers by
-square-and-multiply, and element orders from a known multiple.
+quotients <H, gens>/H from the cosets of the normal subgroup H without
+listing <H, gens>, recognition, powers by square-and-multiply, and element
+orders from a known multiple.
 
 The layer is generic over the element model: elements are hashable values,
 products come from a ``mul`` callable (the ``*`` operator by default) and
@@ -27,19 +28,14 @@ class FinGroup:
     to the ``*`` operator and an ``.inv()`` method).  The element list keeps
     deterministic construction order and begins with the identity
     (ValueError otherwise).  ``gens`` defaults to the elements themselves.
-    ``base`` is the subgroup H this group was built from by ``extend``, its
-    elements listed as the right cosets H*z, one contiguous block of |H|
-    each; None for a group given by its element list.  Elements and
-    generators are tuples, so a group never changes once built.
+    Elements and generators are tuples, so a group never changes once
+    built.
     """
 
-    def __init__(
-        self, elements, identity, mul=operator.mul, inv=None, gens=None, base=None
-    ):
+    def __init__(self, elements, identity, mul=operator.mul, inv=None, gens=None):
         self.elements = tuple(elements)
         self.gens = self.elements if gens is None else tuple(gens)
-        self.base = base
-        self._index = dict(zip(self.elements, range(len(self.elements))))
+        self._set = frozenset(self.elements)
         self.identity = identity
         self.mul = mul
         self._inv = inv
@@ -53,7 +49,7 @@ class FinGroup:
         return iter(self.elements)
 
     def __contains__(self, g):
-        return g in self._index
+        return g in self._set
 
     def inv(self, g):
         if self._inv is not None:
@@ -76,18 +72,18 @@ class FinGroup:
             if all(self.mul(a, b) == self.mul(b, a) for b in self.elements)
         ]
 
-    def is_normal(self, H: "FinGroup") -> bool:
-        """Whether x*s*x^-1 lies in H for every generator x of this group
-        and every generator s of its subgroup H.
+    def normalized_by(self, gens) -> bool:
+        """Whether x*s*x^-1 lies in this group H for every x in ``gens``
+        and every generator s of H: whether H is normal in <H, gens>.
 
-        That is the same as H being normal: conjugation by x is an
-        automorphism, so x*H*x^-1 = <x*s*x^-1 : s in gens(H)>, which lies in
-        H exactly when the conjugated generators do, and then equals H
-        since both have |H| elements.  Every element of this group is a
-        product of its generators, so it conjugates H onto H as well.
+        Conjugation by x is an automorphism, so x*H*x^-1 = <x*s*x^-1 : s in
+        gens(H)>, which lies in H exactly when the conjugated generators do,
+        and then equals H since both have |H| elements.  Every element of
+        <H, gens> is a product of H's elements and ``gens``, so it
+        conjugates H onto H as well.
         """
         return all(
-            self.mul(self.mul(x, s), self.inv(x)) in H for x in self.gens for s in H.gens
+            self.mul(self.mul(x, s), self.inv(x)) in self for x in gens for s in self.gens
         )
 
     def are_conjugate(self, g, h) -> bool:
@@ -95,32 +91,62 @@ class FinGroup:
             self.mul(self.mul(x, g), self.inv(x)) == h for x in self.elements
         )
 
-    def quotient(self, H: "FinGroup") -> "FinGroup":
-        """The quotient by the normal subgroup H this group extends, as a
-        group of coset labels.
+    def quotient(self, gens, bound=10**5) -> "FinGroup":
+        """<H, gens>/H for this group H, normal in <H, gens>, as a group of
+        right-coset representatives; |<H, gens>| = |H| * |quotient|, and
+        <H, gens> is never listed.
 
-        Raises ValueError unless H is this group's ``base`` and passes
-        ``is_normal``.  ``extend`` listed the cosets as contiguous blocks of
-        |H| elements, the right cosets H*z, which for a normal H are the left
-        cosets z*H; each is labeled by its first element, so the element at
-        position i has the label at position i - i % |H|.  Only the |Q| x |Q|
-        table entries and the |Q| inverses are formed as products.  The
-        quotient keeps that table and the inverses, and no reference to this
-        group, H or the position index.
+        Raises ValueError unless ``normalized_by(gens)`` holds, tested
+        before anything else, and GroupOverflow when |H| times the number of
+        cosets would pass ``bound``.  The cosets are those of ``extend``'s
+        search: each representative y in turn, in the order found, times
+        ``gens``.  H's own generators are skipped, as for a normal H
+        y*h = (y*h*y^-1)*y lies in H*y.  A product z lies in the coset H*r
+        of the first representative r with z*r^-1 in H (for r = 1 the test
+        is z in H, with no product), or else starts the coset H*z; the
+        coset each (representative, generator) pair reaches is kept.  The
+        table then needs no product: a representative b = y*s found from y
+        lies in the coset of r*s for the representative r of a*y's coset,
+        so the coset of a*b is read from the kept action, y coming before
+        b.  The quotient keeps that table and the inverses, and no
+        reference to H.
         """
-        if H is not self.base:
-            raise ValueError("not the subgroup this group extends")
-        if not self.is_normal(H):
+        gens = tuple(gens)
+        if not self.normalized_by(gens):
             raise ValueError("not a normal subgroup")
-        size, elements, index = len(H), self.elements, self._index
-
-        def label(g):
-            i = index[g]
-            return elements[i - i % size]
-
-        reps = elements[::size]
-        table = {(a, b): label(self.mul(a, b)) for a in reps for b in reps}
-        inverse = {a: label(self.inv(a)) for a in reps}
+        mul, size = self.mul, len(self.elements)
+        reps, inverses = [self.identity], [self.identity]
+        found_from = [None]  # (y, s): the indices with reps[b] = reps[y] * gens[s]
+        action = []  # action[y][s]: the coset of reps[y] * gens[s]
+        for y, rep in enumerate(reps):  # grows while it is read: breadth-first
+            row = []
+            for s, x in enumerate(gens):
+                z = mul(rep, x)
+                if z in self:
+                    row.append(0)
+                    continue
+                for c in range(1, len(reps)):
+                    if mul(z, inverses[c]) in self:
+                        row.append(c)
+                        break
+                else:
+                    if size * (len(reps) + 1) > bound:
+                        raise GroupOverflow(f"closure exceeds bound {bound}")
+                    row.append(len(reps))
+                    reps.append(z)
+                    inverses.append(self.inv(z))
+                    found_from.append((y, s))
+            action.append(row)
+        cosets = []  # cosets[a][b]: the coset of reps[a] * reps[b]
+        for a in range(len(reps)):
+            row = [a]
+            for y, s in found_from[1:]:
+                row.append(action[row[y]][s])
+            cosets.append(row)
+        table = {
+            (reps[a], reps[b]): reps[c] for a, row in enumerate(cosets) for b, c in enumerate(row)
+        }
+        inverse = {reps[a]: reps[row.index(0)] for a, row in enumerate(cosets)}
         qmul = lambda a, b: table[a, b]
         return FinGroup(reps, self.identity, mul=qmul, inv=inverse.__getitem__)
 
@@ -158,9 +184,8 @@ def extend(H: FinGroup, gens, bound=10**5) -> FinGroup:
     generator) pair one product and one membership test; in a finite group
     closure under the generators suffices, as inverses are positive
     powers.  The result lists H's elements first and records H's
-    generators followed by ``gens`` as its ``gens``, and H as its
-    ``base``, so ``quotient(H)`` reads the cosets from the blocks.  From the
-    trivial group the cosets are single elements and the search is the
+    generators followed by ``gens`` as its ``gens``.  From the trivial
+    group the cosets are single elements and the search is the
     breadth-first closure of ``close``.
 
     Raises GroupOverflow when more than ``bound`` elements appear.
@@ -186,7 +211,7 @@ def extend(H: FinGroup, gens, bound=10**5) -> FinGroup:
                 elements += coset
                 seen.update(coset)
             reps.append(z)
-    return FinGroup(elements, H.identity, mul=mul, inv=H._inv, gens=search, base=H)
+    return FinGroup(elements, H.identity, mul=mul, inv=H._inv, gens=search)
 
 
 def power(g, e: int, mul=operator.mul):

@@ -57,8 +57,9 @@ def _coprime_pairs(d_max: int) -> list[tuple[int, int]]:
 #
 # Checks 1-3 walk the same points q/p (p <= 8), (d1, d2) coprime (d <= 4):
 # check 1 every point, checks 2 and 3 the points away from (1, 1) and the
-# trivial theta.  The pass closes each point's Gamma, and there N(Gamma),
-# once, and hands the point to the predicates of the checks still open.
+# trivial theta.  The pass closes each point's Gamma, and there finds
+# N(Gamma)/Gamma from Gamma's cosets, once, and hands the point to the
+# predicates of the checks still open.
 
 
 def _table(quotient: groups.FinGroup) -> list[list]:
@@ -87,12 +88,9 @@ class _Point:
         return dihedral.gamma(self.params)
 
     @cached_property
-    def normalizer(self) -> groups.FinGroup:
-        return dihedral.normalizer(self.params, self.gamma[0])
-
-    @cached_property
     def quotient(self) -> groups.FinGroup:
-        return self.normalizer.quotient(self.gamma[0])
+        """N(Gamma)/Gamma from Gamma's cosets; N(Gamma) is never listed."""
+        return dihedral.normalizer(self.params, self.gamma[0])
 
     @cached_property
     def tag(self) -> str:
@@ -154,14 +152,16 @@ def _isometry_fault(point: _Point) -> dict | None:
 
 
 def _normalizer_fault(point: _Point) -> dict | None:
-    """Criterion 3: the claimed N(Gamma) normalizes Gamma and has order 8n."""
-    point.gamma  # an ArithmeticError in Gamma itself is no normalizer fault
+    """Criterion 3: the claimed N(Gamma) normalizes Gamma and has order
+    |Gamma| * |N(Gamma)/Gamma| = 8n."""
+    group, _ = point.gamma  # an ArithmeticError in Gamma itself is no normalizer fault
     try:
-        group = point.normalizer
+        quotient = point.quotient
     except ArithmeticError as err:
         return {"point": point.name, "error": str(err)}
-    if len(group) != 8 * point.params.n:
-        return {"point": point.name, "order": len(group)}
+    order = len(group) * len(quotient)
+    if order != 8 * point.params.n:
+        return {"point": point.name, "order": order}
     if not point.lattice_agrees(True):
         return {"point": point.name, "lattice": "disagrees"}
     return None

@@ -9,9 +9,10 @@ lattices, breadth-first closures instead of coset-by-coset extension,
 element orders by walking the powers instead of from a known multiple, one
 sweep per check instead of one shared pass, rescans and rebuilt lists
 instead of kept indices, one letter at a time instead of runs by
-square-and-multiply, quotient labels from products instead of from an
-extension's coset blocks, a cycle walked twice instead of once), so
-agreement between the two is meaningful evidence.
+square-and-multiply, quotient labels from products or from an
+extension's listed coset blocks instead of from the cosets of the normal
+subgroup alone, a cycle walked twice instead of once), so agreement between
+the two is meaningful evidence.
 """
 
 import operator
@@ -592,22 +593,23 @@ def breadth_first_group(gens, identity, mul=operator.mul, inv=None):
     return groups.FinGroup(elements, identity, mul=mul, inv=inv, gens=gens)
 
 
-# Quotients labelled by products, and dihedral recognition walking each
-# cycle twice: the first forms of ``FinGroup.quotient`` and
+# Quotients labelled by products or read from an extension's listed coset
+# blocks, and dihedral recognition walking each cycle twice: the first two
+# forms of ``FinGroup.quotient`` and the first form of
 # ``groups.dihedral_degree``.
 
 
 def quotient(G, H):
     """G/H for any normal subgroup H of G, as a group of coset labels.
 
-    Raises ValueError unless H's generators lie in G and H passes
-    ``G.is_normal``.  Each coset is labeled by its first element in G's
+    Raises ValueError unless H's generators lie in G and H is normalized
+    by G's generators.  Each coset is labeled by its first element in G's
     element order, found by labelling g*h for every h in H from each
     unlabelled g: one product per element of G.
     """
     if not all(s in G for s in H.gens):
         raise ValueError("not a subset")
-    if len(G) % len(H) != 0 or not G.is_normal(H):
+    if len(G) % len(H) != 0 or not H.normalized_by(G.gens):
         raise ValueError("not a normal subgroup")
     label = {}
     reps = []
@@ -621,6 +623,34 @@ def quotient(G, H):
     inverse = {a: label[G.inv(a)] for a in reps}
     qmul = lambda a, b: table[a, b]
     return groups.FinGroup(reps, label[G.identity], mul=qmul, inv=inverse.__getitem__)
+
+
+def block_quotient(G, H):
+    """G/H for G = ``groups.extend(H, gens)`` and H normal in G, read from
+    the cosets the extension listed.
+
+    Raises ValueError unless G lists H's elements first and H is normalized
+    by G's generators.  ``extend`` lists the right cosets H*z as contiguous
+    blocks of |H| elements, each from its first element, so the element at
+    position i has the label at position i - i % |H|.  Only the |Q| x |Q|
+    table entries and the |Q| inverses are formed as products.
+    """
+    size, elements = len(H), G.elements
+    if elements[:size] != H.elements or len(G) % size != 0:
+        raise ValueError("not the subgroup this group extends")
+    if not H.normalized_by(G.gens):
+        raise ValueError("not a normal subgroup")
+    index = {g: i for i, g in enumerate(elements)}
+
+    def label(g):
+        i = index[g]
+        return elements[i - i % size]
+
+    reps = elements[::size]
+    table = {(a, b): label(G.mul(a, b)) for a in reps for b in reps}
+    inverse = {a: label(G.inv(a)) for a in reps}
+    qmul = lambda a, b: table[a, b]
+    return groups.FinGroup(reps, G.identity, mul=qmul, inv=inverse.__getitem__)
 
 
 def dihedral_degree(G):
@@ -690,7 +720,7 @@ def closure_normalizer(params, group):
     ``group``."""
     r, d1, d2 = params.r, params.d1, params.d2
     norm = breadth_first_group([*dihedral._normalizer_rotations(params), J], ISOM_ID)
-    if not norm.is_normal(group):
+    if not group.normalized_by(norm.gens):
         raise ArithmeticError(f"claimed N(Gamma) of ({r};{d1},{d2}) fails to normalize Gamma")
     return norm
 

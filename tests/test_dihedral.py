@@ -34,6 +34,7 @@ from pa.dihedral import (
 )
 from pa.groups import (
     FinGroup,
+    GroupOverflow,
     close,
     dihedral_degree,
     extend,
@@ -173,19 +174,20 @@ class TestGamma:
 
 class TestNormalizer:
     def test_frozen_orders(self):
+        # normalizer returns N(Gamma)/Gamma; |N(Gamma)| = |Gamma| * |Q|,
+        # against the closure listed element by element
         params = params_for(slope("1/3"), 1, 2)
         G, _ = gamma(params)
-        N = normalizer(params, G)
-        assert len(N) == 48
-        Q = N.quotient(G)
+        Q = normalizer(params, G)
+        assert len(G) * len(Q) == len(oracles.closure_normalizer(params, G)) == 48
         assert len(Q) == 4
         assert recognize(Q) == TAG_Z2SQ
 
         params = params_for(slope("0/1"), 1, 3)
         G, _ = gamma(params)
-        N = normalizer(params, G)
-        assert len(N) == 24
-        assert len(N.quotient(G)) == 4
+        Q = normalizer(params, G)
+        assert len(G) * len(Q) == len(oracles.closure_normalizer(params, G)) == 24
+        assert len(Q) == 4
 
     def test_index_is_four_sweep(self):
         for r, d1, d2 in _sweep(4, 3):
@@ -193,23 +195,25 @@ class TestNormalizer:
                 continue
             params = params_for(r, d1, d2)
             G, _ = gamma(params)
-            N = normalizer(params, G)
-            assert len(N) == 8 * params.n
+            Q = normalizer(params, G)
+            N = oracles.closure_normalizer(params, G)
+            assert len(G) * len(Q) == len(N) == 8 * params.n
             assert all(g in N for g in G)
-            Q = N.quotient(G)
             assert len(Q) == 4
             assert all(Q.element_order(x) <= 2 for x in Q)
 
     def test_generators_conjugate_all_of_gamma_sweep(self):
-        # The form of the normality check before FinGroup.is_normal: each
-        # normalizer generator conjugates every element of Gamma into Gamma.
+        # The form of the normality check before FinGroup.normalized_by:
+        # each normalizer generator conjugates every element of Gamma into
+        # Gamma; normalizer accepts the same generators.
         for r, d1, d2 in _sweep(4, 3):
             if (d1, d2) == (1, 1) or is_trivial_theta(r, d1, d2):
                 continue
             params = params_for(r, d1, d2)
             G, _ = gamma(params)
-            N = normalizer(params, G)
-            assert len(N.gens) == 4
+            assert len(normalizer(params, G)) == 4
+            N = oracles.closure_normalizer(params, G)
+            assert N.gens == (*_normalizer_rotations(params), J)
             assert oracles.normal_by_all_elements(
                 N.gens, G, lambda a, b: a * b, lambda a: a.inv()
             ), (r, d1, d2)
@@ -232,8 +236,8 @@ class TestNormalizer:
             L_(0, half),
             J_,
         ]
-        N = normalizer(params, gamma(params)[0])
-        assert oracles.closure_count(n_gens, mul, identity) == len(N)
+        G = gamma(params)[0]
+        assert oracles.closure_count(n_gens, mul, identity) == len(G) * len(normalizer(params, G))
 
     def test_rejects_a_subgroup_it_does_not_normalize(self):
         # <J> is not normal in N(Gamma): conjugating J by the first
@@ -264,8 +268,8 @@ class TestExceptional:
         assert recognize(quotient) == TAG_D3xZ2
 
     def test_all_96_pairs_normalize_gamma(self):
-        # The form of the normality check before FinGroup.is_normal: every
-        # one of the 96 raw pairs conjugates all of Gamma~ onto itself.
+        # The form of the normality check before FinGroup.normalized_by:
+        # every one of the 96 raw pairs conjugates all of Gamma~ onto itself.
         mul = lambda a, b: (a[0] * b[0], a[1] * b[1])
         inv = lambda a: (a[0].inv(), a[1].inv())
         one = (Q_ONE, Q_ONE)
@@ -275,7 +279,7 @@ class TestExceptional:
         )
         assert (len(gamma_raw), len(n_raw)) == (8, 96)
         assert oracles.normal_by_all_elements(n_raw, gamma_raw, mul, inv)
-        assert n_raw.is_normal(gamma_raw)
+        assert gamma_raw.normalized_by(n_raw.gens)
 
 
 class TestIsomPlus:
@@ -322,9 +326,7 @@ class TestOrbifold:
         record = orbifold(r, 2, 3)
         assert record.params == params
         assert record.cert == cert
-        assert group_to_json(record.quotient) == group_to_json(
-            normalizer(params, G).quotient(G)
-        )
+        assert group_to_json(record.quotient) == group_to_json(normalizer(params, G))
         # the same elements; the breadth-first closure lists them otherwise
         _, group, _, _, _ = oracles.closure_orbifold(r, 2, 3)
         assert len(group) == len(G) and set(group) == set(G)
@@ -345,10 +347,11 @@ def _table(quotient):
 
 
 class TestCosetByCoset:
-    """``gamma`` and ``normalizer`` close coset by coset (``groups.extend``)
-    and the certificate reads order(f) from its multiple n; the breadth-first
-    closures and the walk over the powers are the reference at every point
-    of the sweep of checks 1-3."""
+    """``gamma`` closes coset by coset (``groups.extend``), ``normalizer``
+    finds N(Gamma)/Gamma from Gamma's cosets, and the certificate reads
+    order(f) from its multiple n; the breadth-first closures and the walk
+    over the powers are the reference at every point of the sweep of checks
+    1-3."""
 
     def test_agrees_with_breadth_first_sweep(self):
         quotients = 0
@@ -363,12 +366,15 @@ class TestCosetByCoset:
             assert order_from_multiple(f, params.n, primes, ISOM_ID) == oracles.isom_order(f)
             if (d1, d2) == (1, 1) or is_trivial_theta(r, d1, d2):
                 continue
-            N = normalizer(params, G)
+            declared = (*_normalizer_rotations(params), J)
+            Q = normalizer(params, G)
+            N = extend(G, declared, 16 * params.n)
             reference_n = oracles.closure_normalizer(params, reference)
-            assert len(N) == len(reference_n) and set(N) == set(reference_n), (r, d1, d2)
-            assert N.gens == reference_n.gens
+            assert len(G) * len(Q) == len(N) == len(reference_n), (r, d1, d2)
+            assert set(N) == set(reference_n), (r, d1, d2)
+            assert N.gens == (*G.gens, *reference_n.gens)
             # the same coset labels, in the same order, and the same table
-            Q, reference_q = N.quotient(G), oracles.quotient(reference_n, reference)
+            reference_q = oracles.quotient(reference_n, reference)
             assert Q.elements == reference_q.elements, (r, d1, d2)
             assert _table(Q) == _table(reference_q), (r, d1, d2)
             quotients += 1
@@ -400,9 +406,11 @@ class TestCosetByCoset:
 
 
 class TestQuotientFromCosets:
-    """``FinGroup.quotient`` reads N(Gamma)/Gamma from the coset blocks that
-    ``groups.extend`` listed, and ``dihedral_degree`` walks each cycle once;
-    the product-labelling quotient and the two-walk recognition of
+    """``normalizer`` finds N(Gamma)/Gamma from Gamma's cosets
+    (``FinGroup.quotient``) without listing N(Gamma), and
+    ``dihedral_degree`` walks each cycle once; the product-labelling
+    quotient over the breadth-first closure, the quotient read from the
+    blocks ``groups.extend`` listed and the two-walk recognition of
     ``oracles`` are the reference."""
 
     @staticmethod
@@ -417,23 +425,38 @@ class TestQuotientFromCosets:
         for r, d1, d2 in oracles._criterion2_points():
             params = params_for(r, d1, d2)
             G, _ = gamma(params)
-            N = normalizer(params, G)
-            assert N.base is G
-            self.assert_same_quotient(N.quotient(G), oracles.quotient(N, G), (r, d1, d2))
+            Q = normalizer(params, G)
+            closure = oracles.closure_normalizer(params, G)
+            listed = extend(G, (*_normalizer_rotations(params), J), 16 * params.n)
+            assert len(G) * len(Q) == len(closure) == len(listed), (r, d1, d2)
+            self.assert_same_quotient(Q, oracles.quotient(closure, G), (r, d1, d2))
+            self.assert_same_quotient(Q, oracles.block_quotient(listed, G), (r, d1, d2))
             quotients += 1
         assert quotients == 218
         gamma_raw = close(
             [(Q_I, Q_I), (Q_J, Q_J)], 16, identity=(Q_ONE, Q_ONE),
             mul=dihedral._pair_mul, inv=dihedral._pair_inv,
         )
-        n_raw = extend(gamma_raw, [(Q_S, Q_S), (Q_W, Q_W), (Q_ONE, -Q_ONE)], 192)
-        theta = n_raw.quotient(gamma_raw)
-        self.assert_same_quotient(theta, oracles.quotient(n_raw, gamma_raw), "theta")
+        generators = [(Q_S, Q_S), (Q_W, Q_W), (Q_ONE, -Q_ONE)]
+        theta = gamma_raw.quotient(generators, 192)
+        closure = oracles.breadth_first_group(
+            generators, gamma_raw.identity, gamma_raw.mul, gamma_raw._inv
+        )
+        listed = extend(gamma_raw, generators, 192)
+        assert len(gamma_raw) * len(theta) == len(closure) == len(listed) == 96
+        self.assert_same_quotient(theta, oracles.quotient(closure, gamma_raw), "theta")
+        self.assert_same_quotient(theta, oracles.block_quotient(listed, gamma_raw), "theta")
         self.assert_same_quotient(exceptional_isom()[0], theta, "theta")
 
     def test_quotient_forms_no_product_per_element(self, monkeypatch):
-        # |Q|^2 table entries, |Q| inverses and the is_normal conjugations,
-        # whatever n: the same count at n = 4 and n = 195.
+        # The same count whatever n: at n = 4 and n = 195 (and at each of
+        # the 218 points of checks 1-3), 53 products and 11 inverses.  The
+        # normality test conjugates Gamma's 2 generators by the 4 declared
+        # ones (16 products, 8 inverses), the search multiplies each of the
+        # 4 representatives by each generator (16 products) and tests the
+        # products outside Gamma against the representatives after the
+        # identity (21 products z*r^-1, with one inverse for each of the 3
+        # new representatives), and the table forms none.
         calls = []
         mul, inv = Isom3.__mul__, Isom3.inv
 
@@ -444,19 +467,30 @@ class TestQuotientFromCosets:
         for point in ((slope("0/1"), 1, 4), (slope("1/13"), 3, 5)):
             params = params_for(*point)
             G, _ = gamma(params)
-            N = normalizer(params, G)
             monkeypatch.setattr(Isom3, "__mul__", counted("mul", mul))
             monkeypatch.setattr(Isom3, "inv", counted("inv", inv))
-            Q = N.quotient(G)
+            Q = normalizer(params, G)
             monkeypatch.undo()
             counts[params.n] = (calls.count("mul"), calls.count("inv"))
             calls.clear()
-            assert len(Q) == 4 and len(N) == 8 * params.n
-        conjugations = len(N.gens) * len(G.gens)
+            assert len(Q) == 4 and len(G) == 2 * params.n
+        conjugations = 4 * len(G.gens)
         assert counts == {
-            4: (4 * 4 + 2 * conjugations, 4 + conjugations),
-            195: (4 * 4 + 2 * conjugations, 4 + conjugations),
+            4: (2 * conjugations + 4 * 4 + 21, conjugations + 3),
+            195: (2 * conjugations + 4 * 4 + 21, conjugations + 3),
         }
+
+    def test_bound_admits_exactly_the_normalizer_order(self):
+        # |Gamma| * |Q| = 8n must fit the bound: at 8n the quotient passes,
+        # at 8n - 1 the fourth coset raises GroupOverflow.
+        for point in ((slope("2/5"), 2, 3), (slope("0/1"), 1, 4), (slope("3/8"), 3, 1)):
+            params = params_for(*point)
+            G, _ = gamma(params)
+            declared = (*_normalizer_rotations(params), J)
+            order = 8 * params.n
+            assert len(G.quotient(declared, order)) == 4
+            with pytest.raises(GroupOverflow, match=f"^closure exceeds bound {order - 1}$"):
+                G.quotient(declared, order - 1)
 
     def test_dihedral_degree_agrees_with_two_walks(self):
         # every check-1 Gamma (D_1 and D_2 among them), the binary octahedral
@@ -584,7 +618,7 @@ class TestTorusModel:
         with pytest.raises(ArithmeticError, match="fails to normalize"):
             torus_quotient(a_gamma, [f, quarter], params.n)
         assert len(close([f, quarter, J])) == 8 * params.n
-        assert not close([f, quarter, J]).is_normal(gamma(params)[0])
+        assert not gamma(params)[0].normalized_by([f, quarter, J])
         # Too small a claimed normalizer: <L(1/2,0), L(0,1/2), J> misses f.
         with pytest.raises(ArithmeticError, match="fails to normalize"):
             torus_quotient(a_gamma, _normalizer_rotations(params)[1:], params.n)

@@ -262,7 +262,11 @@ class TestIsom3:
         assert len(G) == 8
         assert antipodal in G.center()
         A = close([antipodal], 4)
-        for quotient in (oracles.quotient(G, A), extend(A, [J, J1], 16).quotient(A)):
+        for quotient in (
+            oracles.quotient(G, A),
+            oracles.block_quotient(extend(A, [J, J1], 16), A),
+            A.quotient([J, J1], 16),
+        ):
             assert len(quotient) == 4
             assert recognize(quotient) == "(Z2)^2"
 
@@ -410,48 +414,117 @@ class TestFinGroup:
 
     def test_quotient(self):
         S = close([L(Fraction(1, 2), 0)])
-        G = extend(S, [L(Fraction(1, 4), 0)])
-        assert G.base is S and len(G) == 4
-        Q = G.quotient(S)
+        Q = S.quotient([L(Fraction(1, 4), 0)])
+        assert len(S) * len(Q) == len(extend(S, [L(Fraction(1, 4), 0)])) == 4
         assert len(Q) == 2
         assert recognize(Q) == "Z2"
 
     def test_quotient_does_not_keep_its_group_alive(self):
-        # A quotient multiplies through its own table over the coset labels:
-        # nothing it holds reaches the group, its base or its position index.
+        # A quotient multiplies through its own table over the coset
+        # representatives: nothing it holds reaches the subgroup or its
+        # element set.
         H = close([L(Fraction(1, 2), 0)])
-        G = extend(H, [L(Fraction(1, 4), 0), J])
-        group_ref, base_ref, index = weakref.ref(G), weakref.ref(H), G._index
-        Q = G.quotient(H)
-        assert all(obj is not index for obj in _reachable(Q))
-        del G, H
+        subgroup_ref, members = weakref.ref(H), H._set
+        Q = H.quotient([L(Fraction(1, 4), 0), J])
+        assert all(obj is not members for obj in _reachable(Q))
+        del H
         gc.collect()
-        assert group_ref() is None and base_ref() is None
+        assert subgroup_ref() is None
         assert len(Q) == 4
         assert recognize(Q) == "(Z2)^2"
         assert all(Q.mul(x, Q.inv(x)) == Q.identity for x in Q)
 
     def test_quotient_rejects_non_subgroup(self):
-        # Only the group's base: not a subgroup outside it, and not a group
-        # equal to the base but built apart from it.
+        # The quotient is taken by the group it is called on, so no other
+        # subgroup can be passed; the block oracle reads only the group an
+        # extension lists first, and the product oracle only a subset.
         S = close([L(Fraction(1, 2), 0)])
         G = extend(S, [L(Fraction(1, 4), 0)])
-        for H in (close([J]), close([L(Fraction(1, 2), 0)]), G):
+        assert oracles.block_quotient(G, S).elements == S.quotient(G.gens).elements
+        for H in (close([J]), close([L(Fraction(1, 2), 0), J]), close([L(Fraction(1, 4), 0)])):
             with pytest.raises(ValueError, match="not the subgroup this group extends"):
-                G.quotient(H)
-        with pytest.raises(ValueError, match="not the subgroup this group extends"):
-            FinGroup(G.elements, ISOM_ID).quotient(S)
+                oracles.block_quotient(G, H)
         with pytest.raises(ValueError, match="not a subset"):
             oracles.quotient(G, close([J]))
+        # generators inside the subgroup give the trivial quotient
+        assert S.quotient(S.gens).elements == (ISOM_ID,)
 
     def test_quotient_rejects_non_normal_subgroup(self):
         H = close([J])
-        G = extend(H, [L(Fraction(1, 4), Fraction(1, 2))])
-        assert len(G) == 8 and G.base is H
+        x = L(Fraction(1, 4), Fraction(1, 2))
+        G = extend(H, [x])
+        assert len(G) == 8
+        for quotient in (
+            lambda: H.quotient([x]),
+            lambda: oracles.quotient(G, H),
+            lambda: oracles.block_quotient(G, H),
+        ):
+            with pytest.raises(ValueError, match="not a normal subgroup"):
+                quotient()
+
+    def test_quotient_raises_before_any_search_product(self):
+        # L(1/4,0)*J*L(-1/4,0) = L(1/2,0)*J lies outside Gamma: the products
+        # formed are the conjugations up to that one, and no product of the
+        # coset search.
+        params = dihedral.params_for(Fraction(2, 5), 2, 3)
+        f, quarter = dihedral._rotation(params), L(Fraction(1, 4), 0)
+        G, _ = dihedral.gamma(params)
+        products = []
+
+        def recording(a, b):
+            products.append((a, b))
+            return a * b
+
+        H = FinGroup(G.elements, ISOM_ID, mul=recording, gens=G.gens)
         with pytest.raises(ValueError, match="not a normal subgroup"):
-            G.quotient(H)
-        with pytest.raises(ValueError, match="not a normal subgroup"):
-            oracles.quotient(G, H)
+            H.quotient([f, quarter, J])
+        assert products == [
+            pair
+            for x in (f, quarter)
+            for s in (f, J)
+            for pair in ((x, s), (x * s, x.inv()))
+        ]
+
+    def test_quotient_of_trivial_group_is_closure(self):
+        # From the trivial group the cosets are single elements: the
+        # representatives are close's elements and the table is the product.
+        for gens, identity in (
+            ([Q_S, Q_W], Q_ONE),
+            ([Q_W], Q_ONE),
+            ([L(Fraction(1, 4), Fraction(1, 2)), J], ISOM_ID),
+            ([L(Fraction(1, 6), Fraction(1, 2)), J, J1], ISOM_ID),
+        ):
+            trivial = FinGroup([identity], identity, gens=())
+            Q = trivial.quotient(gens, 96)
+            G = close(gens, 96, identity=identity)
+            assert Q.elements == G.elements, gens
+            assert all(Q.mul(a, b) == a * b for a in Q for b in Q)
+            assert all(Q.inv(a) == a.inv() for a in Q)
+
+    def test_quotient_non_abelian(self):
+        # The binary octahedral group modulo <-1> (the octahedral rotation
+        # group, order 24) and the trivial theta-orbifold's D3 x Z2, against
+        # the product-labelling quotient over the closure.
+        minus_one = close([-Q_ONE], 4, identity=Q_ONE)
+        octahedral = binary_octahedral()
+        Q = minus_one.quotient(octahedral.gens, 48)
+        expected = oracles.quotient(octahedral, minus_one)
+        one = (Q_ONE, Q_ONE)
+        mul, inv = dihedral._pair_mul, dihedral._pair_inv
+        gamma_raw = close([(Q_I, Q_I), (Q_J, Q_J)], 16, identity=one, mul=mul, inv=inv)
+        generators = [(Q_S, Q_S), (Q_W, Q_W), (Q_ONE, -Q_ONE)]
+        theta = gamma_raw.quotient(generators, 192)
+        theta_expected = oracles.quotient(
+            oracles.breadth_first_group(generators, one, mul, inv), gamma_raw
+        )
+        for got, want, size in ((Q, expected, 24), (theta, theta_expected, 12)):
+            assert len(got) == size
+            assert got.elements == want.elements
+            table = [[got.mul(a, b) for b in got] for a in got]
+            assert table == [[want.mul(a, b) for b in want] for a in want]
+            assert [got.inv(g) for g in got] == [want.inv(g) for g in want]
+            assert any(got.mul(a, b) != got.mul(b, a) for a in got for b in got)
+        assert recognize(theta) == "D3xZ2"
 
     def test_is_normal_agrees_with_all_elements_form(self):
         # The generator test against conjugating all of H by every element,
@@ -469,7 +542,7 @@ class TestFinGroup:
                 expected = oracles.normal_by_all_elements(
                     G, H, lambda a, b: a * b, lambda a: a.inv()
                 )
-                assert G.is_normal(H) == expected, (gens, g)
+                assert H.normalized_by(G.gens) == expected, (gens, g)
                 seen.add(expected)
         assert seen == {True, False}
 
@@ -480,7 +553,7 @@ class TestFinGroup:
         normal = set()
         for g in binary_octahedral():
             H = oracles.breadth_first_group([g], Q_ONE)
-            normal.add(binary_octahedral().is_normal(H))
+            normal.add(H.normalized_by(binary_octahedral().gens))
             for x in (Q_S, Q_W, Q_I, Q_J):
                 G = extend(H, [x], 48)
                 expected = oracles.breadth_first_group([g, x], Q_ONE)
