@@ -5,147 +5,58 @@ enumeration.
 
 Everything is integer / Fraction exact; no floating point enters any
 computation.
+
+The public names below are loaded on first use (PEP 562): ``import pa``
+loads no submodule, and ``pa.gamma`` or ``from pa import gamma`` imports
+``pa.dihedral`` then.  So a command that needs one layer, such as
+``pa link``, loads only that layer.
 """
 
-from .cosetenum import (
-    CosetTable,
-    Presentation,
-    enumerate_cosets,
-    image_order,
-    parse_word,
-    spherical_triangle_order,
-    triangle_group,
-    triangle_presentation,
-)
-from .cusplattice import (
-    EucIsometry,
-    EucLattice,
-    LatticeVector,
-    PointGroupOrbit,
-    T236,
-    T244,
-    brenner_candidates,
-    evaluate_word,
-    spectrum,
-)
-from .dihedral import (
-    DihedralParams,
-    exceptional_isom,
-    gamma,
-    normalizer,
-    orbifold,
-    params_for,
-    solve_k,
-)
-from .groups import FinGroup, GroupOverflow, close, dihedral_degree, recognize
-from .orbigraph import (
-    Edge,
-    H1Z2Report,
-    INF,
-    ParedOrbifoldDescriptor,
-    WeightedGraphOrbifold,
-    canonical_key,
-    check_sc,
-    h1_z2,
-    make_dihedral,
-    make_exterior,
-    make_heckoid,
-    surger,
-    templates,
-    vertex_geometry,
-)
-from .quat import (
-    DSElem,
-    Isom3,
-    J,
-    J1,
-    J2,
-    L,
-    QuatExt,
-    binary_octahedral,
-)
-from .slopes import (
-    EquivalenceVerdict,
-    INF_SLOPE,
-    Slope,
-    canonical,
-    components,
-    continued_fraction,
-    equivalence,
-    eval_continued_fraction,
-    hat,
-    is_hyperbolic,
-    parse_slope,
-    slope,
-)
-from .verify import CheckResult, run_checks
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CheckResult",
-    "CosetTable",
-    "DSElem",
-    "DihedralParams",
-    "Edge",
-    "EquivalenceVerdict",
-    "EucIsometry",
-    "EucLattice",
-    "FinGroup",
-    "GroupOverflow",
-    "H1Z2Report",
-    "INF",
-    "INF_SLOPE",
-    "Isom3",
-    "J",
-    "J1",
-    "J2",
-    "L",
-    "LatticeVector",
-    "ParedOrbifoldDescriptor",
-    "PointGroupOrbit",
-    "Presentation",
-    "QuatExt",
-    "Slope",
-    "T236",
-    "T244",
-    "WeightedGraphOrbifold",
-    "binary_octahedral",
-    "brenner_candidates",
-    "canonical",
-    "canonical_key",
-    "check_sc",
-    "close",
-    "components",
-    "continued_fraction",
-    "dihedral_degree",
-    "enumerate_cosets",
-    "equivalence",
-    "eval_continued_fraction",
-    "evaluate_word",
-    "exceptional_isom",
-    "gamma",
-    "h1_z2",
-    "hat",
-    "image_order",
-    "is_hyperbolic",
-    "make_dihedral",
-    "make_exterior",
-    "make_heckoid",
-    "normalizer",
-    "orbifold",
-    "params_for",
-    "parse_slope",
-    "parse_word",
-    "recognize",
-    "run_checks",
-    "slope",
-    "solve_k",
-    "spectrum",
-    "spherical_triangle_order",
-    "surger",
-    "templates",
-    "triangle_group",
-    "triangle_presentation",
-    "vertex_geometry",
-]
+# Each public name, under the submodule that defines it.
+_EXPORTS = {
+    "cosetenum": (
+        "CosetTable", "Presentation", "enumerate_cosets", "image_order", "parse_word",
+        "spherical_triangle_order", "triangle_group", "triangle_presentation",
+    ),
+    "cusplattice": (
+        "EucIsometry", "EucLattice", "LatticeVector", "PointGroupOrbit", "T236", "T244",
+        "brenner_candidates", "evaluate_word", "spectrum",
+    ),
+    "dihedral": (
+        "DihedralParams", "exceptional_isom", "gamma", "normalizer", "orbifold",
+        "params_for", "solve_k",
+    ),
+    "groups": ("FinGroup", "GroupOverflow", "close", "dihedral_degree", "recognize"),
+    "orbigraph": (
+        "Edge", "H1Z2Report", "INF", "ParedOrbifoldDescriptor", "WeightedGraphOrbifold",
+        "canonical_key", "check_sc", "h1_z2", "make_dihedral", "make_exterior",
+        "make_heckoid", "surger", "templates", "vertex_geometry",
+    ),
+    "quat": ("DSElem", "Isom3", "J", "J1", "J2", "L", "QuatExt", "binary_octahedral"),
+    "slopes": (
+        "EquivalenceVerdict", "INF_SLOPE", "Slope", "canonical", "components",
+        "continued_fraction", "equivalence", "eval_continued_fraction", "hat",
+        "is_hyperbolic", "parse_slope", "slope",
+    ),
+    "verify": ("CheckResult", "run_checks"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -12,19 +12,11 @@ import json
 import sys
 from fractions import Fraction
 
-from . import cosetenum, cusplattice, dihedral, orbigraph, verify
+# Each command imports the layers it needs, so a process loads only those
+# of the command it runs; the layers' functions are called as module
+# attributes.
+from . import slopes
 from .groups import GroupOverflow
-from .quat import group_to_json
-from .slopes import (
-    Slope,
-    canonical,
-    components,
-    continued_fraction,
-    equivalence,
-    hat,
-    is_hyperbolic,
-    parse_slope,
-)
 
 SCHEMA = "pa/1"
 
@@ -47,9 +39,9 @@ def _fraction(text: str) -> Fraction:
     raise argparse.ArgumentTypeError(f"bad index {text!r}")
 
 
-def _slope_arg(text: str) -> Slope:
+def _slope_arg(text: str) -> slopes.Slope:
     try:
-        return parse_slope(text)
+        return slopes.parse_slope(text)
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err)) from None
 
@@ -83,12 +75,12 @@ def cmd_link_classify(args) -> int:
     payload = {
         "command": "link.classify",
         "slope": str(r),
-        "components": components(r),
+        "components": slopes.components(r),
         # the infinite slope is the trivial 2-component link
-        "hyperbolic": False if r.is_infinite else is_hyperbolic(r),
+        "hyperbolic": False if r.is_infinite else slopes.is_hyperbolic(r),
     }
     if not r.is_infinite:
-        payload["canonical"] = str(canonical(r))
+        payload["canonical"] = str(slopes.canonical(r))
     lines = [
         f"K({r}): components={payload['components']} "
         f"hyperbolic={'true' if payload['hyperbolic'] else 'false'}"
@@ -100,7 +92,7 @@ def cmd_link_classify(args) -> int:
 
 
 def cmd_link_equiv(args) -> int:
-    verdict = equivalence(args.slope, args.slope2)
+    verdict = slopes.equivalence(args.slope, args.slope2)
     payload = {
         "command": "link.equiv",
         "slopes": [str(args.slope), str(args.slope2)],
@@ -121,7 +113,7 @@ def cmd_link_equiv(args) -> int:
 
 
 def cmd_link_cf(args) -> int:
-    terms = continued_fraction(args.slope)
+    terms = slopes.continued_fraction(args.slope)
     payload = {
         "command": "link.cf",
         "slope": str(args.slope),
@@ -132,7 +124,7 @@ def cmd_link_cf(args) -> int:
 
 
 def cmd_link_hat(args) -> int:
-    r = hat(args.slope)
+    r = slopes.hat(args.slope)
     payload = {"command": "link.hat", "slope": str(args.slope), "hat": str(r)}
     _emit(args, payload, [str(r)])
     return 0
@@ -143,6 +135,8 @@ def cmd_link_hat(args) -> int:
 
 
 def cmd_heckoid(args) -> int:
+    from . import orbigraph
+
     desc = orbigraph.make_heckoid(args.slope, args.index)
     fam = desc.family
     index = fam.get("n", fam.get("m"))
@@ -170,6 +164,8 @@ def cmd_heckoid(args) -> int:
 
 
 def cmd_dihedral(args) -> int:
+    from . import dihedral, orbigraph, quat
+
     r, d1, d2 = args.slope, args.d1, args.d2
     params, cert, tag, quotient = dihedral.orbifold(r, d1, d2)
     n = params.n
@@ -188,7 +184,7 @@ def cmd_dihedral(args) -> int:
         "quotient_order": len(quotient) if quotient is not None else None,
         "key": orbigraph.canonical_key(desc),
         "certificate": dict(cert),
-        "quotient_elements": group_to_json(quotient) if quotient is not None else None,
+        "quotient_elements": quat.group_to_json(quotient) if quotient is not None else None,
     }
     if dihedral.is_trivial_theta(r, d1, d2):
         payload["normalizer_order"] = 48
@@ -212,6 +208,8 @@ def cmd_dihedral(args) -> int:
 
 
 def cmd_homology(args) -> int:
+    from . import orbigraph
+
     with open(args.path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
@@ -263,6 +261,8 @@ def _orbit_line(orbit) -> str:
 
 
 def cmd_cusp(args) -> int:
+    from . import cusplattice
+
     kind = cusplattice.lattice(args.kind).kind
     if args.brenner:
         orbits = cusplattice.brenner_candidates(kind)
@@ -293,6 +293,8 @@ def cmd_cusp(args) -> int:
 
 
 def cmd_triangle_order(args) -> int:
+    from . import cosetenum
+
     order = cosetenum.image_order(args.word, args.type)
     payload = {
         "command": "triangle.order",
@@ -305,6 +307,8 @@ def cmd_triangle_order(args) -> int:
 
 
 def cmd_triangle_image(args) -> int:
+    from . import cosetenum
+
     src, dst = args.map
     order = cosetenum.image_order(args.word, src, dst)
     payload = {
@@ -327,6 +331,8 @@ def cmd_triangle_image(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     unknown = sorted(set(args.checks) - set(verify.CHECKS))
     if unknown:
         raise UsageError(f"unknown check ids: {', '.join(unknown)}")

@@ -273,7 +273,9 @@ class TorusLattice(NamedTuple):
             b %= c
         return cls(M, a, b, c)
 
-    def __len__(self) -> int:
+    @property
+    def order(self) -> int:
+        """|A|, which may exceed what ``len`` can return."""
         return self.M * self.M // (self.a * self.c)
 
     def key(self, x: int, y: int) -> tuple[int, int]:
@@ -308,7 +310,7 @@ def torus_quotient(a_gamma: TorusLattice, rotations, n: int) -> FinGroup:
     M = a_gamma.M
     a_norm = TorusLattice.spanned([torus_vector(g, M) for g in rotations], M)
     if not (
-        len(a_norm) == 4 * n
+        a_norm.order == 4 * n
         and all(a_norm.contains(x, y) for x, y in a_gamma.basis())
         and all(a_gamma.contains(2 * x, 2 * y) for x, y in a_norm.basis())
     ):
@@ -358,9 +360,10 @@ def exceptional_isom() -> tuple[FinGroup, dict]:
     {(u, +-u) : u in O*} with 96 elements (image of order 48 in
     Isom+(S^3)), and the quotient N(Gamma~)/Gamma~ of order 12 is the
     isometry group, recognized as D3 x Z2.  The quotient comes from
-    Gamma~'s cosets (``FinGroup.quotient``), and N(Gamma~) is listed by
-    extending Gamma~ coset by coset (``groups.extend``) only to count its
-    pairs and isometries.
+    Gamma~'s cosets (``FinGroup.quotient``), and N(Gamma~) is never listed:
+    it has |Gamma~| * |quotient| pairs, and g and g * (-1,-1) are one
+    isometry, so when (-1,-1) lies in Gamma~, a subgroup of N(Gamma~), the
+    pairs fall into isometries two by two.
     """
     one = (Q_ONE, Q_ONE)
     gamma_raw = close(
@@ -368,15 +371,13 @@ def exceptional_isom() -> tuple[FinGroup, dict]:
     )
     generators = [(Q_S, Q_S), (Q_W, Q_W), (Q_ONE, -Q_ONE)]
     quotient = gamma_raw.quotient(generators, 192)
-    n_raw = extend(gamma_raw, generators, 192)
-    isometry_classes = {
-        min((g[0].key(), g[1].key()), ((-g[0]).key(), (-g[1]).key())) for g in n_raw
-    }
+    normalizer_pairs = len(gamma_raw) * len(quotient)
+    pairs_per_isometry = 2 if (-Q_ONE, -Q_ONE) in gamma_raw else 1
     details = {
         "gamma_pairs": len(gamma_raw),
         "gamma_isometries": len(gamma_raw) // 2,
-        "normalizer_pairs": len(n_raw),
-        "normalizer_isometries": len(isometry_classes),
+        "normalizer_pairs": normalizer_pairs,
+        "normalizer_isometries": normalizer_pairs // pairs_per_isometry,
         "quotient_order": len(quotient),
         "type": recognize(quotient),
     }
@@ -448,7 +449,7 @@ def orbifold(r, d1: int, d2: int) -> Orbifold:
     f = _rotation(params)
     a_gamma = TorusLattice.spanned([torus_vector(f, 2 * n)], 2 * n)
     order_f = order_from_multiple(f, n, primes, ISOM_ID)
-    cert = _certificate(f, 2 * len(a_gamma), order_f, n)
+    cert = _certificate(f, 2 * a_gamma.order, order_f, n)
     if (cert["order"], cert["order_f"], cert["order_J"], cert["dihedral_relation"]) != (
         2 * n, n, 2, True
     ):

@@ -383,6 +383,11 @@ def surger(g: WeightedGraphOrbifold, reweight: dict) -> WeightedGraphOrbifold:
 # Z_2 homology
 
 
+# Edges x dimension: the entries of the meridian classes of an h1_z2
+# report.  A graph past it is refused once its dimension is known.
+MAX_HOMOLOGY_CELLS = 10**6
+
+
 @dataclass(frozen=True)
 class H1Z2Report:
     """dim H_1(O; Z_2) with meridian classes in a fixed basis.
@@ -404,6 +409,9 @@ def h1_z2(g: WeightedGraphOrbifold) -> H1Z2Report:
     generator); at every interior vertex the incident germs sum to zero
     (loops contribute twice, hence nothing; degree-4 parabolic vertices
     contribute one relation over their four germs).
+
+    Raises ValueError when edges x dimension exceeds MAX_HOMOLOGY_CELLS,
+    before any class is built.
     """
     if g.ambient != "S3":
         raise ValueError("h1_z2 is defined for ambient S3 graphs")
@@ -423,24 +431,33 @@ def h1_z2(g: WeightedGraphOrbifold) -> H1Z2Report:
         # each non-loop germ toggles once per endpoint at v; loops never
         if mask:
             rows.append(mask)
-    pivots, reduced = _gf2_rref(rows, len(eids))
+    width = len(eids)
+    pivots, reduced = _gf2_rref(rows, width)
+    dimension = width - len(pivots)
+    if width * dimension > MAX_HOMOLOGY_CELLS:
+        raise ValueError(
+            f"H1(O; Z2) of {width} edges has dimension {dimension}: its classes "
+            f"have {width * dimension} entries, past the bound {MAX_HOMOLOGY_CELLS}"
+        )
     pivot_set = set(pivots)
-    free = [i for i in range(len(eids)) if i not in pivot_set]
+    free = [i for i in range(width) if i not in pivot_set]
     free_index = {c: i for i, c in enumerate(free)}
+    # A reduced row is its pivot bit plus free columns.  A column's class
+    # marks the free columns among the set bits of its row less the pivot
+    # bit (a free column's row is its own bit), walked one bit at a time,
+    # not one shift per free column.
+    pivot_row = {c: r ^ (1 << c) for c, r in zip(pivots, reduced)}
     classes: dict[str, tuple[int, ...]] = {}
-    pivot_row = {c: r for c, r in zip(pivots, reduced)}
     for eid in eids:
         c = col[eid]
-        vec = [0] * len(free)
-        if c in free_index:
-            vec[free_index[c]] = 1
-        else:
-            row = pivot_row[c]
-            for fc, fi in free_index.items():
-                if row >> fc & 1:
-                    vec[fi] = 1
+        vec = [0] * dimension
+        row = pivot_row.get(c, 1 << c)
+        while row:
+            low = row & -row
+            vec[free_index[low.bit_length() - 1]] = 1
+            row ^= low
         classes[eid] = tuple(vec)
-    return H1Z2Report(len(free), tuple(eids[i] for i in free), classes)
+    return H1Z2Report(dimension, tuple(eids[i] for i in free), classes)
 
 
 def _gf2_rref(rows, ncols):

@@ -38,7 +38,7 @@ from pa.orbigraph import (
     weight_str,
 )
 from pa.groups import recognize
-from pa.quat import ISOM_ID, J, QuatExt
+from pa.quat import ISOM_ID, J, Q_I, Q_J, Q_ONE, Q_S, Q_W, QuatExt
 from pa.slopes import Slope
 
 
@@ -741,6 +741,21 @@ def closure_orbifold(r, d1, d2):
         return params, group, cert, dihedral.TAG_D3xZ2, factor
     factor = quotient(closure_normalizer(params, group), group)
     return params, group, cert, recognize(factor), factor
+
+
+# The trivial theta-orbifold's normalizer listed pair by pair: the first
+# form of ``dihedral.exceptional_isom``'s counts.
+
+
+def exceptional_normalizer_counts():
+    """(pairs, isometries) of N(Gamma~) for O(0/1;1,2): its pairs listed by
+    extending Gamma~ coset by coset, and their classes under g ~ -g."""
+    mul, inv = dihedral._pair_mul, dihedral._pair_inv
+    one = (Q_ONE, Q_ONE)
+    gamma_raw = groups.close([(Q_I, Q_I), (Q_J, Q_J)], 16, identity=one, mul=mul, inv=inv)
+    n_raw = groups.extend(gamma_raw, [(Q_S, Q_S), (Q_W, Q_W), (Q_ONE, -Q_ONE)], 192)
+    classes = {min((g[0].key(), g[1].key()), ((-g[0]).key(), (-g[1]).key())) for g in n_raw}
+    return len(n_raw), len(classes)
 
 
 # Checks 1-3 as three sweeps, each closing every group it needs itself,

@@ -1,22 +1,43 @@
-"""Import structure of the package, read from the source with ``ast``."""
+"""Import structure of the package, read from the source with ``ast``,
+and the modules a process loads, seen in fresh interpreters."""
 
 import ast
+import importlib
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import pa
 from pa import quat
 
 SRC = Path(pa.__file__).parent
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _tree(name: str) -> ast.Module:
+    return ast.parse((SRC / name).read_text())
 
 
 def imported_modules(name: str) -> set[str]:
     """The modules a file of the package imports, relative imports resolved
     to ``pa.<module>``."""
-    tree = ast.parse((SRC / name).read_text())
+    return _imports(ast.walk(_tree(name)))
+
+
+def module_level_imports(name: str) -> set[str]:
+    """The same, for the imports run when the file is imported: those at
+    the top level of the module, not inside a function."""
+    return _imports(_tree(name).body)
+
+
+def _imports(nodes) -> set[str]:
     out = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             out.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -58,3 +79,97 @@ def test_bench_patches_only_attributes_that_exist():
     assert patched == {("FinGroup", "quotient"), ("Isom3", "__mul__"), ("QuatExt", "__mul__")}
     for owner, attr in patched:
         assert callable(getattr(getattr(quat, owner), attr)), (owner, attr)
+
+
+# ---------------------------------------------------------------------------
+# Layers loaded on demand
+
+
+def test_cli_and_package_import_only_what_every_command_needs():
+    # An eager import here loads a layer for every command, "pa link" too.
+    assert module_level_imports("__init__.py") == {"importlib"}
+    assert module_level_imports("cli.py") == {
+        "__future__", "argparse", "json", "sys", "fractions", "pa.slopes", "pa.groups",
+    }
+    # Each command imports its own layers, by module, inside the function.
+    layers = {path.stem for path in SRC.glob("*.py")} - {"__init__", "cli"}
+    for node in ast.walk(_tree("cli.py")):
+        if isinstance(node, ast.FunctionDef):
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                    assert isinstance(inner, ast.ImportFrom), node.name
+                    assert (inner.level, inner.module) == (1, None), node.name
+                    assert {alias.name for alias in inner.names} <= layers, node.name
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The ``pa`` modules loaded after running ``code`` in a fresh interpreter."""
+    probe = code + (
+        "\nimport json, sys"
+        "\nprint(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'pa')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True, cwd=GOLDEN,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+CORE = {"pa", "pa.cli", "pa.slopes", "pa.groups"}
+LAYERS_OF = {
+    ("link", "classify", "3/7"): set(),
+    ("heckoid", "2/5", "3"): {"pa.orbigraph"},
+    ("homology", "dihedral_2_5_2_3.json"): {"pa.orbigraph"},
+    ("dihedral", "2/7", "3", "5"): {"pa.dihedral", "pa.quat", "pa.orbigraph"},
+    ("cusp", "244"): {"pa.cusplattice", "pa.cosetenum"},
+    ("triangle", "order", "2 3 5", "ab"): {"pa.cosetenum"},
+    ("verify", "cusp-244"): {
+        "pa.verify", "pa.dihedral", "pa.quat", "pa.orbigraph", "pa.cusplattice",
+        "pa.cosetenum",
+    },
+}
+
+
+def test_importing_the_cli_loads_no_layer():
+    assert loaded_modules("import pa.cli") == CORE
+    assert loaded_modules("import pa") == {"pa"}
+
+
+@pytest.mark.parametrize("argv", LAYERS_OF, ids=" ".join)
+def test_each_command_loads_only_its_layers(argv):
+    code = f"import pa.cli\nassert pa.cli.main({list(argv) + ['--json']!r}) == 0"
+    assert loaded_modules(code) == CORE | LAYERS_OF[argv]
+
+
+def defined_names(name: str) -> set[str]:
+    """The names a module binds at its top level by def, class or assignment."""
+    out = set()
+    for node in _tree(name).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update(t.id for t in targets if isinstance(t, ast.Name))
+    return out
+
+
+def test_public_names_resolve_to_their_home_modules():
+    assert len(pa.__all__) == 65 and pa.__all__ == sorted(set(pa.__all__))
+    for module, names in pa._EXPORTS.items():
+        home = importlib.import_module(f"pa.{module}")
+        defined = defined_names(f"{module}.py")
+        for name in names:
+            assert name in defined, (module, name)
+            assert getattr(pa, name) is getattr(home, name), name
+    assert sorted(pa._HOME) == pa.__all__
+    assert set(pa.__all__) <= set(dir(pa))
+
+
+def test_star_import_and_unknown_names():
+    namespace = {}
+    exec("from pa import *", namespace)
+    assert set(pa.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        pa.no_such_name
+    assert not hasattr(pa, "cli_main")

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from pa import cli, cosetenum, cusplattice, dihedral, quat, verify
+from pa import cli, cosetenum, cusplattice, dihedral, orbigraph, quat, verify
 from pa.orbigraph import graph_to_json, make_dihedral, make_heckoid
 from pa.slopes import slope
 
@@ -193,9 +193,9 @@ class TestDihedral:
             assert code == 0
         assert calls == []
         # The trivial theta-orbifold stays on the binary octahedral closure:
-        # Gamma~ closed, then extended to N(Gamma~).
+        # Gamma~ closed, and N(Gamma~) counted from its cosets, never listed.
         code, _, _ = run(capsys, "dihedral", "0/1", "1", "2")
-        assert code == 0 and calls == ["close", "extend"]
+        assert code == 0 and calls == ["close"]
 
     def test_certificate_is_read_only(self, capsys):
         code, fresh, _ = run(capsys, "dihedral", "2/5", "2", "3", "--json")
@@ -352,6 +352,49 @@ class TestHomology:
         assert code == 1
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @staticmethod
+    def prism(k: int) -> dict:
+        """The cubic prism graph on 2k vertices, every weight 2: its Z2
+        homology has dimension k + 1 over 3k edges."""
+        edges = []
+        for i in range(k):
+            j = (i + 1) % k
+            edges += [
+                {"id": f"a{i}", "ends": [f"a{i}", f"a{j}"], "weight": 2},
+                {"id": f"b{i}", "ends": [f"b{i}", f"b{j}"], "weight": 2},
+                {"id": f"r{i}", "ends": [f"a{i}", f"b{i}"], "weight": 2},
+            ]
+        vertices = [{"id": f"{side}{i}"} for side in "ab" for i in range(k)]
+        return {"ambient": "S3", "vertices": vertices, "edges": edges}
+
+    def test_past_the_cell_bound_refused_before_any_class(self, capsys, tmp_path):
+        # 2000 vertices: 3000 edges x dimension 1001.  Unbounded, the
+        # command took 2.6 s and 305 MB and printed 27 MB.
+        path = tmp_path / "prism.json"
+        path.write_text(json.dumps(self.prism(1000)))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "homology", str(path), "--json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: H1(O; Z2) of 3000 edges has dimension 1001: its classes have "
+            f"3003000 entries, past the bound {orbigraph.MAX_HOMOLOGY_CELLS}\n"
+        )
+        assert orbigraph.MAX_HOMOLOGY_CELLS == 10**6
+        assert peak < 16 * 2**20, f"{peak} bytes at peak"
+
+    def test_within_the_cell_bound(self, capsys, tmp_path):
+        # 3*399 edges x dimension 400 = 478800 entries, below the bound.
+        path = tmp_path / "prism.json"
+        path.write_text(json.dumps(self.prism(399)))
+        code, payload, err = run_json(capsys, "homology", str(path))
+        assert (code, err) == (0, "")
+        assert payload["dimension"] == 400
+        assert len(payload["meridian_class"]) == 3 * 399
 
 
 class TestCusp:

@@ -281,6 +281,15 @@ class TestExceptional:
         assert oracles.normal_by_all_elements(n_raw, gamma_raw, mul, inv)
         assert gamma_raw.normalized_by(n_raw.gens)
 
+    def test_counts_agree_with_the_listing(self):
+        # The counts before they were derived: N(Gamma~) listed by
+        # groups.extend, 96 pairs in 48 classes under g ~ -g.
+        _, details = exceptional_isom()
+        assert oracles.exceptional_normalizer_counts() == (96, 48)
+        assert (details["normalizer_pairs"], details["normalizer_isometries"]) == (96, 48)
+        # (-1,-1) = (i,i)^2 lies in Gamma~, so the pairs fall two by two.
+        assert (Q_I * Q_I, Q_I * Q_I) == (-Q_ONE, -Q_ONE)
+
 
 class TestIsomPlus:
     def test_generic_pair(self):
@@ -340,6 +349,20 @@ class TestOrbifold:
         assert record.isom == TAG_D3xZ2 and len(record.quotient) == 12
         assert record.cert["order"] == 4
         assert len(oracles.closure_orbifold(slope("0/1"), 2, 1)[1]) == 4
+
+    def test_largest_primes_below_the_factoring_bound(self):
+        # n = p*d1*d2 past 2**63, where len() of a lattice cannot report |A|.
+        next_big, big, p = 999999999961, 999999999989, 100000000003
+        primes = [m for m in range(next_big, dihedral.FACTOR_BOUND) if _prime_factors(m) == [m]]
+        assert primes == [next_big, big]
+        assert _prime_factors(p) == [p]
+        for d1, d2 in ((big, 1), (big, next_big), (1, big)):
+            n = p * d1 * d2
+            assert n >= 2**63
+            # |Gamma| = 2|A_Gamma| and |A_N| = 4n are read from the lattices.
+            record = orbifold(Slope(3, p), d1, d2)
+            assert (record.cert["order"], record.cert["order_f"]) == (2 * n, n)
+            assert record.isom == TAG_Z2SQ and len(record.quotient) == 4
 
 
 def _table(quotient):
@@ -584,7 +607,7 @@ class TestTorusModel:
                     ]
                 lat = TorusLattice.spanned(vectors, M)
                 assert M % lat.a == 0 and M % lat.c == 0 and 0 <= lat.b < lat.c
-                assert len(lat) == len(subgroup), (M, vectors)
+                assert lat.order == len(subgroup), (M, vectors)
                 torus = [(x, y) for x in range(M) for y in range(M)]
                 for x, y in torus:
                     assert lat.contains(x, y) == ((x, y) in subgroup)

@@ -42,6 +42,9 @@ COMMANDS = [
         ]
         for fmt in ([], ["--json"])
     ),
+    # n past 2**63, every entry below dihedral.FACTOR_BOUND
+    ["dihedral", "3/100000000003", "999999999989", "1"],
+    ["dihedral", "3/100000000003", "999999999989", "999999999961", "--json"],
     *(
         ["triangle", "order", t, w, *fmt]
         for t, w in [
