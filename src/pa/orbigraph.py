@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .slopes import Slope, canonical, hat, slope
 
@@ -79,14 +80,29 @@ def parse_weight(s):
     return INF if s == "inf" else int(s)
 
 
+class GraphStructureError(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class Edge:
+    """An edge: ``ends`` is a pair of vertex ids, kept sorted (equal for a
+    loop).  Any other number of ends raises GraphStructureError."""
+
     id: str
     ends: tuple[str, str]
     weight: object
 
     def __post_init__(self):
-        object.__setattr__(self, "ends", tuple(sorted(self.ends)))
+        ends = self.ends
+        if type(ends) is tuple and len(ends) == 2 and not ends[1] < ends[0]:
+            return
+        ends = tuple(sorted(ends))
+        if len(ends) != 2:
+            raise GraphStructureError(
+                f"edge {self.id!r} needs exactly two ends, got {len(ends)}"
+            )
+        object.__setattr__(self, "ends", ends)
 
     @property
     def is_loop(self) -> bool:
@@ -95,10 +111,6 @@ class Edge:
     def other_end(self, v: str) -> str:
         a, b = self.ends
         return b if v == a else a
-
-
-class GraphStructureError(ValueError):
-    pass
 
 
 class WeightedGraphOrbifold:
@@ -110,18 +122,21 @@ class WeightedGraphOrbifold:
         self.ambient = ambient
         self.name = name
         self._vertices: dict[str, bool] = {}
+        # each vertex's incident edges in edge order, loops twice
+        self._germs: dict[str, list[Edge]] = {}
         for vid, boundary in vertices:
             if vid in self._vertices:
                 raise GraphStructureError(f"duplicate vertex id {vid!r}")
-            self._vertices[str(vid)] = bool(boundary)
+            vid = str(vid)
+            self._vertices[vid] = bool(boundary)
+            self._germs[vid] = []
         self._edges: dict[str, Edge] = {}
-        self._germs: dict[str, list[Edge]] = {v: [] for v in self._vertices}
         for item in edges:
             e = item if isinstance(item, Edge) else Edge(item[0], tuple(item[1]), item[2])
             if e.id in self._edges:
                 raise GraphStructureError(f"duplicate edge id {e.id!r}")
             for v in e.ends:
-                if v not in self._vertices:
+                if v not in self._germs:
                     raise GraphStructureError(f"edge {e.id!r} touches unknown vertex {v!r}")
             if not is_weight(e.weight):
                 raise GraphStructureError(f"bad weight {e.weight!r} on edge {e.id!r}")
@@ -157,7 +172,7 @@ class WeightedGraphOrbifold:
         for v, boundary in self._vertices.items():
             if boundary:
                 continue
-            germs = self.germs(v)
+            germs = self._germs[v]
             deg = len(germs)
             if deg == 3:
                 continue
@@ -415,20 +430,16 @@ def h1_z2(g: WeightedGraphOrbifold) -> H1Z2Report:
     """
     if g.ambient != "S3":
         raise ValueError("h1_z2 is defined for ambient S3 graphs")
-    if any(g.is_boundary(v) for v in g.vertex_ids()):
+    if any(g._vertices.values()):
         raise ValueError("h1_z2 needs a closed (boundaryless) graph")
-    eids = sorted(g.edge_ids())
+    eids = sorted(g._edges)
     col = {eid: i for i, eid in enumerate(eids)}
-    rows = []
-    for eid in eids:
-        if not weight_is_even(g.edge(eid).weight):
-            rows.append(1 << col[eid])
-    for v in g.vertex_ids():
+    rows = [1 << col[eid] for eid in eids if not weight_is_even(g._edges[eid].weight)]
+    for germs in g._germs.values():
         mask = 0
-        for e in g.germs(v):
-            if not e.is_loop:  # loops contribute 2*m_e = 0
-                mask ^= 1 << col[e.id]
-        # each non-loop germ toggles once per endpoint at v; loops never
+        for e in germs:
+            # a loop is listed twice, so its two toggles cancel: 2*m_e = 0
+            mask ^= 1 << col[e.id]
         if mask:
             rows.append(mask)
     width = len(eids)
@@ -540,6 +551,15 @@ def _descriptor(graph: WeightedGraphOrbifold, family: dict) -> ParedOrbifoldDesc
     return ParedOrbifoldDescriptor(graph, parabolic, family)
 
 
+_TEMPLATE_VERTICES = (("a1", False), ("a2", False), ("b1", False), ("b2", False))
+# the arcs of K(r) and their ends, sorted: two parallel pairs for p even, a
+# 4-cycle for p odd
+_EVEN_ARCS = (("K1", ("a1", "b1")), ("K2", ("a1", "b1")),
+              ("K3", ("a2", "b2")), ("K4", ("a2", "b2")))
+_ODD_ARCS = (("K1", ("a1", "b1")), ("K2", ("a2", "b1")),
+             ("K3", ("a2", "b2")), ("K4", ("a1", "b2")))
+
+
 def _template_graph(p_even: bool, arc_weights, w_plus, w_minus, name=None):
     """The 2-bridge template: K(r) u tau+ u tau- with the four vertices
     a1, a2 = ends of tau+ and b1, b2 = ends of tau-.
@@ -548,17 +568,13 @@ def _template_graph(p_even: bool, arc_weights, w_plus, w_minus, name=None):
     is two parallel-arc pairs a1=b1 (K1, K2) and a2=b2 (K3, K4), one pair
     per link component.
     """
-    vertices = [("a1", False), ("a2", False), ("b1", False), ("b2", False)]
-    if p_even:
-        ends = {"K1": ("a1", "b1"), "K2": ("a1", "b1"),
-                "K3": ("a2", "b2"), "K4": ("a2", "b2")}
-    else:
-        ends = {"K1": ("a1", "b1"), "K2": ("b1", "a2"),
-                "K3": ("a2", "b2"), "K4": ("b2", "a1")}
-    edges = [Edge(k, ends[k], arc_weights[k]) for k in ("K1", "K2", "K3", "K4")]
+    edges = [
+        Edge(k, ends, arc_weights[k])
+        for k, ends in (_EVEN_ARCS if p_even else _ODD_ARCS)
+    ]
     edges.append(Edge("tplus", ("a1", "a2"), w_plus))
     edges.append(Edge("tminus", ("b1", "b2"), w_minus))
-    return _elide_weight_one("S3", vertices, edges, name=name)
+    return _elide_weight_one("S3", _TEMPLATE_VERTICES, edges, name=name)
 
 
 def make_heckoid(r, n) -> ParedOrbifoldDescriptor:
@@ -618,8 +634,6 @@ def make_dihedral(r, d_plus: int, d_minus: int) -> ParedOrbifoldDescriptor:
     """The dihedral orbifold O(r; d+, d-): K(r) with weight 2 and tunnels
     tau+ and tau- with coprime weights d+ and d- (weight-1 tunnels are
     elided)."""
-    from math import gcd
-
     r = slope(r)
     if r.is_infinite:
         raise ValueError("O(r;d+,d-) needs a finite slope")

@@ -8,7 +8,7 @@ in the witness.
 
 from __future__ import annotations
 
-import io
+import re
 import tokenize
 from dataclasses import dataclass
 from fractions import Fraction
@@ -453,16 +453,37 @@ CORE_MODULES = (
 )
 
 
+# One pass over tokenize's own grammar.  Comments and strings (triple-quoted
+# first, each with any prefix) are matched whole, so no number or name inside
+# them is seen; only numbers and names are captured.  On valid Python every
+# match starts where a tokenize token starts, and an f-string is one opaque
+# literal, as tokenize reads it before Python 3.12.
+_TOKENS = re.compile(
+    "|".join((
+        tokenize.Comment,
+        "[bBrRuUfF]{0,2}'''" + tokenize.Single3,
+        '[bBrRuUfF]{0,2}"""' + tokenize.Double3,
+        r"[bBrRuUfF]{0,2}'[^\n'\\]*(?:\\.[^\n'\\]*)*'",
+        r'[bBrRuUfF]{0,2}"[^\n"\\]*(?:\\.[^\n"\\]*)*"',
+        "(" + re.sub(r"\((?!\?)", "(?:", tokenize.Number) + ")",
+        "(" + tokenize.Name + ")",
+    )),
+    re.DOTALL,
+)
+
+
 def _float_literals(source: str) -> list[str]:
+    """The float and complex literals of a valid Python source, and its uses
+    of the name ``float``, in source order."""
     bad = []
-    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        if tok.type == tokenize.NUMBER:
-            text = tok.string.lower()
+    for number, name in _TOKENS.findall(source):
+        if number:
+            text = number.lower()
             if text.startswith(("0x", "0o", "0b")):
                 continue
             if "." in text or "e" in text or text.endswith("j"):
-                bad.append(tok.string)
-        elif tok.type == tokenize.NAME and tok.string == "float":
+                bad.append(number)
+        elif name == "float":
             bad.append("float")
     return bad
 
@@ -471,7 +492,8 @@ def check_no_floats() -> tuple[bool, dict]:
     root = Path(__file__).resolve().parent
     offenders = {}
     for name in CORE_MODULES:
-        bad = _float_literals((root / name).read_text())
+        # Python source is UTF-8 (PEP 3120), whatever the locale says
+        bad = _float_literals((root / name).read_text(encoding="utf-8"))
         if bad:
             offenders[name] = bad
     return (not offenders), {"scanned": list(CORE_MODULES), "offenders": offenders}

@@ -11,11 +11,14 @@ sweep per check instead of one shared pass, rescans and rebuilt lists
 instead of kept indices, one letter at a time instead of runs by
 square-and-multiply, quotient labels from products or from an
 extension's listed coset blocks instead of from the cosets of the normal
-subgroup alone, a cycle walked twice instead of once), so agreement between
-the two is meaningful evidence.
+subgroup alone, a cycle walked twice instead of once, ``tokenize``'s token
+stream instead of one regular-expression pass), so agreement between the two
+is meaningful evidence.
 """
 
+import io
 import operator
+import tokenize
 from fractions import Fraction
 from math import gcd
 from types import MappingProxyType
@@ -101,6 +104,22 @@ def germs_by_scan(g, v):
     return out
 
 
+def template_graph_by_rescan(p_even, arc_weights, w_plus, w_minus, name=None):
+    """The 2-bridge template as first written: end tables built per call,
+    ends given unsorted, elided by ``elide_weight_one_by_rescan``."""
+    vertices = [("a1", False), ("a2", False), ("b1", False), ("b2", False)]
+    if p_even:
+        ends = {"K1": ("a1", "b1"), "K2": ("a1", "b1"),
+                "K3": ("a2", "b2"), "K4": ("a2", "b2")}
+    else:
+        ends = {"K1": ("a1", "b1"), "K2": ("b1", "a2"),
+                "K3": ("a2", "b2"), "K4": ("b2", "a1")}
+    edges = [Edge(k, ends[k], arc_weights[k]) for k in ("K1", "K2", "K3", "K4")]
+    edges.append(Edge("tplus", ("a1", "a2"), w_plus))
+    edges.append(Edge("tminus", ("b1", "b2"), w_minus))
+    return elide_weight_one_by_rescan("S3", vertices, edges, name=name)
+
+
 def elide_weight_one_by_rescan(ambient, vertices, edges, name=None):
     """The first weight-1 elision: every pass scans all edges for each
     vertex's germs and restarts from the smallest vertex after a change."""
@@ -149,6 +168,29 @@ def elide_weight_one_by_rescan(ambient, vertices, edges, name=None):
     return WeightedGraphOrbifold(
         ambient, list(vertices.items()), list(edges.values()), name=name
     )
+
+
+def float_literals_by_tokenize(source):
+    """Criterion 9's first scan: the float and complex NUMBER tokens and the
+    NAME tokens ``float`` of ``tokenize``'s stream.  An f-string is skipped
+    whole, as tokenize reads it before Python 3.12 (one STRING token)."""
+    fstring_depth = 0
+    bad = []
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        name = tokenize.tok_name[tok.type]
+        if name in ("FSTRING_START", "FSTRING_END"):
+            fstring_depth += 1 if name == "FSTRING_START" else -1
+        elif fstring_depth:
+            continue
+        elif tok.type == tokenize.NUMBER:
+            text = tok.string.lower()
+            if text.startswith(("0x", "0o", "0b")):
+                continue
+            if "." in text or "e" in text or text.endswith("j"):
+                bad.append(tok.string)
+        elif tok.type == tokenize.NAME and tok.string == "float":
+            bad.append("float")
+    return bad
 
 
 def gf2_rref_by_rebuild(rows, ncols):

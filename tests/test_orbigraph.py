@@ -9,6 +9,7 @@ from math import gcd
 import pytest
 
 import oracles
+from pa import orbigraph, verify
 from pa.orbigraph import (
     Edge,
     GraphStructureError,
@@ -35,7 +36,7 @@ from pa.orbigraph import (
     weight_is_even,
     weight_str,
 )
-from pa.slopes import slope
+from pa.slopes import Slope, slope
 
 
 def theta(w1, w2, w3, ambient="S3"):
@@ -192,6 +193,17 @@ class TestStructure:
                 [("x", False), ("y", True), ("z", True)],
                 [Edge("e1", ("x", "y"), 2), Edge("e2", ("x", "z"), 2)],
             )
+
+    def test_edge_needs_exactly_two_ends(self):
+        for ends in (("a", "b", "c"), ("a",), ()):
+            with pytest.raises(GraphStructureError, match="exactly two ends"):
+                Edge("e", ends, 2)
+        with pytest.raises(GraphStructureError, match="exactly two ends"):
+            WeightedGraphOrbifold(
+                "S3", [("a", True), ("b", True), ("c", True)], [("e", ("a", "b", "c"), 2)]
+            )
+        for ends in (("b", "a"), ["b", "a"], ("a", "b")):
+            assert Edge("e", ends, 2).ends == ("a", "b")
 
     def test_boundary_vertices_unconstrained(self):
         WeightedGraphOrbifold(
@@ -634,6 +646,47 @@ class TestHomology:
             h1_z2(templates()[2].graph)  # has a boundary sphere
         with pytest.raises(ValueError):
             h1_z2(templates()[1].graph)  # ambient RP3
+
+
+class TestOnePassGraphs:
+    """Every graph that checks 7 and 8 build, against the rescan elision
+    and the edge-scan germs of the same template."""
+
+    def check_points(self):
+        for r in verify._sweep_slopes(12):
+            for d1, d2 in verify._coprime_pairs(5):
+                yield make_dihedral, (r, d1, d2)
+        for r in verify._sweep_slopes(20):
+            if r.p >= 2:
+                qinv = pow(r.q, -1, r.p)
+                for d1, d2 in ((1, 2), (2, 3), (3, 4)):
+                    yield make_dihedral, (r, d1, d2)
+                    yield make_dihedral, (Slope(qinv, r.p), d2, d1)
+        for r in verify._sweep_slopes(13):
+            for n in (2, 3, Fraction(3, 2), Fraction(5, 2), Fraction(7, 2)):
+                yield make_heckoid, (r, n)
+
+    def test_check_points_match_the_oracles(self, monkeypatch):
+        calls = []
+        template = orbigraph._template_graph
+
+        def recorded(*args, **kwargs):
+            calls.append((args, kwargs))
+            return template(*args, **kwargs)
+
+        monkeypatch.setattr(orbigraph, "_template_graph", recorded)
+        points = 0
+        for make, args in self.check_points():
+            calls.clear()
+            g = make(*args).graph
+            ((targs, tkwargs),) = calls
+            expected = oracles.template_graph_by_rescan(*targs, **tkwargs)
+            assert (g.name, graph_to_json(g)) == (expected.name, graph_to_json(expected))
+            for v in g.vertex_ids():
+                assert g.germs(v) == oracles.germs_by_scan(expected, v), (g.name, v)
+            assert h1_z2(g) == oracles.h1_z2_by_rebuild(g), g.name
+            points += 1
+        assert points == 874 + 762 + 290
 
 
 class TestCanonicalKey:

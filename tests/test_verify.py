@@ -1,5 +1,9 @@
 """The verification-check registry and runner."""
 
+import os
+import subprocess
+import sys
+import sysconfig
 from collections import Counter
 from pathlib import Path
 from types import MappingProxyType
@@ -254,3 +258,112 @@ class TestOnePass:
         verdicts = verify._dihedral_verdicts(DIHEDRAL_IDS)
         assert all(ok for ok, _ in verdicts.values())
         assert products["Isom3"] <= 45_000, f"{products['Isom3']} Isom3 products"
+
+
+# Criterion 9's scan: (source, what it flags).  Every source is valid Python.
+# The first group is flagged; the rest name floats only inside strings and
+# comments, or not at all.
+FLOAT_CASES = [
+    ("x = 1.5", ["1.5"]),
+    ("x = .5", [".5"]),
+    ("x = 5.", ["5."]),
+    ("x = 1e3", ["1e3"]),
+    ("x = 1E-3", ["1E-3"]),
+    ("x = 1_000.5", ["1_000.5"]),
+    ("x = 2j", ["2j"]),
+    ("x = 3J", ["3J"]),
+    ("y = float(x)", ["float"]),
+    ("y = x.float", ["float"]),
+    ("s = '1.5'; t = 2.5  # 3.5", ["2.5"]),
+    ('s = "#"; t = 3.5', ["3.5"]),
+    ("s = '''\n1.5 ''' + \"float\"; f = float", ["float"]),
+    ("x = 0xE", []),
+    ("x = 0XE1", []),
+    ("x = 0b1", []),
+    ("x = 0o7", []),
+    ("x = 1_000", []),
+    ("x1e5 = float_ + floaty", []),
+    ("x = 1  # 1.5 float 'quote 2e3", []),
+    ("# it's 2.5\nx = 1", []),
+    ("x = 'it\\'s 1.5 float'", []),
+    ('x = "say \\"2e3\\" float"', []),
+    ("x = 'a\\\n1.5 float'", []),
+    ('x = """one "two" ""three"" 1.5 \\""" float"""', []),
+    ("x = '''\n1.5\nfloat \\''' 2j\n'''", []),
+    ('x = f"{x} 1.5 float"', []),
+    ("x = rf'{x!r:>10} 2e3'", []),
+    ('x = F"""{x}\n1.5"""', []),
+] + [
+    (f"x = {prefix}{quote}1.5 float 2j .5{quote}", [])
+    for prefix in ("", "r", "R", "u", "U", "b", "br", "Rb", "f", "F", "rf", "fR")
+    for quote in ("'", '"', "'''", '"""')
+]
+
+REPO = Path(__file__).resolve().parent.parent
+STDLIB_FILES = (
+    "test/test_grammar.py",
+    "test/test_tokenize.py",
+    "test/test_fstring.py",
+    "_pydecimal.py",
+    "statistics.py",
+)
+
+
+class TestFloatScan:
+    """Criterion 9's one regular-expression pass against ``tokenize``'s
+    token stream (``oracles.float_literals_by_tokenize``)."""
+
+    @pytest.mark.parametrize("source, flagged", FLOAT_CASES)
+    def test_flags_exactly_the_float_tokens(self, source, flagged):
+        compile(source, "<case>", "exec")
+        assert verify._float_literals(source) == flagged
+        assert oracles.float_literals_by_tokenize(source) == flagged
+
+    def test_agrees_with_tokenize_on_the_repository(self):
+        paths = [
+            path
+            for top in ("src", "tests", "bench", "demos")
+            for path in sorted((REPO / top).rglob("*.py"))
+        ]
+        flagged = 0
+        for path in paths:
+            source = path.read_text(encoding="utf-8")
+            got = verify._float_literals(source)
+            assert got == oracles.float_literals_by_tokenize(source), path
+            flagged += bool(got)
+        # the tests and the bench use floats, so the sweep is not vacuous
+        assert len(paths) >= 30 and flagged >= 5
+
+    @pytest.mark.skipif(
+        sys.version_info >= (3, 12),
+        reason="from Python 3.12 the standard library nests same-quote f-strings (PEP 701)",
+    )
+    def test_agrees_with_tokenize_on_standard_library_files(self):
+        stdlib = Path(sysconfig.get_paths()["stdlib"])
+        paths = [stdlib / name for name in STDLIB_FILES if (stdlib / name).is_file()]
+        if not paths:
+            pytest.skip("none of the standard-library files is installed")
+        for path in paths:
+            source = path.read_text(encoding="utf-8")
+            assert verify._float_literals(source) == oracles.float_literals_by_tokenize(source), path
+
+    def test_reads_sources_as_utf8_under_an_ascii_locale(self):
+        # quat.py holds a non-ASCII character, and `verify --all` must pass
+        # whatever encoding the locale names
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+        env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONPATH=str(Path(verify.__file__).parent.parent))
+        probe = (
+            "import codecs, locale, sys\n"
+            "print(codecs.lookup(locale.getpreferredencoding(False)).name)\n"
+            "from pa.cli import main\n"
+            "sys.exit(main(['verify', '--all']))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "ascii"
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert any(line.startswith("PASS  no-floats") for line in lines)
+        assert lines[-1] == "12/12 checks passed"
