@@ -17,20 +17,20 @@ Every element of Gamma and N(Gamma) is L(s) or L(s)*J, and J*L(s)*J = L(-s),
 so each is A x| <J> for a finite subgroup A of the torus (Q/Z)^2.
 ``orbifold`` answers a query from these torus lattices: orders, membership
 and the quotient N/Gamma = A_N/A_Gamma come from 2x2 Hermite forms, and only
-the certificate's element orders and four coset labels are formed as
-isometries.  The orders are read from their known multiples n and 2 in
-O(log n) products, from the primes of p, d1 and d2.  ``gamma`` closes
+the certificate's element orders and the coset search's 16 products are
+formed as isometries.  The orders are read from their known multiples n
+and 2 in O(log n) products, from the primes of p, d1 and d2.  ``gamma`` closes
 Gamma coset by coset (``groups.extend``), and ``normalizer`` finds
 N(Gamma)/Gamma from Gamma's cosets (``FinGroup.quotient``) without listing
 N(Gamma); the verification checks use them as the independent evidence.
-The labels are built, not merely matched: ``torus_quotient`` runs
-``FinGroup.quotient``'s coset search itself, with a lattice key in place of
-each membership test, so it names every coset by the representative that
-starts it there.
+The labels agree by one code path, ``groups.coset_quotient``, which both
+``torus_quotient`` and ``normalizer`` run; each places every product
+itself, by a lattice key or by membership in Gamma.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +38,9 @@ from math import gcd
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .groups import FinGroup, GroupOverflow, close, extend, order_from_multiple, recognize
+from .groups import (
+    FinGroup, GroupOverflow, close, coset_quotient, extend, order_from_multiple, recognize
+)
 from .quat import ISOM_ID, Isom3, J, L, Q_I, Q_J, Q_ONE, Q_S, Q_W
 from .slopes import Slope, slope
 
@@ -301,11 +303,9 @@ def torus_quotient(a_gamma: TorusLattice, rotations, n: int) -> FinGroup:
     J lies in Gamma, so two elements lie in one coset of Gamma exactly when
     their torus vectors have the same key mod A_Gamma.
 
-    The labels replay ``normalizer``'s coset search (``FinGroup.quotient``
-    of Gamma) on keys: representatives from ISOM_ID, each times
-    (*rotations, J) in turn, a product starting a new coset exactly when
-    its key is new, up to the fourth coset.  So the labels are those
-    ``normalizer`` gives, by construction; the table comes from keys.
+    The cosets come from ``groups.coset_quotient``, the search of
+    ``normalizer``, with each product placed by its key, so the labels are
+    those ``normalizer`` gives.
     """
     M = a_gamma.M
     a_norm = TorusLattice.spanned([torus_vector(g, M) for g in rotations], M)
@@ -317,27 +317,15 @@ def torus_quotient(a_gamma: TorusLattice, rotations, n: int) -> FinGroup:
         raise ArithmeticError(
             f"the claimed N(Gamma) fails to normalize Gamma: {a_norm}, 4n = {4 * n}"
         )
-    search = (*rotations, J)
-    reps = [ISOM_ID]
-    label = {(0, 0): ISOM_ID}
-    # reps grows while it is read: breadth-first over the cosets
-    for z in (y * s for y in reps for s in search):
+    index = {(0, 0): 0}  # the key of each coset, in the order found
+    def find(z):
         key = a_gamma.key(*torus_vector(z, M))
-        if key not in label:
-            label[key] = z
-            reps.append(z)
-            if len(reps) == 4:
-                break
-    # (L(s)*J^e)*(L(t)*J^k) = L(s +- t)*J^(e+k) and 2t lies in A_Gamma, so
-    # the product's coset has the key of s + t, and each coset is its own
-    # inverse.
-    vectors = {g: torus_vector(g, M) for g in reps}
-    table = {
-        (a, b): label[a_gamma.key(x + u, y + v)]
-        for a, (x, y) in vectors.items()
-        for b, (u, v) in vectors.items()
-    }
-    return FinGroup(vectors, ISOM_ID, mul=lambda a, b: table[a, b], inv=lambda a: a)
+        if key in index:
+            return index[key]
+        index[key] = len(index)
+        return None
+
+    return coset_quotient(ISOM_ID, (*rotations, J), operator.mul, find)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
 """Finite groups as closed element sets: extension of a closed subgroup
 coset by coset (closure is extension of the trivial group), normality,
-quotients <H, gens>/H from the cosets of the normal subgroup H without
-listing <H, gens>, recognition, powers by square-and-multiply, and element
-orders from a known multiple.
+quotients <H, gens>/H by one coset search without listing <H, gens>,
+recognition, powers by square-and-multiply, and element orders from a
+known multiple.
 
 The layer is generic over the element model: elements are hashable values,
 products come from a ``mul`` callable (the ``*`` operator by default) and
 inverses from an ``inv`` callable (an ``.inv()`` method by default).  The
 quaternion and isometry models of ``pa.quat``, the coset permutations of
 ``pa.cosetenum`` and the torus quotients of ``pa.dihedral`` all close and
-recognize their groups here.
+recognize their groups here.  ``coset_quotient`` is the one quotient search,
+for ``FinGroup.quotient`` and ``dihedral.torus_quotient``; ``extend`` keeps
+its own loop, as it lists every element of each new coset.
 """
 
 from __future__ import annotations
@@ -92,63 +94,72 @@ class FinGroup:
         )
 
     def quotient(self, gens, bound=10**5) -> "FinGroup":
-        """<H, gens>/H for this group H, normal in <H, gens>, as a group of
-        right-coset representatives; |<H, gens>| = |H| * |quotient|, and
-        <H, gens> is never listed.
+        """<H, gens>/H for this group H, normal in <H, gens>, by
+        ``coset_quotient``; |<H, gens>| = |H| * |quotient|, and <H, gens> is
+        never listed.
 
         Raises ValueError unless ``normalized_by(gens)`` holds, tested
         before anything else, and GroupOverflow when |H| times the number of
-        cosets would pass ``bound``.  The cosets are those of ``extend``'s
-        search: each representative y in turn, in the order found, times
-        ``gens``.  H's own generators are skipped, as for a normal H
-        y*h = (y*h*y^-1)*y lies in H*y.  A product z lies in the coset H*r
-        of the first representative r with z*r^-1 in H (for r = 1 the test
-        is z in H, with no product), or else starts the coset H*z; the
-        coset each (representative, generator) pair reaches is kept.  The
-        table then needs no product: a representative b = y*s found from y
-        lies in the coset of r*s for the representative r of a*y's coset,
-        so the coset of a*b is read from the kept action, y coming before
-        b.  The quotient keeps that table and the inverses, and no
-        reference to H.
+        cosets would pass ``bound``.  H's own generators are skipped, as for
+        a normal H y*h = (y*h*y^-1)*y lies in H*y.  A product z lies in the
+        coset H*r of the first representative r with z*r^-1 in H (for r = 1
+        the test is z in H, with no product), or else starts the coset H*z.
         """
         gens = tuple(gens)
         if not self.normalized_by(gens):
             raise ValueError("not a normal subgroup")
         mul, size = self.mul, len(self.elements)
-        reps, inverses = [self.identity], [self.identity]
-        found_from = [None]  # (y, s): the indices with reps[b] = reps[y] * gens[s]
-        action = []  # action[y][s]: the coset of reps[y] * gens[s]
-        for y, rep in enumerate(reps):  # grows while it is read: breadth-first
-            row = []
-            for s, x in enumerate(gens):
-                z = mul(rep, x)
-                if z in self:
-                    row.append(0)
-                    continue
-                for c in range(1, len(reps)):
-                    if mul(z, inverses[c]) in self:
-                        row.append(c)
-                        break
-                else:
-                    if size * (len(reps) + 1) > bound:
-                        raise GroupOverflow(f"closure exceeds bound {bound}")
-                    row.append(len(reps))
-                    reps.append(z)
-                    inverses.append(self.inv(z))
-                    found_from.append((y, s))
-            action.append(row)
-        cosets = []  # cosets[a][b]: the coset of reps[a] * reps[b]
-        for a in range(len(reps)):
-            row = [a]
-            for y, s in found_from[1:]:
-                row.append(action[row[y]][s])
-            cosets.append(row)
-        table = {
-            (reps[a], reps[b]): reps[c] for a, row in enumerate(cosets) for b, c in enumerate(row)
-        }
-        inverse = {reps[a]: reps[row.index(0)] for a, row in enumerate(cosets)}
-        qmul = lambda a, b: table[a, b]
-        return FinGroup(reps, self.identity, mul=qmul, inv=inverse.__getitem__)
+        inverses = [self.identity]  # of the representatives, in the order found
+        def find(z):
+            if z in self:
+                return 0
+            for c in range(1, len(inverses)):
+                if mul(z, inverses[c]) in self:
+                    return c
+            if size * (len(inverses) + 1) > bound:
+                raise GroupOverflow(f"closure exceeds bound {bound}")
+            inverses.append(self.inv(z))
+            return None
+
+        return coset_quotient(self.identity, gens, mul, find)
+
+
+def coset_quotient(identity, gens, mul, find) -> FinGroup:
+    """<H, gens>/H for a normal H, as a group of right-coset
+    representatives found breadth-first (Butler, LNCS 559, 1991; Holt, Eick
+    and O'Brien, *Handbook of Computational Group Theory*, 2005, 4.1): each
+    representative y in turn, from ``identity``, times ``gens``.  ``find(z)``
+    returns the index of the product z's coset, or None when z starts a new
+    one; it may raise to refuse a coset.  The table needs no product: a
+    representative b = y*s found from y lies in the coset of r*s for the
+    representative r of a*y's coset, so the coset of a*b is read from the
+    kept action of each (representative, generator) pair, y coming before b.
+    """
+    reps = [identity]
+    found_from = [None]  # (y, s): the indices with reps[b] = reps[y] * gens[s]
+    action = []  # action[y][s]: the coset of reps[y] * gens[s]
+    for y, rep in enumerate(reps):  # grows while it is read: breadth-first
+        row = []
+        for s, x in enumerate(gens):
+            z = mul(rep, x)
+            c = find(z)
+            if c is None:
+                c = len(reps)
+                reps.append(z)
+                found_from.append((y, s))
+            row.append(c)
+        action.append(row)
+    cosets = []  # cosets[a][b]: the coset of reps[a] * reps[b]
+    for a in range(len(reps)):
+        row = [a]
+        for y, s in found_from[1:]:
+            row.append(action[row[y]][s])
+        cosets.append(row)
+    table = {
+        (reps[a], reps[b]): reps[c] for a, row in enumerate(cosets) for b, c in enumerate(row)
+    }
+    inverse = {reps[a]: reps[row.index(0)] for a, row in enumerate(cosets)}
+    return FinGroup(reps, identity, mul=lambda a, b: table[a, b], inv=inverse.__getitem__)
 
 
 def close(gens, bound=10**5, *, identity=None, mul=operator.mul, inv=None) -> FinGroup:

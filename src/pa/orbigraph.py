@@ -402,6 +402,12 @@ def surger(g: WeightedGraphOrbifold, reweight: dict) -> WeightedGraphOrbifold:
 # report.  A graph past it is refused once its dimension is known.
 MAX_HOMOLOGY_CELLS = 10**6
 
+# Edges x relations (odd-weight edges and vertices): the bits the GF(2)
+# elimination may come to hold as its rows fill in.  A graph past it is
+# refused before any row is built; at the bound the elimination of a cubic
+# graph takes about 0.2 s and 3 MB.
+MAX_HOMOLOGY_ELIMINATION = 10**7
+
 
 @dataclass(frozen=True)
 class H1Z2Report:
@@ -425,16 +431,24 @@ def h1_z2(g: WeightedGraphOrbifold) -> H1Z2Report:
     (loops contribute twice, hence nothing; degree-4 parabolic vertices
     contribute one relation over their four germs).
 
-    Raises ValueError when edges x dimension exceeds MAX_HOMOLOGY_CELLS,
-    before any class is built.
+    Raises ValueError when edges x relations exceeds
+    MAX_HOMOLOGY_ELIMINATION, before any row is built, and when edges x
+    dimension exceeds MAX_HOMOLOGY_CELLS, before any class is built.
     """
     if g.ambient != "S3":
         raise ValueError("h1_z2 is defined for ambient S3 graphs")
     if any(g._vertices.values()):
         raise ValueError("h1_z2 needs a closed (boundaryless) graph")
     eids = sorted(g._edges)
+    odd = [eid for eid in eids if not weight_is_even(g._edges[eid].weight)]
+    width, relations = len(eids), len(odd) + len(g._germs)
+    if width * relations > MAX_HOMOLOGY_ELIMINATION:
+        raise ValueError(
+            f"H1(O; Z2) of {width} edges has {relations} relations: its elimination "
+            f"spans {width * relations} entries, past the bound {MAX_HOMOLOGY_ELIMINATION}"
+        )
     col = {eid: i for i, eid in enumerate(eids)}
-    rows = [1 << col[eid] for eid in eids if not weight_is_even(g._edges[eid].weight)]
+    rows = [1 << col[eid] for eid in odd]
     for germs in g._germs.values():
         mask = 0
         for e in germs:
@@ -442,7 +456,6 @@ def h1_z2(g: WeightedGraphOrbifold) -> H1Z2Report:
             mask ^= 1 << col[e.id]
         if mask:
             rows.append(mask)
-    width = len(eids)
     pivots, reduced = _gf2_rref(rows, width)
     dimension = width - len(pivots)
     if width * dimension > MAX_HOMOLOGY_CELLS:

@@ -8,6 +8,7 @@ in the witness.
 
 from __future__ import annotations
 
+import ast
 import re
 import tokenize
 from dataclasses import dataclass
@@ -455,16 +456,20 @@ CORE_MODULES = (
 
 # One pass over tokenize's own grammar.  Comments and strings (triple-quoted
 # first, each with any prefix) are matched whole, so no number or name inside
-# them is seen; only numbers and names are captured.  On valid Python every
-# match starts where a tokenize token starts, and an f-string is one opaque
+# them is seen; f-strings, numbers and names are captured.  On valid Python
+# every match starts where a tokenize token starts, and an f-string is one
 # literal, as tokenize reads it before Python 3.12.
+_STRINGS = "|".join((
+    "'''" + tokenize.Single3,
+    '"""' + tokenize.Double3,
+    r"'[^\n'\\]*(?:\\.[^\n'\\]*)*'",
+    r'"[^\n"\\]*(?:\\.[^\n"\\]*)*"',
+))
 _TOKENS = re.compile(
     "|".join((
         tokenize.Comment,
-        "[bBrRuUfF]{0,2}'''" + tokenize.Single3,
-        '[bBrRuUfF]{0,2}"""' + tokenize.Double3,
-        r"[bBrRuUfF]{0,2}'[^\n'\\]*(?:\\.[^\n'\\]*)*'",
-        r'[bBrRuUfF]{0,2}"[^\n"\\]*(?:\\.[^\n"\\]*)*"',
+        "((?:[rR]?[fF]|[fF][rR])(?:" + _STRINGS + "))",
+        "[bBrRuU]{0,2}(?:" + _STRINGS + ")",
         "(" + re.sub(r"\((?!\?)", "(?:", tokenize.Number) + ")",
         "(" + tokenize.Name + ")",
     )),
@@ -472,12 +477,26 @@ _TOKENS = re.compile(
 )
 
 
+def _field_sources(literal: str, joined: ast.JoinedStr):
+    """The source of each replacement field's expression in the f-string
+    ``literal``, the fields of nested format specs included, in order."""
+    for part in joined.values:
+        if isinstance(part, ast.FormattedValue):
+            yield ast.get_source_segment(literal, part.value)
+            if part.format_spec is not None:
+                yield from _field_sources(literal, part.format_spec)
+
+
 def _float_literals(source: str) -> list[str]:
     """The float and complex literals of a valid Python source, and its uses
-    of the name ``float``, in source order."""
+    of the name ``float``, in source order.  An f-string's replacement
+    fields are scanned as source, and its literal text is not."""
     bad = []
-    for number, name in _TOKENS.findall(source):
-        if number:
+    for fstring, number, name in _TOKENS.findall(source):
+        if fstring:
+            for field in _field_sources(fstring, ast.parse(fstring, mode="eval").body):
+                bad += _float_literals(field)
+        elif number:
             text = number.lower()
             if text.startswith(("0x", "0o", "0b")):
                 continue

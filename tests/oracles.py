@@ -11,13 +11,16 @@ sweep per check instead of one shared pass, rescans and rebuilt lists
 instead of kept indices, one letter at a time instead of runs by
 square-and-multiply, quotient labels from products or from an
 extension's listed coset blocks instead of from the cosets of the normal
-subgroup alone, a cycle walked twice instead of once, ``tokenize``'s token
-stream instead of one regular-expression pass), so agreement between the two
-is meaningful evidence.
+subgroup alone, a torus quotient's table from keys instead of from the
+recorded coset action, a cycle walked twice instead of once, ``tokenize``'s
+token stream instead of one regular-expression pass), so agreement between
+the two is meaningful evidence.
 """
 
+import ast
 import io
 import operator
+import re
 import tokenize
 from fractions import Fraction
 from math import gcd
@@ -172,16 +175,25 @@ def elide_weight_one_by_rescan(ambient, vertices, edges, name=None):
 
 def float_literals_by_tokenize(source):
     """Criterion 9's first scan: the float and complex NUMBER tokens and the
-    NAME tokens ``float`` of ``tokenize``'s stream.  An f-string is skipped
-    whole, as tokenize reads it before Python 3.12 (one STRING token)."""
-    fstring_depth = 0
+    NAME tokens ``float`` of ``tokenize``'s stream.  Before Python 3.12 an
+    f-string is one STRING token: the expressions of its replacement fields,
+    nested format specs included, are gathered from ``ast`` and scanned
+    again in the order of their positions, each in parentheses so that a
+    field across lines tokenizes whole.  From 3.12 the fields' tokens are in
+    the stream itself, and the literal text is FSTRING_MIDDLE."""
     bad = []
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        name = tokenize.tok_name[tok.type]
-        if name in ("FSTRING_START", "FSTRING_END"):
-            fstring_depth += 1 if name == "FSTRING_START" else -1
-        elif fstring_depth:
-            continue
+        if tok.type == tokenize.STRING and "f" in re.match("[a-zA-Z]*", tok.string)[0].lower():
+            fields, specs = [], [ast.parse(tok.string, mode="eval").body]
+            while specs:
+                for part in specs.pop().values:
+                    if isinstance(part, ast.FormattedValue):
+                        fields.append(part.value)
+                        if part.format_spec is not None:
+                            specs.append(part.format_spec)
+            for value in sorted(fields, key=lambda v: (v.lineno, v.col_offset)):
+                field = ast.get_source_segment(tok.string, value)
+                bad += float_literals_by_tokenize(f"({field})")
         elif tok.type == tokenize.NUMBER:
             text = tok.string.lower()
             if text.startswith(("0x", "0o", "0b")):
@@ -783,6 +795,39 @@ def closure_orbifold(r, d1, d2):
         return params, group, cert, dihedral.TAG_D3xZ2, factor
     factor = quotient(closure_normalizer(params, group), group)
     return params, group, cert, recognize(factor), factor
+
+
+# The torus quotient by keys: the first form of ``dihedral.torus_quotient``'s
+# search and table.
+
+
+def torus_quotient_by_keys(a_gamma, rotations):
+    """N/Gamma from the torus keys mod A_Gamma, for N = <rotations, J>
+    normalizing Gamma with N/Gamma = (Z2)^2: ``normalizer``'s coset search
+    replayed on keys, stopped at the fourth coset, the table built from the
+    keys of the sums, and every coset its own inverse."""
+    M = a_gamma.M
+    search = (*rotations, J)
+    reps = [ISOM_ID]
+    label = {(0, 0): ISOM_ID}
+    # reps grows while it is read: breadth-first over the cosets
+    for z in (y * s for y in reps for s in search):
+        key = a_gamma.key(*dihedral.torus_vector(z, M))
+        if key not in label:
+            label[key] = z
+            reps.append(z)
+            if len(reps) == 4:
+                break
+    # (L(s)*J^e)*(L(t)*J^k) = L(s +- t)*J^(e+k) and 2t lies in A_Gamma, so
+    # the product's coset has the key of s + t, and each coset is its own
+    # inverse.
+    vectors = {g: dihedral.torus_vector(g, M) for g in reps}
+    table = {
+        (a, b): label[a_gamma.key(x + u, y + v)]
+        for a, (x, y) in vectors.items()
+        for b, (u, v) in vectors.items()
+    }
+    return groups.FinGroup(vectors, ISOM_ID, mul=lambda a, b: table[a, b], inv=lambda a: a)
 
 
 # The trivial theta-orbifold's normalizer listed pair by pair: the first

@@ -387,6 +387,25 @@ class TestHomology:
         assert orbigraph.MAX_HOMOLOGY_CELLS == 10**6
         assert peak < 16 * 2**20, f"{peak} bytes at peak"
 
+    def test_past_the_elimination_bound_refused_before_it(self, capsys, tmp_path):
+        # 20000 vertices: 30000 edges x 20000 relations.  Eliminated first,
+        # the command took 3.5 s and a 171 MB tracemalloc peak before its
+        # refusal; the peak left is the JSON and the graph.
+        path = tmp_path / "prism.json"
+        path.write_text(json.dumps(self.prism(10000)))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "homology", str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: H1(O; Z2) of 30000 edges has 20000 relations: its elimination spans "
+            f"600000000 entries, past the bound {orbigraph.MAX_HOMOLOGY_ELIMINATION}\n"
+        )
+        assert peak < 48 * 2**20, f"{peak} bytes at peak"
+
     def test_within_the_cell_bound(self, capsys, tmp_path):
         # 3*399 edges x dimension 400 = 478800 entries, below the bound.
         path = tmp_path / "prism.json"

@@ -649,6 +649,30 @@ class TestTorusModel:
         assert len(torus_quotient(a_gamma, _normalizer_rotations(params), params.n)) == 4
 
 
+    @pytest.mark.parametrize(
+        "points, count",
+        [
+            (list(oracles._criterion2_points()), 218),
+            ([("3/100000000003", 999999999989, d2) for d2 in (1, 999999999961)], 2),
+        ],
+        ids=["criterion-2", "large-n"],
+    )
+    def test_coset_search_against_keys(self, points, count):
+        # The shared coset search and its action-read table against the
+        # replayed search with the key-built table and self-inverse rule.
+        assert len(points) == count
+        for r, d1, d2 in points:
+            params = params_for(r, d1, d2)
+            M = 2 * params.n
+            a_gamma = TorusLattice.spanned([torus_vector(_rotation(params), M)], M)
+            rotations = _normalizer_rotations(params)
+            got = torus_quotient(a_gamma, rotations, params.n)
+            want = oracles.torus_quotient_by_keys(a_gamma, rotations)
+            assert got.elements == want.elements, (r, d1, d2)
+            assert _table(got) == _table(want), (r, d1, d2)
+            assert [got.inv(g) for g in got] == [want.inv(g) for g in want], (r, d1, d2)
+
+
 def same_oriented(a, b) -> bool:
     """Whether triples (r, d1, d2) name the same oriented orbifold."""
     return canonical_key(make_dihedral(*a)) == canonical_key(make_dihedral(*b))

@@ -241,12 +241,14 @@ class TestOnePass:
     def test_product_count(self, monkeypatch):
         # Gamma closed coset by coset, orders from the multiple n,
         # N(Gamma)/Gamma from Gamma's cosets with N(Gamma) never listed (53
-        # products a point) and each cycle walked once: 39 011 Isom3
-        # products over checks 1-3, against 82 327 when N(Gamma) was listed
-        # and the quotient read from its blocks, 142 195 when the quotient
-        # labelled every element by a product and recognition walked <f>
-        # twice, and 333 382 when Gamma and N(Gamma) were closed
-        # breadth-first and order(f) was walked.
+        # products a point) and each cycle walked once: 41 130 Isom3
+        # products over checks 1-3, now that the torus quotient forms its
+        # whole 4x4 coset action (orbifold('2/7', 3, 5) makes 47, not 38).
+        # Before: 39 011 when it stopped at the fourth coset, 82 327 when
+        # N(Gamma) was listed and the quotient read from its blocks, 142 195
+        # when the quotient labelled every element by a product and
+        # recognition walked <f> twice, and 333 382 when Gamma and N(Gamma)
+        # were closed breadth-first and order(f) was walked.
         products = Counter()
         mul = quat.Isom3.__mul__
 
@@ -261,8 +263,8 @@ class TestOnePass:
 
 
 # Criterion 9's scan: (source, what it flags).  Every source is valid Python.
-# The first group is flagged; the rest name floats only inside strings and
-# comments, or not at all.
+# The first group is flagged, f-string replacement fields included; the rest
+# name floats only inside strings, format specs and comments, or not at all.
 FLOAT_CASES = [
     ("x = 1.5", ["1.5"]),
     ("x = .5", [".5"]),
@@ -277,6 +279,10 @@ FLOAT_CASES = [
     ("s = '1.5'; t = 2.5  # 3.5", ["2.5"]),
     ('s = "#"; t = 3.5', ["3.5"]),
     ("s = '''\n1.5 ''' + \"float\"; f = float", ["float"]),
+    ('x = f"{1.5}"', ["1.5"]),
+    ('x = f"{float(y)}"', ["float"]),
+    ('x = f"{x:{2.5}}"', ["2.5"]),
+    ('x = f"{a:{b}.{1e3}} {2j}"', ["1e3", "2j"]),
     ("x = 0xE", []),
     ("x = 0XE1", []),
     ("x = 0b1", []),
@@ -290,6 +296,7 @@ FLOAT_CASES = [
     ("x = 'a\\\n1.5 float'", []),
     ('x = """one "two" ""three"" 1.5 \\""" float"""', []),
     ("x = '''\n1.5\nfloat \\''' 2j\n'''", []),
+    ('x = f"{x:.2f}"', []),
     ('x = f"{x} 1.5 float"', []),
     ("x = rf'{x!r:>10} 2e3'", []),
     ('x = F"""{x}\n1.5"""', []),
