@@ -168,7 +168,6 @@ def cmd_dihedral(args) -> int:
 
     r, d1, d2 = args.slope, args.d1, args.d2
     params, cert, tag, quotient = dihedral.orbifold(r, d1, d2)
-    n = params.n
     desc = orbigraph.make_dihedral(r, d1, d2)
     payload = {
         "command": "dihedral",
@@ -180,14 +179,12 @@ def cmd_dihedral(args) -> int:
         "order": cert["order"],
         "group": f"D{cert['order_f']}",
         "isom": tag,
-        "normalizer_order": 8 * n if quotient is not None else None,
+        "normalizer_order": cert["order"] * len(quotient) if quotient is not None else None,
         "quotient_order": len(quotient) if quotient is not None else None,
         "key": orbigraph.canonical_key(desc),
         "certificate": dict(cert),
         "quotient_elements": quat.group_to_json(quotient) if quotient is not None else None,
     }
-    if dihedral.is_trivial_theta(r, d1, d2):
-        payload["normalizer_order"] = 48
     lines = [
         f"O({r};{d1},{d2}): Gamma = {payload['group']}, order {cert['order']}",
         f"k1={params.k1} k2={params.k2}",
@@ -215,11 +212,7 @@ def cmd_homology(args) -> int:
             obj = json.load(fh)
         except RecursionError:
             raise ValueError(f"{args.path}: JSON nested too deeply") from None
-    if "family" in obj:
-        graph = orbigraph.descriptor_from_json(obj).graph
-    else:
-        graph = orbigraph.graph_from_json(obj)
-    report = orbigraph.h1_z2(graph)
+    report = orbigraph.h1_z2(orbigraph.descriptor_from_json(obj).graph)
     payload = {
         "command": "homology",
         "dimension": report.dimension,

@@ -142,14 +142,15 @@ class _Felsch:
 
     A relator of one run is a power relator x^r.  A generator x with a
     relator x^1 (or powers of gcd 1) fixes every coset: each row is made
-    with k.x = k, and those entries are deductions like any other.  Power relators x^r (r >= 2) are never scanned.  The
-    x-edges of the table form chains and cycles; each power column keeps
-    its chains as head -> (tail, length) and tail -> head, and a new x-edge
-    updates them in O(1).  A chain of r cosets closes into a cycle, a
-    longer chain or a cycle whose length does not divide r is a
-    coincidence.  Coincidence processing does not update the chains; the
-    maps of each power column whose edges it moved are rebuilt from the
-    table before the next deduction.
+    with k.x = k, and those entries are deductions like any other.  Power
+    relators x^r (r >= 2) are never scanned.  The x-edges of the table form
+    chains and cycles; each power column keeps its chains as
+    head -> (tail, length) and tail -> head, and a new x-edge updates them
+    in O(1).  A chain of r cosets closes into a cycle, a longer chain or a
+    cycle whose length does not divide r is a coincidence.  Coincidence
+    processing does not update the chains; the maps of each power column
+    whose edges it moved are rebuilt from the table before the next
+    deduction.
     """
 
     def __init__(self, pres: Presentation, max_cosets: int):

@@ -60,10 +60,6 @@ def is_weight(w) -> bool:
     return w is INF or (isinstance(w, int) and not isinstance(w, bool) and w >= 1)
 
 
-def weight_recip(w) -> Fraction:
-    return Fraction(0) if w is INF else Fraction(1, w)
-
-
 def weight_is_even(w) -> bool:
     return w is INF or w % 2 == 0
 
@@ -117,6 +113,13 @@ class WeightedGraphOrbifold:
     """Immutable-by-convention weighted graph in an ambient space."""
 
     def __init__(self, ambient: str, vertices, edges, name: str | None = None):
+        self._index(ambient, vertices, edges, name)
+        self._validate_degrees()
+
+    def _index(self, ambient, vertices, edges, name) -> WeightedGraphOrbifold:
+        """Check the ambient, the ids, the ends and the weights, and fill
+        the vertex, edge and germ index; the stars are left to
+        ``_validate_degrees``."""
         if ambient not in AMBIENTS:
             raise GraphStructureError(f"unknown ambient {ambient!r}")
         self.ambient = ambient
@@ -125,14 +128,13 @@ class WeightedGraphOrbifold:
         # each vertex's incident edges in edge order, loops twice
         self._germs: dict[str, list[Edge]] = {}
         for vid, boundary in vertices:
+            vid = str(vid)
             if vid in self._vertices:
                 raise GraphStructureError(f"duplicate vertex id {vid!r}")
-            vid = str(vid)
             self._vertices[vid] = bool(boundary)
             self._germs[vid] = []
         self._edges: dict[str, Edge] = {}
-        for item in edges:
-            e = item if isinstance(item, Edge) else Edge(item[0], tuple(item[1]), item[2])
+        for e in edges:
             if e.id in self._edges:
                 raise GraphStructureError(f"duplicate edge id {e.id!r}")
             for v in e.ends:
@@ -143,7 +145,7 @@ class WeightedGraphOrbifold:
             self._edges[e.id] = e
             for v in e.ends:
                 self._germs[v].append(e)
-        self._validate_degrees()
+        return self
 
     # -- basic queries -------------------------------------------------------
     def vertex_ids(self) -> list[str]:
@@ -251,6 +253,11 @@ class SCViolation:
     detail: str
 
 
+def _reciprocal_sum(edges) -> Fraction:
+    """The sum of 1/w(e) over ``edges``, with 1/inf = 0."""
+    return sum((Fraction(1, e.weight) for e in edges if e.weight is not INF), Fraction(0))
+
+
 def check_sc(g: WeightedGraphOrbifold) -> list[SCViolation]:
     """Violations of the sphere condition; empty list means pass."""
     violations = []
@@ -264,7 +271,7 @@ def check_sc(g: WeightedGraphOrbifold) -> list[SCViolation]:
                 SCViolation(v, "punctures", f"|S n Sigma| = {k} < 3")
             )
         elif k == 3:
-            total = sum((weight_recip(e.weight) for e in germs), Fraction(0))
+            total = _reciprocal_sum(germs)
             if total > 1:
                 ws = ",".join(weight_str(e.weight) for e in germs)
                 violations.append(
@@ -284,7 +291,7 @@ def vertex_geometry(g: WeightedGraphOrbifold, v: str) -> str:
             f"vertex {v!r} has degree {len(germs)}; geometry is defined for "
             "trivalent vertices only"
         )
-    total = sum((weight_recip(e.weight) for e in germs), Fraction(0))
+    total = _reciprocal_sum(germs)
     if total > 1:
         return "spherical"
     if total == 1:
@@ -299,27 +306,31 @@ def vertex_geometry(g: WeightedGraphOrbifold, v: str) -> str:
 def _elide_weight_one(ambient, vertices, edges, name=None) -> WeightedGraphOrbifold:
     """Drop weight-1 edges and smooth the resulting degree-2 interior
     vertices by merging their two germs (which must have equal weights).
+    The work is done on the index of the graph returned, whose stars are
+    checked once, at the end.
 
     The smallest interior vertex with no germ, one germ, or two germs on
     distinct edges is acted on first; the merged edge takes the smaller id
     and goes last.  A merge keeps every other vertex's degree, and a loop
     stays a loop, so a vertex passed over is never acted on later: one walk
     in sorted order meets the vertices in that order.  Each vertex's germs
-    are kept in edge order (loops twice) through the merges.
+    are kept in edge order (loops twice) through the drops and merges.
     """
-    vertices = dict(vertices)
-    edges = {e.id: e for e in edges if e.weight != 1}
-    germs: dict[str, list[Edge]] = {v: [] for v in vertices}
-    for e in edges.values():
+    g = WeightedGraphOrbifold.__new__(WeightedGraphOrbifold)._index(
+        ambient, vertices, edges, name
+    )
+    vertices, edges, germs = g._vertices, g._edges, g._germs
+    for e in [e for e in edges.values() if e.weight == 1]:
+        del edges[e.id]
         for end in e.ends:
-            germs[end].append(e)
+            germs[end] = [x for x in germs[end] if x is not e]
 
     for v in sorted(vertices):
         if vertices[v]:  # boundary components are never smoothed
             continue
         here = germs[v]
         if len(here) == 0:
-            del vertices[v]
+            del vertices[v], germs[v]
         elif len(here) == 1:
             raise GraphStructureError(f"elision leaves vertex {v!r} with a single germ")
         elif len(here) == 2 and here[0] is not here[1]:  # not a free circle
@@ -330,14 +341,13 @@ def _elide_weight_one(ambient, vertices, edges, name=None) -> WeightedGraphOrbif
                     f"{weight_str(e1.weight)} != {weight_str(e2.weight)}"
                 )
             merged = Edge(min(e1.id, e2.id), (e1.other_end(v), e2.other_end(v)), e1.weight)
-            del edges[e1.id], edges[e2.id], vertices[v]
+            del edges[e1.id], edges[e2.id], vertices[v], germs[v]
             edges[merged.id] = merged
             for e in here:
                 end = e.other_end(v)
-                germs[end] = [g for g in germs[end] if g is not e] + [merged]
-    return WeightedGraphOrbifold(
-        ambient, list(vertices.items()), list(edges.values()), name=name
-    )
+                germs[end] = [x for x in germs[end] if x is not e] + [merged]
+    g._validate_degrees()
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +383,8 @@ def surger(g: WeightedGraphOrbifold, reweight: dict) -> WeightedGraphOrbifold:
         boundary = g.is_boundary(v)
         if boundary:
             germs = g.germs(v)
-            if len(germs) == 3:
-                total = sum(
-                    (weight_recip(new_edges[e.id].weight) for e in germs), Fraction(0)
-                )
-                if total > 1:  # now a spherical 3-punctured sphere: cap it
-                    boundary = False
+            if len(germs) == 3 and _reciprocal_sum(new_edges[e.id] for e in germs) > 1:
+                boundary = False  # now a spherical 3-punctured sphere: cap it
         vertices.append((v, boundary))
 
     try:
@@ -535,33 +541,26 @@ FAMILY_TAGS = ("E", "M0", "M1", "M2", "O", "Oinf", "ORP3O", "D22xI", "custom")
 class ParedOrbifoldDescriptor:
     """A weighted graph together with its family tag and parameters.
 
-    ``parabolic_edges`` is the set of weight-inf edge ids (the parabolic
-    locus P); ``family`` holds the tag and its defining parameters.
+    ``family`` holds the tag and its defining parameters; the parabolic
+    locus P is read from the graph.
     """
 
     graph: WeightedGraphOrbifold
-    parabolic_edges: frozenset[str]
     family: dict
 
     def __post_init__(self):
         tag = self.family.get("tag")
         if tag not in FAMILY_TAGS:
             raise ValueError(f"unknown family tag {tag!r}")
-        expected = frozenset(
-            e.id for e in self.graph.edges() if e.weight is INF
-        )
-        if frozenset(self.parabolic_edges) != expected:
-            raise ValueError("parabolic_edges must be exactly the weight-inf edges")
-        object.__setattr__(self, "parabolic_edges", frozenset(self.parabolic_edges))
 
     @property
     def tag(self) -> str:
         return self.family["tag"]
 
-
-def _descriptor(graph: WeightedGraphOrbifold, family: dict) -> ParedOrbifoldDescriptor:
-    parabolic = frozenset(e.id for e in graph.edges() if e.weight is INF)
-    return ParedOrbifoldDescriptor(graph, parabolic, family)
+    @property
+    def parabolic_edges(self) -> frozenset[str]:
+        """The parabolic locus P: the ids of the weight-inf edges."""
+        return frozenset(e.id for e in self.graph.edges() if e.weight is INF)
 
 
 _TEMPLATE_VERTICES = (("a1", False), ("a2", False), ("b1", False), ("b2", False))
@@ -615,7 +614,7 @@ def make_heckoid(r, n) -> ParedOrbifoldDescriptor:
             n_int,
             name=f"M0({r};{n_int})",
         )
-        return _descriptor(graph, {"tag": "M0", "r": str(r), "n": n_int})
+        return ParedOrbifoldDescriptor(graph, {"tag": "M0", "r": str(r), "n": n_int})
     m = twice
     rhat = hat(r)
     if r.p % 2 == 1:
@@ -626,7 +625,7 @@ def make_heckoid(r, n) -> ParedOrbifoldDescriptor:
             m,
             name=f"M1({rhat};{m})",
         )
-        return _descriptor(
+        return ParedOrbifoldDescriptor(
             graph,
             {"tag": "M1", "r": str(rhat), "m": m, "J1": ["K1"], "J2": ["K2"]},
         )
@@ -637,7 +636,7 @@ def make_heckoid(r, n) -> ParedOrbifoldDescriptor:
         m,
         name=f"M2({rhat};{m})",
     )
-    return _descriptor(
+    return ParedOrbifoldDescriptor(
         graph,
         {"tag": "M2", "r": str(rhat), "m": m, "J1": ["K1", "K3"], "J2": ["K2", "K4"]},
     )
@@ -661,7 +660,7 @@ def make_dihedral(r, d_plus: int, d_minus: int) -> ParedOrbifoldDescriptor:
         d_minus,
         name=f"O({r};{d_plus},{d_minus})",
     )
-    return _descriptor(
+    return ParedOrbifoldDescriptor(
         graph, {"tag": "O", "r": str(r), "d_plus": d_plus, "d_minus": d_minus}
     )
 
@@ -678,7 +677,7 @@ def make_exterior(r) -> ParedOrbifoldDescriptor:
         1,
         name=f"E(K({r}))",
     )
-    return _descriptor(graph, {"tag": "E", "r": str(r)})
+    return ParedOrbifoldDescriptor(graph, {"tag": "E", "r": str(r)})
 
 
 def templates() -> list[ParedOrbifoldDescriptor]:
@@ -702,9 +701,9 @@ def templates() -> list[ParedOrbifoldDescriptor]:
         name="D2(2,2)xI",
     )
     return [
-        _descriptor(o_inf, {"tag": "Oinf"}),
-        _descriptor(o_rp3, {"tag": "ORP3O"}),
-        _descriptor(d22, {"tag": "D22xI"}),
+        ParedOrbifoldDescriptor(o_inf, {"tag": "Oinf"}),
+        ParedOrbifoldDescriptor(o_rp3, {"tag": "ORP3O"}),
+        ParedOrbifoldDescriptor(d22, {"tag": "D22xI"}),
     ]
 
 
@@ -727,22 +726,14 @@ def canonical_key(d: ParedOrbifoldDescriptor) -> str:
     r = slope(family["r"])
     if tag == "E":
         return f"E[{canonical(r)}]"
-    if tag == "M0":
-        return f"M0[{canonical(r)};{family['n']}]"
-    if tag == "M1":
-        return f"M1[{canonical(r)};{family['m']}]"
-    if tag == "M2":
-        return f"M2[{canonical(r)};{family['m']}]"
+    if tag in ("M0", "M1", "M2"):
+        index = family["n" if tag == "M0" else "m"]
+        return f"{tag}[{canonical(r)};{index}]"
     if tag == "O":
         d1, d2 = family["d_plus"], family["d_minus"]
         p = r.p
-        q = r.q % p if p > 1 else 0
-        candidates = [(q, d1, d2)]
-        if p > 1:
-            candidates.append((pow(q, -1, p), d2, d1))
-        else:
-            candidates.append((q, d2, d1))
-        qc, c1, c2 = min(candidates)
+        q = r.q % p
+        qc, c1, c2 = min((q, d1, d2), (pow(q, -1, p), d2, d1))
         return f"O[{qc}/{p};{c1},{c2}]"
     raise ValueError(f"unhandled family {tag!r}")
 
@@ -794,9 +785,12 @@ def graph_from_json(obj) -> WeightedGraphOrbifold:
     )
 
 
-def descriptor_from_json(obj: dict) -> ParedOrbifoldDescriptor:
+def descriptor_from_json(obj) -> ParedOrbifoldDescriptor:
+    """The descriptor of a ``graph_to_json`` document with an optional
+    "family" object (the tag "custom" when it has none).  A document of
+    another shape raises GraphStructureError, as in ``graph_from_json``."""
     graph = graph_from_json(obj)
     family = obj.get("family") or {"tag": "custom"}
     if not isinstance(family, dict) or not isinstance(family.get("tag"), str):
         raise GraphStructureError(f"malformed family {family!r}")
-    return _descriptor(graph, dict(family))
+    return ParedOrbifoldDescriptor(graph, dict(family))

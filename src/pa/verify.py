@@ -418,7 +418,7 @@ def check_heckoid_classification() -> tuple[bool, dict]:
         desc = orbigraph.make_heckoid(r, Fraction(5, 2))
         s = slope(desc.family["r"])
         shifted = dict(desc.family, r=str(Slope(s.q + s.p, s.p)))
-        desc2 = ParedOrbifoldDescriptor(desc.graph, desc.parabolic_edges, shifted)
+        desc2 = ParedOrbifoldDescriptor(desc.graph, shifted)
         if orbigraph.canonical_key(desc) != orbigraph.canonical_key(desc2):
             return False, {"m2_move": str(s)}
         key_moves += 1

@@ -333,6 +333,10 @@ class TestHomology:
                 'a graph needs "vertices" and "edges" lists',
             ),
             ([1, 2], "a graph document must be a JSON object"),
+            (5, "a graph document must be a JSON object"),
+            (None, "a graph document must be a JSON object"),
+            (True, "a graph document must be a JSON object"),
+            (False, "a graph document must be a JSON object"),
             (
                 {
                     "ambient": "S3",
@@ -342,7 +346,7 @@ class TestHomology:
                 "malformed edge {'id': 'e', 'ends': ['a'], 'weight': '2'}",
             ),
         ],
-        ids=["vertex-count", "top-level-array", "one-end"],
+        ids=["vertex-count", "top-level-array", "number", "null", "true", "false", "one-end"],
     )
     def test_malformed_structure(self, capsys, tmp_path, document, message):
         # One error line, not a traceback, for a file of the wrong shape.
@@ -591,3 +595,77 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         capsys.readouterr()
+
+
+# Malformed input for every subcommand, as (argv, document): a document is
+# JSON text written to a file whose path replaces "FILE" in argv.
+MALFORMED = [
+    (("link", "classify", "abc"), None),
+    (("link", "equiv", "3/8", "1/2/3"), None),
+    (("link", "cf", "1//2"), None),
+    (("link", "cf", "1/0"), None),
+    (("link", "hat", ""), None),
+    (("heckoid", "3/5", "1e9"), None),
+    (("heckoid", "3/5", "x"), None),
+    (("heckoid", "3/5", "5/4"), None),
+    (("heckoid", "1/0", "3"), None),
+    (("dihedral", "q", "1", "2"), None),
+    (("dihedral", "2/5", "x", "1"), None),
+    (("dihedral", "2/5", "-3", "1"), None),
+    (("dihedral", "2/5", "2", "4"), None),
+    (("dihedral", "1/0", "1", "2"), None),
+    (("cusp", "999"), None),
+    (("cusp", "244", "--count", "x"), None),
+    (("cusp", "244", "--count", "0"), None),
+    (("cusp", "244", "--count", "-1"), None),
+    (("cusp", "T236", "--count", "1000000000"), None),
+    (("triangle", "order", "2 3", "a"), None),
+    (("triangle", "order", "0 3 5", "a"), None),
+    (("triangle", "order", "2 3 7", "ab"), None),
+    (("triangle", "order", "2 3 5", "x"), None),
+    (("triangle", "order", "2 3 5", "a0"), None),
+    (("triangle", "image", "2 4 4", "b2a"), None),
+    (("triangle", "image", "a b c -> 2 2 4", "b"), None),
+    (("triangle", "image", "2 4 4 -> 2 3 3", "b2a"), None),
+    (("triangle", "image", "2 4 4 -> 2 2 4", "z"), None),
+    (("verify",), None),
+    (("verify", "bogus-check"), None),
+    (("verify", "--all", "bogus-check"), None),
+    (("homology", "FILE"), None),
+    (("homology", "FILE"), ""),
+    (("homology", "FILE"), "{nonsense"),
+    (("homology", "FILE"), "5"),
+    (("homology", "FILE"), "null"),
+    (("homology", "FILE"), "true"),
+    (("homology", "FILE"), "false"),
+    (("homology", "FILE"), "[1, 2]"),
+    (("homology", "FILE"), '"S3"'),
+    (("homology", "FILE"), '{"ambient": "S3", "vertices": [], "edges": [], "family": 5}'),
+    (("homology", "FILE"), '{"ambient": "S3", "vertices": [], "edges": [], '
+                           '"family": {"tag": 5}}'),
+    (("homology", "FILE"), '{"ambient": "S3", "vertices": [], "edges": [], '
+                           '"family": {"tag": "X"}}'),
+    (("homology", "FILE"), '{"ambient": "H3", "vertices": [], "edges": []}'),
+    (("homology", "FILE"), '{"ambient": ["S3"], "vertices": [], "edges": []}'),
+    (("homology", "FILE"), '{"ambient": "S3", "vertices": [{"id": "a"}], "edges": '
+                           '[{"id": "e", "ends": ["a", "a"], "weight": "abc"}]}'),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, document",
+    MALFORMED,
+    ids=[" ".join(argv) + ("" if doc is None else f" <{doc}>") for argv, doc in MALFORMED],
+)
+def test_malformed_input_exits_without_traceback(capsys, tmp_path, argv, document):
+    # Exit 1 with an "error:" line, or 2 for a usage error; never a traceback.
+    path = tmp_path / "input.json"
+    if document is not None:
+        path.write_text(document)
+    code, out, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
+    assert code in (1, 2), (code, out, err)
+    assert "Traceback" not in out + err
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert "usage" in err, err

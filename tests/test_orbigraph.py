@@ -136,6 +136,11 @@ class TestStructure:
             WeightedGraphOrbifold(
                 "S3", [("v", False), ("v", False)], []
             )
+        # An id is normalised before the test, so in neither order does a
+        # second entry overwrite the first.
+        for vertices in ([("1", False), (1, True)], [(1, True), ("1", False)]):
+            with pytest.raises(GraphStructureError, match="duplicate vertex id '1'"):
+                WeightedGraphOrbifold("S3", vertices, [])
         with pytest.raises(GraphStructureError):
             WeightedGraphOrbifold(
                 "S3",
@@ -200,7 +205,7 @@ class TestStructure:
                 Edge("e", ends, 2)
         with pytest.raises(GraphStructureError, match="exactly two ends"):
             WeightedGraphOrbifold(
-                "S3", [("a", True), ("b", True), ("c", True)], [("e", ("a", "b", "c"), 2)]
+                "S3", [("a", True), ("b", True), ("c", True)], [Edge("e", ("a", "b", "c"), 2)]
             )
         for ends in (("b", "a"), ["b", "a"], ("a", "b")):
             assert Edge("e", ends, 2).ends == ("a", "b")
@@ -449,18 +454,24 @@ class TestSurgery:
         assert e.is_loop and e.weight is INF
 
     def test_elision_matches_the_rescan_oracle(self):
-        def outcome(elide, vertices, edges):
+        # The germ lists come from the index the elision mutated; the
+        # oracle's come from one scan of its rebuilt graph's edges.
+        def outcome(elide, germs, vertices, edges):
             try:
-                return "graph", graph_to_json(elide("S3", vertices, edges))
+                g = elide("S3", vertices, edges)
             except GraphStructureError as err:
                 return "error", str(err)
+            assert list(g._germs) == g.vertex_ids()  # no germ list outlives its vertex
+            return "graph", graph_to_json(g), {v: germs(g, v) for v in g.vertex_ids()}
 
         rng = random.Random(17)
         kinds = Counter()
         for _ in range(300):
             vertices, edges = subdivided_multigraph(rng)
-            got = outcome(_elide_weight_one, vertices, edges)
-            assert got == outcome(oracles.elide_weight_one_by_rescan, vertices, edges)
+            got = outcome(_elide_weight_one, WeightedGraphOrbifold.germs, vertices, edges)
+            assert got == outcome(
+                oracles.elide_weight_one_by_rescan, oracles.germs_by_scan, vertices, edges
+            )
             kinds[got[0]] += 1
         assert kinds["graph"] >= 50 and kinds["error"] >= 50, kinds
 
@@ -650,7 +661,8 @@ class TestHomology:
 
 class TestOnePassGraphs:
     """Every graph that checks 7 and 8 build, against the rescan elision
-    and the edge-scan germs of the same template."""
+    and the edge-scan germs of the same template, with the parabolic locus
+    read from the rescan's graph."""
 
     def check_points(self):
         for r in verify._sweep_slopes(12):
@@ -678,10 +690,12 @@ class TestOnePassGraphs:
         points = 0
         for make, args in self.check_points():
             calls.clear()
-            g = make(*args).graph
+            d = make(*args)
+            g = d.graph
             ((targs, tkwargs),) = calls
             expected = oracles.template_graph_by_rescan(*targs, **tkwargs)
             assert (g.name, graph_to_json(g)) == (expected.name, graph_to_json(expected))
+            assert d.parabolic_edges == {e.id for e in expected.edges() if e.weight is INF}
             for v in g.vertex_ids():
                 assert g.germs(v) == oracles.germs_by_scan(expected, v), (g.name, v)
             assert h1_z2(g) == oracles.h1_z2_by_rebuild(g), g.name
@@ -705,9 +719,7 @@ class TestCanonicalKey:
 
     def test_m2_slope_translate_move(self):
         d = make_heckoid(slope("3/8"), Fraction(5, 2))
-        shifted = ParedOrbifoldDescriptor(
-            d.graph, d.parabolic_edges, {**d.family, "r": "7/4"}
-        )
+        shifted = ParedOrbifoldDescriptor(d.graph, {**d.family, "r": "7/4"})
         assert canonical_key(shifted) == canonical_key(d)
 
     def test_o_inversion_move(self):
@@ -750,11 +762,7 @@ class TestJSON:
     def test_descriptor_validation(self):
         d = make_heckoid(slope("3/5"), 3)
         with pytest.raises(ValueError):
-            ParedOrbifoldDescriptor(d.graph, frozenset(), d.family)
-        with pytest.raises(ValueError):
-            ParedOrbifoldDescriptor(
-                d.graph, d.parabolic_edges, {"tag": "nonsense"}
-            )
+            ParedOrbifoldDescriptor(d.graph, {"tag": "nonsense"})
 
     def test_malformed_documents_rejected(self):
         good = graph_to_json(theta(2, 2, 5))
