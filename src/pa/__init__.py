@@ -36,7 +36,7 @@ _EXPORTS = {
         "canonical_key", "check_sc", "h1_z2", "make_dihedral", "make_exterior",
         "make_heckoid", "surger", "templates", "vertex_geometry",
     ),
-    "quat": ("DSElem", "Isom3", "J", "J1", "J2", "L", "QuatExt", "binary_octahedral"),
+    "quat": ("Isom3", "J", "J1", "J2", "L", "QuatExt", "binary_octahedral"),
     "slopes": (
         "EquivalenceVerdict", "INF_SLOPE", "Slope", "canonical", "components",
         "continued_fraction", "equivalence", "eval_continued_fraction", "hat",

@@ -73,8 +73,9 @@ def parse_word(text: str, ngens: int = 3) -> tuple[tuple[int, int], ...]:
     """Parse a word like "b2ac2a" or "ac3" over a..c / A..C into runs
     (letter, count): "b2ac2a" is ((2, 2), (1, 1), (3, 2), (1, 1)).
 
-    Lowercase letters are generators, uppercase their inverses, a digit run
-    after a letter is its repeat count, "^" before a digit run is allowed.
+    Lowercase ASCII letters are generators, uppercase their inverses, a run
+    of ASCII digits after a letter is its repeat count, "^" before a digit
+    run is allowed; any other character raises ValueError.
     Each letter starts a run.  A word of more than MAX_WORD_RUNS runs, or a
     count of more than MAX_COUNT_DIGITS digits, raises ValueError.
     """
@@ -82,7 +83,7 @@ def parse_word(text: str, ngens: int = 3) -> tuple[tuple[int, int], ...]:
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
-        if not ch.isalpha():
+        if not (ch.isascii() and ch.isalpha()):
             raise ValueError(f"bad character {ch!r} in word {text!r}")
         idx = ord(ch.lower()) - ord("a") + 1
         if idx > ngens:
@@ -93,10 +94,10 @@ def parse_word(text: str, ngens: int = 3) -> tuple[tuple[int, int], ...]:
         i += 1
         if i < n and text[i] == "^":
             i += 1
-            if i >= n or not text[i].isdigit():
+            if i >= n or not "0" <= text[i] <= "9":
                 raise ValueError(f"'^' needs a repeat count in word {text!r}")
         j = i
-        while j < n and text[j].isdigit():
+        while j < n and "0" <= text[j] <= "9":
             j += 1
         if j - i > MAX_COUNT_DIGITS:
             raise ValueError(f"repeat count has more than {MAX_COUNT_DIGITS} digits")

@@ -758,15 +758,20 @@ def graph_to_json(g: WeightedGraphOrbifold) -> dict:
 def graph_from_json(obj) -> WeightedGraphOrbifold:
     """The graph of a ``graph_to_json`` document.  A document of another
     shape raises GraphStructureError: it must be an object whose "vertices"
-    are objects with a string "id" and whose "edges" are objects with a
-    string "id", two string "ends" and a "weight"."""
+    are objects with a string "id" (and, if present, a boolean "boundary")
+    and whose "edges" are objects with a string "id", two string "ends" and
+    a "weight"."""
     if not isinstance(obj, dict):
         raise GraphStructureError("a graph document must be a JSON object")
     vertices, edges = obj.get("vertices"), obj.get("edges")
     if not isinstance(vertices, list) or not isinstance(edges, list):
         raise GraphStructureError('a graph needs "vertices" and "edges" lists')
     for v in vertices:
-        if not isinstance(v, dict) or not isinstance(v.get("id"), str):
+        if not (
+            isinstance(v, dict)
+            and isinstance(v.get("id"), str)
+            and isinstance(v.get("boundary", False), bool)
+        ):
             raise GraphStructureError(f"malformed vertex {v!r}")
     for e in edges:
         if not (
@@ -780,17 +785,18 @@ def graph_from_json(obj) -> WeightedGraphOrbifold:
             raise GraphStructureError(f"malformed edge {e!r}")
     return WeightedGraphOrbifold(
         obj.get("ambient"),
-        [(v["id"], bool(v.get("boundary", False))) for v in vertices],
+        [(v["id"], v.get("boundary", False)) for v in vertices],
         [Edge(e["id"], tuple(e["ends"]), parse_weight(e["weight"])) for e in edges],
     )
 
 
 def descriptor_from_json(obj) -> ParedOrbifoldDescriptor:
     """The descriptor of a ``graph_to_json`` document with an optional
-    "family" object (the tag "custom" when it has none).  A document of
-    another shape raises GraphStructureError, as in ``graph_from_json``."""
+    "family" object (the tag "custom" when the key is missing).  A document
+    of another shape, or a "family" that is not an object with a string
+    "tag", raises GraphStructureError, as in ``graph_from_json``."""
     graph = graph_from_json(obj)
-    family = obj.get("family") or {"tag": "custom"}
+    family = obj.get("family", {"tag": "custom"})
     if not isinstance(family, dict) or not isinstance(family.get("tag"), str):
         raise GraphStructureError(f"malformed family {family!r}")
     return ParedOrbifoldDescriptor(graph, dict(family))

@@ -1,12 +1,17 @@
-"""Exact arithmetic in the unit quaternions and in Isom+(S^3).
+"""Exact arithmetic in Isom+(S^3) and in the unit quaternions.
 
 Everything lives in two element models, each stored as one canonical tuple
-of integers, so that products, equality and hashing are integer operations:
+of integers, so that products, equality and hashing are integer operations.
+Pairs (q1, q2) of unit quaternions represent orientation-preserving
+isometries of S^3 via phi(q1, q2)(q) = q1 * q * q2^{-1}, whose kernel is
+<(-1, -1)>:
 
-* ``DSElem`` -- elements of the subgroup D_S = S^1 u S^1*j of the unit
-  quaternions, e^{2pi*i*t} or e^{2pi*i*t}*j with a rational angle t, stored
-  as (n, d, jflag) with t = n/d reduced and 0 <= n < d.  Rational angles
-  cover every construction except the binary octahedral group.
+* ``Isom3`` -- phi(q1, q2) for q1, q2 in the subgroup D_S = S^1 u S^1*j,
+  each e^{2pi*i*t} or e^{2pi*i*t}*j with a rational angle t.  The isometry
+  is the key (D, a1, j1, a2, j2) with angles a1/D and a2/D, canonical
+  modulo the kernel; ``Isom3(...)`` is the one constructor that builds it.
+  Rational angles cover every construction except the binary octahedral
+  group.
 
 * ``QuatExt`` -- unit quaternions with coordinates in (1/2)Z[sqrt 2], which
   holds the binary octahedral group (Conway & Smith, *On Quaternions and
@@ -14,17 +19,13 @@ of integers, so that products, equality and hashing are integer operations:
   quaternion is built from and stored as its eight integers
   (A_w, A_x, A_y, A_z, B_w, B_x, B_y, B_z).  A product is formed over the
   integers and halved exactly; a product that leaves (1/2)Z[sqrt 2] raises
-  ArithmeticError instead of being rounded.
+  ArithmeticError instead of being rounded.  Isometries in this model are
+  raw pairs of ``QuatExt``, with no kernel reduction.
 
-Pairs (q1, q2) represent orientation-preserving isometries of S^3 via
-phi(q1, q2)(q) = q1 * q * q2^{-1}, whose kernel is <(-1, -1)>; ``Isom3``
-stores a ``DSElem`` pair as the key (D, a1, j1, a2, j2) canonical modulo that
-kernel (the (1/2)Z[sqrt 2] computation works with raw pairs instead).
 Elements are immutable and compare and hash as their keys.  ``Fraction``
-appears only where a rational angle is parsed or printed: the constructors,
-``DSElem.t``, ``l_angles``, ``format_isom`` and the printed ``QuatExt``
-coordinates.  The groups these elements generate are closed, compared and
-recognized by ``pa.groups``.
+appears only where a rational angle is parsed or printed: ``L``,
+``format_isom`` and the printed ``QuatExt`` coordinates.  The groups these
+elements generate are closed, compared and recognized by ``pa.groups``.
 """
 
 from __future__ import annotations
@@ -40,60 +41,6 @@ def _exact(v) -> Fraction:
     if not isinstance(v, (int, Fraction)):
         raise TypeError(f"exact value expected (int or Fraction), got {v!r}")
     return Fraction(v)
-
-
-# ---------------------------------------------------------------------------
-# D_S = S^1 u S^1*j with exact rational angles
-
-
-class DSElem(tuple):
-    """e^{2pi*i*t} (jflag False) or e^{2pi*i*t}*j (jflag True), t in [0,1),
-    stored as (n, d, jflag) with t = n/d in lowest terms."""
-
-    __slots__ = ()
-
-    def __new__(cls, t, jflag=False):
-        t = _exact(t) % 1
-        return tuple.__new__(cls, (t.numerator, t.denominator, bool(jflag)))
-
-    @property
-    def t(self) -> Fraction:
-        return Fraction(self[0], self[1])
-
-    @property
-    def jflag(self) -> bool:
-        return self[2]
-
-    def __mul__(self, other: "DSElem") -> "DSElem":
-        # j*e^{2pi*i*t} = e^{-2pi*i*t}*j and j*j = -1 = e^{pi*i}.
-        n, d, j = self
-        m, e, k = other
-        D = lcm(2, d, e)
-        n, m = n * (D // d), m * (D // e)
-        return _ds(n - m + (D >> 1) * k if j else n + m, D, j ^ k)
-
-    def __neg__(self) -> "DSElem":
-        n, d, j = self
-        return _ds(2 * n + d, 2 * d, j)
-
-    def inv(self) -> "DSElem":
-        n, d, j = self
-        return -self if j else _ds(-n, d, False)
-
-    def __repr__(self):
-        base = f"e(2pi*{self.t})"
-        return base + "*j" if self.jflag else base
-
-
-def _ds(n: int, d: int, jflag: bool) -> DSElem:
-    """The DSElem with angle n/d (any integer n, d >= 1)."""
-    n %= d
-    g = gcd(n, d)
-    return tuple.__new__(DSElem, (n // g, d // g, jflag))
-
-
-DS_ONE = DSElem(0)
-DS_J = DSElem(0, True)
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +115,6 @@ class QuatExt(tuple):
             raise ValueError("inverse requires a unit quaternion")
         return self.conjugate()
 
-    def key(self):
-        return tuple(self)
-
     def __repr__(self):
         w, x, y, z = (_coord_str(self[i], self[i + 4]) for i in range(4))
         return f"[{w} {x}i {y}j {z}k]"
@@ -190,30 +134,37 @@ Q_W = QuatExt(1, 1, 1, 1, 0, 0, 0, 0)
 
 
 class Isom3(tuple):
-    """phi(g1, g2) in Isom+(S^3) for DSElem g1, g2, canonicalized modulo the
+    """phi(q1, q2) in Isom+(S^3) for q1, q2 in D_S, as its key modulo the
     kernel <(-1,-1)>.
 
-    Stored as (D, a1, j1, a2, j2): g1 = e^{2pi*i*a1/D} * j^j1 and
-    g2 = e^{2pi*i*a2/D} * j^j2 over the least common denominator D of the
-    two angles (gcd(D, a1, a2) = 1), with the representative that keeps
-    g1's angle a1/D in [0, 1/2).
+    ``Isom3(D, c1, j1, c2, j2)`` is the pair q1 = e^{2pi*i*c1/D} * j^j1 and
+    q2 = e^{2pi*i*c2/D} * j^j2 for any integers c1, c2 and D >= 1.  It is
+    stored as the canonical key (D, a1, j1, a2, j2): an odd D is doubled,
+    the kernel is removed by adding D/2 to both angles when c1/D mod 1 is
+    at least 1/2, so that a1/D lies in [0, 1/2), the key is reduced to
+    gcd(D, a1, a2) = 1, and the j-flags are stored as bools.  Keys built
+    this way are equal exactly when the isometries are.
     """
 
     __slots__ = ()
 
-    def __new__(cls, g1: DSElem, g2: DSElem):
-        n1, d1, j1 = g1
-        n2, d2, j2 = g2
-        D = lcm(2, d1, d2)
-        return _isom(D, n1 * (D // d1), j1, n2 * (D // d2), j2)
-
-    @property
-    def g1(self) -> DSElem:
-        return _ds(self[1], self[0], self[2])
-
-    @property
-    def g2(self) -> DSElem:
-        return _ds(self[3], self[0], self[4])
+    def __new__(cls, D: int, c1: int, j1: bool, c2: int, j2: bool):
+        if not (isinstance(D, int) and isinstance(c1, int) and isinstance(c2, int)):
+            raise TypeError(f"Isom3 takes integer angles, got {(D, c1, c2)!r}")
+        if D < 1:
+            raise ValueError(f"Isom3 denominator must be at least 1, got {D}")
+        if D & 1:
+            D, c1, c2 = 2 * D, 2 * c1, 2 * c2
+        h = D >> 1
+        c1 %= D
+        if c1 >= h:
+            c1 -= h
+            c2 += h
+        c2 %= D
+        g = gcd(D, c1, c2)
+        if g != 1:
+            D, c1, c2 = D // g, c1 // g, c2 // g
+        return tuple.__new__(cls, (D, c1, bool(j1), c2, bool(j2)))
 
     def __mul__(self, other: "Isom3") -> "Isom3":
         # The D_S product in each coordinate, over a common even denominator:
@@ -232,8 +183,8 @@ class Isom3(tuple):
                 M = lcm(2, D, E)
                 s, t = M // D, M // E
                 D, a1, a2, b1, b2 = M, a1 * s, a2 * s, b1 * t, b2 * t
-        # _isom's reduction, inline: this is the innermost loop of every
-        # closure.
+        # The constructor's reduction, inline: this is the innermost loop of
+        # every closure.
         h = D >> 1
         c1 = (a1 - b1 + h * k1 if j1 else a1 + b1) % D
         c2 = a2 - b2 + h * k2 if j2 else a2 + b2
@@ -247,36 +198,21 @@ class Isom3(tuple):
         return tuple.__new__(Isom3, (D, c1, j1 ^ k1, c2, j2 ^ k2))
 
     def inv(self) -> "Isom3":
+        # e^{2pi*i*t}^-1 = e^{-2pi*i*t} and (e^{2pi*i*t}*j)^-1 = e^{2pi*i(t+1/2)}*j,
+        # over the denominator 2D.
         D, a1, j1, a2, j2 = self
-        if D & 1:
-            D, a1, a2 = 2 * D, 2 * a1, 2 * a2
-        h = D >> 1
-        return _isom(D, a1 + h if j1 else -a1, j1, a2 + h if j2 else -a2, j2)
+        return Isom3(
+            2 * D, 2 * a1 + D if j1 else -2 * a1, j1, 2 * a2 + D if j2 else -2 * a2, j2
+        )
 
     def __repr__(self):
         return format_isom(self)
 
 
-def _isom(D: int, c1: int, j1: bool, c2: int, j2: bool) -> Isom3:
-    """The Isom3 of the pair with angles c1/D, c2/D (D even, c1, c2 any
-    integers): the kernel is removed by adding D/2 to both angles when
-    c1/D mod 1 is at least 1/2, then the key is reduced."""
-    h = D >> 1
-    c1 %= D
-    if c1 >= h:
-        c1 -= h
-        c2 += h
-    c2 %= D
-    g = gcd(D, c1, c2)
-    if g != 1:
-        D, c1, c2 = D // g, c1 // g, c2 // g
-    return tuple.__new__(Isom3, (D, c1, j1, c2, j2))
-
-
-ISOM_ID = Isom3(DS_ONE, DS_ONE)
-J = Isom3(DS_J, DS_J)    # (z1, z2) -> (conj z1, conj z2)
-J1 = Isom3(DS_ONE, DS_J)  # (z1, z2) -> (z2, -z1)
-J2 = Isom3(DS_J, DS_ONE)  # (z1, z2) -> (-conj z2, conj z1)
+ISOM_ID = Isom3(1, 0, False, 0, False)
+J = Isom3(1, 0, True, 0, True)    # (z1, z2) -> (conj z1, conj z2)
+J1 = Isom3(1, 0, False, 0, True)  # (z1, z2) -> (z2, -z1)
+J2 = Isom3(1, 0, True, 0, False)  # (z1, z2) -> (-conj z2, conj z1)
 
 
 def L(t1, t2) -> Isom3:
@@ -291,20 +227,7 @@ def L(t1, t2) -> Isom3:
     D = lcm(t1.denominator, t2.denominator)
     x = t1.numerator * (D // t1.denominator)
     y = t2.numerator * (D // t2.denominator)
-    return _isom(2 * D, x + y, False, y - x, False)
-
-
-def is_L(g: Isom3) -> bool:
-    _, _, j1, _, j2 = g
-    return not j1 and not j2
-
-
-def l_angles(g: Isom3) -> tuple[Fraction, Fraction]:
-    """Recover (t1, t2) with g = L(t1, t2); requires is_L(g)."""
-    if not is_L(g):
-        raise ValueError("not an L-type isometry")
-    D, a1, _, a2, _ = g
-    return (Fraction((a1 - a2) % D, D), Fraction((a1 + a2) % D, D))
+    return Isom3(2 * D, x + y, False, y - x, False)
 
 
 _J_TAILS = {
@@ -316,13 +239,13 @@ _J_TAILS = {
 
 
 def format_isom(g: Isom3) -> str:
-    """Print as "L(a/b, c/d)" optionally followed by one of ·J, ·J1, ·J2."""
+    """Print as "L(t1, t2)" optionally followed by one of ·J, ·J1, ·J2."""
     # Right multiplication by j^-1 clears a coordinate's j and keeps its
-    # angle, so the L-part has g's key with both flags cleared.
+    # angle, so the L-part L(t1, t2) has the angles (a1 - a2)/D and
+    # (a1 + a2)/D of g's key.
     D, a1, j1, a2, j2 = g
-    tail = _J_TAILS[j1, j2]
-    t1, t2 = l_angles(tuple.__new__(Isom3, (D, a1, False, a2, False)))
-    return f"L({t1}, {t2})" + tail
+    t1, t2 = Fraction((a1 - a2) % D, D), Fraction((a1 + a2) % D, D)
+    return f"L({t1}, {t2})" + _J_TAILS[j1, j2]
 
 
 def group_to_json(G) -> list[str]:

@@ -423,15 +423,17 @@ COS_SIN_8TH = (
 
 
 def embed_ds(g):
-    """Embed a DSElem into the QuatExt model.
+    """Embed a D_S element (t, jflag), e^{2pi*i*t} * j^jflag, into the
+    QuatExt model.
 
     Only angles with denominator dividing 8 have cosine and sine in
     Q(sqrt 2); anything else is rejected.
     """
-    n, d, j = g
-    if 8 % d:
-        raise ValueError(f"angle {g.t} has no Q(sqrt2) coordinates")
-    (ca, cb), (sa, sb) = COS_SIN_8TH[n * (8 // d)]
+    t, j = g
+    t = Fraction(t) % 1
+    if 8 % t.denominator:
+        raise ValueError(f"angle {t} has no Q(sqrt2) coordinates")
+    (ca, cb), (sa, sb) = COS_SIN_8TH[t.numerator * (8 // t.denominator)]
     if j:
         # (cos + i sin) * j = cos*j + sin*k
         return QuatExt(0, 0, ca, sa, 0, 0, cb, sb)
@@ -841,7 +843,7 @@ def exceptional_normalizer_counts():
     one = (Q_ONE, Q_ONE)
     gamma_raw = groups.close([(Q_I, Q_I), (Q_J, Q_J)], 16, identity=one, mul=mul, inv=inv)
     n_raw = groups.extend(gamma_raw, [(Q_S, Q_S), (Q_W, Q_W), (Q_ONE, -Q_ONE)], 192)
-    classes = {min((g[0].key(), g[1].key()), ((-g[0]).key(), (-g[1]).key())) for g in n_raw}
+    classes = {min(g, (-g[0], -g[1])) for g in n_raw}
     return len(n_raw), len(classes)
 
 

@@ -81,6 +81,43 @@ def test_bench_patches_only_attributes_that_exist():
         assert callable(getattr(getattr(quat, owner), attr)), (owner, attr)
 
 
+def _calls_by_function(node, owner=""):
+    """(owner, call) for every call under ``node``: owner is the dotted name
+    of the innermost enclosing class or function, "" at the top level."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _calls_by_function(child, f"{owner}.{child.name}".lstrip("."))
+            continue
+        if isinstance(child, ast.Call):
+            yield owner, child
+        yield from _calls_by_function(child, owner)
+
+
+def test_isom3_keys_are_built_only_by_its_constructor():
+    # Isom3 elements compare and hash as their keys, so a key built outside
+    # the canonicalising constructor (or the product's inline copy of it)
+    # could be a second, unequal name for the same isometry.
+    tree = _tree("quat.py")
+    classes = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    assert classes == {"Isom3", "QuatExt"}
+    builders = set()
+    for owner, call in _calls_by_function(tree):
+        func = call.func
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr == "__new__"
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "tuple"
+            and isinstance(call.args[0], ast.Name)
+            and (
+                call.args[0].id == "Isom3"
+                or (call.args[0].id == "cls" and owner.startswith("Isom3."))
+            )
+        ):
+            builders.add(owner)
+    assert builders == {"Isom3.__new__", "Isom3.__mul__"}
+
+
 # ---------------------------------------------------------------------------
 # Layers loaded on demand
 
@@ -155,7 +192,7 @@ def defined_names(name: str) -> set[str]:
 
 
 def test_public_names_resolve_to_their_home_modules():
-    assert len(pa.__all__) == 65 and pa.__all__ == sorted(set(pa.__all__))
+    assert len(pa.__all__) == 64 and pa.__all__ == sorted(set(pa.__all__))
     for module, names in pa._EXPORTS.items():
         home = importlib.import_module(f"pa.{module}")
         defined = defined_names(f"{module}.py")

@@ -345,8 +345,27 @@ class TestHomology:
                 },
                 "malformed edge {'id': 'e', 'ends': ['a'], 'weight': '2'}",
             ),
+            *(
+                (
+                    {"ambient": "S3", "vertices": [], "edges": [], "family": family},
+                    f"malformed family {family!r}",
+                )
+                for family in ({}, [], 0, "", False, None)
+            ),
+            (
+                {
+                    "ambient": "S3",
+                    "vertices": [{"id": "a", "boundary": "false"}],
+                    "edges": [{"id": "e", "ends": ["a", "a"], "weight": "2"}],
+                },
+                "malformed vertex {'id': 'a', 'boundary': 'false'}",
+            ),
         ],
-        ids=["vertex-count", "top-level-array", "number", "null", "true", "false", "one-end"],
+        ids=[
+            "vertex-count", "top-level-array", "number", "null", "true", "false", "one-end",
+            "family-empty-object", "family-empty-array", "family-zero", "family-empty-string",
+            "family-false", "family-null", "boundary-string",
+        ],
     )
     def test_malformed_structure(self, capsys, tmp_path, document, message):
         # One error line, not a traceback, for a file of the wrong shape.
@@ -649,6 +668,16 @@ MALFORMED = [
     (("homology", "FILE"), '{"ambient": ["S3"], "vertices": [], "edges": []}'),
     (("homology", "FILE"), '{"ambient": "S3", "vertices": [{"id": "a"}], "edges": '
                            '[{"id": "e", "ends": ["a", "a"], "weight": "abc"}]}'),
+    (("triangle", "order", "2 3 3", "İ"), None),
+    (("triangle", "order", "2 3 3", "a²"), None),
+    (("triangle", "image", "2 4 4 -> 2 2 4", "İ"), None),
+    (("triangle", "image", "2 4 4 -> 2 2 4", "a²"), None),
+    *(
+        (("homology", "FILE"), f'{{"ambient": "S3", "vertices": [], "edges": [], "family": {f}}}')
+        for f in ("{}", "[]", "0", '""', "false", "null")
+    ),
+    (("homology", "FILE"), '{"ambient": "S3", "vertices": [{"id": "a", "boundary": "false"}], '
+                           '"edges": []}'),
 ]
 
 

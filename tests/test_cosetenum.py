@@ -26,6 +26,7 @@ from pa.cosetenum import (
     triangle_word_images,
     word_permutation,
 )
+from pa.cusplattice import evaluate_word
 from pa.groups import recognize
 
 
@@ -102,6 +103,15 @@ class TestParseWord:
             parse_word("2a")
         with pytest.raises(ValueError):
             parse_word("a-b")
+
+    @pytest.mark.parametrize("word", ["İ", "aİ", "a²", "a٣", "ß", "a^²", "ａ"])
+    def test_non_ascii_is_a_bad_character(self, word):
+        # "İ".lower() is two characters, "²" and "٣" are digits to
+        # str.isdigit: only ASCII letters and digits are read.
+        with pytest.raises(ValueError, match="bad character|needs a repeat count"):
+            parse_word(word)
+        with pytest.raises(ValueError, match="bad character|needs a repeat count"):
+            evaluate_word("T244", word)
 
 
 def letters(ngens, *relators):

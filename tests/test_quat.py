@@ -4,6 +4,7 @@ import gc
 import types
 import weakref
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,9 +21,6 @@ from pa.groups import (
     recognize,
 )
 from pa.quat import (
-    DS_J,
-    DS_ONE,
-    DSElem,
     ISOM_ID,
     Isom3,
     J,
@@ -38,11 +36,8 @@ from pa.quat import (
     binary_octahedral,
     format_isom,
     group_to_json,
-    is_L,
-    l_angles,
 )
 
-DS_I = DSElem(Fraction(1, 4))
 Q_K = QuatExt(0, 0, 0, 2, 0, 0, 0, 0)
 
 
@@ -61,13 +56,24 @@ ds_pairs = st.tuples(
 ).map(lambda x: (Fraction(x[1], x[0]) % 1, x[2]))
 
 
-def ds(t, j=False):
-    return DSElem(Fraction(t), j)
+def as_pair(key):
+    """An Isom3 key in the oracles' form ((t1, j1), (t2, j2))."""
+    D, a1, j1, a2, j2 = key
+    return ((Fraction(a1, D), j1), (Fraction(a2, D), j2))
 
 
-def as_pair(g):
-    """An Isom3 in the oracles' form ((t1, j1), (t2, j2))."""
-    return ((g.g1.t, g.g1.jflag), (g.g2.t, g.g2.jflag))
+def from_pair(pair):
+    """The Isom3 of an oracle pair ((t1, j1), (t2, j2)), built over the
+    least common denominator of its two angles."""
+    (t1, j1), (t2, j2) = pair
+    t1, t2 = Fraction(t1), Fraction(t2)
+    D = lcm(t1.denominator, t2.denominator)
+    return Isom3(D, int(t1 * D), j1, int(t2 * D), j2)
+
+
+def negated(pair):
+    """(-q1, -q2): each angle plus 1/2, in the oracles' form."""
+    return tuple(((t + oracles.HALF) % 1, j) for t, j in pair)
 
 
 def as_qs(q):
@@ -76,47 +82,16 @@ def as_qs(q):
 
 
 class TestDSElem:
-    def test_multiplication_law(self):
-        t1, t2 = Fraction(1, 3), Fraction(1, 5)
-        assert ds(t1) * ds(t2) == ds(t1 + t2)
-        assert ds(t1) * ds(t2, True) == ds(t1 + t2, True)
-        assert ds(t1, True) * ds(t2) == ds(t1 - t2, True)
-        assert ds(t1, True) * ds(t2, True) == ds(t1 - t2 + Fraction(1, 2))
-
-    def test_j_squares_to_minus_one(self):
-        assert DS_J * DS_J == -DS_ONE
-        assert DS_I * DS_I == -DS_ONE
-
-    def test_negation_adds_half(self):
-        assert -ds(Fraction(1, 8)) == ds(Fraction(5, 8))
-
-    @given(t1=angles, t2=angles, t3=angles, j1=st.booleans(),
-           j2=st.booleans(), j3=st.booleans())
-    def test_associative(self, t1, t2, t3, j1, j2, j3):
-        a, b, c = DSElem(t1, j1), DSElem(t2, j2), DSElem(t3, j3)
-        assert (a * b) * c == a * (b * c)
-
-    @given(t=angles, j=st.booleans())
-    def test_inverse(self, t, j):
-        g = DSElem(t, j)
-        assert g * g.inv() == DS_ONE
-        assert g.inv() * g == DS_ONE
-
-    @given(u=ds_pairs, v=ds_pairs)
-    def test_agrees_with_fraction_rule(self, u, v):
-        a, b = DSElem(*u), DSElem(*v)
-        assert (a.t, a.jflag) == u
-        assert ((a * b).t, (a * b).jflag) == oracles.ds_mul(u, v)
-        assert (a.inv().t, a.inv().jflag) == oracles.ds_inv(u)
+    """D_S elements in the oracles' (t, jflag) form, embedded in QuatExt."""
 
     def test_embed_ds_is_homomorphism(self):
         # exhaustive over the denominators the QuatExt table covers
-        elems = [
-            DSElem(Fraction(k, 8), j) for k in range(8) for j in (False, True)
-        ]
+        elems = [(Fraction(k, 8), j) for k in range(8) for j in (False, True)]
         for a in elems:
             for b in elems:
-                assert oracles.embed_ds(a) * oracles.embed_ds(b) == oracles.embed_ds(a * b)
+                assert oracles.embed_ds(a) * oracles.embed_ds(b) == oracles.embed_ds(
+                    oracles.ds_mul(a, b)
+                )
 
 
 class TestQuatExt:
@@ -168,19 +143,24 @@ class TestIsom3:
         assert g * g == ISOM_ID
 
     def test_kernel_canonicalization(self):
-        g1, g2 = ds(Fraction(2, 3)), ds(Fraction(1, 5), True)
-        assert Isom3(g1, g2) == Isom3(-g1, -g2)
+        # (q1, q2) and (-q1, -q2) are one isometry.
+        x = ((Fraction(2, 3), False), (Fraction(1, 5), True))
+        assert from_pair(x) == from_pair(negated(x))
+        assert as_pair(from_pair(x)) == oracles.isom_canonical(*x)
+        assert as_pair(from_pair(x)) == oracles.isom_canonical(*negated(x))
 
     @given(t1=angles, t2=angles, j1=st.booleans(), j2=st.booleans())
     def test_kernel_random(self, t1, t2, j1, j2):
-        g1, g2 = DSElem(t1, j1), DSElem(t2, j2)
-        assert Isom3(g1, g2) == Isom3(-g1, -g2)
+        x = ((t1, j1), (t2, j2))
+        assert from_pair(x) == from_pair(negated(x))
+        assert as_pair(from_pair(x)) == oracles.isom_canonical(*x)
+        assert as_pair(from_pair(x)) == oracles.isom_canonical(*negated(x))
 
     def test_products_over_denominator_pairs(self):
         # Keys over every pair of denominators up to 12, so that one divides
         # the other, either one is odd, or neither divides the other.
         elements = [
-            Isom3(DSElem(Fraction(a, d), j1), DSElem(Fraction(b, d), j2))
+            Isom3(d, a, j1, b, j2)
             for d in range(1, 13)
             for a, b in ((1, 0), (d - 1, 1), (d // 2, d - 1))
             for j1, j2 in ((False, False), (True, True), (False, True))
@@ -192,21 +172,19 @@ class TestIsom3:
                 assert as_pair(x * y) == oracles.isom_mul(ox, as_pair(y)), (x, y)
 
     def test_l_matches_its_ds_pair_form(self):
-        # The first form of L: phi(e^{pi*i(t1+t2)}, e^{pi*i(t2-t1)}) built
-        # from two DSElem angles, against the integer construction.
+        # The first form of L, phi(e^{pi*i(t1+t2)}, e^{pi*i(t2-t1)}) by the
+        # Fraction rule, against the integer construction.
         for d1 in range(1, 13):
             for d2 in range(1, 13):
                 for a in range(-d1, 2 * d1, 2):
                     for b in range(-2, d2 + 1):
                         t1, t2 = Fraction(a, d1), Fraction(b, d2)
-                        pair = Isom3(DSElem((t1 + t2) / 2), DSElem((t2 - t1) / 2))
-                        assert L(t1, t2) == pair, (t1, t2)
+                        assert as_pair(L(t1, t2)) == oracles.isom_l(t1, t2), (t1, t2)
                         assert L(t1, t2) == L(t1 + 1, t2 - 2)
 
     @given(x=st.tuples(ds_pairs, ds_pairs), y=st.tuples(ds_pairs, ds_pairs))
     def test_agrees_with_fraction_rule(self, x, y):
-        a = Isom3(DSElem(*x[0]), DSElem(*x[1]))
-        b = Isom3(DSElem(*y[0]), DSElem(*y[1]))
+        a, b = from_pair(x), from_pair(y)
         ox, oy = oracles.isom_canonical(*x), oracles.isom_canonical(*y)
         assert as_pair(a) == ox and as_pair(b) == oy
         prod = oracles.isom_mul(ox, oy)
@@ -214,14 +192,44 @@ class TestIsom3:
         assert as_pair(a.inv()) == oracles.isom_inv(ox)
         assert (a == b) == (ox == oy)
         # Equal elements reached by different routes hash alike.
+        D, a1, j1, a2, j2 = a
         for same in (
-            Isom3(-DSElem(*x[0]), -DSElem(*x[1])),
-            Isom3(DSElem(*ox[0]), DSElem(*ox[1])),
+            from_pair(negated(x)),
+            from_pair(ox),
+            Isom3(6 * D, 6 * a1 - 3 * D, j1, 6 * a2 + 3 * D, j2),
         ):
             assert same == a and hash(same) == hash(a)
-        rebuilt = Isom3(DSElem(*prod[0]), DSElem(*prod[1]))
+        rebuilt = from_pair(prod)
         assert rebuilt == a * b and hash(rebuilt) == hash(a * b)
         assert format_isom(a) == oracles.isom_format(ox)
+
+    @pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
+    @given(
+        half=st.integers(1, 40),
+        c1=st.integers(-500, 500),
+        c2=st.integers(-500, 500),
+        j1=st.booleans(),
+        j2=st.booleans(),
+    )
+    def test_constructor_is_canonical(self, parity, half, c1, c2, j1, j2):
+        D = 2 * half - parity
+        g = Isom3(D, c1, j1, c2, j2)
+        assert Isom3(*g) == g and tuple(Isom3(*g)) == tuple(g)
+        E, a1, k1, a2, k2 = g
+        assert 0 <= 2 * a1 < E and 0 <= a2 < E and gcd(E, a1, a2) == 1
+        assert (k1, k2) == (j1, j2) and type(k1) is bool and type(k2) is bool
+        assert as_pair(g) == oracles.isom_canonical(
+            (Fraction(c1, D) % 1, j1), (Fraction(c2, D) % 1, j2)
+        )
+        # The kernel: adding 1/2 to both angles names the same isometry.
+        if D % 2 == 0:
+            assert Isom3(D, c1 + D // 2, j1, c2 + D // 2, j2) == g
+        assert Isom3(2 * D, 2 * c1 + D, j1, 2 * c2 - D, j2) == g
+
+    def test_constructor_needs_a_positive_denominator(self):
+        for D in (0, -1, -2):
+            with pytest.raises(ValueError, match="denominator must be at least 1"):
+                Isom3(D, 0, False, 0, False)
 
     def test_l_homomorphism(self):
         a = L(Fraction(1, 3), Fraction(1, 4))
@@ -231,10 +239,12 @@ class TestIsom3:
         )
 
     def test_l_angles_round_trip(self):
-        t1, t2 = Fraction(2, 7), Fraction(3, 11)
-        g = L(t1, t2)
-        assert is_L(g)
-        assert l_angles(g) == (t1, t2)
+        # format_isom reads L's angles back from the key, flags or not.
+        for t1, t2 in ((Fraction(2, 7), Fraction(3, 11)), (Fraction(1, 2), 0), (0, Fraction(5, 6))):
+            g = L(t1, t2)
+            assert not g[2] and not g[4]
+            assert format_isom(g) == f"L({t1}, {t2})"
+            assert format_isom(g * J) == f"L({t1}, {t2})·J"
 
     def test_j_conjugation_negates(self):
         for t1, t2 in [(Fraction(1, 3), Fraction(1, 7)), (Fraction(2, 5), 0)]:
@@ -305,11 +315,12 @@ class TestExactBoundary:
             lambda: L(0.1, 0),
             lambda: L(0, 0.5),
             lambda: L("1/2", 0),
-            lambda: DSElem(0.25),
-            lambda: DSElem(0.25, True),
+            lambda: Isom3(4.0, 1, False, 0, False),
+            lambda: Isom3(4, 1.0, True, 0, False),
             lambda: QuatExt(1.0, 0, 0, 0, 0, 0, 0, 0),
             lambda: QuatExt(0, 0, 0, 0, 0, 0, 0, 0.5),
             lambda: QuatExt(0, 1e0, 0, 0, 0, 0, 0, 0),
+            lambda: Isom3(4, 1, False, Fraction(1, 2), False),
         ],
     )
     def test_inexact_values_rejected(self, build):
@@ -319,8 +330,8 @@ class TestExactBoundary:
     @pytest.mark.parametrize(
         "element, attrs",
         [
-            (DS_I, ("t", "jflag", "n")),
-            (J1, ("g1", "g2", "D")),
+            (ISOM_ID, ("D", "a1", "j1")),
+            (J1, ("j1", "j2", "D")),
             (Q_S, ("w", "x", "y", "z", "A")),
         ],
     )
