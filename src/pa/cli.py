@@ -164,11 +164,10 @@ def cmd_heckoid(args) -> int:
 
 
 def cmd_dihedral(args) -> int:
-    from . import dihedral, orbigraph, quat
+    from . import dihedral, quat
 
     r, d1, d2 = args.slope, args.d1, args.d2
     params, cert, tag, quotient = dihedral.orbifold(r, d1, d2)
-    desc = orbigraph.make_dihedral(r, d1, d2)
     payload = {
         "command": "dihedral",
         "slope": str(r),
@@ -181,7 +180,7 @@ def cmd_dihedral(args) -> int:
         "isom": tag,
         "normalizer_order": cert["order"] * len(quotient) if quotient is not None else None,
         "quotient_order": len(quotient) if quotient is not None else None,
-        "key": orbigraph.canonical_key(desc),
+        "key": slopes.dihedral_key(r, d1, d2),
         "certificate": dict(cert),
         "quotient_elements": quat.group_to_json(quotient) if quotient is not None else None,
     }

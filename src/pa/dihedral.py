@@ -19,10 +19,15 @@ so each is A x| <J> for a finite subgroup A of the torus (Q/Z)^2.
 and the quotient N/Gamma = A_N/A_Gamma come from 2x2 Hermite forms, and only
 the certificate's element orders and the coset search's 16 products are
 formed as isometries.  The orders are read from their known multiples n
-and 2 in O(log n) products, from the primes of p, d1 and d2.  ``gamma`` closes
-Gamma coset by coset (``groups.extend``), and ``normalizer`` finds
-N(Gamma)/Gamma from Gamma's cosets (``FinGroup.quotient``) without listing
-N(Gamma); the verification checks use them as the independent evidence.
+and 2 in O(log n) products, from the primes of p, d1 and d2.
+``gamma_lattice`` is the first half of ``orbifold``: the witness, Gamma's
+certificate and A_Gamma, without the isometry group, for a caller that
+reads only |Gamma|.  The rotation f and N(Gamma)'s generators are built as
+``Isom3`` keys straight from the integers (k1, k2, p, d1, d2); this module
+forms no ``Fraction``.  ``gamma`` closes Gamma coset by coset
+(``groups.extend``), and ``normalizer`` finds N(Gamma)/Gamma from Gamma's
+cosets (``FinGroup.quotient``) without listing N(Gamma); the verification
+checks use them as the independent evidence.
 The labels agree by one code path, ``groups.coset_quotient``, which both
 ``torus_quotient`` and ``normalizer`` run; each places every product
 itself, by a lattice key or by membership in Gamma.
@@ -33,7 +38,6 @@ from __future__ import annotations
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from types import MappingProxyType
 from typing import NamedTuple
@@ -41,7 +45,7 @@ from typing import NamedTuple
 from .groups import (
     FinGroup, GroupOverflow, close, coset_quotient, extend, order_from_multiple, recognize
 )
-from .quat import ISOM_ID, Isom3, J, L, Q_I, Q_J, Q_ONE, Q_S, Q_W
+from .quat import ISOM_ID, Isom3, J, Q_I, Q_J, Q_ONE, Q_S, Q_W
 from .slopes import Slope, slope
 
 # Isometry-type tags; ":" denotes a semidirect product.
@@ -127,20 +131,28 @@ def params_for(r, d1: int, d2: int) -> DihedralParams:
     return DihedralParams(r, d1, d2, *solve_k(r, d1, d2))
 
 
+# L(1/2, 0) and L(0, 1/2), the normalizer's two half turns.
+_HALF_TURNS = (Isom3(4, 1, False, -1, False), Isom3(4, 1, False, 1, False))
+
+
+def _rotation_key(params: DihedralParams, D: int) -> Isom3:
+    """L(k1*d1/D, k2*d2/D), built from integers: by ``quat.L``'s rule its
+    key is over 2D with the angles k1*d1 + k2*d2 and k2*d2 - k1*d1."""
+    x, y = params.k1 * params.d1, params.k2 * params.d2
+    return Isom3(2 * D, x + y, False, y - x, False)
+
+
 def _rotation(params: DihedralParams) -> Isom3:
-    """The generator f = L(k1/(p*d2), k2/(p*d1)) of Gamma."""
-    p = params.r.p
-    return L(Fraction(params.k1, p * params.d2), Fraction(params.k2, p * params.d1))
+    """The generator f = L(k1/(p*d2), k2/(p*d1)) of Gamma, whose angles are
+    k1*d1/n and k2*d2/n."""
+    return _rotation_key(params, params.n)
 
 
 def _normalizer_rotations(params: DihedralParams) -> list[Isom3]:
-    """The generators of N(Gamma) other than J, in ``normalizer``'s order."""
-    p = params.r.p
-    return [
-        L(Fraction(params.k1, 2 * p * params.d2), Fraction(params.k2, 2 * p * params.d1)),
-        L(Fraction(1, 2), 0),
-        L(0, Fraction(1, 2)),
-    ]
+    """The generators of N(Gamma) other than J, in ``normalizer``'s order:
+    L(k1/(2p*d2), k2/(2p*d1)), whose angles are k1*d1/2n and k2*d2/2n, and
+    the two half turns."""
+    return [_rotation_key(params, 2 * params.n), *_HALF_TURNS]
 
 
 def _prime_factors(m: int) -> list[int]:
@@ -403,28 +415,23 @@ def _isom_tag_d1(r: Slope) -> str:
     return TAG_Z2SQ
 
 
-class Orbifold(NamedTuple):
-    """One dihedral query O(q/p; d1, d2), answered in full."""
+class GammaLattice(NamedTuple):
+    """Gamma of one dihedral query O(q/p; d1, d2), from its torus lattice."""
 
     params: DihedralParams
     cert: Mapping
-    isom: str
-    quotient: FinGroup | None
+    a_gamma: TorusLattice
 
 
-def orbifold(r, d1: int, d2: int) -> Orbifold:
-    """The witness (k1, k2), Gamma's certificate, the isometry type of
-    O(q/p; d1, d2) and the quotient N(Gamma)/Gamma, from the torus lattices.
+def gamma_lattice(r, d1: int, d2: int) -> GammaLattice:
+    """The witness (k1, k2), Gamma's certificate and the torus lattice
+    A_Gamma of O(q/p; d1, d2), with no isometry group.
 
     |Gamma| = 2*|A_Gamma| must equal 2n, and the certificate must show
     Gamma = <f, J> dihedral of degree n (ArithmeticError otherwise).
-    (d1, d2) != (1, 1): the type is (Z2)^2, except D3 x Z2 for the trivial
-    theta-orbifold; the quotient group cross-checks the tag.  For
-    (d1, d2) = (1, 1) the tag comes from congruence conditions only and the
-    quotient is None (some of these types are continuous).  order(f) comes
-    from its multiple n and the primes of p, d1 and d2, each factored by
-    trial division; a query with p, d1 or d2 past FACTOR_BOUND is refused
-    (ValueError) before any product.
+    order(f) comes from its multiple n and the primes of p, d1 and d2, each
+    factored by trial division; a query with p, d1 or d2 past FACTOR_BOUND
+    is refused (ValueError) before any product.
     """
     params = params_for(r, d1, d2)
     r, n = params.r, params.n
@@ -442,12 +449,36 @@ def orbifold(r, d1: int, d2: int) -> Orbifold:
         2 * n, n, 2, True
     ):
         raise ArithmeticError(f"Gamma of ({r};{d1},{d2}) is not D{n}: {dict(cert)}")
+    return GammaLattice(params, cert, a_gamma)
+
+
+class Orbifold(NamedTuple):
+    """One dihedral query O(q/p; d1, d2), answered in full."""
+
+    params: DihedralParams
+    cert: Mapping
+    isom: str
+    quotient: FinGroup | None
+
+
+def orbifold(r, d1: int, d2: int) -> Orbifold:
+    """The witness (k1, k2), Gamma's certificate, the isometry type of
+    O(q/p; d1, d2) and the quotient N(Gamma)/Gamma, from the torus lattices.
+
+    The first three come from ``gamma_lattice``, with its refusals.
+    (d1, d2) != (1, 1): the type is (Z2)^2, except D3 x Z2 for the trivial
+    theta-orbifold; the quotient group cross-checks the tag.  For
+    (d1, d2) = (1, 1) the tag comes from congruence conditions only and the
+    quotient is None (some of these types are continuous).
+    """
+    params, cert, a_gamma = gamma_lattice(r, d1, d2)
+    r = params.r
     if (d1, d2) == (1, 1):
         return Orbifold(params, cert, _isom_tag_d1(r), None)
     if is_trivial_theta(r, d1, d2):
         quotient, _ = exceptional_isom()
         return Orbifold(params, cert, TAG_D3xZ2, quotient)
-    quotient = torus_quotient(a_gamma, _normalizer_rotations(params), n)
+    quotient = torus_quotient(a_gamma, _normalizer_rotations(params), params.n)
     tag = recognize(quotient)
     if tag != TAG_Z2SQ:
         raise ArithmeticError(

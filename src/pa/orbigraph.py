@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .slopes import Slope, canonical, hat, slope
+from .slopes import Slope, canonical, dihedral_key, hat, slope
 
 
 class _Infinity:
@@ -716,7 +716,8 @@ def canonical_key(d: ParedOrbifoldDescriptor) -> str:
     slopes are replaced by their preserving-equivalence canonical form
     (which subsumes M2(r;m) = M2((p+q)/p;m), a mod-p move), and
     O(q/p;d+,d-) = O(q'/p;d-,d+) for qq' = 1 mod p picks the
-    lexicographically least (q, d+, d-) triple."""
+    lexicographically least (q, d+, d-) triple (``slopes.dihedral_key``,
+    which needs no graph)."""
     tag = d.tag
     family = d.family
     if tag == "custom":
@@ -730,11 +731,7 @@ def canonical_key(d: ParedOrbifoldDescriptor) -> str:
         index = family["n" if tag == "M0" else "m"]
         return f"{tag}[{canonical(r)};{index}]"
     if tag == "O":
-        d1, d2 = family["d_plus"], family["d_minus"]
-        p = r.p
-        q = r.q % p
-        qc, c1, c2 = min((q, d1, d2), (pow(q, -1, p), d2, d1))
-        return f"O[{qc}/{p};{c1},{c2}]"
+        return dihedral_key(r, family["d_plus"], family["d_minus"])
     raise ValueError(f"unhandled family {tag!r}")
 
 

@@ -24,8 +24,11 @@ isometries of S^3 via phi(q1, q2)(q) = q1 * q * q2^{-1}, whose kernel is
 
 Elements are immutable and compare and hash as their keys.  ``Fraction``
 appears only where a rational angle is parsed or printed: ``L``,
-``format_isom`` and the printed ``QuatExt`` coordinates.  The groups these
-elements generate are closed, compared and recognized by ``pa.groups``.
+``format_isom`` and the printed ``QuatExt`` coordinates.  ``L`` is for
+callers that hold angles as fractions; no module of ``pa`` calls it, and
+``pa.dihedral`` builds its keys with ``Isom3(...)`` from integers.  The
+groups these elements generate are closed, compared and recognized by
+``pa.groups``.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 A 2-bridge link K(q/p) is encoded by a reduced slope q/p in Q u {inf}
 (p >= 1, gcd(p, q) = 1; infinity is 1/0).  This module computes component
 counts, hyperbolicity, continued-fraction expansions, the unoriented
-equivalence between slopes, and the slope substitution q/p -> q^/p used
-when passing from an index to its double.
+equivalence between slopes, the slope substitution q/p -> q^/p used
+when passing from an index to its double, and the canonical key of a
+dihedral orbifold O(q/p; d+, d-), which is slope arithmetic alone.
 """
 
 from __future__ import annotations
@@ -187,3 +188,21 @@ def canonical(r: Slope) -> Slope:
         return Slope(q, p)
     qinv = pow(q, -1, p)
     return Slope(min(q, qinv), p)
+
+
+def dihedral_key(r, d_plus: int, d_minus: int) -> str:
+    """The canonical key O[q/p;d+,d-] of the dihedral orbifold O(r; d+, d-),
+    from the slope and the tunnel weights alone.
+
+    O(q/p;d+,d-) = O(q'/p;d-,d+) for qq' = 1 mod p, and the key picks the
+    lexicographically least (q mod p, d+, d-) of the two triples.  The
+    weights are not checked: ``dihedral.orbifold`` and ``make_dihedral``
+    refuse a d <= 0 or a common factor before a key is asked for.
+    """
+    r = slope(r)
+    if r.is_infinite:
+        raise ValueError("O(r;d+,d-) needs a finite slope")
+    p = r.p
+    q = r.q % p
+    qc, c1, c2 = min((q, d_plus, d_minus), (pow(q, -1, p), d_minus, d_plus))
+    return f"O[{qc}/{p};{c1},{c2}]"

@@ -17,7 +17,7 @@ from functools import cached_property
 from math import gcd
 from pathlib import Path
 
-from . import cosetenum, cusplattice, dihedral, groups, orbigraph
+from . import cosetenum, cusplattice, dihedral, groups, orbigraph, slopes
 from .orbigraph import INF, ParedOrbifoldDescriptor
 from .slopes import Slope, hat, slope
 
@@ -78,6 +78,8 @@ class _Point:
     def __init__(self, r: Slope, d1: int, d2: int):
         self.r, self.d1, self.d2 = r, d1, d2
         self.name = f"({r};{d1},{d2})"
+        # (1, 1) and the trivial theta: only check 1 reaches these points
+        self.exceptional = (d1, d2) == (1, 1) or dihedral.is_trivial_theta(r, d1, d2)
 
     @cached_property
     def params(self) -> dihedral.DihedralParams:
@@ -101,17 +103,26 @@ class _Point:
     def record(self) -> dihedral.Orbifold:
         return dihedral.orbifold(self.r, self.d1, self.d2)
 
+    @cached_property
+    def cert(self):
+        """Gamma's lattice certificate: the record's at an ordinary point,
+        where checks 2 and 3 build the record anyway, and
+        ``dihedral.gamma_lattice``'s at an exceptional one, where check 1,
+        which reads only |Gamma|, is the only reader."""
+        if self.exceptional:
+            return dihedral.gamma_lattice(self.r, self.d1, self.d2).cert
+        return self.record.cert
+
     def lattice_agrees(self, with_quotient: bool) -> bool:
-        """Whether ``dihedral.orbifold``, which answers from torus lattices,
-        agrees with the closures: on |Gamma| and, with the closure's
-        quotient N(Gamma)/Gamma, on its tag, its elements (the printed coset
-        labels) and its multiplication table."""
-        record = self.record
-        if record.cert["order"] != len(self.gamma[0]):
+        """Whether the torus-lattice answer (``cert``, and with the quotient
+        ``dihedral.orbifold``'s record) agrees with the closures: on |Gamma|
+        and, with the closure's quotient N(Gamma)/Gamma, on its tag, its
+        elements (the printed coset labels) and its multiplication table."""
+        if self.cert["order"] != len(self.gamma[0]):
             return False
         if not with_quotient:
             return True
-        quotient = self.quotient
+        record, quotient = self.record, self.quotient
         return (
             record.isom == self.tag
             and record.quotient.elements == quotient.elements
@@ -191,11 +202,10 @@ def _dihedral_verdicts(ids) -> dict[str, tuple[bool, dict]]:
     for r, d1, d2 in sweep:
         if not passed:
             break
-        exceptional = (d1, d2) == (1, 1) or dihedral.is_trivial_theta(r, d1, d2)
         point = _Point(r, d1, d2)
         for cid in list(passed):
             whole_sweep, predicate = _DIHEDRAL_PREDICATES[cid]
-            if exceptional and not whole_sweep:
+            if point.exceptional and not whole_sweep:
                 continue
             try:
                 witness = predicate(point)
@@ -334,6 +344,10 @@ def check_triangle_images() -> tuple[bool, dict]:
 
 
 def check_homology_cases() -> tuple[bool, dict]:
+    # The Z2 complex sees only the parity of each weight: a finite odd
+    # weight kills its meridian, and a weight-1 edge, elided, leaves one
+    # generator fewer and one relation fewer.  So the case table's rows for
+    # d+ = 1, d- odd hold wherever d+ and d- are both odd.
     points = 0
     for r in _sweep_slopes(12):
         for d1, d2 in _coprime_pairs(5):
@@ -342,7 +356,7 @@ def check_homology_cases() -> tuple[bool, dict]:
             arcs = [e for e in desc.graph.edges() if e.id.startswith("K")]
             tminus = [e for e in desc.graph.edges() if e.id == "tminus"]
             witness = {"point": f"({r};{d1},{d2})", "dim": report.dimension}
-            if d1 == 1 and d2 % 2 == 1:
+            if d1 % 2 == 1 and d2 % 2 == 1:
                 if r.p % 2 == 0:  # two components: free of rank 2
                     if report.dimension != 2:
                         return False, witness
@@ -429,11 +443,7 @@ def check_heckoid_classification() -> tuple[bool, dict]:
             continue
         qinv = pow(r.q, -1, r.p)
         for d1, d2 in ((1, 2), (2, 3), (3, 4)):
-            k1 = orbigraph.canonical_key(orbigraph.make_dihedral(r, d1, d2))
-            k2 = orbigraph.canonical_key(
-                orbigraph.make_dihedral(Slope(qinv, r.p), d2, d1)
-            )
-            if k1 != k2:
+            if slopes.dihedral_key(r, d1, d2) != slopes.dihedral_key(Slope(qinv, r.p), d2, d1):
                 return False, {"o_move": f"({r};{d1},{d2})"}
             key_moves += 1
     return True, {"points": points, "key_moves": key_moves}

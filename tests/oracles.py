@@ -12,7 +12,8 @@ instead of kept indices, one letter at a time instead of runs by
 square-and-multiply, quotient labels from products or from an
 extension's listed coset blocks instead of from the cosets of the normal
 subgroup alone, a torus quotient's table from keys instead of from the
-recorded coset action, a cycle walked twice instead of once, ``tokenize``'s
+recorded coset action, a cycle walked twice instead of once, a dihedral key
+read from a built graph's family instead of from (r, d+, d-), ``tokenize``'s
 token stream instead of one regular-expression pass), so agreement between
 the two is meaningful evidence.
 """
@@ -44,8 +45,8 @@ from pa.orbigraph import (
     weight_str,
 )
 from pa.groups import recognize
-from pa.quat import ISOM_ID, J, Q_I, Q_J, Q_ONE, Q_S, Q_W, QuatExt
-from pa.slopes import Slope
+from pa.quat import ISOM_ID, J, L, Q_I, Q_J, Q_ONE, Q_S, Q_W, QuatExt
+from pa.slopes import Slope, slope
 
 
 def eval_cf_tower(terms):
@@ -781,6 +782,40 @@ def closure_normalizer(params, group):
     return norm
 
 
+# The generators over Fraction angles, through ``quat.L``: the first forms of
+# ``dihedral._rotation`` and ``dihedral._normalizer_rotations``.
+
+
+def rotation_by_fractions(params):
+    """f = L(k1/(p*d2), k2/(p*d1))."""
+    p = params.r.p
+    return L(Fraction(params.k1, p * params.d2), Fraction(params.k2, p * params.d1))
+
+
+def normalizer_rotations_by_fractions(params):
+    """L(k1/(2p*d2), k2/(2p*d1)), L(1/2, 0) and L(0, 1/2)."""
+    p = params.r.p
+    return [
+        L(Fraction(params.k1, 2 * p * params.d2), Fraction(params.k2, 2 * p * params.d1)),
+        L(Fraction(1, 2), 0),
+        L(0, Fraction(1, 2)),
+    ]
+
+
+# The O key read from a descriptor's family: the first form of
+# ``slopes.dihedral_key``, inline in ``orbigraph.canonical_key``.
+
+
+def dihedral_key_from_family(desc):
+    family = desc.family
+    r = slope(family["r"])
+    d1, d2 = family["d_plus"], family["d_minus"]
+    p = r.p
+    q = r.q % p
+    qc, c1, c2 = min((q, d1, d2), (pow(q, -1, p), d2, d1))
+    return f"O[{qc}/{p};{c1},{c2}]"
+
+
 # A dihedral query by closures: the first form of ``dihedral.orbifold``.
 
 
@@ -877,6 +912,10 @@ def _quotient_table(quotient):
 
 
 def _lattice_agrees(r, d1, d2, order, factor=None):
+    if (d1, d2) == (1, 1) or dihedral.is_trivial_theta(r, d1, d2):
+        # only check 1 covers these points, and it reads only |Gamma|
+        cert = dihedral.gamma_lattice(r, d1, d2).cert
+        return cert["order"] == order
     record = dihedral.orbifold(r, d1, d2)
     if record.cert["order"] != order:
         return False

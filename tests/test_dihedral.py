@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 import oracles
-from pa import cli, dihedral
+from pa import cli, dihedral, verify
 from pa.dihedral import (
     DihedralParams,
     TAG_D3xZ2,
@@ -106,6 +106,21 @@ class TestSolveK:
         for d1 in (0, -1):
             with pytest.raises(ValueError, match="must be positive"):
                 solve_k(slope("2/5"), d1, 1)
+
+
+class TestIntegerRotations:
+    def test_agree_with_fraction_form_sweep(self):
+        # The keys built from integers against quat.L of Fraction angles,
+        # over p <= 30, d <= 6, which holds the sweep of checks 1-3.
+        points = list(_sweep(30, 6))
+        checks = {(r, d1, d2) for r in verify._sweep_slopes(8) for d1, d2 in verify._coprime_pairs(4)}
+        assert checks <= set(points) and len(checks) == 242
+        for r, d1, d2 in points:
+            params = params_for(r, d1, d2)
+            assert _rotation(params) == oracles.rotation_by_fractions(params), (r, d1, d2)
+            assert _normalizer_rotations(params) == oracles.normalizer_rotations_by_fractions(
+                params
+            ), (r, d1, d2)
 
 
 class TestParams:
@@ -325,6 +340,23 @@ class TestIsomPlus:
             orbifold(slope("inf"), 1, 2)
         with pytest.raises(ValueError):
             orbifold(slope("1/3"), 2, 4)
+
+    def test_refuses_whatever_make_dihedral_refuses(self):
+        # ``pa dihedral`` asks orbifold and reads the key from (r, d1, d2)
+        # without a graph, so orbifold alone must refuse every input the
+        # graph refused: an infinite slope, a weight d <= 0, or d1, d2 with
+        # a common factor.
+        refused = 0
+        for r in (slope("inf"), slope("0/1"), slope("1/2"), slope("2/5"), slope("-3/8")):
+            for d1 in range(-2, 7):
+                for d2 in range(-2, 7):
+                    try:
+                        make_dihedral(r, d1, d2)
+                    except ValueError:
+                        refused += 1
+                        with pytest.raises(ValueError):
+                            orbifold(r, d1, d2)
+        assert refused == 5 * 81 - 4 * 23  # accepted: 4 finite slopes x 23 coprime pairs
 
 
 class TestOrbifold:

@@ -36,7 +36,7 @@ from pa.orbigraph import (
     weight_is_even,
     weight_str,
 )
-from pa.slopes import Slope, slope
+from pa.slopes import Slope, dihedral_key, slope
 
 
 def theta(w1, w2, w3, ambient="S3"):
@@ -660,9 +660,10 @@ class TestHomology:
 
 
 class TestOnePassGraphs:
-    """Every graph that checks 7 and 8 build, against the rescan elision
-    and the edge-scan germs of the same template, with the parabolic locus
-    read from the rescan's graph."""
+    """Every graph that checks 7 and 8 build, and those of check 8's 762
+    O-move triples, against the rescan elision and the edge-scan germs of
+    the same template, with the parabolic locus read from the rescan's
+    graph."""
 
     def check_points(self):
         for r in verify._sweep_slopes(12):
@@ -733,6 +734,28 @@ class TestCanonicalKey:
         a = make_dihedral(slope("0/1"), 1, 2)
         b = make_dihedral(slope("0/1"), 2, 1)
         assert canonical_key(a) == canonical_key(b) == "O[0/1;1,2]"
+
+    def test_o_key_needs_no_graph_sweep(self):
+        # The key from (r, d+, d-) against the key of the built graph and the
+        # first, family-reading rule, at check 8's O-moves (p <= 20, the
+        # pairs (1,2), (2,3), (3,4) and their partners) and at the 874
+        # points of check 7.
+        moves = []
+        for r in verify._sweep_slopes(20):
+            if r.p >= 2:
+                qinv = pow(r.q, -1, r.p)
+                for d1, d2 in ((1, 2), (2, 3), (3, 4)):
+                    moves += [(r, d1, d2), (Slope(qinv, r.p), d2, d1)]
+        homology = [
+            (r, d1, d2) for r in verify._sweep_slopes(12) for d1, d2 in verify._coprime_pairs(5)
+        ]
+        assert (len(moves), len(homology)) == (762, 874)
+        for r, d1, d2 in moves + homology:
+            desc = make_dihedral(r, d1, d2)
+            key = dihedral_key(r, d1, d2)
+            assert canonical_key(desc) == key == oracles.dihedral_key_from_family(desc), (r, d1, d2)
+        with pytest.raises(ValueError, match="finite slope"):
+            dihedral_key(slope("inf"), 1, 2)
 
     def test_custom_rejected(self):
         d = descriptor_from_json(graph_to_json(theta(2, 2, 5)))

@@ -1,5 +1,6 @@
 """The verification-check registry and runner."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from types import MappingProxyType
 import pytest
 
 import oracles
-from pa import dihedral, groups, quat, verify
+from pa import dihedral, groups, orbigraph, quat, slopes, verify
 from pa.groups import FinGroup
 from pa.slopes import Slope
 
@@ -77,24 +78,38 @@ class TestRunner:
 
 
 class TestLatticeCrossCheck:
-    """Checks 1-3 close Gamma and N(Gamma) and hold ``dihedral.orbifold``'s
-    lattice answer against the closures at every point."""
+    """Checks 1-3 close Gamma and N(Gamma) and hold the lattice answer
+    against the closures at every point: ``dihedral.orbifold``'s, or only
+    its certificate half ``gamma_lattice``'s where check 1 alone reads it."""
 
-    def corrupt(self, monkeypatch, change):
-        orbifold = dihedral.orbifold
-        monkeypatch.setattr(dihedral, "orbifold", lambda *a: change(orbifold(*a)))
+    def corrupt(self, monkeypatch, change, name="orbifold"):
+        answer = getattr(dihedral, name)
+        monkeypatch.setattr(dihedral, name, lambda *a: change(answer(*a)))
 
     def failures(self):
         results = verify.run_checks(["dihedral-order", "isometry-groups", "normalizer-soundness"])
         return {r.check_id: r.witness for r in results if not r.ok}
 
     def test_wrong_order(self, monkeypatch):
+        # ``orbifold`` takes its certificate from ``gamma_lattice``, so the
+        # fault reaches the record at the ordinary points too.
         self.corrupt(monkeypatch, lambda rec: rec._replace(
             cert=MappingProxyType({**rec.cert, "order": rec.cert["order"] + 2})
-        ))
+        ), "gamma_lattice")
         failures = self.failures()
         assert set(failures) == {"dihedral-order", "isometry-groups", "normalizer-soundness"}
         assert failures["dihedral-order"] == {"point": "(0/1;1,1)", "lattice": "disagrees"}
+        # and check 1 fails at every point it alone covers, (1, 1) and theta
+        exceptional = [
+            point for point in (
+                verify._Point(r, d1, d2)
+                for r in verify._sweep_slopes(8) for d1, d2 in verify._coprime_pairs(4)
+            )
+            if point.exceptional
+        ]
+        assert len(exceptional) == 24
+        for point in exceptional:
+            assert verify._order_fault(point) == {"point": point.name, "lattice": "disagrees"}
 
     def test_wrong_labels_or_table(self, monkeypatch):
         def relabel(rec):
@@ -130,6 +145,18 @@ SELECTIONS = [[cid] for cid in DIHEDRAL_IDS] + [
 ] + [None]
 TARGET = (Slope(2, 5), 2, 3)  # a point of all three sweeps
 EARLY = (Slope(1, 3), 1, 1)  # a point of check 1's sweep only, before TARGET
+
+
+def _gamma_lattice_wrong(monkeypatch):
+    gamma_lattice = dihedral.gamma_lattice
+
+    def wrong(r, d1, d2):
+        rec = gamma_lattice(r, d1, d2)
+        if (r, d1, d2) != EARLY:
+            return rec
+        return rec._replace(cert=MappingProxyType({**rec.cert, "order": rec.cert["order"] + 2}))
+
+    monkeypatch.setattr(dihedral, "gamma_lattice", wrong)
 
 
 def _orbifold_wrong(monkeypatch):
@@ -185,7 +212,8 @@ class TestOnePass:
     gives, under any selection."""
 
     @pytest.mark.parametrize(
-        "fault", [_orbifold_wrong, _normalizer_raises, _gamma_raises, _recognize_wrong]
+        "fault",
+        [_orbifold_wrong, _gamma_lattice_wrong, _normalizer_raises, _gamma_raises, _recognize_wrong],
     )
     def test_faults_give_the_sweeps_witnesses(self, monkeypatch, fault):
         fault(monkeypatch)
@@ -228,15 +256,40 @@ class TestOnePass:
         }
 
     def test_each_group_is_closed_once(self, monkeypatch):
+        # ``orbifold`` at the 218 points of checks 2 and 3; at the 24 points
+        # check 1 alone covers, (1, 1) and theta, only its certificate half.
+        # 218 of the 242 ``gamma_lattice`` calls are ``orbifold``'s own.
         calls = Counter()
-        for name in ("gamma", "normalizer", "orbifold"):
+        for name in ("gamma", "normalizer", "orbifold", "gamma_lattice"):
             def counted(*args, _fn=getattr(dihedral, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
 
             monkeypatch.setattr(dihedral, name, counted)
         assert all(r.ok for r in verify.run_checks(None))
-        assert calls == {"gamma": 242, "normalizer": 218, "orbifold": 242}
+        assert calls == {"gamma": 242, "normalizer": 218, "orbifold": 218, "gamma_lattice": 242}
+
+    def test_theta_closed_once_and_no_graph_for_a_key(self, monkeypatch):
+        # All twelve checks close the theta normalizer once, in theta-isom
+        # (502 QuatExt products; 1 506 when check 1 built the full record at
+        # both theta points), and build only check 7's 874 graphs (1 636
+        # when check 8's O-moves built two graphs for each key).
+        counts = Counter()
+        mul = quat.QuatExt.__mul__
+        make_dihedral = orbigraph.make_dihedral
+
+        def counted_mul(a, b):
+            counts["QuatExt"] += 1
+            return mul(a, b)
+
+        def counted_make(*args):
+            counts["make_dihedral"] += 1
+            return make_dihedral(*args)
+
+        monkeypatch.setattr(quat.QuatExt, "__mul__", counted_mul)
+        monkeypatch.setattr(orbigraph, "make_dihedral", counted_make)
+        assert all(r.ok for r in verify.run_checks(None))
+        assert counts == {"QuatExt": 502, "make_dihedral": 874}
 
     def test_product_count(self, monkeypatch):
         # Gamma closed coset by coset, orders from the multiple n,
@@ -260,6 +313,34 @@ class TestOnePass:
         verdicts = verify._dihedral_verdicts(DIHEDRAL_IDS)
         assert all(ok for ok, _ in verdicts.values())
         assert products["Isom3"] <= 45_000, f"{products['Isom3']} Isom3 products"
+
+
+class TestCaseTableFaults:
+    """Checks 7 and 8 fail, with their witnesses, under one fault each."""
+
+    @pytest.mark.parametrize("point, dim", [("(2/5;3,5)", 2), ("(3/8;5,3)", 3)])
+    def test_homology_rank_off_where_both_weights_are_odd(self, monkeypatch, point, dim):
+        # Points with d+ > 1: the case table's odd-odd row reaches them.
+        h1_z2 = orbigraph.h1_z2
+
+        def wrong(g):
+            report = h1_z2(g)
+            if g.name == f"O{point}":
+                return dataclasses.replace(report, dimension=report.dimension + 1)
+            return report
+
+        monkeypatch.setattr(orbigraph, "h1_z2", wrong)
+        (result,) = verify.run_checks(["homology-cases"])
+        assert (result.status, result.witness) == ("fail", {"point": point, "dim": dim})
+
+    def test_o_key_without_the_inversion_move(self, monkeypatch):
+        def wrong(r, d_plus, d_minus):
+            r = slopes.slope(r)
+            return f"O[{r.q % r.p}/{r.p};{d_plus},{d_minus}]"
+
+        monkeypatch.setattr(slopes, "dihedral_key", wrong)
+        (result,) = verify.run_checks(["heckoid-classification"])
+        assert (result.status, result.witness) == ("fail", {"o_move": "(1/2;1,2)"})
 
 
 # Criterion 9's scan: (source, what it flags).  Every source is valid Python.
