@@ -82,11 +82,14 @@ class FinGroup:
         gens(H)>, which lies in H exactly when the conjugated generators do,
         and then equals H since both have |H| elements.  Every element of
         <H, gens> is a product of H's elements and ``gens``, so it
-        conjugates H onto H as well.
+        conjugates H onto H as well.  Each x is inverted once.
         """
-        return all(
-            self.mul(self.mul(x, s), self.inv(x)) in self for x in gens for s in self.gens
-        )
+        mul = self.mul
+        for x in gens:
+            x_inv = self.inv(x)
+            if not all(mul(mul(x, s), x_inv) in self for s in self.gens):
+                return False
+        return True
 
     def are_conjugate(self, g, h) -> bool:
         return any(

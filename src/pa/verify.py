@@ -113,15 +113,19 @@ class _Point:
             return dihedral.gamma_lattice(self.r, self.d1, self.d2).cert
         return self.record.cert
 
-    def lattice_agrees(self, with_quotient: bool) -> bool:
-        """Whether the torus-lattice answer (``cert``, and with the quotient
-        ``dihedral.orbifold``'s record) agrees with the closures: on |Gamma|
-        and, with the closure's quotient N(Gamma)/Gamma, on its tag, its
-        elements (the printed coset labels) and its multiplication table."""
-        if self.cert["order"] != len(self.gamma[0]):
+    def order_agrees(self) -> bool:
+        """Whether the torus-lattice |Gamma| (``cert``) is the closure's."""
+        return self.cert["order"] == len(self.gamma[0])
+
+    @cached_property
+    def lattice_agrees(self) -> bool:
+        """Whether ``dihedral.orbifold``'s record agrees with the closures:
+        on |Gamma| and, with the closure's quotient N(Gamma)/Gamma, on its
+        tag, its elements (the printed coset labels) and its multiplication
+        table.  Checks 2 and 3 both read it, and the tables are built and
+        compared once."""
+        if not self.order_agrees():
             return False
-        if not with_quotient:
-            return True
         record, quotient = self.record, self.quotient
         return (
             record.isom == self.tag
@@ -137,14 +141,19 @@ class _Point:
 
 def _order_fault(point: _Point) -> dict | None:
     """Criterion 1: |Gamma| = 2n with the dihedral relation, recognized as
-    dihedral of degree n."""
+    dihedral of degree n from its presentation.
+
+    order(f) = |<f>| = n, order(J) = 2 and J f J^-1 = f^-1 make Gamma =
+    <f, J> a quotient of D_n = <a, b | a^n, b^2, (ab)^2>, and |Gamma| = 2n =
+    |D_n| makes it D_n itself (von Dyck's theorem), with no search for a
+    rotation of order n."""
     group, cert = point.gamma
     n = point.params.n
     if len(group) != 2 * n or not cert["dihedral_relation"]:
         return {"point": point.name, "cert": dict(cert)}
-    if groups.dihedral_degree(group) != n:
+    if (cert["order_f"], cert["order_J"]) != (n, 2):
         return {"point": point.name, "not_dihedral": n}
-    if not point.lattice_agrees(False):
+    if not point.order_agrees():
         return {"point": point.name, "lattice": "disagrees"}
     return None
 
@@ -158,7 +167,7 @@ def _isometry_fault(point: _Point) -> dict | None:
     for g in quotient:
         if quotient.mul(g, g) != quotient.identity:
             return {"point": point.name, "non_involution": True}
-    if not point.lattice_agrees(True):
+    if not point.lattice_agrees:
         return {"point": point.name, "lattice": "disagrees"}
     return None
 
@@ -174,7 +183,7 @@ def _normalizer_fault(point: _Point) -> dict | None:
     order = len(group) * len(quotient)
     if order != 8 * point.params.n:
         return {"point": point.name, "order": order}
-    if not point.lattice_agrees(True):
+    if not point.lattice_agrees:
         return {"point": point.name, "lattice": "disagrees"}
     return None
 
@@ -351,30 +360,35 @@ def check_homology_cases() -> tuple[bool, dict]:
     points = 0
     for r in _sweep_slopes(12):
         for d1, d2 in _coprime_pairs(5):
-            desc = orbigraph.make_dihedral(r, d1, d2)
-            report = orbigraph.h1_z2(desc.graph)
-            arcs = [e for e in desc.graph.edges() if e.id.startswith("K")]
-            tminus = [e for e in desc.graph.edges() if e.id == "tminus"]
-            witness = {"point": f"({r};{d1},{d2})", "dim": report.dimension}
-            if d1 % 2 == 1 and d2 % 2 == 1:
-                if r.p % 2 == 0:  # two components: free of rank 2
-                    if report.dimension != 2:
-                        return False, witness
-                    if tminus and any(
-                        x != 0 for x in report.meridian_class[tminus[0].id]
-                    ):
-                        return False, witness | {"tminus_nonzero": True}
-                else:  # knot: rank 1 with equal arc meridians
-                    if report.dimension != 1:
-                        return False, witness
-                    classes = {report.meridian_class[e.id] for e in arcs}
-                    if len(classes) != 1 or (0,) in classes:
-                        return False, witness | {"arc_classes": sorted(classes)}
-            if (d1 % 2 == 0) != (d2 % 2 == 0):
-                if report.dimension != 2:
-                    return False, witness
+            report = orbigraph.h1_z2(orbigraph.make_dihedral(r, d1, d2).graph)
+            fault = _homology_fault(r.p % 2 == 0, d1 % 2 == 1 and d2 % 2 == 1, report)
+            if fault is not None:
+                return False, {"point": f"({r};{d1},{d2})", "dim": report.dimension} | fault
             points += 1
     return True, {"points": points}
+
+
+def _homology_fault(p_even: bool, both_odd: bool, report) -> dict | None:
+    """None when the report fits the case table's row, else the witness's
+    keys past the point and the dimension.  ``meridian_class`` is keyed by
+    the graph's edge ids: the arcs K1..K4 and, unless elided, tminus.
+    (d+, d-) is coprime, so one of them is even unless both are odd."""
+    classes = report.meridian_class
+    if not both_odd:
+        return None if report.dimension == 2 else {}
+    if p_even:  # two components: free of rank 2
+        if report.dimension != 2:
+            return {}
+        if any(classes.get("tminus", ())):
+            return {"tminus_nonzero": True}
+        return None
+    # knot: rank 1 with equal arc meridians
+    if report.dimension != 1:
+        return {}
+    arcs = {c for eid, c in classes.items() if eid.startswith("K")}
+    if len(arcs) != 1 or (0,) in arcs:
+        return {"arc_classes": sorted(arcs)}
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +480,12 @@ CORE_MODULES = (
 
 # One pass over tokenize's own grammar.  Comments and strings (triple-quoted
 # first, each with any prefix) are matched whole, so no number or name inside
-# them is seen; f-strings, numbers and names are captured.  On valid Python
-# every match starts where a tokenize token starts, and an f-string is one
-# literal, as tokenize reads it before Python 3.12.
+# them is seen; f-strings, numbers and names are captured.  A run of
+# characters that start no comment, string, number or name (spaces,
+# operators, brackets) is eaten in one match, tried first: no other
+# alternative can match at any of them, so no token is lost.  On valid Python
+# every other match starts where a tokenize token starts, and an f-string is
+# one literal, as tokenize reads it before Python 3.12.
 _STRINGS = "|".join((
     "'''" + tokenize.Single3,
     '"""' + tokenize.Double3,
@@ -477,6 +494,7 @@ _STRINGS = "|".join((
 ))
 _TOKENS = re.compile(
     "|".join((
+        r"""[^\w#'".]+""",
         tokenize.Comment,
         "((?:[rR]?[fF]|[fF][rR])(?:" + _STRINGS + "))",
         "[bBrRuU]{0,2}(?:" + _STRINGS + ")",

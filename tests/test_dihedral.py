@@ -505,11 +505,12 @@ class TestQuotientFromCosets:
 
     def test_quotient_forms_no_product_per_element(self, monkeypatch):
         # The same count whatever n: at n = 4 and n = 195 (and at each of
-        # the 218 points of checks 1-3), 53 products and 11 inverses.  The
+        # the 218 points of checks 1-3), 53 products and 7 inverses.  The
         # normality test conjugates Gamma's 2 generators by the 4 declared
-        # ones (16 products, 8 inverses), the search multiplies each of the
-        # 4 representatives by each generator (16 products) and tests the
-        # products outside Gamma against the representatives after the
+        # ones (16 products, and one inverse per declared generator: 4, not
+        # the 8 of one inverse per conjugation), the search multiplies each
+        # of the 4 representatives by each generator (16 products) and tests
+        # the products outside Gamma against the representatives after the
         # identity (21 products z*r^-1, with one inverse for each of the 3
         # new representatives), and the table forms none.
         calls = []
@@ -531,8 +532,8 @@ class TestQuotientFromCosets:
             assert len(Q) == 4 and len(G) == 2 * params.n
         conjugations = 4 * len(G.gens)
         assert counts == {
-            4: (2 * conjugations + 4 * 4 + 21, conjugations + 3),
-            195: (2 * conjugations + 4 * 4 + 21, conjugations + 3),
+            4: (2 * conjugations + 4 * 4 + 21, 4 + 3),
+            195: (2 * conjugations + 4 * 4 + 21, 4 + 3),
         }
 
     def test_bound_admits_exactly_the_normalizer_order(self):

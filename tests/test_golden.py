@@ -10,19 +10,12 @@ that is meant to alter an output, run from the repository root
 and review the diff of ``tests/golden/cli.json``.
 """
 
-import contextlib
 import functools
-import io
 import json
-import os
-from pathlib import Path
 
 import pytest
 
-from pa import cli
-
-GOLDEN = Path(__file__).resolve().parent / "golden"
-RECORD = GOLDEN / "cli.json"
+from golden_replay import RECORD, replay
 
 # Paths in argv are relative to the golden directory.
 COMMANDS = [
@@ -74,19 +67,6 @@ COMMANDS = [
     ["homology", "dihedral_2_5_2_3.json"],
     ["homology", "dihedral_2_5_2_3.json", "--json"],
 ]
-
-
-def replay(argv: list[str]) -> dict:
-    """Run ``pa argv`` in process from the golden directory."""
-    out, err = io.StringIO(), io.StringIO()
-    cwd = os.getcwd()
-    os.chdir(GOLDEN)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(list(argv))
-    finally:
-        os.chdir(cwd)
-    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 @functools.cache

@@ -12,7 +12,7 @@ from types import MappingProxyType
 import pytest
 
 import oracles
-from pa import dihedral, groups, orbigraph, quat, slopes, verify
+from pa import cosetenum, cusplattice, dihedral, groups, orbigraph, quat, slopes, verify
 from pa.groups import FinGroup
 from pa.slopes import Slope
 
@@ -255,6 +255,35 @@ class TestOnePass:
             "normalizer-soundness": {"point": "(2/5;2,3)", "lattice": "disagrees"},
         }
 
+    def test_presentation_agrees_with_the_dihedral_search(self):
+        # Check 1 reads D_n from Gamma's presentation: order(f) = n,
+        # order(J) = 2, J f J^-1 = f^-1 and |Gamma| = 2n (von Dyck).  The
+        # search for a rotation of order n that it replaced agrees at every
+        # point of its sweep.
+        points = 0
+        for r, d1, d2 in oracles._dihedral_points():
+            params = dihedral.params_for(r, d1, d2)
+            group, cert = dihedral.gamma(params)
+            assert groups.dihedral_degree(group) == params.n == cert["order_f"], (r, d1, d2)
+            assert cert["order_J"] == 2 and cert["dihedral_relation"], (r, d1, d2)
+            points += 1
+        assert points == 242
+
+    def test_wrong_order_of_f_is_not_dihedral(self, monkeypatch):
+        gamma = dihedral.gamma
+
+        def wrong(params):
+            group, cert = gamma(params)
+            if (params.r, params.d1, params.d2) == TARGET:
+                cert = MappingProxyType({**cert, "order_f": 2 * params.n})
+            return group, cert
+
+        monkeypatch.setattr(dihedral, "gamma", wrong)
+        (result,) = verify.run_checks(["dihedral-order"])
+        assert (result.status, result.witness) == (
+            "fail", {"point": "(2/5;2,3)", "not_dihedral": 30}
+        )
+
     def test_each_group_is_closed_once(self, monkeypatch):
         # ``orbifold`` at the 218 points of checks 2 and 3; at the 24 points
         # check 1 alone covers, (1, 1) and theta, only its certificate half.
@@ -294,14 +323,17 @@ class TestOnePass:
     def test_product_count(self, monkeypatch):
         # Gamma closed coset by coset, orders from the multiple n,
         # N(Gamma)/Gamma from Gamma's cosets with N(Gamma) never listed (53
-        # products a point) and each cycle walked once: 41 130 Isom3
-        # products over checks 1-3, now that the torus quotient forms its
-        # whole 4x4 coset action (orbifold('2/7', 3, 5) makes 47, not 38).
-        # Before: 39 011 when it stopped at the fourth coset, 82 327 when
-        # N(Gamma) was listed and the quotient read from its blocks, 142 195
-        # when the quotient labelled every element by a product and
-        # recognition walked <f> twice, and 333 382 when Gamma and N(Gamma)
-        # were closed breadth-first and order(f) was walked.
+        # products a point), and check 1 reading D_n from Gamma's
+        # certificate instead of walking <f> again: 33 883 Isom3 products
+        # over checks 1-3.  The guard fails a returning second walk.
+        # Before: 41 130 when check 1 recognized D_n by ``dihedral_degree``
+        # and the torus quotient formed its whole 4x4 coset action
+        # (orbifold('2/7', 3, 5) makes 47, not 38), 39 011 when it stopped
+        # at the fourth coset, 82 327 when N(Gamma) was listed and the
+        # quotient read from its blocks, 142 195 when the quotient labelled
+        # every element by a product and recognition walked <f> twice, and
+        # 333 382 when Gamma and N(Gamma) were closed breadth-first and
+        # order(f) was walked.
         products = Counter()
         mul = quat.Isom3.__mul__
 
@@ -312,7 +344,7 @@ class TestOnePass:
         monkeypatch.setattr(quat.Isom3, "__mul__", counted)
         verdicts = verify._dihedral_verdicts(DIHEDRAL_IDS)
         assert all(ok for ok, _ in verdicts.values())
-        assert products["Isom3"] <= 45_000, f"{products['Isom3']} Isom3 products"
+        assert products["Isom3"] <= 36_000, f"{products['Isom3']} Isom3 products"
 
 
 class TestCaseTableFaults:
@@ -333,6 +365,28 @@ class TestCaseTableFaults:
         (result,) = verify.run_checks(["homology-cases"])
         assert (result.status, result.witness) == ("fail", {"point": point, "dim": dim})
 
+    @pytest.mark.parametrize("point, dim, change, extra", [
+        ("(1/2;1,3)", 2, {"tminus": (1, 0)}, {"tminus_nonzero": True}),
+        ("(2/5;3,5)", 1, {"K1": (0,)}, {"arc_classes": [(0,), (1,)]}),
+    ])
+    def test_homology_classes_off_where_both_weights_are_odd(
+        self, monkeypatch, point, dim, change, extra
+    ):
+        # the witness keys past the dimension, read from ``meridian_class``
+        h1_z2 = orbigraph.h1_z2
+
+        def wrong(g):
+            report = h1_z2(g)
+            if g.name == f"O{point}":
+                return dataclasses.replace(
+                    report, meridian_class={**report.meridian_class, **change}
+                )
+            return report
+
+        monkeypatch.setattr(orbigraph, "h1_z2", wrong)
+        (result,) = verify.run_checks(["homology-cases"])
+        assert (result.status, result.witness) == ("fail", {"point": point, "dim": dim, **extra})
+
     def test_o_key_without_the_inversion_move(self, monkeypatch):
         def wrong(r, d_plus, d_minus):
             r = slopes.slope(r)
@@ -343,10 +397,127 @@ class TestCaseTableFaults:
         assert (result.status, result.witness) == ("fail", {"o_move": "(1/2;1,2)"})
 
 
+class TestCheckFaults:
+    """Checks 4-6, theta-isom and check 9 fail, with their witnesses, under
+    one fault each."""
+
+    @staticmethod
+    def run(check_id):
+        (result,) = verify.run_checks([check_id])
+        return result.status, result.witness
+
+    @pytest.mark.parametrize("check_id, kind, values", [
+        ("cusp-244", "T244", [4, 9, 16]),
+        ("cusp-236", "T236", [12, 37, 48]),
+    ])
+    def test_cusp_spectrum_value_off(self, monkeypatch, check_id, kind, values):
+        spectrum = cusplattice.spectrum
+
+        def wrong(k, bound):
+            spec = list(spectrum(k, bound))
+            value, orbits = spec[1]
+            spec[1] = (value + 1, orbits)
+            return spec
+
+        monkeypatch.setattr(cusplattice, "spectrum", wrong)
+        assert self.run(check_id) == ("fail", {"kind": kind, "values": values})
+
+    def test_brenner_filter_drops_an_orbit(self, monkeypatch):
+        candidates = cusplattice.brenner_candidates
+        monkeypatch.setattr(
+            cusplattice, "brenner_candidates",
+            lambda kind: candidates(kind)[:-1] if kind == "T236" else candidates(kind),
+        )
+        assert self.run("brenner-filter") == ("fail", {
+            "T244": {"coef2": [4, 8], "words": ["bba", "bbacca"]},
+            "T236": {"coef2": [12], "words": ["accc"]},
+        })
+
+    def test_triangle_order_off_by_one(self, monkeypatch):
+        triangle_group = cosetenum.triangle_group
+
+        def wrong(p, q, r):
+            group = triangle_group(p, q, r)
+            return [*group, None] if (p, q, r) == (2, 3, 5) else group
+
+        monkeypatch.setattr(cosetenum, "triangle_group", wrong)
+        assert self.run("triangle-orders") == (
+            "fail", {"type": (2, 3, 5), "order": 61, "expected": 60}
+        )
+
+    def test_triangle_image_order_off(self, monkeypatch):
+        image_order = cosetenum.image_order
+
+        def wrong(word, source, target):
+            if (word, target) == ("b2ac2a", (2, 2, 2)):
+                return 2
+            return image_order(word, source, target)
+
+        monkeypatch.setattr(cosetenum, "image_order", wrong)
+        assert self.run("triangle-images") == (
+            "fail", {"b2a": [2, 2, 2], "b2ac2a": [2, 2, 2]}
+        )
+
+    def test_triangle_image_not_conjugate(self, monkeypatch):
+        # b2a's image in the (2,2,4) quotient replaced by the identity,
+        # which is conjugate to no other element
+        word_images = cosetenum.triangle_word_images
+
+        def wrong(ptype, words):
+            G, images = word_images(ptype, words)
+            if ptype == (2, 2, 4):
+                images = [images[0], G.identity]
+            return G, images
+
+        monkeypatch.setattr(cosetenum, "triangle_word_images", wrong)
+        assert self.run("triangle-images") == ("fail", {
+            "b2a": [2, 2, 2], "b2ac2a": [1, 2, 2], "ac3": 2, "ac4ac2": 2,
+            "ac4ac2_conj_a": True, "c2a_conj_b2a_in_224": False,
+        })
+
+    THETA = {
+        "gamma_pairs": 8, "gamma_isometries": 4, "normalizer_pairs": 96,
+        "normalizer_isometries": 48, "quotient_order": 12, "type": "D6",
+    }
+
+    def test_theta_type_off(self, monkeypatch):
+        # ``exceptional_isom`` holds its own answer against the paper's and
+        # raises; the check fails with the error
+        monkeypatch.setattr(dihedral, "recognize", lambda group: "D6")
+        assert self.run("theta-isom") == ("fail", {
+            "error": f"ArithmeticError: exceptional computation inconsistent: {self.THETA}"
+        })
+
+    def test_theta_type_off_past_the_inner_test(self, monkeypatch):
+        # the check's own comparison, with the inner test bypassed
+        exceptional_isom = dihedral.exceptional_isom
+
+        def wrong():
+            quotient, details = exceptional_isom()
+            return quotient, {**details, "type": "D6"}
+
+        monkeypatch.setattr(dihedral, "exceptional_isom", wrong)
+        assert self.run("theta-isom") == ("fail", self.THETA)
+
+    def test_float_in_a_core_source(self, monkeypatch):
+        read_text = Path.read_text
+
+        def with_float(path, *args, **kwargs):
+            text = read_text(path, *args, **kwargs)
+            return text + "x = 1.5\n" if path.name == "quat.py" else text
+
+        monkeypatch.setattr(Path, "read_text", with_float)
+        assert self.run("no-floats") == ("fail", {
+            "scanned": list(verify.CORE_MODULES), "offenders": {"quat.py": ["1.5"]}
+        })
+
+
 # Criterion 9's scan: (source, what it flags).  Every source is valid Python.
 # The first group is flagged; the rest name floats only inside strings and
-# comments, or not at all.  The last group covers f-string replacement fields,
-# which are flagged, and format specs, which are not.
+# comments, or not at all.  The f-string group covers replacement fields,
+# which are flagged, and format specs, which are not.  The last group puts a
+# number or a string right after a run of operators and brackets, which the
+# scan skips in one match.
 FLOAT_CASES = [
     ("x = 1.5", ["1.5"]),
     ("x = .5", [".5"]),
@@ -387,6 +558,16 @@ FLOAT_CASES = [
     ('x = f"{x:{2.5}}"', ["2.5"]),
     ('x = f"{a:{b}.{1e3}} {2j}"', ["1e3", "2j"]),
     ('x = f"{x:.2f}"', []),
+] + [
+    ("x=(-1.5)*-2e3", ["1.5", "2e3"]),
+    ("y=a[.5:]", [".5"]),
+    ("s=1+'2.5'", []),
+    ("z={1:.5,-2:3.}", [".5", "3."]),
+    ('t=("1.5")+(2.5j)', ["2.5j"]),
+    ("u=x@-.5e-3//+7", [".5e-3"]),
+    ("v=(f'{1.5}')!=~1", ["1.5"]),
+    ("w=[1,\\\n2.5]#.5", ["2.5"]),
+    ("x=a.float(),-.0", ["float", ".0"]),
 ]
 
 REPO = Path(__file__).resolve().parent.parent
