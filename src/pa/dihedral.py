@@ -16,10 +16,11 @@ the continuous types are returned as symbolic tags only.
 Every element of Gamma and N(Gamma) is L(s) or L(s)*J, and J*L(s)*J = L(-s),
 so each is A x| <J> for a finite subgroup A of the torus (Q/Z)^2.
 ``orbifold`` answers a query from these torus lattices: orders, membership
-and the quotient N/Gamma = A_N/A_Gamma come from 2x2 Hermite forms, and only
-the certificate's element orders and the coset search's 16 products are
-formed as isometries.  The orders are read from their known multiples n
-and 2 in O(log n) products, from the primes of p, d1 and d2.
+and the quotient N/Gamma = A_N/A_Gamma come from 2x2 Hermite forms and a
+coset search over torus vectors, and only the certificate's order(f) and
+dihedral relation are formed as isometries.  order(f) is read from its
+known multiple n in O(log n) products, from the primes of p, d1 and d2;
+order(J) is read once, at import.
 ``gamma_lattice`` is the first half of ``orbifold``: the witness, Gamma's
 certificate and A_Gamma, without the isometry group, for a caller that
 reads only |Gamma|.  The rotation f and N(Gamma)'s generators are built as
@@ -28,14 +29,14 @@ forms no ``Fraction``.  ``gamma`` closes Gamma coset by coset
 (``groups.extend``), and ``normalizer`` finds N(Gamma)/Gamma from Gamma's
 cosets (``FinGroup.quotient``) without listing N(Gamma); the verification
 checks use them as the independent evidence.
-The labels agree by one code path, ``groups.coset_quotient``, which both
-``torus_quotient`` and ``normalizer`` run; each places every product
-itself, by a lattice key or by membership in Gamma.
+The labels agree by one code path, ``groups.coset_search``, which both
+``torus_quotient`` (over torus vectors) and ``normalizer`` (over
+isometries) run; each places every product itself, by a lattice key or by
+membership in Gamma.
 """
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from math import gcd
@@ -43,7 +44,8 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .groups import (
-    FinGroup, GroupOverflow, close, coset_quotient, extend, order_from_multiple, recognize
+    FinGroup, GroupOverflow, close, coset_search, extend, order_from_multiple, quotient_group,
+    recognize,
 )
 from .quat import ISOM_ID, Isom3, J, Q_I, Q_J, Q_ONE, Q_S, Q_W
 from .slopes import Slope, slope
@@ -131,15 +133,23 @@ def params_for(r, d1: int, d2: int) -> DihedralParams:
     return DihedralParams(r, d1, d2, *solve_k(r, d1, d2))
 
 
+def _torus_isom(x: int, y: int, D: int) -> Isom3:
+    """L(x/D, y/D), built from integers: by ``quat.L``'s rule its key is
+    over 2D with the angles x + y and y - x."""
+    return Isom3(2 * D, x + y, False, y - x, False)
+
+
 # L(1/2, 0) and L(0, 1/2), the normalizer's two half turns.
-_HALF_TURNS = (Isom3(4, 1, False, -1, False), Isom3(4, 1, False, 1, False))
+_HALF_TURNS = (_torus_isom(1, 0, 2), _torus_isom(0, 1, 2))
+
+# order(J) and J^-1, the same in every certificate.
+_ORDER_J = order_from_multiple(J, 2, (2,), ISOM_ID)
+_J_INV = J.inv()
 
 
 def _rotation_key(params: DihedralParams, D: int) -> Isom3:
-    """L(k1*d1/D, k2*d2/D), built from integers: by ``quat.L``'s rule its
-    key is over 2D with the angles k1*d1 + k2*d2 and k2*d2 - k1*d1."""
-    x, y = params.k1 * params.d1, params.k2 * params.d2
-    return Isom3(2 * D, x + y, False, y - x, False)
+    """L(k1*d1/D, k2*d2/D)."""
+    return _torus_isom(params.k1 * params.d1, params.k2 * params.d2, D)
 
 
 def _rotation(params: DihedralParams) -> Isom3:
@@ -171,13 +181,14 @@ def _prime_factors(m: int) -> list[int]:
 
 def _certificate(f: Isom3, order: int, order_f, n: int) -> Mapping:
     """|Gamma| = ``order`` against 2n, with ``order_f``, order(J) and the
-    dihedral relation J f J^-1 = f^-1 checked element-exactly; read-only."""
+    dihedral relation J f J^-1 = f^-1 checked element-exactly; read-only.
+    order(J) and J^-1 are computed once, at import."""
     return MappingProxyType({
         "order": order,
         "expected_order": 2 * n,
         "order_f": order_f,
-        "order_J": order_from_multiple(J, 2, (2,), ISOM_ID),
-        "dihedral_relation": J * f * J.inv() == f.inv(),
+        "order_J": _ORDER_J,
+        "dihedral_relation": J * f * _J_INV == f.inv(),
     })
 
 
@@ -315,12 +326,19 @@ def torus_quotient(a_gamma: TorusLattice, rotations, n: int) -> FinGroup:
     J lies in Gamma, so two elements lie in one coset of Gamma exactly when
     their torus vectors have the same key mod A_Gamma.
 
-    The cosets come from ``groups.coset_quotient``, the search of
-    ``normalizer``, with each product placed by its key, so the labels are
-    those ``normalizer`` gives.
+    The cosets come from ``groups.coset_search``, the search of
+    ``normalizer``, run over torus vectors: from (0, 0), over the rotations'
+    vectors, by vector addition, each sum placed by its key.  The search
+    forms no isometry product.  Each representative v is labelled
+    L(v/M), the label ``normalizer`` gives it: every representative is a
+    product of L-type generators, L(s)*L(t) = L(s+t), and ``Isom3`` keys
+    are canonical, so the key built from the summed vector is the key of
+    the product; J lies in Gamma, so its column adds nothing
+    (``FinGroup.quotient`` drops it).
     """
     M = a_gamma.M
-    a_norm = TorusLattice.spanned([torus_vector(g, M) for g in rotations], M)
+    vectors = [torus_vector(g, M) for g in rotations]
+    a_norm = TorusLattice.spanned(vectors, M)
     if not (
         a_norm.order == 4 * n
         and all(a_norm.contains(x, y) for x, y in a_gamma.basis())
@@ -330,14 +348,19 @@ def torus_quotient(a_gamma: TorusLattice, rotations, n: int) -> FinGroup:
             f"the claimed N(Gamma) fails to normalize Gamma: {a_norm}, 4n = {4 * n}"
         )
     index = {(0, 0): 0}  # the key of each coset, in the order found
-    def find(z):
-        key = a_gamma.key(*torus_vector(z, M))
+    def find(v):
+        key = a_gamma.key(*v)
         if key in index:
             return index[key]
         index[key] = len(index)
         return None
 
-    return coset_quotient(ISOM_ID, (*rotations, J), operator.mul, find)
+    reps, cosets = coset_search((0, 0), vectors, _vector_sum, find)
+    return quotient_group([_torus_isom(x, y, M) for x, y in reps], cosets)
+
+
+def _vector_sum(v, w):
+    return (v[0] + w[0], v[1] + w[1])
 
 
 # ---------------------------------------------------------------------------

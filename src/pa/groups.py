@@ -9,9 +9,13 @@ products come from a ``mul`` callable (the ``*`` operator by default) and
 inverses from an ``inv`` callable (an ``.inv()`` method by default).  The
 quaternion and isometry models of ``pa.quat``, the coset permutations of
 ``pa.cosetenum`` and the torus quotients of ``pa.dihedral`` all close and
-recognize their groups here.  ``coset_quotient`` is the one quotient search,
-for ``FinGroup.quotient`` and ``dihedral.torus_quotient``; ``extend`` keeps
-its own loop, as it lists every element of each new coset.
+recognize their groups here.  ``coset_search`` is the one quotient search,
+for ``FinGroup.quotient`` over group elements and ``dihedral.torus_quotient``
+over torus vectors, and ``quotient_group`` builds the group from its table;
+``extend`` keeps its own loop, as it lists every element of each new coset.
+A quotient search needs only the generators outside the subgroup H: for a
+generator x in H and a representative y, y*x = (y*x*y^-1)*y lies in H*y when
+H is normal, so x starts no coset and adds nothing to the table.
 """
 
 from __future__ import annotations
@@ -98,17 +102,22 @@ class FinGroup:
 
     def quotient(self, gens, bound=10**5) -> "FinGroup":
         """<H, gens>/H for this group H, normal in <H, gens>, by
-        ``coset_quotient``; |<H, gens>| = |H| * |quotient|, and <H, gens> is
+        ``coset_search``; |<H, gens>| = |H| * |quotient|, and <H, gens> is
         never listed.
 
-        Raises ValueError unless ``normalized_by(gens)`` holds, tested
-        before anything else, and GroupOverflow when |H| times the number of
-        cosets would pass ``bound``.  H's own generators are skipped, as for
-        a normal H y*h = (y*h*y^-1)*y lies in H*y.  A product z lies in the
-        coset H*r of the first representative r with z*r^-1 in H (for r = 1
-        the test is z in H, with no product), or else starts the coset H*z.
+        A declared generator x that lies in H is dropped first, with no
+        product: H is normal in <H, gens>, so for any representative y,
+        y*x = (y*x*y^-1)*y lies in H*y.  Such an x never starts a coset
+        and its column of the action repeats the row, so the
+        representatives, their order and the table are those of the search
+        over every declared generator.  Raises ValueError unless
+        ``normalized_by`` holds for the generators left, tested before the
+        search, and GroupOverflow when |H| times the number of cosets would
+        pass ``bound``.  A product z lies in the coset H*r of the first
+        representative r with z*r^-1 in H (for r = 1 the test is z in H,
+        with no product), or else starts the coset H*z.
         """
-        gens = tuple(gens)
+        gens = tuple(x for x in gens if x not in self)
         if not self.normalized_by(gens):
             raise ValueError("not a normal subgroup")
         mul, size = self.mul, len(self.elements)
@@ -124,19 +133,23 @@ class FinGroup:
             inverses.append(self.inv(z))
             return None
 
-        return coset_quotient(self.identity, gens, mul, find)
+        reps, cosets = coset_search(self.identity, gens, mul, find)
+        return quotient_group(reps, cosets)
 
 
-def coset_quotient(identity, gens, mul, find) -> FinGroup:
-    """<H, gens>/H for a normal H, as a group of right-coset
-    representatives found breadth-first (Butler, LNCS 559, 1991; Holt, Eick
-    and O'Brien, *Handbook of Computational Group Theory*, 2005, 4.1): each
-    representative y in turn, from ``identity``, times ``gens``.  ``find(z)``
-    returns the index of the product z's coset, or None when z starts a new
-    one; it may raise to refuse a coset.  The table needs no product: a
-    representative b = y*s found from y lies in the coset of r*s for the
-    representative r of a*y's coset, so the coset of a*b is read from the
-    kept action of each (representative, generator) pair, y coming before b.
+def coset_search(identity, gens, mul, find) -> tuple[list, list[list[int]]]:
+    """The right-coset representatives of <H, gens>/H for a normal H, found
+    breadth-first (Butler, LNCS 559, 1991; Holt, Eick and O'Brien,
+    *Handbook of Computational Group Theory*, 2005, 4.1), and the coset
+    table: cosets[a][b] is the index of the coset of reps[a] * reps[b].
+
+    Each representative y in turn, from ``identity``, is multiplied by
+    ``gens``.  ``find(z)`` returns the index of the product z's coset, or
+    None when z starts a new one; it may raise to refuse a coset.  The
+    table needs no product: a representative b = y*s found from y lies in
+    the coset of r*s for the representative r of a*y's coset, so the coset
+    of a*b is read from the kept action of each (representative, generator)
+    pair, y coming before b.
     """
     reps = [identity]
     found_from = [None]  # (y, s): the indices with reps[b] = reps[y] * gens[s]
@@ -152,17 +165,24 @@ def coset_quotient(identity, gens, mul, find) -> FinGroup:
                 found_from.append((y, s))
             row.append(c)
         action.append(row)
-    cosets = []  # cosets[a][b]: the coset of reps[a] * reps[b]
+    cosets = []
     for a in range(len(reps)):
         row = [a]
         for y, s in found_from[1:]:
             row.append(action[row[y]][s])
         cosets.append(row)
+    return reps, cosets
+
+
+def quotient_group(labels, cosets) -> FinGroup:
+    """The group of ``coset_search``'s table, each coset named by its entry
+    of ``labels`` (the identity's first), with products and inverses read
+    from the table."""
     table = {
-        (reps[a], reps[b]): reps[c] for a, row in enumerate(cosets) for b, c in enumerate(row)
+        (labels[a], labels[b]): labels[c] for a, row in enumerate(cosets) for b, c in enumerate(row)
     }
-    inverse = {reps[a]: reps[row.index(0)] for a, row in enumerate(cosets)}
-    return FinGroup(reps, identity, mul=lambda a, b: table[a, b], inv=inverse.__getitem__)
+    inverse = {labels[a]: labels[row.index(0)] for a, row in enumerate(cosets)}
+    return FinGroup(labels, labels[0], mul=lambda a, b: table[a, b], inv=inverse.__getitem__)
 
 
 def close(gens, bound=10**5, *, identity=None, mul=operator.mul, inv=None) -> FinGroup:

@@ -480,12 +480,21 @@ CORE_MODULES = (
 
 # One pass over tokenize's own grammar.  Comments and strings (triple-quoted
 # first, each with any prefix) are matched whole, so no number or name inside
-# them is seen; f-strings, numbers and names are captured.  A run of
-# characters that start no comment, string, number or name (spaces,
-# operators, brackets) is eaten in one match, tried first: no other
-# alternative can match at any of them, so no token is lost.  On valid Python
-# every other match starts where a tokenize token starts, and an f-string is
-# one literal, as tokenize reads it before Python 3.12.
+# them is seen; f-strings, numbers and the name ``float`` are captured.  The
+# first alternative, tried first, eats in one match a run of two kinds of
+# piece, neither of which holds a token the scan reports:
+# - characters that start no comment, string, number or name (spaces,
+#   operators, brackets): no other alternative can match at any of them;
+# - whole identifiers other than ``float``: ``\w*`` must reach the
+#   identifier's end, since the lookahead refuses a following word
+#   character, and an identifier followed directly by a quote is refused at
+#   every length, as it is a string prefix (``rb``, ``f``).  An identifier
+#   eaten here starts with neither a digit nor ``.``, so it starts no
+#   comment, string or number, and the name alternative would have
+#   captured it whole and discarded it; numbers match exactly as before.
+# So no token is lost.  On valid Python every other match starts where a
+# tokenize token starts, and an f-string is one literal, as tokenize reads
+# it before Python 3.12.
 _STRINGS = "|".join((
     "'''" + tokenize.Single3,
     '"""' + tokenize.Double3,
@@ -494,7 +503,7 @@ _STRINGS = "|".join((
 ))
 _TOKENS = re.compile(
     "|".join((
-        r"""[^\w#'".]+""",
+        r"""(?:[^\w#'".]+|(?!float\b)[^\W\d]\w*(?![\w'"]))+""",
         tokenize.Comment,
         "((?:[rR]?[fF]|[fF][rR])(?:" + _STRINGS + "))",
         "[bBrRuU]{0,2}(?:" + _STRINGS + ")",

@@ -475,19 +475,27 @@ class TestQuotientFromCosets:
         assert [Q.inv(g) for g in Q] == [expected.inv(g) for g in expected], where
 
     def test_agrees_with_product_labels_sweep(self):
-        # every N(Gamma)/Gamma of checks 1-3, and theta's N(Gamma~)/Gamma~
-        quotients = 0
+        # every N(Gamma)/Gamma of checks 1-3, and theta's N(Gamma~)/Gamma~;
+        # and the quotient that drops the declared generators inside Gamma
+        # (J at every point, a half turn at some) against the search over
+        # all four
+        quotients = dropped_half_turns = 0
         for r, d1, d2 in oracles._criterion2_points():
             params = params_for(r, d1, d2)
             G, _ = gamma(params)
             Q = normalizer(params, G)
+            declared = (*_normalizer_rotations(params), J)
             closure = oracles.closure_normalizer(params, G)
-            listed = extend(G, (*_normalizer_rotations(params), J), 16 * params.n)
+            listed = extend(G, declared, 16 * params.n)
+            every = oracles.quotient_over_every_generator(G, declared, 16 * params.n)
             assert len(G) * len(Q) == len(closure) == len(listed), (r, d1, d2)
             self.assert_same_quotient(Q, oracles.quotient(closure, G), (r, d1, d2))
             self.assert_same_quotient(Q, oracles.block_quotient(listed, G), (r, d1, d2))
+            self.assert_same_quotient(Q, every, (r, d1, d2))
+            assert group_to_json(Q) == group_to_json(every), (r, d1, d2)
+            dropped_half_turns += any(x in G for x in declared[1:3])
             quotients += 1
-        assert quotients == 218
+        assert quotients == 218 and 0 < dropped_half_turns < 218
         gamma_raw = close(
             [(Q_I, Q_I), (Q_J, Q_J)], 16, identity=(Q_ONE, Q_ONE),
             mul=dihedral._pair_mul, inv=dihedral._pair_inv,
@@ -504,15 +512,18 @@ class TestQuotientFromCosets:
         self.assert_same_quotient(exceptional_isom()[0], theta, "theta")
 
     def test_quotient_forms_no_product_per_element(self, monkeypatch):
-        # The same count whatever n: at n = 4 and n = 195 (and at each of
-        # the 218 points of checks 1-3), 53 products and 7 inverses.  The
-        # normality test conjugates Gamma's 2 generators by the 4 declared
-        # ones (16 products, and one inverse per declared generator: 4, not
-        # the 8 of one inverse per conjugation), the search multiplies each
-        # of the 4 representatives by each generator (16 products) and tests
-        # the products outside Gamma against the representatives after the
-        # identity (21 products z*r^-1, with one inverse for each of the 3
-        # new representatives), and the table forms none.
+        # ``FinGroup.quotient`` drops the declared generators that lie in
+        # Gamma, so the counts depend on how many of them lie outside it:
+        # J always lies in Gamma, and at n = 4 the half turn L(1/2, 0) = f^2
+        # does too, so k = 2 generators are left at n = 4 and k = 3 at
+        # n = 195.  The normality test conjugates Gamma's 2 generators by
+        # the k left (4k products, one inverse each), the search multiplies
+        # each of the 4 representatives by each of them (4k products) and
+        # tests the products outside Gamma against the representatives
+        # after the identity (9 products z*r^-1 at n = 4, 15 at n = 195,
+        # with one inverse for each of the 3 new representatives), and the
+        # table forms none.  Before the drop: 53 products and 7 inverses at
+        # both points.
         calls = []
         mul, inv = Isom3.__mul__, Isom3.inv
 
@@ -523,17 +534,17 @@ class TestQuotientFromCosets:
         for point in ((slope("0/1"), 1, 4), (slope("1/13"), 3, 5)):
             params = params_for(*point)
             G, _ = gamma(params)
+            left = [x for x in (*_normalizer_rotations(params), J) if x not in G]
             monkeypatch.setattr(Isom3, "__mul__", counted("mul", mul))
             monkeypatch.setattr(Isom3, "inv", counted("inv", inv))
             Q = normalizer(params, G)
             monkeypatch.undo()
-            counts[params.n] = (calls.count("mul"), calls.count("inv"))
+            counts[params.n] = (len(left), calls.count("mul"), calls.count("inv"))
             calls.clear()
             assert len(Q) == 4 and len(G) == 2 * params.n
-        conjugations = 4 * len(G.gens)
         assert counts == {
-            4: (2 * conjugations + 4 * 4 + 21, 4 + 3),
-            195: (2 * conjugations + 4 * 4 + 21, 4 + 3),
+            4: (2, 4 * 2 + 4 * 2 + 9, 2 + 3),
+            195: (3, 4 * 3 + 4 * 3 + 15, 3 + 3),
         }
 
     def test_bound_admits_exactly_the_normalizer_order(self):
@@ -589,6 +600,25 @@ def _torus_sweep():
         if gcd(d1, d2) == 1 and p * d1 * d2 <= 200
     ]
     return points + random.Random(5).sample(larger, 160)
+
+
+def _session_grid():
+    """Every generic (q/p; d1, d2) with n = p*d1*d2 in [4, 200], the range of
+    the ``dihedral-session`` benchmark's queries, for the least and the
+    greatest q in [0, p) prime to p."""
+    for n in range(4, 201):
+        for p in range(1, n):  # p < n keeps (d1, d2) != (1, 1)
+            if n % p:
+                continue
+            m = n // p
+            for d1 in range(1, m + 1):
+                d2 = m // d1
+                if m % d1 or gcd(d1, d2) != 1:
+                    continue
+                qs = [q for q in range(p) if gcd(q, p) == 1]
+                for q in sorted({qs[0], qs[-1]}):
+                    if not is_trivial_theta(Slope(q, p), d1, d2):
+                        yield Slope(q, p), d1, d2
 
 
 class TestTorusModel:
@@ -687,12 +717,15 @@ class TestTorusModel:
         [
             (list(oracles._criterion2_points()), 218),
             ([("3/100000000003", 999999999989, d2) for d2 in (1, 999999999961)], 2),
+            (list(_session_grid()), 4350),
         ],
-        ids=["criterion-2", "large-n"],
+        ids=["criterion-2", "large-n", "session-grid"],
     )
     def test_coset_search_against_keys(self, points, count):
-        # The shared coset search and its action-read table against the
-        # replayed search with the key-built table and self-inverse rule.
+        # The search over torus vectors, each coset labelled L(v/M), and its
+        # action-read table against the replayed search with the key-built
+        # table and self-inverse rule, and against the search over
+        # isometries with each coset labelled by its product.
         assert len(points) == count
         for r, d1, d2 in points:
             params = params_for(r, d1, d2)
@@ -700,10 +733,14 @@ class TestTorusModel:
             a_gamma = TorusLattice.spanned([torus_vector(_rotation(params), M)], M)
             rotations = _normalizer_rotations(params)
             got = torus_quotient(a_gamma, rotations, params.n)
-            want = oracles.torus_quotient_by_keys(a_gamma, rotations)
-            assert got.elements == want.elements, (r, d1, d2)
-            assert _table(got) == _table(want), (r, d1, d2)
-            assert [got.inv(g) for g in got] == [want.inv(g) for g in want], (r, d1, d2)
+            for want in (
+                oracles.torus_quotient_by_keys(a_gamma, rotations),
+                oracles.torus_quotient_by_products(a_gamma, rotations),
+            ):
+                assert got.elements == want.elements, (r, d1, d2)
+                assert _table(got) == _table(want), (r, d1, d2)
+                assert group_to_json(got) == group_to_json(want), (r, d1, d2)
+                assert [got.inv(g) for g in got] == [want.inv(g) for g in want], (r, d1, d2)
 
 
 def same_oriented(a, b) -> bool:

@@ -476,7 +476,8 @@ class TestFinGroup:
     def test_quotient_raises_before_any_search_product(self):
         # L(1/4,0)*J*L(-1/4,0) = L(1/2,0)*J lies outside Gamma: the products
         # formed are the conjugations up to that one, and no product of the
-        # coset search.
+        # coset search.  f and J lie in Gamma and are dropped before the
+        # normality test, so only the conjugations by ``quarter`` remain.
         params = dihedral.params_for(Fraction(2, 5), 2, 3)
         f, quarter = dihedral._rotation(params), L(Fraction(1, 4), 0)
         G, _ = dihedral.gamma(params)
@@ -491,10 +492,77 @@ class TestFinGroup:
             H.quotient([f, quarter, J])
         assert products == [
             pair
-            for x in (f, quarter)
             for s in (f, J)
-            for pair in ((x, s), (x * s, x.inv()))
+            for pair in ((quarter, s), (quarter * s, quarter.inv()))
         ]
+
+    @staticmethod
+    def counting_copy(G, calls):
+        """G with its products and inverses recorded in ``calls``."""
+        def mul(a, b):
+            calls.append(("mul", a, b))
+            return a * b
+
+        def inv(a):
+            calls.append(("inv", a))
+            return a.inv()
+
+        return FinGroup(G.elements, G.identity, mul=mul, inv=inv, gens=G.gens)
+
+    def test_quotient_drops_generators_inside_the_subgroup(self):
+        # N(Gamma)'s rotations outside Gamma, with f, J, f*J or the half
+        # turn L(0, 1/2), which lies in Gamma here, inserted at each place:
+        # no extra product, inverse or coset, and the same quotient as
+        # without it.
+        params = dihedral.params_for(Fraction(2, 5), 2, 3)
+        G, _ = dihedral.gamma(params)
+        f = dihedral._rotation(params)
+        half_turn = L(0, Fraction(1, 2))
+        outside = [x for x in dihedral._normalizer_rotations(params) if x not in G]
+        assert half_turn not in outside and len(outside) == 2
+        calls = []
+        H = self.counting_copy(G, calls)
+        expected = H.quotient(outside, 16 * params.n)
+        expected_calls = list(calls)
+        for x in (f, J, f * J, half_turn):
+            assert x in G
+            for at in range(len(outside) + 1):
+                calls.clear()
+                Q = H.quotient([*outside[:at], x, *outside[at:]], 16 * params.n)
+                assert calls == expected_calls, (x, at)
+                assert Q.elements == expected.elements, (x, at)
+                assert [[Q.mul(a, b) for b in Q] for a in Q] == [
+                    [expected.mul(a, b) for b in expected] for a in expected
+                ]
+                assert [Q.inv(a) for a in Q] == [expected.inv(a) for a in expected]
+
+    def test_quotient_by_generators_inside_the_subgroup_is_trivial(self):
+        # Every declared generator lies in H: no product, no inverse, and
+        # the one coset H itself.
+        params = dihedral.params_for(Fraction(1, 3), 1, 2)
+        G, _ = dihedral.gamma(params)
+        f = dihedral._rotation(params)
+        calls = []
+        H = self.counting_copy(G, calls)
+        Q = H.quotient([J, f, f * J, ISOM_ID])
+        assert (Q.elements, calls) == ((ISOM_ID,), [])
+        assert Q.mul(ISOM_ID, ISOM_ID) == Q.inv(ISOM_ID) == ISOM_ID
+
+    def test_quotient_by_a_non_normal_generator_still_raises_first(self):
+        # In O*, <i> is not normalized by w = (1+i+j+k)/2, which sends i to
+        # j: i and -1 lie in <i> and are dropped, and the only products are
+        # the first conjugation by w, before any product of the search.
+        H = close([Q_I], 8, identity=Q_ONE)
+        products = []
+
+        def recording(a, b):
+            products.append((a, b))
+            return a * b
+
+        H = FinGroup(H.elements, Q_ONE, mul=recording, gens=H.gens)
+        with pytest.raises(ValueError, match="not a normal subgroup"):
+            H.quotient([Q_I, -Q_ONE, Q_W], 96)
+        assert products == [(Q_W, Q_I), (Q_W * Q_I, Q_W.inv())]
 
     def test_quotient_of_trivial_group_is_closure(self):
         # From the trivial group the cosets are single elements: the
