@@ -31,7 +31,8 @@ def _emit(args, payload: dict, lines) -> None:
 
 def _fraction(text: str) -> Fraction:
     # No exponents: Fraction("1e9999999") would compute 10**9999999.
-    if "e" not in text.lower():
+    # No underscores either: Fraction accepts "1_5" from Python 3.11 only.
+    if "e" not in text.lower() and "_" not in text:
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError):
@@ -369,48 +370,49 @@ class UsageError(Exception):
 
 # ---------------------------------------------------------------------------
 # parser
+#
+# Each command's arguments are added by its own function, listed with its
+# help in _COMMANDS.  A query runs one command, so main builds only that
+# command's branch of the tree: the top-level parser lists every command
+# with its help, so its usage, help and errors are the same whichever
+# branch is filled in.
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pa",
-        description="Exact arithmetic for 2-bridge slopes, Heckoid graphs, "
-        "dihedral orbifold groups, rigid-cusp lattices and triangle groups.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit JSON")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _leaf(p: argparse.ArgumentParser, func) -> argparse.ArgumentParser:
+    """Make ``p`` a leaf that runs ``func``: every leaf takes --json."""
+    p.add_argument("--json", action="store_true", help="emit JSON")
+    p.set_defaults(func=func)
+    return p
 
-    link = sub.add_parser("link", help="2-bridge link slope arithmetic")
-    linksub = link.add_subparsers(dest="subcommand", required=True)
-    p = linksub.add_parser("classify", parents=[common])
-    p.add_argument("slope", type=_slope_arg)
-    p.set_defaults(func=cmd_link_classify)
-    p = linksub.add_parser("equiv", parents=[common])
-    p.add_argument("slope", type=_slope_arg)
-    p.add_argument("slope2", type=_slope_arg)
-    p.set_defaults(func=cmd_link_equiv)
-    p = linksub.add_parser("cf", parents=[common])
-    p.add_argument("slope", type=_slope_arg)
-    p.set_defaults(func=cmd_link_cf)
-    p = linksub.add_parser("hat", parents=[common])
-    p.add_argument("slope", type=_slope_arg)
-    p.set_defaults(func=cmd_link_hat)
 
-    p = sub.add_parser("heckoid", parents=[common], help="Heckoid orbifold graph")
+def _add_link(p: argparse.ArgumentParser) -> None:
+    leaves = p.add_subparsers(dest="subcommand", required=True)
+    for name, func, slope_args in (
+        ("classify", cmd_link_classify, ("slope",)),
+        ("equiv", cmd_link_equiv, ("slope", "slope2")),
+        ("cf", cmd_link_cf, ("slope",)),
+        ("hat", cmd_link_hat, ("slope",)),
+    ):
+        leaf = _leaf(leaves.add_parser(name), func)
+        for arg in slope_args:
+            leaf.add_argument(arg, type=_slope_arg)
+
+
+def _add_heckoid(p: argparse.ArgumentParser) -> None:
+    _leaf(p, cmd_heckoid)
     p.add_argument("slope", type=_slope_arg)
     p.add_argument("index", type=_fraction, help="half-integer index n (2n >= 3)")
-    p.set_defaults(func=cmd_heckoid)
 
-    p = sub.add_parser(
-        "dihedral", parents=[common], help="dihedral orbifold group and isometries"
-    )
+
+def _add_dihedral(p: argparse.ArgumentParser) -> None:
+    _leaf(p, cmd_dihedral)
     p.add_argument("slope", type=_slope_arg)
     p.add_argument("d1", type=int)
     p.add_argument("d2", type=int)
-    p.set_defaults(func=cmd_dihedral)
 
-    p = sub.add_parser("cusp", parents=[common], help="rigid-cusp lattice spectra")
+
+def _add_cusp(p: argparse.ArgumentParser) -> None:
+    _leaf(p, cmd_cusp)
     p.add_argument("kind", choices=["244", "236", "T244", "T236"])
     p.add_argument("--count", type=int, default=3, help="spectrum length")
     p.add_argument(
@@ -418,35 +420,62 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="list only orbits short enough to generate a parabolic pair",
     )
-    p.set_defaults(func=cmd_cusp)
 
-    tri = sub.add_parser("triangle", help="triangle-group word orders")
-    trisub = tri.add_subparsers(dest="subcommand", required=True)
-    p = trisub.add_parser("order", parents=[common])
-    p.add_argument("type", type=_triple, help='spherical type, e.g. "2 3 3"')
-    p.add_argument("word", help="word over a,b,c (A,B,C inverses, digits repeat)")
-    p.set_defaults(func=cmd_triangle_order)
-    p = trisub.add_parser("image", parents=[common])
-    p.add_argument("map", type=_arrow, help='e.g. "2 4 4 -> 2 2 4"')
-    p.add_argument("word")
-    p.set_defaults(func=cmd_triangle_image)
 
-    p = sub.add_parser(
-        "homology", parents=[common], help="Z2 homology of a graph orbifold JSON file"
-    )
+def _add_triangle(p: argparse.ArgumentParser) -> None:
+    leaves = p.add_subparsers(dest="subcommand", required=True)
+    leaf = _leaf(leaves.add_parser("order"), cmd_triangle_order)
+    leaf.add_argument("type", type=_triple, help='spherical type, e.g. "2 3 3"')
+    leaf.add_argument("word", help="word over a,b,c (A,B,C inverses, digits repeat)")
+    leaf = _leaf(leaves.add_parser("image"), cmd_triangle_image)
+    leaf.add_argument("map", type=_arrow, help='e.g. "2 4 4 -> 2 2 4"')
+    leaf.add_argument("word")
+
+
+def _add_homology(p: argparse.ArgumentParser) -> None:
+    _leaf(p, cmd_homology)
     p.add_argument("path")
-    p.set_defaults(func=cmd_homology)
 
-    p = sub.add_parser("verify", parents=[common], help="run the verification checks")
+
+def _add_verify(p: argparse.ArgumentParser) -> None:
+    _leaf(p, cmd_verify)
     p.add_argument("--all", action="store_true", help="run every check")
     p.add_argument("checks", nargs="*", metavar="check-id")
-    p.set_defaults(func=cmd_verify)
 
+
+# command -> (help, function adding its arguments), in help order
+_COMMANDS = {
+    "link": ("2-bridge link slope arithmetic", _add_link),
+    "heckoid": ("Heckoid orbifold graph", _add_heckoid),
+    "dihedral": ("dihedral orbifold group and isometries", _add_dihedral),
+    "cusp": ("rigid-cusp lattice spectra", _add_cusp),
+    "triangle": ("triangle-group word orders", _add_triangle),
+    "homology": ("Z2 homology of a graph orbifold JSON file", _add_homology),
+    "verify": ("run the verification checks", _add_verify),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``pa`` parser with every command, but only ``command``'s
+    arguments filled in (every command's when ``command`` is None)."""
+    parser = argparse.ArgumentParser(
+        prog="pa",
+        description="Exact arithmetic for 2-bridge slopes, Heckoid graphs, "
+        "dihedral orbifold groups, rigid-cusp lattices and triangle groups.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command is None or command == name:
+            add_arguments(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only the first word is looked at: anything else, "-h" or an unknown
+    # command, gets the whole tree and so argparse's own message.
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse has printed usage/help already

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 from pa import cli
 
@@ -22,12 +23,17 @@ RECORD = GOLDEN / "cli.json"
 
 
 def replay(argv: list[str]) -> dict:
-    """Run ``pa argv`` in process from the golden directory."""
+    """Run ``pa argv`` in process from the golden directory, with help and
+    usage text wrapped at 80 columns whatever the terminal."""
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(GOLDEN)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with (
+            mock.patch.dict(os.environ, COLUMNS="80"),
+            contextlib.redirect_stdout(out),
+            contextlib.redirect_stderr(err),
+        ):
             code = cli.main(list(argv))
     finally:
         os.chdir(cwd)

@@ -14,10 +14,12 @@ extension's listed coset blocks instead of from the cosets of the normal
 subgroup alone, a torus quotient's table from keys instead of from the
 recorded coset action, a cycle walked twice instead of once, a dihedral key
 read from a built graph's family instead of from (r, d+, d-), ``tokenize``'s
-token stream instead of one regular-expression pass), so agreement between
-the two is meaningful evidence.
+token stream instead of one regular-expression pass, the whole argparse tree
+with a shared ``--json`` parent instead of one command's branch), so
+agreement between the two is meaningful evidence.
 """
 
+import argparse
 import ast
 import io
 import operator
@@ -27,7 +29,7 @@ from fractions import Fraction
 from math import gcd
 from types import MappingProxyType
 
-from pa import dihedral, groups, verify
+from pa import cli, dihedral, groups, verify
 from pa.cosetenum import CosetTable
 from pa.cusplattice import (
     PointGroupOrbit,
@@ -1300,3 +1302,79 @@ def act_word_permutation(table, word):
     """i -> i.word one coset and one letter at a time."""
     letters = word_letters(word, table.ngens)
     return tuple(act_word(table, i, letters) for i in range(table.n_cosets))
+
+
+def whole_parser() -> argparse.ArgumentParser:
+    """The ``pa`` parser with every command's arguments, each leaf copying
+    ``--json`` from one shared parent parser."""
+    parser = argparse.ArgumentParser(
+        prog="pa",
+        description="Exact arithmetic for 2-bridge slopes, Heckoid graphs, "
+        "dihedral orbifold groups, rigid-cusp lattices and triangle groups.",
+    )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", help="emit JSON")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    link = sub.add_parser("link", help="2-bridge link slope arithmetic")
+    linksub = link.add_subparsers(dest="subcommand", required=True)
+    p = linksub.add_parser("classify", parents=[common])
+    p.add_argument("slope", type=cli._slope_arg)
+    p.set_defaults(func=cli.cmd_link_classify)
+    p = linksub.add_parser("equiv", parents=[common])
+    p.add_argument("slope", type=cli._slope_arg)
+    p.add_argument("slope2", type=cli._slope_arg)
+    p.set_defaults(func=cli.cmd_link_equiv)
+    p = linksub.add_parser("cf", parents=[common])
+    p.add_argument("slope", type=cli._slope_arg)
+    p.set_defaults(func=cli.cmd_link_cf)
+    p = linksub.add_parser("hat", parents=[common])
+    p.add_argument("slope", type=cli._slope_arg)
+    p.set_defaults(func=cli.cmd_link_hat)
+
+    p = sub.add_parser("heckoid", parents=[common], help="Heckoid orbifold graph")
+    p.add_argument("slope", type=cli._slope_arg)
+    p.add_argument("index", type=cli._fraction, help="half-integer index n (2n >= 3)")
+    p.set_defaults(func=cli.cmd_heckoid)
+
+    p = sub.add_parser(
+        "dihedral", parents=[common], help="dihedral orbifold group and isometries"
+    )
+    p.add_argument("slope", type=cli._slope_arg)
+    p.add_argument("d1", type=int)
+    p.add_argument("d2", type=int)
+    p.set_defaults(func=cli.cmd_dihedral)
+
+    p = sub.add_parser("cusp", parents=[common], help="rigid-cusp lattice spectra")
+    p.add_argument("kind", choices=["244", "236", "T244", "T236"])
+    p.add_argument("--count", type=int, default=3, help="spectrum length")
+    p.add_argument(
+        "--brenner",
+        action="store_true",
+        help="list only orbits short enough to generate a parabolic pair",
+    )
+    p.set_defaults(func=cli.cmd_cusp)
+
+    tri = sub.add_parser("triangle", help="triangle-group word orders")
+    trisub = tri.add_subparsers(dest="subcommand", required=True)
+    p = trisub.add_parser("order", parents=[common])
+    p.add_argument("type", type=cli._triple, help='spherical type, e.g. "2 3 3"')
+    p.add_argument("word", help="word over a,b,c (A,B,C inverses, digits repeat)")
+    p.set_defaults(func=cli.cmd_triangle_order)
+    p = trisub.add_parser("image", parents=[common])
+    p.add_argument("map", type=cli._arrow, help='e.g. "2 4 4 -> 2 2 4"')
+    p.add_argument("word")
+    p.set_defaults(func=cli.cmd_triangle_image)
+
+    p = sub.add_parser(
+        "homology", parents=[common], help="Z2 homology of a graph orbifold JSON file"
+    )
+    p.add_argument("path")
+    p.set_defaults(func=cli.cmd_homology)
+
+    p = sub.add_parser("verify", parents=[common], help="run the verification checks")
+    p.add_argument("--all", action="store_true", help="run every check")
+    p.add_argument("checks", nargs="*", metavar="check-id")
+    p.set_defaults(func=cli.cmd_verify)
+
+    return parser

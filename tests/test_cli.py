@@ -1,10 +1,13 @@
 """End-to-end command-line tests via main(argv)."""
 
+import argparse
 import json
 import tracemalloc
 
 import pytest
 
+import oracles
+from golden_replay import RECORD, replay
 from pa import cli, cosetenum, cusplattice, dihedral, orbigraph, quat, verify
 from pa.orbigraph import graph_to_json, make_dihedral, make_heckoid
 from pa.slopes import slope
@@ -614,6 +617,73 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         capsys.readouterr()
+
+
+def _parser_sweep() -> list[list[str]]:
+    """Every golden argv, every command's and leaf's --help, and the usage
+    errors around the first word."""
+    with open(RECORD, encoding="utf-8") as fh:
+        argvs = [entry["argv"] for entry in json.load(fh)]
+    leaves = {"link": ["classify", "equiv", "cf", "hat"], "triangle": ["order", "image"]}
+    argvs += [["--help"], ["-h"]]
+    argvs += [[command, "--help"] for command in cli._COMMANDS]
+    argvs += [[command, leaf, "--help"] for command in leaves for leaf in leaves[command]]
+    argvs += [[], ["nosuch"], ["link"], ["link", "nosuch"], ["dihedral"], ["triangle"]]
+    argvs += [
+        ["dihedral", "2/7", "3", "5", "extra"],
+        ["--json", "dihedral", "2/7", "3", "5"],
+        ["cusp", "999"],
+        ["verify"],
+    ]
+    return argvs
+
+
+PARSER_SWEEP = _parser_sweep()
+
+
+class TestParserBranch:
+    """``main`` fills in only the named command's branch of the parser."""
+
+    @pytest.mark.parametrize(
+        "argv, parsers",
+        [
+            # the top-level parser and one per command
+            (["dihedral", "2/7", "3", "5"], 8),
+            # and one per link leaf
+            (["link", "cf", "3/8"], 12),
+            (["triangle", "order", "2 3 5", "ab"], 10),
+            # no command named: every branch (the whole tree with a shared
+            # --json parent built 15)
+            (["--help"], 14),
+            (["nosuch"], 14),
+        ],
+    )
+    def test_parsers_built(self, capsys, monkeypatch, argv, parsers):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.main(argv)
+        capsys.readouterr()
+        assert len(built) == parsers
+
+    @pytest.mark.parametrize("argv", PARSER_SWEEP, ids=lambda argv: " ".join(argv) or "(none)")
+    def test_same_as_the_whole_tree(self, monkeypatch, argv):
+        # Exit code, stdout and stderr as the whole tree gives them, at 80
+        # columns, and the same Namespace wherever the whole tree parses.
+        branch = replay(argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "build_parser", lambda command=None: oracles.whole_parser())
+            assert replay(argv) == branch
+        try:
+            expected = oracles.whole_parser().parse_args(argv)
+        except SystemExit:  # its usage or help text is compared above
+            return
+        assert cli.build_parser(argv[0]).parse_args(argv) == expected
 
 
 # Malformed input for every subcommand, as (argv, document): a document is

@@ -66,6 +66,13 @@ COMMANDS = [
     ["link", "hat", "3/8"],
     ["homology", "dihedral_2_5_2_3.json"],
     ["homology", "dihedral_2_5_2_3.json", "--json"],
+    # Fraction reads "1_5" from Python 3.11 on; the index refuses it on all
+    ["heckoid", "3/7", "1_5/2"],
+    # usage and help text, wrapped at 80 columns by replay
+    ["nosuch"],
+    ["link"],
+    ["dihedral", "2/7", "3", "5", "extra"],
+    ["heckoid", "--help"],
 ]
 
 
