@@ -29,6 +29,7 @@ finite odd w(e), and the germ-sum relation at every interior vertex.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -80,25 +81,27 @@ class GraphStructureError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(namedtuple("Edge", "id ends weight")):
     """An edge: ``ends`` is a pair of vertex ids, kept sorted (equal for a
-    loop).  Any other number of ends raises GraphStructureError."""
+    loop).  Any other number of ends raises GraphStructureError.
 
-    id: str
-    ends: tuple[str, str]
-    weight: object
+    An immutable tuple (id, ends, weight), so its fields read at C speed;
+    ``_make`` and ``_replace`` go through the same check."""
 
-    def __post_init__(self):
-        ends = self.ends
-        if type(ends) is tuple and len(ends) == 2 and not ends[1] < ends[0]:
-            return
-        ends = tuple(sorted(ends))
-        if len(ends) != 2:
-            raise GraphStructureError(
-                f"edge {self.id!r} needs exactly two ends, got {len(ends)}"
-            )
-        object.__setattr__(self, "ends", ends)
+    __slots__ = ()
+
+    def __new__(cls, id: str, ends: tuple[str, str], weight: object):
+        if type(ends) is not tuple or len(ends) != 2 or ends[1] < ends[0]:
+            ends = tuple(sorted(ends))
+            if len(ends) != 2:
+                raise GraphStructureError(
+                    f"edge {id!r} needs exactly two ends, got {len(ends)}"
+                )
+        return tuple.__new__(cls, (id, ends, weight))
+
+    @classmethod
+    def _make(cls, iterable) -> Edge:
+        return cls(*iterable)
 
     @property
     def is_loop(self) -> bool:

@@ -357,10 +357,21 @@ def check_homology_cases() -> tuple[bool, dict]:
     # weight kills its meridian, and a weight-1 edge, elided, leaves one
     # generator fewer and one relation fewer.  So the case table's rows for
     # d+ = 1, d- odd hold wherever d+ and d- are both odd.
+    #
+    # make_dihedral reads r only through the parity of p, so the 874 points
+    # give 38 graphs.  h1_z2 reads nothing of a graph but its content (the
+    # name aside), so it runs once per graph, on the graph's first point:
+    # equal keys mean equal ambient, vertices and edges, and a miss only
+    # recomputes.  The reports live as long as this call.
+    reports = {}
     points = 0
     for r in _sweep_slopes(12):
         for d1, d2 in _coprime_pairs(5):
-            report = orbigraph.h1_z2(orbigraph.make_dihedral(r, d1, d2).graph)
+            g = orbigraph.make_dihedral(r, d1, d2).graph
+            key = (g.ambient, tuple(g._vertices.items()), tuple(g._edges.values()))
+            report = reports.get(key)
+            if report is None:
+                report = reports[key] = orbigraph.h1_z2(g)
             fault = _homology_fault(r.p % 2 == 0, d1 % 2 == 1 and d2 % 2 == 1, report)
             if fault is not None:
                 return False, {"point": f"({r};{d1},{d2})", "dim": report.dimension} | fault

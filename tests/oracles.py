@@ -15,7 +15,9 @@ subgroup alone, a torus quotient's table from keys instead of from the
 recorded coset action, a cycle walked twice instead of once, a dihedral key
 read from a built graph's family instead of from (r, d+, d-), ``tokenize``'s
 token stream instead of one regular-expression pass, the whole argparse tree
-with a shared ``--json`` parent instead of one command's branch), so
+with a shared ``--json`` parent instead of one command's branch, Z2 homology
+at every point of check 7's sweep instead of once per distinct graph, an edge
+as a frozen dataclass instead of a tuple), so
 agreement between the two is meaningful evidence.
 """
 
@@ -25,11 +27,12 @@ import io
 import operator
 import re
 import tokenize
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from types import MappingProxyType
 
-from pa import cli, dihedral, groups, verify
+from pa import cli, dihedral, groups, orbigraph, verify
 from pa.cosetenum import CosetTable
 from pa.cusplattice import (
     PointGroupOrbit,
@@ -108,6 +111,36 @@ def germs_by_scan(g, v):
         if e.ends[1] == v:
             out.append(e)
     return out
+
+
+@dataclass(frozen=True)
+class DataclassEdge:
+    """``pa.orbigraph.Edge`` as the frozen dataclass it was before it
+    became a tuple: ``ends`` is a pair of vertex ids, kept sorted (equal
+    for a loop).  Any other number of ends raises GraphStructureError."""
+
+    id: str
+    ends: tuple[str, str]
+    weight: object
+
+    def __post_init__(self):
+        ends = self.ends
+        if type(ends) is tuple and len(ends) == 2 and not ends[1] < ends[0]:
+            return
+        ends = tuple(sorted(ends))
+        if len(ends) != 2:
+            raise GraphStructureError(
+                f"edge {self.id!r} needs exactly two ends, got {len(ends)}"
+            )
+        object.__setattr__(self, "ends", ends)
+
+    @property
+    def is_loop(self) -> bool:
+        return self.ends[0] == self.ends[1]
+
+    def other_end(self, v: str) -> str:
+        a, b = self.ends
+        return b if v == a else a
 
 
 def template_graph_by_rescan(p_even, arc_weights, w_plus, w_minus, name=None):
@@ -1088,6 +1121,22 @@ def run_sweep(sweep):
     except Exception as err:
         ok, witness = False, {"error": f"{type(err).__name__}: {err}"}
     return ("pass" if ok else "fail"), witness
+
+
+def homology_cases_per_point():
+    """Check 7 with ``h1_z2`` run at each of the 874 points of its sweep
+    instead of once per distinct graph."""
+    points = 0
+    for r in verify._sweep_slopes(12):
+        for d1, d2 in verify._coprime_pairs(5):
+            report = orbigraph.h1_z2(orbigraph.make_dihedral(r, d1, d2).graph)
+            fault = verify._homology_fault(
+                r.p % 2 == 0, d1 % 2 == 1 and d2 % 2 == 1, report
+            )
+            if fault is not None:
+                return False, {"point": f"({r};{d1},{d2})", "dim": report.dimension} | fault
+            points += 1
+    return True, {"points": points}
 
 
 # Coset enumeration by the HLT strategy: the first enumerator of the package.

@@ -1,10 +1,13 @@
 """Weighted graph orbifolds: structure, surgery, homology, canonical keys."""
 
+import dataclasses
+import itertools
 import json
 import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +40,8 @@ from pa.orbigraph import (
     weight_str,
 )
 from pa.slopes import Slope, dihedral_key, slope
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def theta(w1, w2, w3, ambient="S3"):
@@ -258,6 +263,110 @@ class TestStructure:
         assert g.is_isomorphic(relabeled)
         assert not g.is_isomorphic(theta(2, 2, 4))
         assert not g.is_isomorphic(theta(2, 2, 5, ambient="RP3"))
+
+
+def _edge_corpus_graphs():
+    """Every template and golden graph, and the family graphs over a small
+    sweep, equal contents included (O(q/p;d+,d-) reads p's parity only)."""
+    graphs = [d.graph for d in templates()]
+    graphs += [theta(2, 2, 5), theta(2, 3, INF), theta(2, 2, 5, ambient="RP3")]
+    for r in verify._sweep_slopes(4):
+        graphs.append(make_exterior(r).graph)
+        graphs += [make_heckoid(r, n).graph for n in (2, 3, Fraction(3, 2), Fraction(5, 2))]
+        graphs += [make_dihedral(r, d1, d2).graph for d1, d2 in verify._coprime_pairs(5)]
+    with open(GOLDEN / "dihedral_2_5_2_3.json", encoding="utf-8") as fh:
+        documents = [json.load(fh)]
+    with open(GOLDEN / "cli.json", encoding="utf-8") as fh:
+        documents += [
+            json.loads(entry["stdout"])["graph"]
+            for entry in json.load(fh)
+            if entry["argv"][0] == "heckoid" and entry["exit"] == 0 and "--json" in entry["argv"]
+        ]
+    assert len(documents) == 2
+    return graphs + [graph_from_json(doc) for doc in documents]
+
+
+def _rebuilt(g, edge_type):
+    """g built again from its vertices and edges, each edge an ``edge_type``
+    with its ends given reversed."""
+    return WeightedGraphOrbifold(
+        g.ambient,
+        [(v, g.is_boundary(v)) for v in g.vertex_ids()],
+        [edge_type(e.id, e.ends[::-1], e.weight) for e in g.edges()],
+        name=g.name,
+    )
+
+
+class TestEdgeTuple:
+    """``Edge`` is an immutable tuple; it agrees with the frozen dataclass
+    it replaced, ``oracles.DataclassEdge``."""
+
+    CASES = [
+        ("e", ("a", "b"), 2),
+        ("e", ("b", "a"), INF),
+        ("e", ["b", "a"], 3),
+        ("L", ("c", "c"), 2),
+        ("K1", ("b2", "a1"), 1),
+    ]
+
+    @pytest.mark.parametrize("eid, ends, weight", CASES)
+    def test_fields_and_repr(self, eid, ends, weight):
+        new, old = Edge(eid, ends, weight), oracles.DataclassEdge(eid, ends, weight)
+        assert (new.id, new.ends, new.weight, new.is_loop) == (
+            old.id, old.ends, old.weight, old.is_loop
+        )
+        assert type(new.ends) is tuple
+        assert all(new.other_end(v) == old.other_end(v) for v in new.ends)
+        assert repr(new) == repr(old).replace("DataclassEdge(", "Edge(")
+        assert hash(new) == hash(old)
+        assert Edge(id=eid, ends=ends, weight=weight) == new
+
+    def test_wrong_number_of_ends(self):
+        for ends in ((), ("a",), ("a", "b", "c")):
+            with pytest.raises(GraphStructureError) as new:
+                Edge("e", ends, 2)
+            with pytest.raises(GraphStructureError) as old:
+                oracles.DataclassEdge("e", ends, 2)
+            assert str(new.value) == str(old.value) == f"edge 'e' needs exactly two ends, got {len(ends)}"
+
+    def test_immutable(self):
+        new, old = Edge("e", ("a", "b"), 2), oracles.DataclassEdge("e", ("a", "b"), 2)
+        for field in ("id", "ends", "weight"):
+            for edge in (new, old):
+                with pytest.raises(AttributeError):
+                    setattr(edge, field, "x")
+        with pytest.raises(AttributeError):
+            new.extra = 1
+        assert new == Edge("e", ("a", "b"), 2)
+
+    def test_make_and_replace_go_through_the_check(self):
+        # ``_make`` and ``_replace`` sort the ends and refuse a wrong count,
+        # as the constructor and ``dataclasses.replace`` on the old form do.
+        edge = Edge._make(["e", ("b", "a"), 2])
+        assert type(edge) is Edge and edge == Edge("e", ("a", "b"), 2)
+        moved = edge._replace(ends=("z", "y"))
+        old = dataclasses.replace(oracles.DataclassEdge("e", ("a", "b"), 2), ends=("z", "y"))
+        assert type(moved) is Edge and moved.ends == old.ends == ("y", "z")
+        with pytest.raises(GraphStructureError, match="exactly two ends, got 1"):
+            edge._replace(ends=("a",))
+        with pytest.raises(GraphStructureError, match="exactly two ends, got 3"):
+            Edge._make(["e", ("a", "b", "c"), 2])
+        with pytest.raises(TypeError):
+            Edge._make(["e", ("a", "b")])
+
+    def test_graphs_agree(self):
+        # the graph's equality, hash and JSON are those of the old edges
+        graphs = _edge_corpus_graphs()
+        news = [_rebuilt(g, Edge) for g in graphs]
+        olds = [_rebuilt(g, oracles.DataclassEdge) for g in graphs]
+        for g, new, old in zip(graphs, news, olds):
+            assert new == g and hash(new) == hash(g) == hash(old)
+            assert graph_to_json(new) == graph_to_json(old) == graph_to_json(g)
+        equal_pairs = 0
+        for i, j in itertools.product(range(len(graphs)), repeat=2):
+            assert (news[i] == news[j]) is (olds[i] == olds[j]), (graphs[i], graphs[j])
+            equal_pairs += news[i] == news[j] and i != j
+        assert equal_pairs > 0
 
 
 class TestSphereCondition:

@@ -320,6 +320,23 @@ class TestOnePass:
         assert all(r.ok for r in verify.run_checks(None))
         assert counts == {"QuatExt": 502, "make_dihedral": 874}
 
+    def test_homology_once_per_graph(self, monkeypatch):
+        # Check 7 builds the graph of each of its 874 points and runs h1_z2
+        # once per distinct graph: 38, as make_dihedral reads r only
+        # through the parity of p.  The guard fails a return to one h1_z2
+        # per point, and a dropped point.
+        # Before: 874 h1_z2 calls, one per point.
+        calls = Counter()
+        for name in ("h1_z2", "make_dihedral"):
+            def counted(*args, _fn=getattr(orbigraph, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(orbigraph, name, counted)
+        (result,) = verify.run_checks(["homology-cases"])
+        assert (result.status, result.witness) == ("pass", {"points": 874})
+        assert calls == {"h1_z2": 38, "make_dihedral": 874}
+
     def test_product_count(self, monkeypatch):
         # Gamma closed coset by coset, orders from the multiple n,
         # N(Gamma)/Gamma from Gamma's cosets with N(Gamma) never listed and
@@ -351,45 +368,81 @@ class TestOnePass:
         assert products["Isom3"] <= 25_000, f"{products['Isom3']} Isom3 products"
 
 
+def _fault_on_graph(monkeypatch, point, change):
+    """``orbigraph.h1_z2`` passes its report through ``change`` for the
+    graph of ``point`` = (r, d+, d-), whatever point it was built for."""
+    graph = orbigraph.make_dihedral(*point).graph
+    h1_z2 = orbigraph.h1_z2
+
+    def wrong(g):
+        report = h1_z2(g)
+        return change(report) if g == graph else report
+
+    monkeypatch.setattr(orbigraph, "h1_z2", wrong)
+
+
+def _dimension_up(report):
+    return dataclasses.replace(report, dimension=report.dimension + 1)
+
+
+def _classes(change):
+    def changed(report):
+        return dataclasses.replace(report, meridian_class={**report.meridian_class, **change})
+
+    return changed
+
+
 class TestCaseTableFaults:
-    """Checks 7 and 8 fail, with their witnesses, under one fault each."""
+    """Checks 7 and 8 fail, with their witnesses, under one fault each.
 
-    @pytest.mark.parametrize("point, dim", [("(2/5;3,5)", 2), ("(3/8;5,3)", 3)])
-    def test_homology_rank_off_where_both_weights_are_odd(self, monkeypatch, point, dim):
+    A check 7 fault sits on a graph, and ``make_dihedral`` reads r only
+    through the parity of p: the witness is the first point of the sweep
+    with that graph (0/1 for p odd, 1/2 for p even)."""
+
+    @pytest.mark.parametrize("target, point, dim", [
+        (("2/5", 3, 5), "(0/1;3,5)", 2),
+        (("3/8", 5, 3), "(1/2;5,3)", 3),
+    ], ids=["(2/5;3,5)-2", "(3/8;5,3)-3"])  # ids: the faulted graph's point
+    def test_homology_rank_off_where_both_weights_are_odd(
+        self, monkeypatch, target, point, dim
+    ):
         # Points with d+ > 1: the case table's odd-odd row reaches them.
-        h1_z2 = orbigraph.h1_z2
-
-        def wrong(g):
-            report = h1_z2(g)
-            if g.name == f"O{point}":
-                return dataclasses.replace(report, dimension=report.dimension + 1)
-            return report
-
-        monkeypatch.setattr(orbigraph, "h1_z2", wrong)
+        _fault_on_graph(monkeypatch, target, _dimension_up)
         (result,) = verify.run_checks(["homology-cases"])
         assert (result.status, result.witness) == ("fail", {"point": point, "dim": dim})
 
-    @pytest.mark.parametrize("point, dim, change, extra", [
-        ("(1/2;1,3)", 2, {"tminus": (1, 0)}, {"tminus_nonzero": True}),
-        ("(2/5;3,5)", 1, {"K1": (0,)}, {"arc_classes": [(0,), (1,)]}),
-    ])
+    @pytest.mark.parametrize("target, change, point, dim, extra", [
+        (("1/2", 1, 3), {"tminus": (1, 0)}, "(1/2;1,3)", 2, {"tminus_nonzero": True}),
+        (("2/5", 3, 5), {"K1": (0,)}, "(0/1;3,5)", 1, {"arc_classes": [(0,), (1,)]}),
+    ], ids=["(1/2;1,3)-2-change0-extra0", "(2/5;3,5)-1-change1-extra1"])
     def test_homology_classes_off_where_both_weights_are_odd(
-        self, monkeypatch, point, dim, change, extra
+        self, monkeypatch, target, change, point, dim, extra
     ):
         # the witness keys past the dimension, read from ``meridian_class``
-        h1_z2 = orbigraph.h1_z2
-
-        def wrong(g):
-            report = h1_z2(g)
-            if g.name == f"O{point}":
-                return dataclasses.replace(
-                    report, meridian_class={**report.meridian_class, **change}
-                )
-            return report
-
-        monkeypatch.setattr(orbigraph, "h1_z2", wrong)
+        _fault_on_graph(monkeypatch, target, _classes(change))
         (result,) = verify.run_checks(["homology-cases"])
         assert (result.status, result.witness) == ("fail", {"point": point, "dim": dim, **extra})
+
+    def test_once_per_graph_agrees_with_every_point_unfaulted(self):
+        # ``oracles.homology_cases_per_point`` runs h1_z2 at all 874 points
+        expected = (True, {"points": 874})
+        assert oracles.homology_cases_per_point() == verify.check_homology_cases() == expected
+
+    @pytest.mark.parametrize("target, change, ok", [
+        (("2/5", 3, 5), _dimension_up, False),
+        (("3/8", 5, 3), _dimension_up, False),
+        (("5/12", 4, 5), _dimension_up, False),
+        (("1/2", 1, 3), _classes({"tminus": (1, 0)}), False),
+        (("2/5", 3, 5), _classes({"K1": (0,)}), False),
+        (("2/5", 3, 5), _classes({"tminus": (1,)}), True),
+    ], ids=["dim-odd-p", "dim-even-p", "dim-not-both-odd", "tminus", "arcs", "unread"])
+    def test_once_per_graph_agrees_with_every_point(self, monkeypatch, target, change, ok):
+        # The faults on 3/8 and 5/12 first reach the sweep at 1/2, past its
+        # p = 1 points; no row reads tminus for p odd, so "unread" passes.
+        _fault_on_graph(monkeypatch, target, change)
+        expected = oracles.homology_cases_per_point()
+        assert expected[0] is ok
+        assert verify.check_homology_cases() == expected
 
     def test_o_key_without_the_inversion_move(self, monkeypatch):
         def wrong(r, d_plus, d_minus):
