@@ -34,13 +34,12 @@ _EXPORTS = {
     "orbigraph": (
         "Edge", "H1Z2Report", "INF", "ParedOrbifoldDescriptor", "WeightedGraphOrbifold",
         "canonical_key", "check_sc", "h1_z2", "make_dihedral", "make_exterior",
-        "make_heckoid", "surger", "templates", "vertex_geometry",
+        "make_heckoid", "surger",
     ),
-    "quat": ("Isom3", "J", "J1", "J2", "L", "QuatExt", "binary_octahedral"),
+    "quat": ("Isom3", "J", "J1", "J2", "L", "QuatExt"),
     "slopes": (
         "EquivalenceVerdict", "INF_SLOPE", "Slope", "canonical", "components",
-        "continued_fraction", "equivalence", "eval_continued_fraction", "hat",
-        "is_hyperbolic", "parse_slope", "slope",
+        "continued_fraction", "equivalence", "hat", "is_hyperbolic", "parse_slope", "slope",
     ),
     "verify": ("CheckResult", "run_checks"),
 }

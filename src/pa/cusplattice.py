@@ -177,21 +177,16 @@ def word_for_vector(kind, m: int, n: int) -> str:
 
 
 def point_group_orbit(vec: LatticeVector) -> tuple[LatticeVector, ...]:
+    """The point-group orbit of a nonzero vector, in rotation order.  No
+    rotation by less than 2pi fixes a nonzero vector of these two
+    lattices, so the members are distinct."""
     lat = lattice(vec.kind)
     members = []
     m, n = vec.m, vec.n
     for _ in range(lat.point_group_order):
         members.append(LatticeVector(lat.kind, m, n))
         m, n = lat.rotate(m, n)
-    # Nonzero vectors have free point-group orbits for these two groups
-    # (no rotation by < 2pi fixes a nonzero vector), so no dedup is needed;
-    # keep it anyway for the zero vector.
-    out, seen = [], set()
-    for v in members:
-        if (v.m, v.n) not in seen:
-            seen.add((v.m, v.n))
-            out.append(v)
-    return tuple(out)
+    return tuple(members)
 
 
 def _orbit_representative(members) -> LatticeVector:
@@ -245,13 +240,6 @@ def _orbits(lat: EucLattice, vectors) -> list[PointGroupOrbit]:
             PointGroupOrbit(rep, members, word_for_vector(lat, rep.m, rep.n))
         )
     return orbits
-
-
-def attaining_orbits(kind, coef2: int) -> list[PointGroupOrbit]:
-    """Point-group orbits of all nonzero vectors of squared length coef2
-    (times l^2); empty when the form does not represent coef2."""
-    lat = lattice(kind)
-    return _orbits(lat, _by_coef2(lat, coef2).get(coef2, []))
 
 
 # The most values ``spectrum`` computes: its time and memory grow

@@ -28,7 +28,6 @@ finite odd w(e), and the germ-sum relation at every interior vertex.
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -163,9 +162,6 @@ class WeightedGraphOrbifold:
     def edge(self, eid: str) -> Edge:
         return self._edges[eid]
 
-    def edge_ids(self) -> list[str]:
-        return list(self._edges)
-
     def germs(self, v: str) -> list[Edge]:
         """Incident edges in edge order, with loops listed twice."""
         return list(self._germs.get(v, ()))
@@ -189,7 +185,7 @@ class WeightedGraphOrbifold:
                 f"interior vertex {v!r} has invalid star (degree {deg})"
             )
 
-    # -- equality and isomorphism ---------------------------------------------
+    # -- equality ------------------------------------------------------------
     def __eq__(self, other):
         if not isinstance(other, WeightedGraphOrbifold):
             return NotImplemented
@@ -205,38 +201,6 @@ class WeightedGraphOrbifold:
              tuple(sorted(self._edges.items())))
         )
 
-    def _pair_weights(self):
-        """Map unordered vertex pair -> sorted multiset of edge weights."""
-        out: dict[tuple[str, str], list] = {}
-        for e in self._edges.values():
-            out.setdefault(e.ends, []).append(weight_str(e.weight))
-        return {k: sorted(v) for k, v in out.items()}
-
-    def is_isomorphic(self, other: "WeightedGraphOrbifold") -> bool:
-        """Exhaustive labeled matching; graphs here are tiny."""
-        if self.ambient != other.ambient:
-            return False
-        if len(self._vertices) != len(other._vertices):
-            return False
-        if len(self._edges) != len(other._edges):
-            return False
-        mine, theirs = self.vertex_ids(), other.vertex_ids()
-        pw1, pw2 = self._pair_weights(), other._pair_weights()
-        sig1 = {v: (self._vertices[v], self.degree(v)) for v in mine}
-        sig2 = {v: (other._vertices[v], other.degree(v)) for v in theirs}
-        if sorted(sig1.values()) != sorted(sig2.values()):
-            return False
-        for perm in itertools.permutations(theirs):
-            assign = dict(zip(mine, perm))
-            if any(sig1[v] != sig2[assign[v]] for v in mine):
-                continue
-            image = {
-                tuple(sorted((assign[a], assign[b]))): ws for (a, b), ws in pw1.items()
-            }
-            if image == pw2:
-                return True
-        return False
-
     def __repr__(self):
         tag = f" {self.name}" if self.name else ""
         return (
@@ -246,7 +210,7 @@ class WeightedGraphOrbifold:
 
 
 # ---------------------------------------------------------------------------
-# Sphere condition and vertex geometry
+# Sphere condition
 
 
 @dataclass(frozen=True)
@@ -281,25 +245,6 @@ def check_sc(g: WeightedGraphOrbifold) -> list[SCViolation]:
                     SCViolation(v, "reciprocal-sum", f"weights ({ws}) sum to {total} > 1")
                 )
     return violations
-
-
-def vertex_geometry(g: WeightedGraphOrbifold, v: str) -> str:
-    """"spherical", "euclidean" or "hyperbolic" by the reciprocal-sum
-    trichotomy at an interior trivalent vertex (1/inf = 0)."""
-    if g.is_boundary(v):
-        raise ValueError(f"vertex {v!r} is a boundary component, not trivalent")
-    germs = g.germs(v)
-    if len(germs) != 3:
-        raise ValueError(
-            f"vertex {v!r} has degree {len(germs)}; geometry is defined for "
-            "trivalent vertices only"
-        )
-    total = _reciprocal_sum(germs)
-    if total > 1:
-        return "spherical"
-    if total == 1:
-        return "euclidean"
-    return "hyperbolic"
 
 
 # ---------------------------------------------------------------------------
@@ -681,33 +626,6 @@ def make_exterior(r) -> ParedOrbifoldDescriptor:
         name=f"E(K({r}))",
     )
     return ParedOrbifoldDescriptor(graph, {"tag": "E", "r": str(r)})
-
-
-def templates() -> list[ParedOrbifoldDescriptor]:
-    """The three fixed orbifolds: O(inf), O(RP3,O), D2(2,2)xI."""
-    o_inf = WeightedGraphOrbifold(
-        "S3",
-        [("c1", False), ("c2", False)],
-        [Edge("L1", ("c1", "c1"), 2), Edge("L2", ("c2", "c2"), 2)],
-        name="O(inf)",
-    )
-    o_rp3 = WeightedGraphOrbifold(
-        "RP3",
-        [("c1", False)],
-        [Edge("L1", ("c1", "c1"), 2)],
-        name="O(RP3,O)",
-    )
-    d22 = WeightedGraphOrbifold(
-        "ball-pair",
-        [("B", True)],
-        [Edge("S1", ("B", "B"), 2), Edge("S2", ("B", "B"), 2)],
-        name="D2(2,2)xI",
-    )
-    return [
-        ParedOrbifoldDescriptor(o_inf, {"tag": "Oinf"}),
-        ParedOrbifoldDescriptor(o_rp3, {"tag": "ORP3O"}),
-        ParedOrbifoldDescriptor(d22, {"tag": "D22xI"}),
-    ]
 
 
 # ---------------------------------------------------------------------------

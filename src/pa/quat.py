@@ -24,10 +24,10 @@ isometries of S^3 via phi(q1, q2)(q) = q1 * q * q2^{-1}, whose kernel is
 
 Elements are immutable and compare and hash as their keys.  ``Fraction``
 appears only where a rational angle is parsed or printed: ``L``,
-``format_isom`` and the printed ``QuatExt`` coordinates.  ``L`` is for
-callers that hold angles as fractions; no module of ``pa`` calls it, and
-``pa.dihedral`` builds its keys with ``Isom3(...)`` from integers.  The
-groups these elements generate are closed, compared and recognized by
+``format_isom`` and the printed ``QuatExt`` coordinates.  ``L`` reads
+``format_isom``'s printed ``L(t1, t2)`` back; no module of ``pa`` calls
+it, and ``pa.dihedral`` builds its keys with ``Isom3(...)`` from integers.
+The groups these elements generate are closed, compared and recognized by
 ``pa.groups``.
 """
 
@@ -36,7 +36,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .groups import FinGroup, close
+# Not used here: the benchmark's tracer patches ``quat.FinGroup.quotient``
+# by this name.
+from .groups import FinGroup
 
 
 def _exact(v) -> Fraction:
@@ -254,14 +256,3 @@ def format_isom(g: Isom3) -> str:
 def group_to_json(G) -> list[str]:
     """Element list as printable strings, in the group's element order."""
     return [format_isom(g) if isinstance(g, Isom3) else repr(g) for g in G]
-
-
-# ---------------------------------------------------------------------------
-# The binary octahedral group
-
-
-def binary_octahedral() -> FinGroup:
-    """The 48-element group O* = psi^{-1}(O) in Q(sqrt 2) coordinates,
-    generated by (1+i)/sqrt(2) and (1+i+j+k)/2."""
-    return close([Q_S, Q_W], 96, identity=Q_ONE)
-

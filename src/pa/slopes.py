@@ -112,16 +112,6 @@ def continued_fraction(r: Slope) -> list[int]:
     return terms
 
 
-def eval_continued_fraction(terms: list[int]) -> Slope:
-    """Evaluate [a1, ..., an] to the slope 1/(a1 + 1/(... + 1/an))."""
-    if not terms:
-        return Slope(0, 1)
-    num, den = terms[-1], 1
-    for a in reversed(terms[:-1]):
-        num, den = a * num + den, num
-    return Slope(den, num)
-
-
 @dataclass(frozen=True)
 class EquivalenceVerdict:
     """How K(q/p) and K(q'/p') compare as unoriented links.

@@ -635,9 +635,9 @@ CHECKS = {
 
 
 def run_checks(selector=None) -> list[CheckResult]:
-    """Run all checks (selector None or "all") or a list of check ids;
-    results come back sorted by check id."""
-    if selector is None or selector == "all":
+    """Run all checks (selector None) or a list of check ids; results come
+    back sorted by check id."""
+    if selector is None:
         ids = sorted(CHECKS)
     else:
         ids = sorted(set(selector))

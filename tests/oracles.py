@@ -311,7 +311,7 @@ def gf2_rref_by_rebuild(rows, ncols):
 def h1_z2_by_rebuild(g):
     """The first ``h1_z2``: ``gf2_rref_by_rebuild`` and the free columns
     found by membership in the pivot list."""
-    eids = sorted(g.edge_ids())
+    eids = sorted(e.id for e in g.edges())
     col = {eid: i for i, eid in enumerate(eids)}
     rows = []
     for eid in eids:

@@ -231,7 +231,7 @@ def defined_names(name: str) -> set[str]:
 
 
 def test_public_names_resolve_to_their_home_modules():
-    assert len(pa.__all__) == 64 and pa.__all__ == sorted(set(pa.__all__))
+    assert len(pa.__all__) == 60 and pa.__all__ == sorted(set(pa.__all__))
     for module, names in pa._EXPORTS.items():
         home = importlib.import_module(f"pa.{module}")
         defined = defined_names(f"{module}.py")
@@ -240,6 +240,47 @@ def test_public_names_resolve_to_their_home_modules():
             assert getattr(pa, name) is getattr(home, name), name
     assert sorted(pa._HOME) == pa.__all__
     assert set(pa.__all__) <= set(dir(pa))
+
+
+# Public definitions that no module of the package and no demo refers to,
+# each with what it serves.
+UNREFERENCED_ALLOWED = {
+    "quat.L": "reads format_isom's printed L(t1, t2) back into an Isom3",
+}
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+def _referenced_names(nodes) -> set[str]:
+    """The identifiers that ``nodes`` and their children load by name or
+    as an attribute."""
+    out = set()
+    for node in nodes:
+        for child in ast.walk(node):
+            if isinstance(child, ast.Name):
+                out.add(child.id)
+            elif isinstance(child, ast.Attribute):
+                out.add(child.attr)
+    return out
+
+
+def test_every_public_definition_is_reached():
+    # No test-only code in the package: each public module-level def or
+    # class is referred to from the package, outside its own definition,
+    # or from a demo.
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    demos = _referenced_names(
+        ast.parse(path.read_text()) for path in sorted(DEMOS.glob("*.py"))
+    )
+    unreached = []
+    for module, tree in trees.items():
+        elsewhere = demos | _referenced_names(t for m, t in trees.items() if m != module)
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                continue
+            here = _referenced_names(n for n in tree.body if n is not node)
+            if node.name not in elsewhere | here:
+                unreached.append(f"{module}.{node.name}")
+    assert unreached == sorted(UNREFERENCED_ALLOWED), unreached
 
 
 def test_star_import_and_unknown_names():

@@ -186,7 +186,7 @@ class TestDihedral:
         # closure, and no element-by-element Gamma or N(Gamma).
         calls = []
         for owner, name in ((dihedral, "gamma"), (dihedral, "normalizer"),
-                            (dihedral, "close"), (dihedral, "extend"), (quat, "close")):
+                            (dihedral, "close"), (dihedral, "extend")):
             fn = getattr(owner, name)
             monkeypatch.setattr(
                 owner, name, lambda *a, name=name, fn=fn, **k: calls.append(name) or fn(*a, **k)

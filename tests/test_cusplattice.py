@@ -10,7 +10,6 @@ from pa.cusplattice import (
     T236,
     T244,
     as_lattice_vector,
-    attaining_orbits,
     brenner_candidates,
     evaluate_word,
     generators,
@@ -197,8 +196,8 @@ class TestLattices:
 
 class TestOrbits:
     def test_shortest_orbit_t244(self):
-        orbits = attaining_orbits("T244", 4)
-        assert len(orbits) == 1
+        (value, orbits), _ = spectrum("T244", 2)
+        assert value == 4 and len(orbits) == 1
         (orbit,) = orbits
         assert orbit.representative == LatticeVector("T244", 1, 0)
         assert {(v.m, v.n) for v in orbit.members} == {
@@ -207,16 +206,17 @@ class TestOrbits:
         assert orbit.word == "bba"
 
     def test_second_orbit_t244(self):
-        (orbit,) = attaining_orbits("T244", 8)
+        _, (value, (orbit,)) = spectrum("T244", 2)
+        assert value == 8
         assert orbit.representative == LatticeVector("T244", 1, 1)
         assert {(v.m, v.n) for v in orbit.members} == {
             (1, 1), (-1, 1), (-1, -1), (1, -1),
         }
 
     def test_unrepresented_value(self):
-        assert attaining_orbits("T244", 3) == []
-        assert attaining_orbits("T244", 12) == []
-        assert attaining_orbits("T236", 24) == []
+        # 3 and 12 (T244) and 24 (T236) lie below a listed value and are missing
+        assert [value for value, _ in spectrum("T244", 4)] == [4, 8, 16, 20]
+        assert [value for value, _ in spectrum("T236", 3)] == [12, 36, 48]
 
     def test_orbit_sizes_are_free(self):
         for kind in KINDS:

@@ -1,6 +1,7 @@
 """Spherical dihedral orbifold groups, normalizers and isometry groups."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -53,7 +54,6 @@ from pa.quat import (
     Q_ONE,
     Q_S,
     Q_W,
-    binary_octahedral,
     group_to_json,
 )
 from pa.slopes import Slope, slope
@@ -335,6 +335,47 @@ class TestIsomPlus:
             assert tag == expected, text
             assert Q is None
 
+    def test_d1_table_against_palindromes(self):
+        # Isom+ O(q/p;1,1) for every coprime q < p <= 60, against a table
+        # derived here: away from p <= 2 and the torus links q = +-1 mod p,
+        # the group has eight elements exactly when the odd-length
+        # all-positive expansion of p/q reads the same reversed (q^2 = 1
+        # mod p); for p even, q^2 mod 2p tells (Z2)^3 from D4.
+        def odd_length_expansion(p, q):
+            terms = []
+            while q:
+                terms.append(p // q)
+                p, q = q, p % q
+            if len(terms) % 2 == 0:
+                terms[-1:] = [terms[-1] - 1, 1]
+            return terms
+
+        def expected(p, q):
+            if p == 1:
+                return TAG_TORUS_Z2
+            if p == 2:
+                return TAG_TORUS_Z2SQ
+            if q in (1, p - 1):
+                return TAG_S1_Z2 if p % 2 else TAG_S1_Z2SQ
+            terms = odd_length_expansion(p, q)
+            if terms != terms[::-1]:
+                return TAG_Z2SQ
+            if p % 2:
+                return TAG_D4
+            return TAG_Z2CUBE if q * q % (2 * p) == 1 else TAG_D4
+
+        tags = Counter()
+        for p in range(1, 61):
+            for q in range(p):
+                if gcd(q, p) == 1:
+                    tag = dihedral._isom_tag_d1(Slope(q, p))
+                    assert tag == expected(p, q), (q, p)
+                    tags[tag] += 1
+        assert sum(tags.values()) == 1102
+        assert set(tags) == {
+            TAG_TORUS_Z2, TAG_TORUS_Z2SQ, TAG_S1_Z2, TAG_S1_Z2SQ, TAG_Z2SQ, TAG_D4, TAG_Z2CUBE
+        }
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             orbifold(slope("inf"), 1, 2)
@@ -568,7 +609,7 @@ class TestQuotientFromCosets:
             assert dihedral_degree(G) == oracles.dihedral_degree(G) == len(G) // 2
             degrees.add(len(G) // 2)
         assert {1, 2} <= degrees
-        octahedral = binary_octahedral()
+        octahedral = close([Q_S, Q_W], 96, identity=Q_ONE)  # O*
         cube = close([J, L(Fraction(1, 2), 0), L(0, Fraction(1, 2))])
         assert recognize(cube) == TAG_Z2CUBE
         answers = set()

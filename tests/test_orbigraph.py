@@ -34,8 +34,6 @@ from pa.orbigraph import (
     make_heckoid,
     parse_weight,
     surger,
-    templates,
-    vertex_geometry,
     weight_is_even,
     weight_str,
 )
@@ -53,6 +51,29 @@ def theta(w1, w2, w3, ambient="S3"):
             Edge("e2", ("v1", "v2"), w2),
             Edge("e3", ("v1", "v2"), w3),
         ],
+    )
+
+
+def o_inf():
+    """O(inf): two weight-2 circles in S3."""
+    return WeightedGraphOrbifold(
+        "S3",
+        [("c1", False), ("c2", False)],
+        [Edge("L1", ("c1", "c1"), 2), Edge("L2", ("c2", "c2"), 2)],
+    )
+
+
+def o_rp3():
+    """O(RP3,O): one weight-2 loop in RP3."""
+    return WeightedGraphOrbifold("RP3", [("c1", False)], [Edge("L1", ("c1", "c1"), 2)])
+
+
+def d22xi():
+    """D2(2,2)xI: two weight-2 strands on one boundary sphere of a ball."""
+    return WeightedGraphOrbifold(
+        "ball-pair",
+        [("B", True)],
+        [Edge("S1", ("B", "B"), 2), Edge("S2", ("B", "B"), 2)],
     )
 
 
@@ -249,26 +270,12 @@ class TestStructure:
         assert g.degree("c") == 2
         assert len(g.germs("c")) == 2
 
-    def test_isomorphism_relabeling(self):
-        g = theta(2, 2, 5)
-        relabeled = WeightedGraphOrbifold(
-            "S3",
-            [("x", False), ("y", False)],
-            [
-                Edge("f1", ("x", "y"), 5),
-                Edge("f2", ("x", "y"), 2),
-                Edge("f3", ("x", "y"), 2),
-            ],
-        )
-        assert g.is_isomorphic(relabeled)
-        assert not g.is_isomorphic(theta(2, 2, 4))
-        assert not g.is_isomorphic(theta(2, 2, 5, ambient="RP3"))
-
 
 def _edge_corpus_graphs():
-    """Every template and golden graph, and the family graphs over a small
-    sweep, equal contents included (O(q/p;d+,d-) reads p's parity only)."""
-    graphs = [d.graph for d in templates()]
+    """The three fixed orbifolds, the golden graphs, and the family graphs
+    over a small sweep, equal contents included (O(q/p;d+,d-) reads p's
+    parity only)."""
+    graphs = [o_inf(), o_rp3(), d22xi()]
     graphs += [theta(2, 2, 5), theta(2, 3, INF), theta(2, 2, 5, ambient="RP3")]
     for r in verify._sweep_slopes(4):
         graphs.append(make_exterior(r).graph)
@@ -371,8 +378,8 @@ class TestEdgeTuple:
 
 class TestSphereCondition:
     def test_templates_pass(self):
-        for d in templates():
-            assert check_sc(d.graph) == []
+        for g in (o_inf(), o_rp3(), d22xi()):
+            assert check_sc(g) == []
 
     def test_puncture_clause(self):
         g = WeightedGraphOrbifold(
@@ -407,28 +414,10 @@ class TestSphereCondition:
         g = make_dihedral(slope("1/3"), 2, 3).graph
         assert check_sc(g) == []
         assert any(
-            vertex_geometry(g, v) == "spherical"
+            orbigraph._reciprocal_sum(g.germs(v)) > 1
             for v in g.vertex_ids()
             if g.degree(v) == 3
         )
-
-
-class TestVertexGeometry:
-    def test_trichotomy(self):
-        assert vertex_geometry(theta(2, 2, 3), "v1") == "spherical"
-        assert vertex_geometry(theta(2, 4, 4), "v1") == "euclidean"
-        assert vertex_geometry(theta(2, 4, 5), "v1") == "hyperbolic"
-        assert vertex_geometry(theta(2, 2, INF), "v1") == "euclidean"
-
-    def test_rejects_non_trivalent(self):
-        g = WeightedGraphOrbifold(
-            "S3", [("c", False)], [Edge("L", ("c", "c"), 2)]
-        )
-        with pytest.raises(ValueError):
-            vertex_geometry(g, "c")
-        d22 = templates()[2].graph
-        with pytest.raises(ValueError):
-            vertex_geometry(d22, "B")
 
 
 class TestHeckoidFamilies:
@@ -541,11 +530,13 @@ class TestExterior:
 
 class TestTemplates:
     def test_fixed_list(self):
-        ts = templates()
-        assert [d.tag for d in ts] == ["Oinf", "ORP3O", "D22xI"]
-        assert [d.graph.ambient for d in ts] == ["S3", "RP3", "ball-pair"]
-        assert [canonical_key(d) for d in ts] == ["Oinf", "ORP3O", "D22xI"]
-        assert all(check_sc(d.graph) == [] for d in ts)
+        # The three fixed orbifolds' tags name no parameter and are their own
+        # keys, read from a graph file as ``pa homology`` reads one.
+        for tag, g in (("Oinf", o_inf()), ("ORP3O", o_rp3()), ("D22xI", d22xi())):
+            d = descriptor_from_json({**graph_to_json(g), "family": {"tag": tag}})
+            assert d.graph == g and d.tag == tag
+            assert canonical_key(d) == tag
+            assert check_sc(g) == []
 
 
 class TestSurgery:
@@ -601,7 +592,8 @@ class TestSurgery:
         assert check_sc(g) == []
         capped = surger(g, {"e3": 4})
         assert not capped.is_boundary("v")
-        assert vertex_geometry(capped, "v") == "spherical"
+        assert capped.degree("v") == 3
+        assert orbigraph._reciprocal_sum(capped.germs("v")) > 1  # a spherical cone point
         # sub-spherical boundary weights stay a boundary component
         kept = surger(g, {"e3": 8})
         assert kept.is_boundary("v")
@@ -639,7 +631,7 @@ class TestSurgery:
 
 class TestHomology:
     def dense_rank(self, g):
-        eids = sorted(g.edge_ids())
+        eids = sorted(e.id for e in g.edges())
         col = {eid: i for i, eid in enumerate(eids)}
         rows = []
         for eid in eids:
@@ -763,9 +755,9 @@ class TestHomology:
 
     def test_rejects_open_or_foreign_graphs(self):
         with pytest.raises(ValueError):
-            h1_z2(templates()[2].graph)  # has a boundary sphere
+            h1_z2(d22xi())  # has a boundary sphere
         with pytest.raises(ValueError):
-            h1_z2(templates()[1].graph)  # ambient RP3
+            h1_z2(o_rp3())  # ambient RP3
 
 
 class TestOnePassGraphs:
@@ -878,7 +870,7 @@ class TestJSON:
         for g in (
             make_heckoid(slope("3/8"), Fraction(5, 2)).graph,
             make_dihedral(slope("2/5"), 2, 3).graph,
-            templates()[2].graph,
+            d22xi(),
         ):
             dumped = json.loads(json.dumps(graph_to_json(g)))
             assert graph_from_json(dumped) == g

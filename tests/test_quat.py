@@ -33,12 +33,17 @@ from pa.quat import (
     Q_S,
     Q_W,
     QuatExt,
-    binary_octahedral,
     format_isom,
     group_to_json,
 )
 
 Q_K = QuatExt(0, 0, 0, 2, 0, 0, 0, 0)
+
+
+def binary_octahedral():
+    """The 48-element binary octahedral group O*, generated by
+    (1+i)/sqrt(2) and (1+i+j+k)/2."""
+    return close([Q_S, Q_W], 96, identity=Q_ONE)
 
 
 def d2_star():
