@@ -192,12 +192,8 @@ def cmd_dihedral(args) -> int:
     ]
     if payload["normalizer_order"] is not None:
         lines.append(
-            f"normalizer order {payload['normalizer_order']}"
-            + (
-                f", quotient order {payload['quotient_order']}"
-                if payload["quotient_order"] is not None
-                else ""
-            )
+            f"normalizer order {payload['normalizer_order']}, "
+            f"quotient order {payload['quotient_order']}"
         )
     lines.append(f"key: {payload['key']}")
     _emit(args, payload, lines)

@@ -23,10 +23,11 @@ known multiple n in O(log n) products, from the primes of p, d1 and d2;
 order(J) is read once, at import.
 ``gamma_lattice`` is the first half of ``orbifold``: the witness, Gamma's
 certificate and A_Gamma, without the isometry group, for a caller that
-reads only |Gamma|.  The rotation f and N(Gamma)'s generators are built as
-``Isom3`` keys straight from the integers (k1, k2, p, d1, d2); this module
-forms no ``Fraction``.  ``gamma`` closes Gamma coset by coset
-(``groups.extend``), and ``normalizer`` finds N(Gamma)/Gamma from Gamma's
+reads only |Gamma|.  The rotations of Gamma and N(Gamma) start as integer
+torus vectors, (k1*d1, k2*d2), (n, 0) and (0, n) over 2n: the lattices are
+spanned from them, and f and N(Gamma)'s generators are ``Isom3`` keys built
+from them; this module forms no ``Fraction``.  ``gamma`` closes Gamma coset
+by coset (``groups.extend``), and ``normalizer`` finds N(Gamma)/Gamma from Gamma's
 cosets (``FinGroup.quotient``) without listing N(Gamma); the verification
 checks use them as the independent evidence.
 The labels agree by one code path, ``groups.coset_search``, which both
@@ -139,30 +140,29 @@ def _torus_isom(x: int, y: int, D: int) -> Isom3:
     return Isom3(2 * D, x + y, False, y - x, False)
 
 
-# L(1/2, 0) and L(0, 1/2), the normalizer's two half turns.
-_HALF_TURNS = (_torus_isom(1, 0, 2), _torus_isom(0, 1, 2))
-
 # order(J) and J^-1, the same in every certificate.
 _ORDER_J = order_from_multiple(J, 2, (2,), ISOM_ID)
 _J_INV = J.inv()
 
 
-def _rotation_key(params: DihedralParams, D: int) -> Isom3:
-    """L(k1*d1/D, k2*d2/D)."""
-    return _torus_isom(params.k1 * params.d1, params.k2 * params.d2, D)
+def _normalizer_vectors(params: DihedralParams) -> list[tuple[int, int]]:
+    """The generators of N(Gamma) other than J, in ``normalizer``'s order, as
+    integer vectors over 2n: (k1*d1, k2*d2) for L(k1/(2p*d2), k2/(2p*d1)),
+    then (n, 0) and (0, n) for the half turns L(1/2, 0) and L(0, 1/2)."""
+    n = params.n
+    return [(params.k1 * params.d1, params.k2 * params.d2), (n, 0), (0, n)]
 
 
 def _rotation(params: DihedralParams) -> Isom3:
     """The generator f = L(k1/(p*d2), k2/(p*d1)) of Gamma, whose angles are
-    k1*d1/n and k2*d2/n."""
-    return _rotation_key(params, params.n)
+    k1*d1/n and k2*d2/n: the first normalizer vector, over n."""
+    return _torus_isom(params.k1 * params.d1, params.k2 * params.d2, params.n)
 
 
 def _normalizer_rotations(params: DihedralParams) -> list[Isom3]:
-    """The generators of N(Gamma) other than J, in ``normalizer``'s order:
-    L(k1/(2p*d2), k2/(2p*d1)), whose angles are k1*d1/2n and k2*d2/2n, and
-    the two half turns."""
-    return [_rotation_key(params, 2 * params.n), *_HALF_TURNS]
+    """``_normalizer_vectors`` as the isometries L(v/2n)."""
+    M = 2 * params.n
+    return [_torus_isom(x, y, M) for x, y in _normalizer_vectors(params)]
 
 
 def _prime_factors(m: int) -> list[int]:
@@ -255,22 +255,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, u0, v0
 
 
-def torus_vector(g: Isom3, M: int) -> tuple[int, int]:
-    """M*(t1, t2) for g = L(t1, t2) or L(t1, t2)*J with t1, t2 in (1/M)Z.
-
-    Clearing g's j-flags leaves its L-part (see ``quat.format_isom``), whose
-    angles are (a1 - a2)/D and (a1 + a2)/D over g's key (D, a1, j1, a2, j2).
-    """
-    D, a1, j1, a2, j2 = g
-    if j1 != j2:
-        raise ValueError(f"{g} is neither L(s) nor L(s)*J")
-    x, rx = divmod((a1 - a2) * M, D)
-    y, ry = divmod((a1 + a2) * M, D)
-    if rx or ry:
-        raise ValueError(f"the angles of {g} are not in (1/{M})Z")
-    return (x, y)
-
-
 class TorusLattice(NamedTuple):
     """A subgroup A of ((1/M)Z/Z)^2, kept as the Hermite form of the lattice
     M*A + M*Z^2 in Z^2: the rows (a, b) and (0, c) with 0 <= b < c span it,
@@ -316,9 +300,10 @@ class TorusLattice(NamedTuple):
         return ((self.a, self.b), (0, self.c))
 
 
-def torus_quotient(a_gamma: TorusLattice, rotations, n: int) -> FinGroup:
-    """N/Gamma for Gamma = A_Gamma x| <J> and N = <rotations, J>, the
-    rotations being L-type, from the lattice model.
+def torus_quotient(a_gamma: TorusLattice, vectors, n: int) -> FinGroup:
+    """N/Gamma for Gamma = A_Gamma x| <J> and N = <L(v/M) for v in vectors,
+    J>, from the lattice model; the vectors are integer vectors over
+    a_gamma's M.
 
     Raises ArithmeticError unless |A_N| = 4n, A_Gamma lies in A_N and
     2*A_N lies in A_Gamma.  The last is the normality of Gamma in N:
@@ -327,8 +312,8 @@ def torus_quotient(a_gamma: TorusLattice, rotations, n: int) -> FinGroup:
     their torus vectors have the same key mod A_Gamma.
 
     The cosets come from ``groups.coset_search``, the search of
-    ``normalizer``, run over torus vectors: from (0, 0), over the rotations'
-    vectors, by vector addition, each sum placed by its key.  The search
+    ``normalizer``, run over torus vectors: from (0, 0), over ``vectors``,
+    by vector addition, each sum placed by its key.  The search
     forms no isometry product.  Each representative v is labelled
     L(v/M), the label ``normalizer`` gives it: every representative is a
     product of L-type generators, L(s)*L(t) = L(s+t), and ``Isom3`` keys
@@ -337,7 +322,6 @@ def torus_quotient(a_gamma: TorusLattice, rotations, n: int) -> FinGroup:
     (``FinGroup.quotient`` drops it).
     """
     M = a_gamma.M
-    vectors = [torus_vector(g, M) for g in rotations]
     a_norm = TorusLattice.spanned(vectors, M)
     if not (
         a_norm.order == 4 * n
@@ -465,7 +449,8 @@ def gamma_lattice(r, d1: int, d2: int) -> GammaLattice:
             )
     primes = sorted({ell for m in (r.p, d1, d2) for ell in _prime_factors(m)})
     f = _rotation(params)
-    a_gamma = TorusLattice.spanned([torus_vector(f, 2 * n)], 2 * n)
+    x, y = _normalizer_vectors(params)[0]  # f = L(2x/2n, 2y/2n)
+    a_gamma = TorusLattice.spanned([(2 * x, 2 * y)], 2 * n)
     order_f = order_from_multiple(f, n, primes, ISOM_ID)
     cert = _certificate(f, 2 * a_gamma.order, order_f, n)
     if (cert["order"], cert["order_f"], cert["order_J"], cert["dihedral_relation"]) != (
@@ -501,7 +486,7 @@ def orbifold(r, d1: int, d2: int) -> Orbifold:
     if is_trivial_theta(r, d1, d2):
         quotient, _ = exceptional_isom()
         return Orbifold(params, cert, TAG_D3xZ2, quotient)
-    quotient = torus_quotient(a_gamma, _normalizer_rotations(params), params.n)
+    quotient = torus_quotient(a_gamma, _normalizer_vectors(params), params.n)
     tag = recognize(quotient)
     if tag != TAG_Z2SQ:
         raise ArithmeticError(

@@ -358,20 +358,19 @@ def check_homology_cases() -> tuple[bool, dict]:
     # generator fewer and one relation fewer.  So the case table's rows for
     # d+ = 1, d- odd hold wherever d+ and d- are both odd.
     #
-    # make_dihedral reads r only through the parity of p, so the 874 points
-    # give 38 graphs.  h1_z2 reads nothing of a graph but its content (the
-    # name aside), so it runs once per graph, on the graph's first point:
-    # equal keys mean equal ambient, vertices and edges, and a miss only
-    # recomputes.  The reports live as long as this call.
+    # make_dihedral reads r only through the parity of p and the graph's
+    # name, which h1_z2 ignores, so the 874 points give 38 graphs, one per
+    # (p mod 2, d+, d-): each is built and its report read once, at the
+    # first point with its key.  The reports live as long as this call.
     reports = {}
     points = 0
     for r in _sweep_slopes(12):
         for d1, d2 in _coprime_pairs(5):
-            g = orbigraph.make_dihedral(r, d1, d2).graph
-            key = (g.ambient, tuple(g._vertices.items()), tuple(g._edges.values()))
+            key = (r.p % 2, d1, d2)
             report = reports.get(key)
             if report is None:
-                report = reports[key] = orbigraph.h1_z2(g)
+                graph = orbigraph.make_dihedral(r, d1, d2).graph
+                report = reports[key] = orbigraph.h1_z2(graph)
             fault = _homology_fault(r.p % 2 == 0, d1 % 2 == 1 and d2 % 2 == 1, report)
             if fault is not None:
                 return False, {"point": f"({r};{d1},{d2})", "dim": report.dimension} | fault
@@ -636,7 +635,10 @@ CHECKS = {
 
 def run_checks(selector=None) -> list[CheckResult]:
     """Run all checks (selector None) or a list of check ids; results come
-    back sorted by check id."""
+    back sorted by check id.  A string is refused (TypeError), not read as
+    its characters."""
+    if isinstance(selector, str):
+        raise TypeError(f"selector must be None or a list of check ids, not {selector!r}")
     if selector is None:
         ids = sorted(CHECKS)
     else:

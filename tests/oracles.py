@@ -17,7 +17,8 @@ read from a built graph's family instead of from (r, d+, d-), ``tokenize``'s
 token stream instead of one regular-expression pass, the whole argparse tree
 with a shared ``--json`` parent instead of one command's branch, Z2 homology
 at every point of check 7's sweep instead of once per distinct graph, an edge
-as a frozen dataclass instead of a tuple), so
+as a frozen dataclass instead of a tuple, a torus vector decoded from an
+isometry's key instead of built from integers), so
 agreement between the two is meaningful evidence.
 """
 
@@ -938,6 +939,26 @@ def closure_orbifold(r, d1, d2):
     return params, group, cert, recognize(factor), factor
 
 
+# A torus vector read back from an isometry's key: the first form of the
+# integer vectors of ``dihedral._normalizer_vectors``.
+
+
+def torus_vector(g, M):
+    """M*(t1, t2) for g = L(t1, t2) or L(t1, t2)*J with t1, t2 in (1/M)Z.
+
+    Clearing g's j-flags leaves its L-part (see ``quat.format_isom``), whose
+    angles are (a1 - a2)/D and (a1 + a2)/D over g's key (D, a1, j1, a2, j2).
+    """
+    D, a1, j1, a2, j2 = g
+    if j1 != j2:
+        raise ValueError(f"{g} is neither L(s) nor L(s)*J")
+    x, rx = divmod((a1 - a2) * M, D)
+    y, ry = divmod((a1 + a2) * M, D)
+    if rx or ry:
+        raise ValueError(f"the angles of {g} are not in (1/{M})Z")
+    return (x, y)
+
+
 # The torus quotient by keys: the first form of ``dihedral.torus_quotient``'s
 # search and table.
 
@@ -953,7 +974,7 @@ def torus_quotient_by_keys(a_gamma, rotations):
     label = {(0, 0): ISOM_ID}
     # reps grows while it is read: breadth-first over the cosets
     for z in (y * s for y in reps for s in search):
-        key = a_gamma.key(*dihedral.torus_vector(z, M))
+        key = a_gamma.key(*torus_vector(z, M))
         if key not in label:
             label[key] = z
             reps.append(z)
@@ -962,7 +983,7 @@ def torus_quotient_by_keys(a_gamma, rotations):
     # (L(s)*J^e)*(L(t)*J^k) = L(s +- t)*J^(e+k) and 2t lies in A_Gamma, so
     # the product's coset has the key of s + t, and each coset is its own
     # inverse.
-    vectors = {g: dihedral.torus_vector(g, M) for g in reps}
+    vectors = {g: torus_vector(g, M) for g in reps}
     table = {
         (a, b): label[a_gamma.key(x + u, y + v)]
         for a, (x, y) in vectors.items()
@@ -983,7 +1004,7 @@ def torus_quotient_by_products(a_gamma, rotations):
     M = a_gamma.M
     index = {(0, 0): 0}
     def find(z):
-        key = a_gamma.key(*dihedral.torus_vector(z, M))
+        key = a_gamma.key(*torus_vector(z, M))
         if key in index:
             return index[key]
         index[key] = len(index)

@@ -157,6 +157,23 @@ def test_isom3_keys_are_built_only_by_its_constructor():
     assert builders == {"Isom3.__new__", "Isom3.__mul__"}
 
 
+def test_front_ends_read_no_private_attribute():
+    # cli and verify reach the layers through their public names only: a
+    # single-underscore attribute of any object but ``self`` or ``cls``,
+    # such as a graph's storage, ties a front end to a layout it does not
+    # own.
+    reads = [
+        f"{name}:{node.lineno} {ast.unparse(node)}"
+        for name in ("cli.py", "verify.py")
+        for node in ast.walk(_tree(name))
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    ]
+    assert reads == [], reads
+
+
 # ---------------------------------------------------------------------------
 # Layers loaded on demand
 

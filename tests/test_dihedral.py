@@ -21,6 +21,7 @@ from pa.dihedral import (
     TAG_Z2SQ,
     TorusLattice,
     _normalizer_rotations,
+    _normalizer_vectors,
     _prime_factors,
     _rotation,
     exceptional_isom,
@@ -31,7 +32,6 @@ from pa.dihedral import (
     params_for,
     solve_k,
     torus_quotient,
-    torus_vector,
 )
 from pa.groups import (
     FinGroup,
@@ -723,34 +723,56 @@ class TestTorusModel:
                 assert len(keys) == M * M // len(subgroup)
 
     def test_torus_vector(self):
+        # the oracle that reads a torus vector back from an isometry's key
         for M in (1, 2, 6, 12, 60):
             for x in range(-M, M, max(1, M // 6)):
                 for y in range(0, 2 * M, max(1, M // 5)):
                     g = L(Fraction(x, M), Fraction(y, M))
                     for h in (g, g * J):
-                        u, v = torus_vector(h, M)
+                        u, v = oracles.torus_vector(h, M)
                         assert ((u - x) % M, (v - y) % M) == (0, 0)
         with pytest.raises(ValueError):
-            torus_vector(L(Fraction(1, 7), 0), 6)
+            oracles.torus_vector(L(Fraction(1, 7), 0), 6)
         with pytest.raises(ValueError):
-            torus_vector(J1, 6)
+            oracles.torus_vector(J1, 6)
+
+    @pytest.mark.parametrize(
+        "points, count",
+        [(list(oracles._criterion2_points()), 218), (list(_session_grid()), 4350)],
+        ids=["criterion-2", "session-grid"],
+    )
+    def test_integer_vectors_are_the_rotations(self, points, count):
+        # The vectors the lattices start from, against the vectors read back
+        # from the isometries' keys: f over M = 2n is twice the first
+        # normalizer vector, and each normalizer rotation is L(v/M).
+        assert len(points) == count
+        for r, d1, d2 in points:
+            params = params_for(r, d1, d2)
+            M = 2 * params.n
+            vectors = _normalizer_vectors(params)
+            rotations = [_rotation(params), *_normalizer_rotations(params)]
+            x, y = vectors[0]
+            for (u, v), g in zip([(2 * x, 2 * y), *vectors], rotations, strict=True):
+                a, b = oracles.torus_vector(g, M)
+                assert ((a - u) % M, (b - v) % M) == (0, 0), (r, d1, d2, g)
 
     def test_rejects_generators_that_do_not_normalize(self):
         # <f, L(1/4, 0), J> has the right order 8n and contains Gamma, but
         # L(1/4,0)*J*L(-1/4,0) = L(1/2,0)*J lies outside Gamma.
         params = params_for(slope("2/5"), 2, 3)
         f = _rotation(params)
-        a_gamma = TorusLattice.spanned([torus_vector(f, 60)], 60)
+        f_vector = oracles.torus_vector(f, 60)
+        a_gamma = TorusLattice.spanned([f_vector], 60)
         quarter = L(Fraction(1, 4), 0)
         with pytest.raises(ArithmeticError, match="fails to normalize"):
-            torus_quotient(a_gamma, [f, quarter], params.n)
+            torus_quotient(a_gamma, [f_vector, oracles.torus_vector(quarter, 60)], params.n)
         assert len(close([f, quarter, J])) == 8 * params.n
         assert not gamma(params)[0].normalized_by([f, quarter, J])
         # Too small a claimed normalizer: <L(1/2,0), L(0,1/2), J> misses f.
         with pytest.raises(ArithmeticError, match="fails to normalize"):
-            torus_quotient(a_gamma, _normalizer_rotations(params)[1:], params.n)
+            torus_quotient(a_gamma, _normalizer_vectors(params)[1:], params.n)
         # The generators of N(Gamma) pass.
-        assert len(torus_quotient(a_gamma, _normalizer_rotations(params), params.n)) == 4
+        assert len(torus_quotient(a_gamma, _normalizer_vectors(params), params.n)) == 4
 
 
     @pytest.mark.parametrize(
@@ -763,17 +785,18 @@ class TestTorusModel:
         ids=["criterion-2", "large-n", "session-grid"],
     )
     def test_coset_search_against_keys(self, points, count):
-        # The search over torus vectors, each coset labelled L(v/M), and its
-        # action-read table against the replayed search with the key-built
-        # table and self-inverse rule, and against the search over
-        # isometries with each coset labelled by its product.
+        # The search over the integer vectors, each coset labelled L(v/M),
+        # and its action-read table against the replayed search with the
+        # key-built table and self-inverse rule, and against the search over
+        # isometries with each coset labelled by its product; the oracles
+        # read their vectors back from the isometries' keys.
         assert len(points) == count
         for r, d1, d2 in points:
             params = params_for(r, d1, d2)
             M = 2 * params.n
-            a_gamma = TorusLattice.spanned([torus_vector(_rotation(params), M)], M)
+            a_gamma = TorusLattice.spanned([oracles.torus_vector(_rotation(params), M)], M)
             rotations = _normalizer_rotations(params)
-            got = torus_quotient(a_gamma, rotations, params.n)
+            got = torus_quotient(a_gamma, _normalizer_vectors(params), params.n)
             for want in (
                 oracles.torus_quotient_by_keys(a_gamma, rotations),
                 oracles.torus_quotient_by_products(a_gamma, rotations),

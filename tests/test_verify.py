@@ -58,6 +58,18 @@ class TestRunner:
         with pytest.raises(ValueError):
             verify.run_checks(["cusp-244", "nope"])
 
+    @pytest.mark.parametrize("selector", ["cusp-244", "all"])
+    def test_string_selector_refused_before_any_check(self, monkeypatch, selector):
+        # a string is not read character by character as a list of ids
+        ran = []
+        for cid, (criterion, anchor, fn) in list(verify.CHECKS.items()):
+            monkeypatch.setitem(
+                verify.CHECKS, cid, (criterion, anchor, lambda _cid=cid: ran.append(_cid))
+            )
+        with pytest.raises(TypeError, match="list of check ids"):
+            verify.run_checks(selector)
+        assert ran == []
+
     def test_result_fields(self):
         (res,) = verify.run_checks(["cusp-244"])
         assert res.criterion == 4
@@ -301,8 +313,10 @@ class TestOnePass:
     def test_theta_closed_once_and_no_graph_for_a_key(self, monkeypatch):
         # All twelve checks close the theta normalizer once, in theta-isom
         # (502 QuatExt products; 1 506 when check 1 built the full record at
-        # both theta points), and build only check 7's 874 graphs (1 636
-        # when check 8's O-moves built two graphs for each key).
+        # both theta points), and build only check 7's 38 graphs, one per
+        # (p mod 2, d+, d-).
+        # Before: 874 graphs, one per point of check 7's sweep (1 636 when
+        # check 8's O-moves built two graphs for each key).
         counts = Counter()
         mul = quat.QuatExt.__mul__
         make_dihedral = orbigraph.make_dihedral
@@ -318,14 +332,16 @@ class TestOnePass:
         monkeypatch.setattr(quat.QuatExt, "__mul__", counted_mul)
         monkeypatch.setattr(orbigraph, "make_dihedral", counted_make)
         assert all(r.ok for r in verify.run_checks(None))
-        assert counts == {"QuatExt": 502, "make_dihedral": 874}
+        assert counts == {"QuatExt": 502, "make_dihedral": 38}
 
     def test_homology_once_per_graph(self, monkeypatch):
-        # Check 7 builds the graph of each of its 874 points and runs h1_z2
-        # once per distinct graph: 38, as make_dihedral reads r only
-        # through the parity of p.  The guard fails a return to one h1_z2
-        # per point, and a dropped point.
-        # Before: 874 h1_z2 calls, one per point.
+        # Check 7 builds each of its 38 distinct graphs, and runs h1_z2 on
+        # it, once, at the first of its 874 points with the graph's
+        # (p mod 2, d+, d-), as make_dihedral reads r only through the
+        # parity of p.  The guard fails a return to a graph or an h1_z2 per
+        # point, and a dropped point.
+        # Before: 874 make_dihedral calls, one per point, and 874 h1_z2
+        # calls before that.
         calls = Counter()
         for name in ("h1_z2", "make_dihedral"):
             def counted(*args, _fn=getattr(orbigraph, name), _name=name):
@@ -335,7 +351,7 @@ class TestOnePass:
             monkeypatch.setattr(orbigraph, name, counted)
         (result,) = verify.run_checks(["homology-cases"])
         assert (result.status, result.witness) == ("pass", {"points": 874})
-        assert calls == {"h1_z2": 38, "make_dihedral": 874}
+        assert calls == {"h1_z2": 38, "make_dihedral": 38}
 
     def test_product_count(self, monkeypatch):
         # Gamma closed coset by coset, orders from the multiple n,
@@ -422,6 +438,19 @@ class TestCaseTableFaults:
         _fault_on_graph(monkeypatch, target, _classes(change))
         (result,) = verify.run_checks(["homology-cases"])
         assert (result.status, result.witness) == ("fail", {"point": point, "dim": dim, **extra})
+
+    def test_graph_reads_only_the_parity_of_p(self):
+        # The premise of building each graph at its first point: the graph
+        # of every point equals that of the sweep's first slope of the same
+        # parity, 0/1 or 1/2 (``==`` ignores the name).
+        points = 0
+        for r in verify._sweep_slopes(12):
+            s = Slope(1, 2) if r.p % 2 == 0 else Slope(0, 1)
+            for d1, d2 in verify._coprime_pairs(5):
+                graph = orbigraph.make_dihedral(r, d1, d2).graph
+                assert graph == orbigraph.make_dihedral(s, d1, d2).graph, (r, d1, d2)
+                points += 1
+        assert points == 874
 
     def test_once_per_graph_agrees_with_every_point_unfaulted(self):
         # ``oracles.homology_cases_per_point`` runs h1_z2 at all 874 points
