@@ -16,7 +16,6 @@ from fractions import Fraction
 # of the command it runs; the layers' functions are called as module
 # attributes.
 from . import slopes
-from .groups import GroupOverflow
 
 SCHEMA = "pa/1"
 
@@ -482,13 +481,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
-    except (
-        ValueError,
-        ArithmeticError,
-        GroupOverflow,
-        KeyError,
-        OSError,
-    ) as err:
+    except (ValueError, ArithmeticError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

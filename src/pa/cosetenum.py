@@ -1,12 +1,15 @@
 """Todd-Coxeter coset enumeration and triangle-group utilities.
 
 The enumerator is the Felsch strategy over the trivial subgroup: it
-defines the first empty entry of the lowest live coset and draws every
+defines the first empty entry of the lowest coset and draws every
 consequence of each new entry before the next definition.  Power relators
 x^r are handled by O(1) updates of the x-chains instead of scans, so
-T(2,2,r) takes time linear in r.  The table never holds more rows than the
-coset limit: when it is full, the dead cosets are compacted away, and when
-none are dead the enumeration reports overflow instead of answering.
+T(2,2,r) takes time linear in r.  No entry is ever withdrawn: the
+enumerator answers the presentations Felsch closes without a coincidence,
+every spherical triangle presentation within the coset limit among them,
+and refuses the others with ValueError.  The table never holds more rows
+than the coset limit: when it is full, the enumeration reports overflow
+instead of answering.
 Definition and scanning order are fixed, so repeated runs build identical
 tables.
 
@@ -20,7 +23,6 @@ letter.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -132,9 +134,16 @@ class CosetTable:
         return len(self.rows)
 
 
+_COINCIDENCE = (
+    "coset enumeration met a coincidence: only presentations that the "
+    "Felsch strategy closes without one are enumerated"
+)
+
+
 class _Felsch:
     """The Felsch strategy over the trivial subgroup (Holt-Eick-O'Brien,
-    Handbook of Computational Group Theory, 2005, 5.1-5.3).
+    Handbook of Computational Group Theory, 2005, 5.1-5.3), for
+    presentations it closes without a coincidence.
 
     Each new table entry is a deduction; a deduction (k, x) with k.x = m is
     processed by scanning, at k, every cyclic conjugate of a relator or its
@@ -147,21 +156,20 @@ class _Felsch:
     relators x^r (r >= 2) are never scanned.  The x-edges of the table form
     chains and cycles; each power column keeps its chains as
     head -> (tail, length) and tail -> head, and a new x-edge updates them
-    in O(1).  A chain of r cosets closes into a cycle, a longer chain or a
-    cycle whose length does not divide r is a coincidence.  Coincidence
-    processing does not update the chains; the maps of each power column
-    whose edges it moved are rebuilt from the table before the next
-    deduction.
+    in O(1).  A chain of r cosets closes into a cycle.
+
+    No entry is ever withdrawn.  A scan that finds two names for one coset,
+    a chain longer than r or a cycle whose length does not divide r is a
+    coincidence, and it raises ValueError.  Every triangle presentation
+    that ``triangle_table`` enumerates closes without one, as
+    tests/coset_domain_sweep.py checks type by type.
     """
 
     def __init__(self, pres: Presentation, max_cosets: int):
         self.ncols = 2 * pres.ngens
         self.max_cosets = max_cosets
         self.table: list[list] = []
-        self.p: list[int] = []
         self.deductions: list[tuple[int, int]] = []
-        # power columns whose chain maps no longer match the table
-        self.stale: set[int] = set()
         exponents: dict[int, int] = {}
         scanned = []
         for rel in pres.relators:
@@ -190,46 +198,6 @@ class _Felsch:
                         self.conjugates[w[0]].append(w)
         self._new_row()
 
-    # -- union-find over coincident cosets ---------------------------------
-    def _rep(self, k: int) -> int:
-        p = self.p
-        r = k
-        while p[r] != r:
-            r = p[r]
-        while p[k] != r:
-            p[k], k = r, p[k]
-        return r
-
-    def _merge(self, a: int, b: int, queue: deque) -> None:
-        a, b = self._rep(a), self._rep(b)
-        if a != b:
-            a, b = min(a, b), max(a, b)
-            self.p[b] = a
-            queue.append(b)
-
-    def _coincidence(self, a: int, b: int) -> None:
-        table = self.table
-        queue: deque[int] = deque()
-        self._merge(a, b, queue)
-        while queue:
-            dead = queue.popleft()
-            row = table[dead]
-            for col in range(self.ncols):
-                dest = row[col]
-                if dest is None:
-                    continue
-                if col & ~1 in self.chains:  # an edge of a power column moves
-                    self.stale.add(col & ~1)
-                inv = col ^ 1
-                table[dest][inv] = None
-                mu, nu = self._rep(dead), self._rep(dest)
-                if table[mu][col] is not None:
-                    self._merge(nu, table[mu][col], queue)
-                elif table[nu][inv] is not None:
-                    self._merge(mu, table[nu][inv], queue)
-                else:
-                    self._put(mu, col, nu)
-
     # -- setting entries -----------------------------------------------------
     def _put(self, a: int, col: int, b: int) -> None:
         """a.x = b for the letter x of ``col``: a deduction."""
@@ -241,26 +209,19 @@ class _Felsch:
         """``_put``, and the new edge joins the chains of a power column."""
         self._put(a, col, b)
         x = col & ~1
-        if x in self.chains and x not in self.stale:
+        if x in self.chains:
             if col == x:
                 self._link(x, a, b)
             else:
                 self._link(x, b, a)
 
     def _new_row(self) -> int:
-        """Append a live coset k, with k.x = k for each generator x = 1."""
+        """Append a coset k, with k.x = k for each generator x = 1."""
         k = len(self.table)
         self.table.append([None] * self.ncols)
-        self.p.append(k)
         for col in self.trivial:
             self._put(k, col, k)
         return k
-
-    def _walk(self, c: int, x: int, steps: int) -> int:
-        table = self.table
-        for _ in range(steps):
-            c = table[c][x]
-        return c
 
     def _link(self, x: int, a: int, b: int) -> None:
         """Record the new x-edge a -> b: a was the tail of its chain (or
@@ -271,7 +232,7 @@ class _Felsch:
         if h == b:  # the chain from b to a closes into a cycle
             length = heads.pop(b)[1] if a != b else 1
             if r % length:
-                self._coincidence(b, self._walk(b, x, r % length))
+                raise ValueError(_COINCIDENCE)
             return
         la = heads.pop(h)[1] if h != a else 1
         t, lb = heads.pop(b, (b, 1))
@@ -282,51 +243,8 @@ class _Felsch:
             tails[t] = h
         elif length == r:
             self._put(t, x, h)
-        else:  # h.x^r lies on the chain, r - la steps past b
-            self._coincidence(h, self._walk(b, x, r - la))
-
-    def _rebuild_chains(self) -> None:
-        """Rebuild the chain maps of the stale power columns from the table."""
-        table, p = self.table, self.p
-        closings, pairs = [], []
-        while self.stale:
-            x = self.stale.pop()
-            heads, tails = self.chains[x]
-            heads.clear()
-            tails.clear()
-            r, inv = self.power[x], x ^ 1
-            on_chain = bytearray(len(table))
-            for c, row in enumerate(table):
-                if p[c] != c or row[inv] is not None or row[x] is None:
-                    continue
-                t, length = c, 1
-                while table[t][x] is not None:
-                    on_chain[t] = 1
-                    t = table[t][x]
-                    length += 1
-                if length < r:
-                    heads[c] = (t, length)
-                    tails[t] = c
-                elif length == r:
-                    closings.append((t, x, c))
-                else:
-                    pairs.append((c, self._walk(c, x, r)))
-            # the other live cosets with an x-edge lie on cycles
-            for c, row in enumerate(table):
-                if p[c] != c or on_chain[c] or row[x] is None:
-                    continue
-                t, length = row[x], 1
-                on_chain[c] = 1
-                while t != c:
-                    on_chain[t] = 1
-                    t = table[t][x]
-                    length += 1
-                if r % length:
-                    pairs.append((c, self._walk(c, x, r % length)))
-        for t, x, h in closings:
-            self._put(t, x, h)
-        for a, b in pairs:
-            self._coincidence(a, b)
+        else:
+            raise ValueError(_COINCIDENCE)
 
     # -- scanning and deductions ---------------------------------------------
     def _scan(self, k: int, w: tuple[int, ...]) -> None:
@@ -337,76 +255,47 @@ class _Felsch:
             i += 1
         if i > j:
             if f != k:
-                self._coincidence(f, k)
+                raise ValueError(_COINCIDENCE)
             return
         b = k
         while j >= i and table[b][w[j] ^ 1] is not None:
             b = table[b][w[j] ^ 1]
             j -= 1
-        if j < i:
-            self._coincidence(f, b)
-        elif i == j:
+        if j < i:  # f.w[i] is empty where b.w[i] is not, so f != b
+            raise ValueError(_COINCIDENCE)
+        if i == j:
             self._set(f, w[i], b)
 
     def _process_deductions(self) -> None:
-        table, p, stack, conjugates = self.table, self.p, self.deductions, self.conjugates
-        while True:
-            if self.stale:
-                self._rebuild_chains()
-                continue
-            if not stack:
-                return
+        table, stack, conjugates = self.table, self.deductions, self.conjugates
+        while stack:
             k, col = stack.pop()
-            if p[k] != k:
-                continue
             for w in conjugates[col]:
                 self._scan(k, w)
-                if p[k] != k:
-                    break
-            m = table[self._rep(k)][col]
-            if m is None:
-                continue
-            m = self._rep(m)
+            m = table[k][col]
             for w in conjugates[col ^ 1]:
                 self._scan(m, w)
-                if p[m] != m:
-                    break
-
-    # -- the table -------------------------------------------------------------
-    def _compact(self) -> list:
-        """Drop the dead cosets; returns old -> new numbers (None if dead)."""
-        table, p = self.table, self.p
-        live = [c for c in range(len(table)) if p[c] == c]
-        remap: list = [None] * len(table)
-        for new, old in enumerate(live):
-            remap[old] = new
-        self.table = [[None if d is None else remap[d] for d in table[c]] for c in live]
-        self.p = list(range(len(live)))
-        self.stale = set(self.chains)
-        return remap
 
     def run(self) -> CosetTable:
         self._process_deductions()
+        table = self.table
         alpha = 0
-        while alpha < len(self.table):
-            row = self.table[alpha]
-            if self.p[alpha] != alpha or None not in row:
+        while alpha < len(table):
+            row = table[alpha]
+            if None not in row:
                 alpha += 1
                 continue
-            if len(self.table) >= self.max_cosets:
-                alpha = self._compact()[alpha]
-                if len(self.table) >= self.max_cosets:
-                    return CosetTable(self.ncols // 2, [], "overflow")
-            else:
-                self._set(alpha, row.index(None), self._new_row())
+            if len(table) >= self.max_cosets:
+                return CosetTable(self.ncols // 2, [], "overflow")
+            self._set(alpha, row.index(None), self._new_row())
             self._process_deductions()
-        self._compact()
-        return CosetTable(self.ncols // 2, self.table, "complete")
+        return CosetTable(self.ncols // 2, table, "complete")
 
 
 def enumerate_cosets(pres: Presentation) -> CosetTable:
     """Enumerate the cosets of the trivial subgroup (the regular action),
-    in a table of at most MAX_COSETS rows."""
+    in a table of at most MAX_COSETS rows; ValueError if the enumeration
+    meets a coincidence."""
     return _Felsch(pres, MAX_COSETS).run()
 
 

@@ -115,7 +115,7 @@ def solve_k(r, d1: int, d2: int) -> tuple[int, int]:
     """
     r = slope(r)
     if r.is_infinite:
-        raise ValueError("solve_k needs a finite slope")
+        raise ValueError("O(r;d+,d-) needs a finite slope")
     if d1 < 1 or d2 < 1:
         raise ValueError("d1, d2 must be positive")
     if gcd(d1, d2) != 1:

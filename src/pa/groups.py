@@ -23,7 +23,7 @@ from __future__ import annotations
 import operator
 
 
-class GroupOverflow(Exception):
+class GroupOverflow(ArithmeticError):
     """Raised when a closure would exceed its element bound."""
 
 

@@ -182,7 +182,7 @@ def test_cli_and_package_import_only_what_every_command_needs():
     # An eager import here loads a layer for every command, "pa link" too.
     assert module_level_imports("__init__.py") == {"importlib"}
     assert module_level_imports("cli.py") == {
-        "__future__", "argparse", "json", "sys", "fractions", "pa.slopes", "pa.groups",
+        "__future__", "argparse", "json", "sys", "fractions", "pa.slopes",
     }
     # Each command imports its own layers, by module, inside the function.
     layers = {path.stem for path in SRC.glob("*.py")} - {"__init__", "cli"}
@@ -209,17 +209,17 @@ def loaded_modules(code: str) -> set[str]:
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
-CORE = {"pa", "pa.cli", "pa.slopes", "pa.groups"}
+CORE = {"pa", "pa.cli", "pa.slopes"}
 LAYERS_OF = {
     ("link", "classify", "3/7"): set(),
     ("heckoid", "2/5", "3"): {"pa.orbigraph"},
     ("homology", "dihedral_2_5_2_3.json"): {"pa.orbigraph"},
-    ("dihedral", "2/7", "3", "5"): {"pa.dihedral", "pa.quat"},
-    ("cusp", "244"): {"pa.cusplattice", "pa.cosetenum"},
-    ("triangle", "order", "2 3 5", "ab"): {"pa.cosetenum"},
+    ("dihedral", "2/7", "3", "5"): {"pa.dihedral", "pa.quat", "pa.groups"},
+    ("cusp", "244"): {"pa.cusplattice", "pa.cosetenum", "pa.groups"},
+    ("triangle", "order", "2 3 5", "ab"): {"pa.cosetenum", "pa.groups"},
     ("verify", "cusp-244"): {
         "pa.verify", "pa.dihedral", "pa.quat", "pa.orbigraph", "pa.cusplattice",
-        "pa.cosetenum",
+        "pa.cosetenum", "pa.groups",
     },
 }
 

@@ -208,21 +208,32 @@ class TestAgainstHLT:
             letters(2, (1, 1), (2, 2, 2), (1, 2) * 7, commutator * 4),  # PSL(2,7)
             letters(2, (1, 1), (1, 1, 1), (2,) * 5, (1, 2, 1, -2)),  # a = 1: Z5
             letters(2, (-1,) * 6, (-2, -2), (1, 2, 1, 2)),  # D6, inverse powers
-            letters(5, (1, 2, -3), (2, 3, -4), (3, 4, -5), (4, 5, -1), (5, 1, -2)),
-            # trivial; needs the deductions of coincidence processing
-            letters(
-                2,
-                (1,) * 10, (2,) * 6, (2, 1, 2, 1, 2), (-2, -1, 2, 1, 2), (-1, -1, 2, -1, -1, -1, -2),
-            ),
         ]:
             self.compare(pres, rng, words=3)
+        # HLT, which processes coincidences, completes these two; Felsch
+        # meets a coincidence on each and refuses instead of answering.
+        for pres, order in [
+            (letters(5, (1, 2, -3), (2, 3, -4), (3, 4, -5), (4, 5, -1), (5, 1, -2)), 11),  # F(2,5)
+            (
+                letters(
+                    2,
+                    (1,) * 10, (2,) * 6, (2, 1, 2, 1, 2), (-2, -1, 2, 1, 2),
+                    (-1, -1, 2, -1, -1, -1, -2),
+                ),
+                1,
+            ),
+        ]:
+            with pytest.raises(ValueError, match="coincidence"):
+                enumerate_cosets(pres)
+            oracle = oracles.HLTEnumerator(pres, MAX_COSETS).run()
+            assert oracle.status == "complete" and oracle.n_cosets == order
 
     def test_random_presentations(self, monkeypatch):
         # Power relators on most generators plus a few short random
         # relators; most of these groups are finite and small.
         monkeypatch.setattr(cosetenum, "MAX_COSETS", 1500)
         rng = random.Random(9)
-        complete = 0
+        refused = agreeing = complete = 0
         for _ in range(60):
             ngens = rng.randint(1, 3)
             rels = [
@@ -238,14 +249,20 @@ class TestAgainstHLT:
                         word.append(x)
                 rels.append(tuple(word))
             pres = letters(ngens, *rels)
-            table = enumerate_cosets(pres)
+            try:
+                table = enumerate_cosets(pres)
+            except ValueError as err:
+                assert "coincidence" in str(err), rels
+                refused += 1
+                continue
             oracle = oracles.HLTEnumerator(pres, 1500).run()
             assert table.status == oracle.status, rels
             assert table.n_cosets == oracle.n_cosets, rels
+            agreeing += 1
             complete += table.status == "complete"
             for rel in rels:
                 assert word_permutation(table, as_runs(rel)) == tuple(range(table.n_cosets))
-        assert complete >= 40
+        assert (refused, agreeing, complete) == (18, 42, 32)
 
     def test_infinite_group_overflows_in_both(self, monkeypatch):
         monkeypatch.setattr(cosetenum, "MAX_COSETS", 2000)
@@ -309,21 +326,13 @@ class TestEntryOne:
         table = triangle_table(1, 10001, 10000)
         assert table.status == "complete" and table.n_cosets == 1
 
-    def test_trivial_generator_rebuilds_no_chains(self, monkeypatch):
+    def test_trivial_generator_meets_no_coincidence(self):
         # Each row is made with a fixed by a, so no a-entry is defined as a
-        # row that dies and no coincidence moves a power-column edge.
-        rebuilds = []
-        rebuild = cosetenum._Felsch._rebuild_chains
-
-        def counted(self):
-            rebuilds.append(1)
-            rebuild(self)
-
-        monkeypatch.setattr(cosetenum._Felsch, "_rebuild_chains", counted)
+        # new row that would name an existing coset twice.
         table = triangle_table(1, 5000, 5000)
+        assert table.status == "complete"
         assert table.n_cosets == 5000
         assert permutation_order(word_permutation(table, "b")) == 5000
-        assert rebuilds == []
 
 
 class TestTableBound:
@@ -339,16 +348,27 @@ class TestTableBound:
                     table = enumerate_cosets(triangle_presentation(p, q, r))
                     assert table.status == "complete", (p, q, r)
                     assert table.n_cosets == order
+        # The largest groups a triangle query enumerates, of order MAX_COSETS.
+        for ptype in [
+            (2, 2, 5000), (2, 5000, 2), (5000, 2, 2),
+            (1, 10000, 10000), (10000, 1, 10000), (10000, 10000, 1),
+        ]:
+            order = spherical_triangle_order(*ptype)
+            monkeypatch.setattr(cosetenum, "MAX_COSETS", order)
+            table = enumerate_cosets(triangle_presentation(*ptype))
+            assert table.status == "complete", ptype
+            assert table.n_cosets == order == 10000
 
-    def test_full_table_compacts_its_dead_rows(self, monkeypatch):
-        # abc and bc say a = 1, but no power relator does, so each coset's
-        # a-entry is first defined as a new row that dies at once; only
-        # compaction keeps the table of this Z4 within 6 rows.
+    def test_presentation_with_dead_rows_is_refused(self, monkeypatch):
+        # abc and bc say a = 1, but no power relator does, so a coset's
+        # a-entry is first defined as a new row that names an existing
+        # coset: a coincidence, refused whatever the bound.
         pres = letters(3, (2,) * 4, (3,) * 4, (1, 2, 3), (2, 3))
+        with pytest.raises(ValueError, match="coincidence"):
+            enumerate_cosets(pres)
         monkeypatch.setattr(cosetenum, "MAX_COSETS", 6)
-        table = enumerate_cosets(pres)
-        assert table.status == "complete"
-        assert table.n_cosets == 4
+        with pytest.raises(ValueError, match="coincidence"):
+            enumerate_cosets(pres)
 
     def test_t22_4999_completes_at_its_order(self, monkeypatch):
         monkeypatch.setattr(cosetenum, "MAX_COSETS", 9998)

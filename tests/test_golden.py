@@ -38,6 +38,8 @@ COMMANDS = [
     # n past 2**63, every entry below dihedral.FACTOR_BOUND
     ["dihedral", "3/100000000003", "999999999989", "1"],
     ["dihedral", "3/100000000003", "999999999989", "999999999961", "--json"],
+    # the infinite slope is refused in the orbifold's own terms
+    ["dihedral", "inf", "2", "3"],
     *(
         ["triangle", "order", t, w, *fmt]
         for t, w in [
