@@ -28,15 +28,24 @@ def _emit(args, payload: dict, lines) -> None:
             print(line)
 
 
+def _int_arg(text: str) -> int:
+    try:
+        return slopes.parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _fraction(text: str) -> Fraction:
-    # No exponents: Fraction("1e9999999") would compute 10**9999999.
-    # No underscores either: Fraction accepts "1_5" from Python 3.11 only.
-    if "e" not in text.lower() and "_" not in text:
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise argparse.ArgumentTypeError(f"bad index {text!r}")
+    # "a", "a/b" or "a.b" (= "ab" / 10**len("b")) read by parse_int: no
+    # exponent, as Fraction("1e9999999") would compute 10**9999999.
+    num, slash, den = text.partition("/")
+    try:
+        if slash:
+            return Fraction(slopes.parse_int(num), slopes.parse_int(den))
+        whole, _, decimals = text.partition(".")
+        return Fraction(slopes.parse_int(whole + decimals), 10 ** len(decimals))
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"bad index {text!r}") from None
 
 
 def _slope_arg(text: str) -> slopes.Slope:
@@ -51,7 +60,7 @@ def _triple(text: str) -> tuple[int, int, int]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"need three integers, got {text!r}")
     try:
-        p, q, r = (int(x) for x in parts)
+        p, q, r = (slopes.parse_int(x) for x in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"need three integers, got {text!r}") from None
     if min(p, q, r) < 1:
@@ -402,14 +411,14 @@ def _add_heckoid(p: argparse.ArgumentParser) -> None:
 def _add_dihedral(p: argparse.ArgumentParser) -> None:
     _leaf(p, cmd_dihedral)
     p.add_argument("slope", type=_slope_arg)
-    p.add_argument("d1", type=int)
-    p.add_argument("d2", type=int)
+    p.add_argument("d1", type=_int_arg)
+    p.add_argument("d2", type=_int_arg)
 
 
 def _add_cusp(p: argparse.ArgumentParser) -> None:
     _leaf(p, cmd_cusp)
     p.add_argument("kind", choices=["244", "236", "T244", "T236"])
-    p.add_argument("--count", type=int, default=3, help="spectrum length")
+    p.add_argument("--count", type=_int_arg, default=3, help="spectrum length")
     p.add_argument(
         "--brenner",
         action="store_true",

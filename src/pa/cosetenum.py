@@ -24,7 +24,6 @@ letter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from .groups import close, power
@@ -307,21 +306,25 @@ def spherical_triangle_order(p: int, q: int, r: int):
     """The order of the triangle group T(p, q, r), or None when the triple
     is not spherical (ValueError for an entry below 1).
 
-    With every entry >= 2 it is the closed form 2/(1/p + 1/q + 1/r - 1).
-    With an entry 1, a = 1 say, c = b^-1 and the group is <b | b^q, b^r>,
-    cyclic of order gcd(q, r): the gcd of the two other entries.
+    With every entry >= 2 it is the closed form 2/(1/p + 1/q + 1/r - 1),
+    read in integers: with s = qr + pr + pq - pqr, so that the excess
+    1/p + 1/q + 1/r - 1 is s/pqr, the type is spherical when s > 0 and its
+    order is 2pqr/s.  With an entry 1, a = 1 say, c = b^-1 and the group is
+    <b | b^q, b^r>, cyclic of order gcd(q, r): the gcd of the two other
+    entries.
     """
     if min(p, q, r) < 1:
         raise ValueError("triangle parameters must be positive")
     if min(p, q, r) == 1:
         return gcd(*sorted((p, q, r))[1:])
-    excess = Fraction(1, p) + Fraction(1, q) + Fraction(1, r) - 1
-    if excess <= 0:
+    pqr = p * q * r
+    s = q * r + p * r + p * q - pqr
+    if s <= 0:
         return None
-    order = 2 / excess
-    if order.denominator != 1:
+    order, rest = divmod(2 * pqr, s)
+    if rest:
         raise ValueError(f"non-integral spherical order for {(p, q, r)}")
-    return int(order)
+    return order
 
 
 def triangle_presentation(p: int, q: int, r: int) -> Presentation:

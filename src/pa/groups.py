@@ -35,13 +35,16 @@ class FinGroup:
     deterministic construction order and begins with the identity
     (ValueError otherwise).  ``gens`` defaults to the elements themselves.
     Elements and generators are tuples, so a group never changes once
-    built.
+    built.  Membership is read from an index, a dict whose keys are the
+    elements in order: a dict passed as ``elements`` is taken as that index
+    and is not copied (``extend`` hands over the one it built, and keeps no
+    reference to it), and any other iterable is indexed here.
     """
 
     def __init__(self, elements, identity, mul=operator.mul, inv=None, gens=None):
         self.elements = tuple(elements)
         self.gens = self.elements if gens is None else tuple(gens)
-        self._set = frozenset(self.elements)
+        self._index = elements if type(elements) is dict else dict.fromkeys(self.elements)
         self.identity = identity
         self.mul = mul
         self._inv = inv
@@ -55,7 +58,7 @@ class FinGroup:
         return iter(self.elements)
 
     def __contains__(self, g):
-        return g in self._set
+        return g in self._index
 
     def inv(self, g):
         if self._inv is not None:
@@ -222,30 +225,31 @@ def extend(H: FinGroup, gens, bound=10**5) -> FinGroup:
     group the cosets are single elements and the search is the
     breadth-first closure of ``close``.
 
+    The elements are listed once, as the keys of one index that becomes
+    the result's (``FinGroup``), so each is hashed once.  With the default
+    ``*`` the product is the identity's type's ``__mul__``, looked up once
+    per call; the elements of a group share one type.
+
     Raises GroupOverflow when more than ``bound`` elements appear.
     """
     search = H.gens + tuple(gens)
-    mul = H.mul
+    mul = type(H.identity).__mul__ if H.mul is operator.mul else H.mul
     others = H.elements[1:]
     size = len(H.elements)
-    elements = list(H.elements)
-    seen = set(elements)
+    index = H._index.copy()
     reps = [H.identity]
     for y in reps:  # grows while it is read: breadth-first over the cosets
         for s in search:
             z = mul(y, s)
-            if z in seen:
+            if z in index:
                 continue
-            if len(elements) + size > bound:
+            if len(index) + size > bound:
                 raise GroupOverflow(f"closure exceeds bound {bound}")
-            elements.append(z)
-            seen.add(z)
-            if others:
-                coset = [mul(h, z) for h in others]
-                elements += coset
-                seen.update(coset)
+            index[z] = None
+            for h in others:
+                index[mul(h, z)] = None
             reps.append(z)
-    return FinGroup(elements, H.identity, mul=mul, inv=H._inv, gens=search)
+    return FinGroup(index, H.identity, mul=H.mul, inv=H._inv, gens=search)
 
 
 def power(g, e: int, mul=operator.mul):

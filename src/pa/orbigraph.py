@@ -511,30 +511,63 @@ class ParedOrbifoldDescriptor:
         return frozenset(e.id for e in self.graph.edges() if e.weight is INF)
 
 
-_TEMPLATE_VERTICES = (("a1", False), ("a2", False), ("b1", False), ("b2", False))
-# the arcs of K(r) and their ends, sorted: two parallel pairs for p even, a
-# 4-cycle for p odd
-_EVEN_ARCS = (("K1", ("a1", "b1")), ("K2", ("a1", "b1")),
-              ("K3", ("a2", "b2")), ("K4", ("a2", "b2")))
-_ODD_ARCS = (("K1", ("a1", "b1")), ("K2", ("a2", "b1")),
-             ("K3", ("a2", "b2")), ("K4", ("a1", "b2")))
+# The 2-bridge template K(r) u tau+ u tau- with its weight-1 tunnels
+# elided, by (p even, w(tau+) = 1, w(tau-) = 1): the vertex ids, and each
+# edge's id and sorted ends, in the order ``_elide_weight_one`` leaves them.
+# With no tunnel elided it is the template itself: tau+ = tplus joins a1 and
+# a2, tau- = tminus joins b1 and b2, and the arcs K1..K4 of K(r) form the
+# 4-cycle a1-b1-a2-b2 for p odd and two parallel pairs a1=b1 (K1, K2) and
+# a2=b2 (K3, K4), one per link component, for p even.  Eliding a tunnel
+# leaves its two ends with two arcs each, and each is smoothed in sorted
+# order: its two arcs become one edge with the smaller id, placed last.
+# Both arcs at a smoothed vertex carry the same weight in every family
+# built here, so the merged edge keeps its id's weight.  For p odd with both
+# tunnels elided, b1 is smoothed too, and b2 keeps one loop, a free circle;
+# for p even the a-smoothings leave loops, and nothing more is smoothed.
+_TEMPLATES = {
+    (False, False, False): (
+        ("a1", "a2", "b1", "b2"),
+        (("K1", ("a1", "b1")), ("K2", ("a2", "b1")), ("K3", ("a2", "b2")),
+         ("K4", ("a1", "b2")), ("tplus", ("a1", "a2")), ("tminus", ("b1", "b2"))),
+    ),
+    (False, True, False): (
+        ("b1", "b2"),
+        (("tminus", ("b1", "b2")), ("K1", ("b1", "b2")), ("K2", ("b1", "b2"))),
+    ),
+    (False, False, True): (
+        ("a1", "a2"),
+        (("tplus", ("a1", "a2")), ("K1", ("a1", "a2")), ("K3", ("a1", "a2"))),
+    ),
+    (False, True, True): (("b2",), (("K1", ("b2", "b2")),)),
+    (True, False, False): (
+        ("a1", "a2", "b1", "b2"),
+        (("K1", ("a1", "b1")), ("K2", ("a1", "b1")), ("K3", ("a2", "b2")),
+         ("K4", ("a2", "b2")), ("tplus", ("a1", "a2")), ("tminus", ("b1", "b2"))),
+    ),
+    (True, True, False): (
+        ("b1", "b2"),
+        (("tminus", ("b1", "b2")), ("K1", ("b1", "b1")), ("K3", ("b2", "b2"))),
+    ),
+    (True, False, True): (
+        ("a1", "a2"),
+        (("tplus", ("a1", "a2")), ("K1", ("a1", "a1")), ("K3", ("a2", "a2"))),
+    ),
+    (True, True, True): (("b1", "b2"), (("K1", ("b1", "b1")), ("K3", ("b2", "b2")))),
+}
 
 
 def _template_graph(p_even: bool, arc_weights, w_plus, w_minus, name=None):
-    """The 2-bridge template: K(r) u tau+ u tau- with the four vertices
-    a1, a2 = ends of tau+ and b1, b2 = ends of tau-.
-
-    For p odd K(r) is the 4-cycle a1-b1-a2-b2 (arcs K1..K4); for p even it
-    is two parallel-arc pairs a1=b1 (K1, K2) and a2=b2 (K3, K4), one pair
-    per link component.
-    """
-    edges = [
-        Edge(k, ends, arc_weights[k])
-        for k, ends in (_EVEN_ARCS if p_even else _ODD_ARCS)
-    ]
-    edges.append(Edge("tplus", ("a1", "a2"), w_plus))
-    edges.append(Edge("tminus", ("b1", "b2"), w_minus))
-    return _elide_weight_one("S3", _TEMPLATE_VERTICES, edges, name=name)
+    """The 2-bridge template with arc weights ``arc_weights`` (K1..K4) and
+    tunnel weights ``w_plus`` and ``w_minus``, built as the weight-1
+    elision leaves it (``_TEMPLATES``), with no elision pass."""
+    weights = {**arc_weights, "tplus": w_plus, "tminus": w_minus}
+    vertices, edges = _TEMPLATES[p_even, w_plus == 1, w_minus == 1]
+    return WeightedGraphOrbifold(
+        "S3",
+        [(v, False) for v in vertices],
+        [Edge(eid, ends, weights[eid]) for eid, ends in edges],
+        name,
+    )
 
 
 def make_heckoid(r, n) -> ParedOrbifoldDescriptor:

@@ -59,22 +59,30 @@ def slope(q, p=None) -> Slope:
     return Slope(q, p)
 
 
+def parse_int(text: str) -> int:
+    """An optional sign and ASCII digits, else ValueError (``int`` also
+    reads spaces, underscores and other scripts' digits)."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_slope(text: str) -> Slope:
-    """Parse "q/p" (integers, p != 0 after reduction is allowed via "1/0")
-    or "inf"."""
+    """Parse "q/p" or "q" (``parse_int`` integers; "1/0" is infinity) or
+    "inf"; ValueError reads "bad slope '...'"."""
     s = text.strip()
     if s == "inf":
         return INF_SLOPE
-    if "/" in s:
-        a, _, b = s.partition("/")
-        try:
-            return Slope(int(a), int(b))
-        except ValueError as e:
-            raise ValueError(f"bad slope {text!r}: {e}") from None
+    q, slash, p = s.partition("/")
     try:
-        return Slope(int(s), 1)
+        q, p = parse_int(q), parse_int(p) if slash else 1
     except ValueError:
         raise ValueError(f"bad slope {text!r}") from None
+    try:
+        return Slope(q, p)
+    except ValueError as e:
+        raise ValueError(f"bad slope {text!r}: {e}") from None
 
 
 def components(r: Slope) -> int:

@@ -13,7 +13,6 @@ import re
 import tokenize
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from pathlib import Path
 
@@ -67,6 +66,26 @@ def _table(quotient: groups.FinGroup) -> list[list]:
     return [[quotient.mul(a, b) for b in quotient] for a in quotient]
 
 
+class _step:
+    """A step of ``_Point``: run at its first read, and its value kept in
+    the point's ``__dict__``, where later reads find it before this
+    descriptor (it defines no ``__set__``).  A step that raises stores
+    nothing.  ``functools.cached_property`` does the same, but takes a lock
+    on every first read before Python 3.12; a point belongs to one sweep
+    and one thread."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, point, owner=None):
+        if point is None:
+            return self
+        value = point.__dict__[self.name] = self.fn(point)
+        return value
+
+
 class _Point:
     """The shared work at one sweep point (r; d1, d2).  Each step runs when
     the first predicate reaches it and keeps its value for the later ones.
@@ -81,29 +100,29 @@ class _Point:
         # (1, 1) and the trivial theta: only check 1 reaches these points
         self.exceptional = (d1, d2) == (1, 1) or dihedral.is_trivial_theta(r, d1, d2)
 
-    @cached_property
+    @_step
     def params(self) -> dihedral.DihedralParams:
         return dihedral.params_for(self.r, self.d1, self.d2)
 
-    @cached_property
+    @_step
     def gamma(self) -> tuple:
         """Gamma closed coset by coset, and its certificate."""
         return dihedral.gamma(self.params)
 
-    @cached_property
+    @_step
     def quotient(self) -> groups.FinGroup:
         """N(Gamma)/Gamma from Gamma's cosets; N(Gamma) is never listed."""
         return dihedral.normalizer(self.params, self.gamma[0])
 
-    @cached_property
+    @_step
     def tag(self) -> str:
         return groups.recognize(self.quotient)
 
-    @cached_property
+    @_step
     def record(self) -> dihedral.Orbifold:
         return dihedral.orbifold(self.r, self.d1, self.d2)
 
-    @cached_property
+    @_step
     def cert(self):
         """Gamma's lattice certificate: the record's at an ordinary point,
         where checks 2 and 3 build the record anyway, and
@@ -117,7 +136,7 @@ class _Point:
         """Whether the torus-lattice |Gamma| (``cert``) is the closure's."""
         return self.cert["order"] == len(self.gamma[0])
 
-    @cached_property
+    @_step
     def lattice_agrees(self) -> bool:
         """Whether ``dihedral.orbifold``'s record agrees with the closures:
         on |Gamma| and, with the closure's quotient N(Gamma)/Gamma, on its
@@ -534,13 +553,23 @@ def _field_sources(literal: str, joined: ast.JoinedStr):
                 yield from _field_sources(literal, part.format_spec)
 
 
+# Whether a text holds an ASCII digit or the word ``float``.  Every token the
+# scan reports does: each form of ``tokenize.Number`` holds a digit, and the
+# other report is the name ``float``.  A replacement field is a substring of
+# its f-string, so an f-string that fails this test holds no report.
+_MAY_REPORT = re.compile("[0-9]|float").search
+
+
 def _float_literals(source: str) -> list[str]:
     """The float and complex literals of a valid Python source, and its uses
     of the name ``float``, in source order.  An f-string's replacement
-    fields are scanned as source, and its literal text is not."""
+    fields are scanned as source, and its literal text is not; an f-string
+    with neither a digit nor ``float`` in it is not parsed."""
     bad = []
     for fstring, number, name in _TOKENS.findall(source):
         if fstring:
+            if not _MAY_REPORT(fstring):
+                continue
             for field in _field_sources(fstring, ast.parse(fstring, mode="eval").body):
                 bad += _float_literals(field)
         elif number:

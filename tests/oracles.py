@@ -18,7 +18,9 @@ token stream instead of one regular-expression pass, the whole argparse tree
 with a shared ``--json`` parent instead of one command's branch, Z2 homology
 at every point of check 7's sweep instead of once per distinct graph, an edge
 as a frozen dataclass instead of a tuple, a torus vector decoded from an
-isometry's key instead of built from integers), so
+isometry's key instead of built from integers, a template elided after it is
+built instead of built elided, triangle orders from Fraction sums instead of
+integers), so
 agreement between the two is meaningful evidence.
 """
 
@@ -47,6 +49,7 @@ from pa.orbigraph import (
     GraphStructureError,
     H1Z2Report,
     WeightedGraphOrbifold,
+    _elide_weight_one,
     weight_is_even,
     weight_str,
 )
@@ -158,6 +161,23 @@ def template_graph_by_rescan(p_even, arc_weights, w_plus, w_minus, name=None):
     edges.append(Edge("tplus", ("a1", "a2"), w_plus))
     edges.append(Edge("tminus", ("b1", "b2"), w_minus))
     return elide_weight_one_by_rescan("S3", vertices, edges, name=name)
+
+
+def template_graph_by_elision(p_even, arc_weights, w_plus, w_minus, name=None):
+    """The 2-bridge template built whole, K1..K4 then tplus and tminus, and
+    then passed through the package's ``_elide_weight_one``: the form the
+    family constructors used before they built the elided graph directly."""
+    if p_even:
+        arcs = (("K1", ("a1", "b1")), ("K2", ("a1", "b1")),
+                ("K3", ("a2", "b2")), ("K4", ("a2", "b2")))
+    else:
+        arcs = (("K1", ("a1", "b1")), ("K2", ("a2", "b1")),
+                ("K3", ("a2", "b2")), ("K4", ("a1", "b2")))
+    edges = [Edge(k, ends, arc_weights[k]) for k, ends in arcs]
+    edges.append(Edge("tplus", ("a1", "a2"), w_plus))
+    edges.append(Edge("tminus", ("b1", "b2"), w_minus))
+    vertices = (("a1", False), ("a2", False), ("b1", False), ("b2", False))
+    return _elide_weight_one("S3", vertices, edges, name=name)
 
 
 def elide_weight_one_by_rescan(ambient, vertices, edges, name=None):
@@ -361,13 +381,22 @@ def gf2_rank_dense(rows, ncols):
     return rank
 
 
-def spherical_order(p, q, r):
-    """2/(1/p + 1/q + 1/r - 1) when positive and integral, else None."""
+def spherical_triangle_order_by_fractions(p, q, r):
+    """``cosetenum.spherical_triangle_order`` as first written, with the
+    excess 1/p + 1/q + 1/r - 1 a sum of Fractions: the order, None when
+    the type is not spherical, ValueError for an entry below 1 or a
+    non-integral order."""
+    if min(p, q, r) < 1:
+        raise ValueError("triangle parameters must be positive")
+    if min(p, q, r) == 1:
+        return gcd(*sorted((p, q, r))[1:])
     excess = Fraction(1, p) + Fraction(1, q) + Fraction(1, r) - 1
     if excess <= 0:
         return None
-    value = 2 / excess
-    return int(value) if value.denominator == 1 else None
+    order = 2 / excess
+    if order.denominator != 1:
+        raise ValueError(f"non-integral spherical order for {(p, q, r)}")
+    return int(order)
 
 
 def lattice_form(kind, m, n):
@@ -1411,13 +1440,13 @@ def whole_parser() -> argparse.ArgumentParser:
         "dihedral", parents=[common], help="dihedral orbifold group and isometries"
     )
     p.add_argument("slope", type=cli._slope_arg)
-    p.add_argument("d1", type=int)
-    p.add_argument("d2", type=int)
+    p.add_argument("d1", type=cli._int_arg)
+    p.add_argument("d2", type=cli._int_arg)
     p.set_defaults(func=cli.cmd_dihedral)
 
     p = sub.add_parser("cusp", parents=[common], help="rigid-cusp lattice spectra")
     p.add_argument("kind", choices=["244", "236", "T244", "T236"])
-    p.add_argument("--count", type=int, default=3, help="spectrum length")
+    p.add_argument("--count", type=cli._int_arg, default=3, help="spectrum length")
     p.add_argument(
         "--brenner",
         action="store_true",

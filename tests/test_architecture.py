@@ -101,6 +101,12 @@ def test_cosetenum_does_not_import_quat():
     assert "pa.quat" not in modules
 
 
+def test_cosetenum_does_not_import_fractions():
+    # Triangle orders are read in integers (2pqr / (qr + pr + pq - pqr)),
+    # so coset enumeration needs no Fraction.
+    assert "fractions" not in imported_modules("cosetenum.py")
+
+
 def test_bench_patches_only_attributes_that_exist():
     # The traced benchmark run replaces these by name; a rename must fail
     # here, not crash the traced run.

@@ -129,6 +129,51 @@ class TestHeckoid:
         assert code == 0 and payload["key"] == "M1[4/5;5]"
 
 
+class TestNumericArguments:
+    """Every numeric argument is an optional sign and ASCII digits
+    (``slopes.parse_int``): int() and Fraction would also read other
+    scripts' digits and underscores."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("link", "classify", "\u0663/7"), "argument slope: bad slope '\u0663/7'"),
+        (("link", "classify", "3/1_000_003"), "argument slope: bad slope '3/1_000_003'"),
+        (("heckoid", "3/7", "\u0663/2"), "argument index: bad index '\u0663/2'"),
+        (("heckoid", "3/7", " 5/2"), "argument index: bad index ' 5/2'"),
+        (("dihedral", "2/5", "\u0662", "3"), "argument d1: invalid int value: '\u0662'"),
+        (("dihedral", "2/5", "2", "1_1"), "argument d2: invalid int value: '1_1'"),
+        (("cusp", "244", "--count", "\u0663"), "argument --count: invalid int value: '\u0663'"),
+        (("triangle", "order", "\u0662 \u0663 \u0665", "a"),
+         "argument type: need three integers, got '\u0662 \u0663 \u0665'"),
+        (("triangle", "image", "2 4 4 -> 2 2 4_0", "b"),
+         "argument map: need three integers, got ' 2 2 4_0'"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
+    def test_refused(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f": error: {message}\n"), err
+
+    def test_index_forms(self, capsys):
+        # a ratio, a decimal (with or without a whole part) and an integer
+        for index, key in (("5/2", "M1[4/5;5]"), ("2.5", "M1[4/5;5]"), ("+5/2", "M1[4/5;5]"),
+                           ("3", "M0[2/5;3]"), ("3.", "M0[2/5;3]"), ("6/2", "M0[2/5;3]")):
+            code, payload, _ = run_json(capsys, "heckoid", "3/5", index)
+            assert (code, payload["key"]) == (0, key), index
+        for index in ("-2.5", ".5", "5/-2"):
+            code, _, err = run(capsys, "heckoid", "3/5", index)
+            assert code == 1 and err.startswith("error: index must be"), index
+        for index in ("5/0", ".", "2.5.0", "2.5/1", "1/2.5", "2.-5", "0x3"):
+            code, _, err = run(capsys, "heckoid", "3/5", index)
+            assert code == 2 and f"bad index {index!r}" in err, index
+
+    def test_negative_slope_after_double_dash(self, capsys):
+        # argparse reads "-3/7" as an option; after "--" it is the slope
+        code, _, err = run(capsys, "link", "classify", "-3/7")
+        assert code == 2 and "the following arguments are required: slope" in err
+        code, out, _ = run(capsys, "link", "classify", "--json", "--", "-3/7")
+        payload = json.loads(out)
+        assert (code, payload["slope"], payload["canonical"]) == (0, "-3/7", "2/7")
+
+
 class TestDihedral:
     def test_generic(self, capsys):
         code, payload, _ = run_json(capsys, "dihedral", "2/5", "2", "3")

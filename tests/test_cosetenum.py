@@ -1,5 +1,6 @@
 """Coset enumeration, triangle groups and word-image orders."""
 
+import itertools
 import random
 from math import gcd
 
@@ -35,7 +36,7 @@ SPHERICAL = [
     for p in range(2, 7)
     for q in range(2, 7)
     for r in range(2, 7)
-    if oracles.spherical_order(p, q, r) is not None
+    if oracles.spherical_triangle_order_by_fractions(p, q, r) is not None
 ]
 
 # Every spherical triple with entries up to 9, those with an entry 1
@@ -394,8 +395,26 @@ class TestTriangleGroups:
     def test_closed_form_matches_enumeration(self):
         for p, q, r in SPHERICAL:
             expected = spherical_triangle_order(p, q, r)
-            assert expected == oracles.spherical_order(p, q, r)
+            assert expected == oracles.spherical_triangle_order_by_fractions(p, q, r)
             assert triangle_table(p, q, r).n_cosets == expected
+
+    def test_integer_order_agrees_with_fractions(self):
+        # The integer form 2pqr / (qr + pr + pq - pqr) against the Fraction
+        # sum it replaced, on every type with entries 1..40: the same order,
+        # the same None and the same error (there is none: every spherical
+        # order is integral).
+        def outcome(order, ptype):
+            try:
+                return "order", order(*ptype)
+            except ValueError as err:
+                return "error", str(err)
+
+        kinds = set()
+        for ptype in itertools.product(range(1, 41), repeat=3):
+            got = outcome(spherical_triangle_order, ptype)
+            assert got == outcome(oracles.spherical_triangle_order_by_fractions, ptype), ptype
+            kinds.add(got[1] is None)
+        assert kinds == {True, False}
 
     def test_spherical_order_none_cases(self):
         assert spherical_triangle_order(2, 4, 4) is None

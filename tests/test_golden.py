@@ -70,6 +70,12 @@ COMMANDS = [
     ["homology", "dihedral_2_5_2_3.json", "--json"],
     # Fraction reads "1_5" from Python 3.11 on; the index refuses it on all
     ["heckoid", "3/7", "1_5/2"],
+    # every numeric argument is an optional sign and ASCII digits, so int()'s
+    # underscores and other scripts' digits are refused
+    ["link", "classify", "3/1_000_003"],
+    ["dihedral", "2/5", "\u0662", "3"],
+    # a negative slope follows "--"; without it argparse reads an option
+    ["link", "classify", "--", "-3/7"],
     # usage and help text, wrapped at 80 columns by replay
     ["nosuch"],
     ["link"],

@@ -528,6 +528,71 @@ class TestExterior:
         assert all(e.is_loop and e.weight is INF for e in g.edges())
 
 
+class TestElidedTemplates:
+    """The family constructors build the 2-bridge template as the weight-1
+    elision leaves it, with no elision pass; the template built whole and
+    then elided (``oracles.template_graph_by_elision``) is the same graph."""
+
+    ARCS = {
+        "all-inf": {"K1": INF, "K2": INF, "K3": INF, "K4": INF},  # M0, E
+        "M1": {"K1": INF, "K2": 2, "K3": 2, "K4": INF},
+        "M2": {"K1": INF, "K2": 2, "K3": INF, "K4": 2},
+        "all-2": {"K1": 2, "K2": 2, "K3": 2, "K4": 2},  # O
+    }
+    TUNNELS = [*range(1, 9), INF]
+
+    def test_direct_equals_elided(self):
+        # Both parities, every arc pattern and every pair of tunnel weights
+        # in 1..8 and inf, in both orders.  Where a smoothed vertex would
+        # join arcs of two weights the elision refuses the template; the
+        # next test shows that no family builds one of those.
+        agreed = set()
+        for p_even, (pattern, arcs), w_plus, w_minus in itertools.product(
+            (False, True), self.ARCS.items(), self.TUNNELS, self.TUNNELS
+        ):
+            args = (p_even, arcs, w_plus, w_minus, f"T{pattern}")
+            try:
+                expected = oracles.template_graph_by_elision(*args)
+            except GraphStructureError as err:
+                assert "cannot smooth" in str(err) and 1 in (w_plus, w_minus)
+                continue
+            got = orbigraph._template_graph(*args)
+            assert graph_to_json(got) == graph_to_json(expected), args
+            assert got == expected and got.name == expected.name, args
+            for v in got.vertex_ids():
+                assert got.germs(v) == expected.germs(v), (args, v)
+            agreed.add((p_even, pattern, w_plus, w_minus))
+        # the uniform patterns at every weight pair; M1 at p odd without a
+        # weight-1 tau-; M1 at p even and M2 with no weight-1 tunnel
+        assert len(agreed) == 4 * 81 + 72 + 3 * 64
+
+    def test_every_family_graph_is_one_that_agrees(self, monkeypatch):
+        # Every template the family constructors ask for, over slopes with
+        # p <= 13, indices 3/2..8 and coprime tunnel weights 1..8.
+        calls = set()
+        template = orbigraph._template_graph
+
+        def recorded(p_even, arcs, w_plus, w_minus, name=None):
+            pattern = next(k for k, v in self.ARCS.items() if v == arcs)
+            calls.add((p_even, pattern, w_plus, w_minus))
+            return template(p_even, arcs, w_plus, w_minus, name)
+
+        monkeypatch.setattr(orbigraph, "_template_graph", recorded)
+        for r in verify._sweep_slopes(13):
+            make_exterior(r)
+            for twice in range(3, 17):
+                make_heckoid(r, Fraction(twice, 2))
+            for d1, d2 in itertools.product(range(1, 9), repeat=2):
+                if gcd(d1, d2) == 1:
+                    make_dihedral(r, d1, d2)
+        monkeypatch.undo()
+        for p_even, pattern, w_plus, w_minus in calls:
+            args = (p_even, self.ARCS[pattern], w_plus, w_minus)
+            assert oracles.template_graph_by_elision(*args) == orbigraph._template_graph(*args)
+        assert {pattern for _, pattern, _, _ in calls} == set(self.ARCS)
+        assert len(calls) > 100
+
+
 class TestTemplates:
     def test_fixed_list(self):
         # The three fixed orbifolds' tags name no parameter and are their own

@@ -440,7 +440,7 @@ class TestFinGroup:
         # representatives: nothing it holds reaches the subgroup or its
         # element set.
         H = close([L(Fraction(1, 2), 0)])
-        subgroup_ref, members = weakref.ref(H), H._set
+        subgroup_ref, members = weakref.ref(H), H._index
         Q = H.quotient([L(Fraction(1, 4), 0), J])
         assert all(obj is not members for obj in _reachable(Q))
         del H
@@ -649,6 +649,22 @@ class TestFinGroup:
                     y = G.elements[start]
                     assert G.elements[start : start + len(H)] == tuple(h * y for h in H)
         assert normal == {True, False}
+
+    def test_extend_hands_over_one_index_of_its_elements(self):
+        # ``extend`` lists the elements once, as the keys of the index the
+        # group it returns reads membership from: exactly the elements, in
+        # listing order.  H's own index is copied, not grown.
+        for g in binary_octahedral():
+            H = close([g], 48, identity=Q_ONE)
+            before = list(H._index)
+            for x in (Q_S, Q_W, Q_I):
+                G = extend(H, [x], 48)
+                assert list(G._index) == list(G.elements), (g, x)
+                assert all(y in G for y in G.elements) and len(G._index) == len(G)
+                assert list(H._index) == before == list(H.elements)
+        # a group built from a list indexes it itself, in the same order
+        G = FinGroup([ISOM_ID, J], ISOM_ID)
+        assert list(G._index) == [ISOM_ID, J] and J in G
 
     def test_close_agrees_with_breadth_first(self, monkeypatch):
         # close is extend from the trivial group: the same elements in the

@@ -16,6 +16,7 @@ from pa.slopes import (
     equivalence,
     hat,
     is_hyperbolic,
+    parse_int,
     parse_slope,
     slope,
 )
@@ -59,6 +60,27 @@ class TestReduce:
             parse_slope("0.5")
         with pytest.raises(ValueError):
             parse_slope("3 / 8x")
+
+    def test_parse_int_reads_a_sign_and_ascii_digits_only(self):
+        for text, value in (("7", 7), ("+7", 7), ("-7", -7), ("007", 7), ("0", 0)):
+            assert parse_int(text) == value
+        # int() takes all of these
+        for text in ("", "+", "-", " 7", "7 ", "1_000", "\u0663", "+\u0663", "--7", "+-7", "7.0"):
+            with pytest.raises(ValueError, match="not an integer"):
+                parse_int(text)
+
+    def test_parse_refuses_what_is_not_two_ascii_integers(self):
+        assert parse_slope(" -3/7 ") == Slope(-3, 7)
+        assert parse_slope("3/-7") == Slope(-3, 7)
+        assert parse_slope("1/0") == INF_SLOPE
+        assert parse_slope("-5") == Slope(-5, 1)
+        # "3//7" no longer fails with int()'s own text about "/7"
+        for text in ("\u0663/7", "3/1_000_003", "3//7", "3 / 7", "3/", "/7", "inf/1"):
+            with pytest.raises(ValueError) as err:
+                parse_slope(text)
+            assert str(err.value) == f"bad slope {text!r}"
+        with pytest.raises(ValueError, match=r"^bad slope '0/0': 0/0 is not a slope$"):
+            parse_slope("0/0")
 
     def test_slope_coercions(self):
         assert slope("2/5") == Slope(2, 5)

@@ -334,6 +334,22 @@ class TestOnePass:
         assert all(r.ok for r in verify.run_checks(None))
         assert counts == {"QuatExt": 502, "make_dihedral": 38}
 
+    def test_no_elision_pass(self, monkeypatch):
+        # Checks 7 and 8 build their Heckoid and dihedral graphs already
+        # elided, so no check runs the weight-1 elision.
+        # Before: 345 calls, one per graph built (38 of check 7, 307 of
+        # check 8).
+        calls = Counter()
+        elide = orbigraph._elide_weight_one
+
+        def counted(*args, **kwargs):
+            calls["elide"] += 1
+            return elide(*args, **kwargs)
+
+        monkeypatch.setattr(orbigraph, "_elide_weight_one", counted)
+        assert all(r.ok for r in verify.run_checks(None))
+        assert calls["elide"] == 0
+
     def test_homology_once_per_graph(self, monkeypatch):
         # Check 7 builds each of its 38 distinct graphs, and runs h1_z2 on
         # it, once, at the first of its 874 points with the graph's
@@ -691,6 +707,32 @@ class TestFloatScan:
     def test_flags_exactly_the_float_tokens(self, source, flagged):
         compile(source, "<case>", "exec")
         assert verify._float_literals(source) == flagged
+        assert oracles.float_literals_by_tokenize(source) == flagged
+
+    @pytest.mark.parametrize("source, flagged, parsed", [
+        # neither a digit nor ``float``: not parsed, nothing to report
+        ('x = f"{x!r:>{w}}"', [], 0),
+        ('x = f"{a}{b.c}"', [], 0),
+        # ``float`` or a digit somewhere in the literal: parsed
+        ('x = f"{floats}"', [], 1),
+        ('x = f"{x:{1.5}}"', ["1.5"], 1),
+        ('x = f"{x:>10}"', [], 1),
+        ('x = f"{float}" f"{y}"', ["float"], 1),
+    ])
+    def test_parses_only_fstrings_that_can_hold_a_report(
+        self, monkeypatch, source, flagged, parsed
+    ):
+        calls = []
+        parse = verify.ast.parse
+
+        def counted(text, *args, **kwargs):
+            calls.append(text)
+            return parse(text, *args, **kwargs)
+
+        monkeypatch.setattr(verify.ast, "parse", counted)
+        assert verify._float_literals(source) == flagged
+        monkeypatch.undo()
+        assert len(calls) == parsed, calls
         assert oracles.float_literals_by_tokenize(source) == flagged
 
     def test_agrees_with_tokenize_on_the_repository(self):
