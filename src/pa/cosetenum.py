@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import itemgetter
 
 from .groups import close, power
 
@@ -379,8 +380,12 @@ def triangle_group(p: int, q: int, r: int):
 def _then(s, t) -> tuple[int, ...]:
     """The permutation s followed by t, i -> t[s[i]], for lists or tuples.
 
-    Indexing in a list comprehension is as fast on tuples as on lists;
-    ``map(t.__getitem__, s)`` takes twice as long when t is a tuple."""
+    ``itemgetter(*s)(t)`` builds the tuple in one call, about half the time
+    of ``tuple([t[i] for i in s])`` at 60 and at 1 200 points.  On fewer
+    than two points it returns a bare item, not a tuple, so the
+    comprehension stays there (T(3, 1, 1) has one coset)."""
+    if len(s) > 1:
+        return itemgetter(*s)(t)
     return tuple([t[i] for i in s])
 
 

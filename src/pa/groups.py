@@ -37,14 +37,20 @@ class FinGroup:
     Elements and generators are tuples, so a group never changes once
     built.  Membership is read from an index, a dict whose keys are the
     elements in order: a dict passed as ``elements`` is taken as that index
-    and is not copied (``extend`` hands over the one it built, and keeps no
-    reference to it), and any other iterable is indexed here.
+    and is not copied (``extend`` and ``quotient_group`` hand over the one
+    they built, and change it no more), and any other iterable is indexed
+    here, ValueError if it repeats an element.
     """
 
     def __init__(self, elements, identity, mul=operator.mul, inv=None, gens=None):
         self.elements = tuple(elements)
         self.gens = self.elements if gens is None else tuple(gens)
-        self._index = elements if type(elements) is dict else dict.fromkeys(self.elements)
+        if type(elements) is dict:
+            self._index = elements
+        else:
+            self._index = dict.fromkeys(self.elements)
+            if len(self._index) < len(self.elements):
+                raise ValueError("the elements must be distinct")
         self.identity = identity
         self.mul = mul
         self._inv = inv
@@ -180,12 +186,18 @@ def coset_search(identity, gens, mul, find) -> tuple[list, list[list[int]]]:
 def quotient_group(labels, cosets) -> FinGroup:
     """The group of ``coset_search``'s table, each coset named by its entry
     of ``labels`` (the identity's first), with products and inverses read
-    from the table."""
-    table = {
-        (labels[a], labels[b]): labels[c] for a, row in enumerate(cosets) for b, c in enumerate(row)
-    }
-    inverse = {labels[a]: labels[row.index(0)] for a, row in enumerate(cosets)}
-    return FinGroup(labels, labels[0], mul=lambda a, b: table[a, b], inv=inverse.__getitem__)
+    from the table by each label's position.  ``labels`` and ``cosets`` are
+    kept, not copied: the caller hands them over.  The label -> position
+    dict is also the group's index."""
+    position = {label: a for a, label in enumerate(labels)}
+
+    def mul(a, b):
+        return labels[cosets[position[a]][position[b]]]
+
+    def inv(a):
+        return labels[cosets[position[a]].index(0)]
+
+    return FinGroup(position, labels[0], mul=mul, inv=inv)
 
 
 def close(gens, bound=10**5, *, identity=None, mul=operator.mul, inv=None) -> FinGroup:

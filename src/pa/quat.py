@@ -40,6 +40,10 @@ from math import gcd, lcm
 # by this name.
 from .groups import FinGroup
 
+# ``tuple.__new__``, looked up once: the products and the Isom3 inverse
+# build their results with it, past the validating constructors.
+_new = tuple.__new__
+
 
 def _exact(v) -> Fraction:
     """v as a Fraction; only integers and Fractions are accepted."""
@@ -50,18 +54,6 @@ def _exact(v) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # Quaternions over (1/2)Z[sqrt 2]
-
-
-def _hamilton(p, q) -> tuple[int, int, int, int]:
-    """The Hamilton product of two integer quaternions (w, x, y, z)."""
-    w1, x1, y1, z1 = p
-    w2, x2, y2, z2 = q
-    return (
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    )
 
 
 def _coord_str(A: int, B: int) -> str:
@@ -89,15 +81,25 @@ class QuatExt(tuple):
         return tuple.__new__(cls, twice)
 
     def __mul__(self, o: "QuatExt") -> "QuatExt":
-        # (a1 + b1*sqrt2)(a2 + b2*sqrt2) over integer quaternions a, b of
-        # twice the coordinates; the result is four times the product.
-        a1, b1, a2, b2 = self[:4], self[4:], o[:4], o[4:]
-        rational = [u + 2 * v for u, v in zip(_hamilton(a1, a2), _hamilton(b1, b2))]
-        root2 = [u + v for u, v in zip(_hamilton(a1, b2), _hamilton(b1, a2))]
-        four = rational + root2
-        if any(v & 1 for v in four):
+        # (a + b*sqrt2)(c + d*sqrt2) over integer quaternions a, b, c, d of
+        # twice the coordinates, with Hamilton products H: the rational part
+        # H(a, c) + 2H(b, d) and the sqrt2 part H(a, d) + H(b, c) are four
+        # times the product's.
+        a0, a1, a2, a3, b0, b1, b2, b3 = self
+        c0, c1, c2, c3, d0, d1, d2, d3 = o
+        r0 = a0 * c0 - a1 * c1 - a2 * c2 - a3 * c3 + 2 * (b0 * d0 - b1 * d1 - b2 * d2 - b3 * d3)
+        r1 = a0 * c1 + a1 * c0 + a2 * c3 - a3 * c2 + 2 * (b0 * d1 + b1 * d0 + b2 * d3 - b3 * d2)
+        r2 = a0 * c2 - a1 * c3 + a2 * c0 + a3 * c1 + 2 * (b0 * d2 - b1 * d3 + b2 * d0 + b3 * d1)
+        r3 = a0 * c3 + a1 * c2 - a2 * c1 + a3 * c0 + 2 * (b0 * d3 + b1 * d2 - b2 * d1 + b3 * d0)
+        r4 = a0 * d0 - a1 * d1 - a2 * d2 - a3 * d3 + b0 * c0 - b1 * c1 - b2 * c2 - b3 * c3
+        r5 = a0 * d1 + a1 * d0 + a2 * d3 - a3 * d2 + b0 * c1 + b1 * c0 + b2 * c3 - b3 * c2
+        r6 = a0 * d2 - a1 * d3 + a2 * d0 + a3 * d1 + b0 * c2 - b1 * c3 + b2 * c0 + b3 * c1
+        r7 = a0 * d3 + a1 * d2 - a2 * d1 + a3 * d0 + b0 * c3 + b1 * c2 - b2 * c1 + b3 * c0
+        if (r0 | r1 | r2 | r3 | r4 | r5 | r6 | r7) & 1:
             raise ArithmeticError(f"product of {self} and {o} leaves (1/2)Z[sqrt2]")
-        return tuple.__new__(QuatExt, [v >> 1 for v in four])
+        return _new(
+            QuatExt, (r0 >> 1, r1 >> 1, r2 >> 1, r3 >> 1, r4 >> 1, r5 >> 1, r6 >> 1, r7 >> 1)
+        )
 
     def __neg__(self):
         return tuple.__new__(QuatExt, [-v for v in self])
@@ -177,6 +179,11 @@ class Isom3(tuple):
         # (most products in a closure), else lcm(2, D, E).
         D, a1, j1, a2, j2 = self
         E, b1, k1, b2, k2 = other
+        if E == 1 and not (j1 and k1 or j2 and k2):
+            # other is 1, J, J1 or J2 (b1 = b2 = 0), and no j meets a j: the
+            # steps below would leave the canonical a1 and a2 as they are (an
+            # odd D is doubled and halved back), so only the flags change.
+            return _new(Isom3, (D, a1, j1 ^ k1, a2, j2 ^ k2))
         if D != E or D & 1:
             if not D % E and not D & 1:
                 t = D // E
@@ -200,15 +207,29 @@ class Isom3(tuple):
         g = gcd(D, c1, c2)
         if g != 1:
             D, c1, c2 = D // g, c1 // g, c2 // g
-        return tuple.__new__(Isom3, (D, c1, j1 ^ k1, c2, j2 ^ k2))
+        return _new(Isom3, (D, c1, j1 ^ k1, c2, j2 ^ k2))
 
     def inv(self) -> "Isom3":
-        # e^{2pi*i*t}^-1 = e^{-2pi*i*t} and (e^{2pi*i*t}*j)^-1 = e^{2pi*i(t+1/2)}*j,
-        # over the denominator 2D.
+        # e^{2pi*i*t}^-1 = e^{-2pi*i*t} and (e^{2pi*i*t}*j)^-1 = e^{2pi*i(t+1/2)}*j.
+        # Over an even D the angles are -a or a + D/2, reduced as the
+        # constructor reduces them; an odd D goes through the constructor
+        # over 2D.
         D, a1, j1, a2, j2 = self
-        return Isom3(
-            2 * D, 2 * a1 + D if j1 else -2 * a1, j1, 2 * a2 + D if j2 else -2 * a2, j2
-        )
+        if D & 1:
+            return Isom3(
+                2 * D, 2 * a1 + D if j1 else -2 * a1, j1, 2 * a2 + D if j2 else -2 * a2, j2
+            )
+        h = D >> 1
+        c1 = (a1 + h if j1 else -a1) % D
+        c2 = a2 + h if j2 else -a2
+        if c1 >= h:
+            c1 -= h
+            c2 += h
+        c2 %= D
+        g = gcd(D, c1, c2)
+        if g != 1:
+            D, c1, c2 = D // g, c1 // g, c2 // g
+        return _new(Isom3, (D, c1, j1, c2, j2))
 
     def __repr__(self):
         return format_isom(self)

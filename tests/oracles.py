@@ -20,7 +20,11 @@ at every point of check 7's sweep instead of once per distinct graph, an edge
 as a frozen dataclass instead of a tuple, a torus vector decoded from an
 isometry's key instead of built from integers, a template elided after it is
 built instead of built elided, triangle orders from Fraction sums instead of
-integers), so
+integers, every Isom3 product over a common denominator and every inverse
+over a doubled one instead of flags-only and same-denominator steps, QuatExt
+products from Hamilton tuples instead of eight integer formulas,
+permutations composed by a comprehension instead of ``itemgetter``, quotient
+tables keyed by label pairs instead of read by position), so
 agreement between the two is meaningful evidence.
 """
 
@@ -32,7 +36,7 @@ import re
 import tokenize
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from types import MappingProxyType
 
 from pa import cli, dihedral, groups, orbigraph, verify
@@ -54,7 +58,7 @@ from pa.orbigraph import (
     weight_str,
 )
 from pa.groups import recognize
-from pa.quat import ISOM_ID, J, L, Q_I, Q_J, Q_ONE, Q_S, Q_W, QuatExt
+from pa.quat import ISOM_ID, J, L, Q_I, Q_J, Q_ONE, Q_S, Q_W, Isom3, QuatExt
 from pa.slopes import Slope, slope
 
 
@@ -1477,3 +1481,84 @@ def whole_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cli.cmd_verify)
 
     return parser
+
+
+# Element products in the forms the one-step kernels of ``pa.quat``,
+# ``pa.cosetenum`` and ``pa.groups`` replaced: every Isom3 product over the
+# common-denominator path, every inverse through the constructor over the
+# doubled denominator, QuatExt products from Hamilton tuples, permutations
+# composed by a comprehension, and quotient tables keyed by label pairs.
+
+
+def isom3_mul_by_lcm(x, y):
+    """x * y for Isom3 keys, the flags-only products included, over the
+    common even denominator and the constructor's reduction."""
+    D, a1, j1, a2, j2 = x
+    E, b1, k1, b2, k2 = y
+    if D != E or D & 1:
+        if not D % E and not D & 1:
+            t = D // E
+            b1, b2 = b1 * t, b2 * t
+        elif not E % D and not E & 1:
+            s = E // D
+            D, a1, a2 = E, a1 * s, a2 * s
+        else:
+            M = lcm(2, D, E)
+            s, t = M // D, M // E
+            D, a1, a2, b1, b2 = M, a1 * s, a2 * s, b1 * t, b2 * t
+    h = D >> 1
+    c1 = (a1 - b1 + h * k1 if j1 else a1 + b1) % D
+    c2 = a2 - b2 + h * k2 if j2 else a2 + b2
+    if c1 >= h:
+        c1 -= h
+        c2 += h
+    c2 %= D
+    g = gcd(D, c1, c2)
+    if g != 1:
+        D, c1, c2 = D // g, c1 // g, c2 // g
+    return tuple.__new__(Isom3, (D, c1, j1 ^ k1, c2, j2 ^ k2))
+
+
+def isom3_inv_by_doubling(x):
+    """x^-1 for an Isom3 key through the constructor over 2D, whatever the
+    parity of D."""
+    D, a1, j1, a2, j2 = x
+    return Isom3(2 * D, 2 * a1 + D if j1 else -2 * a1, j1, 2 * a2 + D if j2 else -2 * a2, j2)
+
+
+def _hamilton(p, q):
+    w1, x1, y1, z1 = p
+    w2, x2, y2, z2 = q
+    return (
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    )
+
+
+def quatext_mul_by_hamilton(p, q):
+    """p * q for QuatExt from four Hamilton products of the integer halves,
+    with the same ArithmeticError when the product leaves (1/2)Z[sqrt 2]."""
+    a1, b1, a2, b2 = p[:4], p[4:], q[:4], q[4:]
+    rational = [u + 2 * v for u, v in zip(_hamilton(a1, a2), _hamilton(b1, b2))]
+    root2 = [u + v for u, v in zip(_hamilton(a1, b2), _hamilton(b1, a2))]
+    four = rational + root2
+    if any(v & 1 for v in four):
+        raise ArithmeticError(f"product of {p} and {q} leaves (1/2)Z[sqrt2]")
+    return tuple.__new__(QuatExt, [v >> 1 for v in four])
+
+
+def then_by_comprehension(s, t):
+    """The permutation s followed by t, i -> t[s[i]], at every length."""
+    return tuple([t[i] for i in s])
+
+
+def quotient_group_by_pairs(labels, cosets):
+    """``groups.quotient_group`` with its table as a dict keyed by label
+    pairs and its inverses as a dict."""
+    table = {
+        (labels[a], labels[b]): labels[c] for a, row in enumerate(cosets) for b, c in enumerate(row)
+    }
+    inverse = {labels[a]: labels[row.index(0)] for a, row in enumerate(cosets)}
+    return groups.FinGroup(labels, labels[0], mul=lambda a, b: table[a, b], inv=inverse.__getitem__)

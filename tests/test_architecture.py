@@ -138,21 +138,32 @@ def _calls_by_function(node, owner=""):
         yield from _calls_by_function(child, owner)
 
 
-def test_isom3_keys_are_built_only_by_its_constructor():
-    # Isom3 elements compare and hash as their keys, so a key built outside
-    # the canonicalising constructor (or the product's inline copy of it)
-    # could be a second, unequal name for the same isometry.
-    tree = _tree("quat.py")
-    classes = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
-    assert classes == {"Isom3", "QuatExt"}
+def _isom3_builders(tree):
+    """The functions that build an ``Isom3`` key with ``tuple.__new__``,
+    called by that name or by any name it is assigned to, directly or
+    through other such names."""
+    names = {"tuple.__new__"}
+    assigns = [
+        (node.targets if isinstance(node, ast.Assign) else [node.target], node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None
+    ]
+    while True:
+        more = {
+            target.id
+            for targets, value in assigns
+            if ast.unparse(value) in names
+            for target in targets
+            if isinstance(target, ast.Name)
+        } - names
+        if not more:
+            break
+        names |= more
     builders = set()
     for owner, call in _calls_by_function(tree):
-        func = call.func
         if (
-            isinstance(func, ast.Attribute)
-            and func.attr == "__new__"
-            and isinstance(func.value, ast.Name)
-            and func.value.id == "tuple"
+            ast.unparse(call.func) in names
+            and call.args
             and isinstance(call.args[0], ast.Name)
             and (
                 call.args[0].id == "Isom3"
@@ -160,7 +171,39 @@ def test_isom3_keys_are_built_only_by_its_constructor():
             )
         ):
             builders.add(owner)
-    assert builders == {"Isom3.__new__", "Isom3.__mul__"}
+    return builders
+
+
+def test_isom3_keys_are_built_only_by_its_constructor():
+    # Isom3 elements compare and hash as their keys, so a key built outside
+    # the canonicalising constructor (or the product's and the inverse's
+    # inline copies of it) could be a second, unequal name for the same
+    # isometry.
+    tree = _tree("quat.py")
+    classes = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    assert classes == {"Isom3", "QuatExt"}
+    assert _isom3_builders(tree) == {"Isom3.__new__", "Isom3.__mul__", "Isom3.inv"}
+
+
+def test_the_builder_guard_sees_through_an_alias():
+    source = """
+_new = tuple.__new__
+make: object = _new
+class Isom3(tuple):
+    def __new__(cls, *key):
+        return tuple.__new__(cls, key)
+    def conjugate(self):
+        return _new(Isom3, self)
+    def swap(self):
+        return make(Isom3, self)
+def stray(key):
+    return tuple.__new__(Isom3, key)
+def other(key):
+    return _new(tuple, key)
+"""
+    assert _isom3_builders(ast.parse(source)) == {
+        "Isom3.__new__", "Isom3.conjugate", "Isom3.swap", "stray",
+    }
 
 
 def test_front_ends_read_no_private_attribute():

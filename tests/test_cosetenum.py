@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+import element_kernel_sweep
 import oracles
 from pa import cosetenum
 from pa.cosetenum import (
@@ -464,6 +465,12 @@ class TestPermutations:
         for g in G:
             assert G.inv(g) == tuple(sorted(range(n), key=lambda i: g[i]))
             assert G.mul(g, G.inv(g)) == G.identity
+
+    def test_then_agrees_with_the_comprehension(self):
+        # ``itemgetter`` from two points on, the comprehension below: the
+        # result is a tuple at every length, T(3, 1, 1)'s one point included
+        assert element_kernel_sweep.then_compositions() == 240
+        assert triangle_group(3, 1, 1).elements == ((0,),)
 
 
 class TestPermutationOrder:

@@ -9,6 +9,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import element_kernel_sweep
 import oracles
 from pa import cosetenum, dihedral, groups, verify
 from pa.groups import (
@@ -714,6 +715,15 @@ class TestFinGroup:
             with pytest.raises(ValueError, match="the identity must be the first element"):
                 FinGroup(elements, ISOM_ID)
 
+    def test_repeated_elements_refused(self):
+        # A list that repeats an element would count it twice: |G| = 3 and
+        # recognize answering other(3) for Z2.
+        with pytest.raises(ValueError, match="the elements must be distinct"):
+            FinGroup([ISOM_ID, J, J], ISOM_ID)
+        with pytest.raises(ValueError, match="the elements must be distinct"):
+            FinGroup((g for g in [ISOM_ID, J, ISOM_ID]), ISOM_ID)
+        assert recognize(FinGroup([ISOM_ID, J], ISOM_ID)) == "Z2"
+
     def test_extend_overflow(self):
         H = close([Q_S], 48, identity=Q_ONE)
         assert len(extend(H, [Q_W], 48)) == 48
@@ -761,3 +771,32 @@ class TestBinaryOctahedral:
     def test_unit_norms(self):
         for g in binary_octahedral():
             assert g * g.conjugate() == Q_ONE
+
+
+class TestOneStepKernels:
+    """The products, inverses and quotient tables of ``pa`` against the
+    forms they replaced, by ``tests/element_kernel_sweep.py`` at a small
+    bound."""
+
+    def test_isom3_products_agree_with_the_lcm_form(self):
+        assert element_kernel_sweep.isom3_products(24) == 131_840
+
+    def test_isom3_inverses_agree_with_the_doubling_form(self):
+        assert element_kernel_sweep.isom3_inverses(24) == 8_240
+
+    def test_quatext_products_agree_with_the_hamilton_form(self):
+        # O* x O* and 40 seeded quaternions with small coordinates, most of
+        # them not units: the same product or the same error text
+        assert element_kernel_sweep.quatext_products(extra=40) == 88 * 88
+
+    def test_quotient_tables_agree_with_the_pair_dict_form(self):
+        # two tables at each of the dihedral pass's 218 points
+        assert element_kernel_sweep.quotient_tables() == 436
+
+    def test_a_wrong_kernel_is_caught(self, monkeypatch):
+        monkeypatch.setattr(Isom3, "inv", lambda g: g)
+        with pytest.raises(element_kernel_sweep.Mismatch, match="Isom3 inverse"):
+            element_kernel_sweep.isom3_inverses(4)
+        monkeypatch.setattr(Isom3, "__mul__", lambda a, b: oracles.isom3_mul_by_lcm(b, a))
+        with pytest.raises(element_kernel_sweep.Mismatch, match="Isom3 product"):
+            element_kernel_sweep.isom3_products(4)
