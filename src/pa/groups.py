@@ -80,13 +80,6 @@ class FinGroup:
                 raise ValueError("element order exceeds group order")
         return n
 
-    def center(self):
-        return [
-            a
-            for a in self.elements
-            if all(self.mul(a, b) == self.mul(b, a) for b in self.elements)
-        ]
-
     def normalized_by(self, gens) -> bool:
         """Whether x*s*x^-1 lies in this group H for every x in ``gens``
         and every generator s of H: whether H is normal in <H, gens>.
@@ -315,43 +308,38 @@ def dihedral_degree(G: FinGroup):
     <a, b | a^2, b^2, (ab)^n>), else None.  D_1 = Z_2 and D_2 = (Z_2)^2
     count as dihedral of degree 1 and 2.
 
-    Each candidate x walks its powers once, order(x) - 1 products, and the
-    walk is both its order and the cycle <x> (ValueError if the order
-    exceeds |G|, as in ``element_order``)."""
+    G of order 2n is D_n exactly when some x of order n has every element
+    outside <x> an involution: such an s and s*x both lie outside <x>, so
+    (s*x)^2 = 1 gives s*x*s^-1 = x^-1, and <x, s> = G has the dihedral
+    presentation; in D_n, conversely, every element off the rotations is a
+    reflection.  The orders are read once (``element_order``, ValueError
+    past |G|), and each x of order n walks <x> once."""
     size = len(G)
     if size % 2 != 0:
         return None
     n = size // 2
-    if n == 1:
-        return 1 if G.element_order(G.elements[-1]) <= 2 else None
-    for x in G:
-        if x == G.identity:
+    orders = {g: G.element_order(g) for g in G}
+    for x, order in orders.items():
+        if order != n:
             continue
-        cyc = {G.identity}
+        rotations = {G.identity}
         acc = x
         while acc != G.identity:
-            if len(cyc) == size:
-                raise ValueError("element order exceeds group order")
-            cyc.add(acc)
+            rotations.add(acc)
             acc = G.mul(acc, x)
-        if len(cyc) != n:
-            continue
-        xi = G.inv(x)
-        for s in G:
-            if s in cyc:
-                continue
-            if G.mul(s, s) == G.identity and G.mul(G.mul(s, x), G.inv(s)) == xi:
-                return n
+        if all(o == 2 for g, o in orders.items() if g not in rotations):
+            return n
     return None
+
 
 def recognize(G: FinGroup) -> str:
     """Coarse isomorphism type of a small group.
 
     Tags: "Z1", "Z2", "(Z2)^k", "Zn", "Dn", "D3xZ2", "other(n)".  Tie-breaks:
     elementary abelian 2-groups win over the dihedral test (so D_2 reports
-    as "(Z2)^2"), and an order-12 dihedral group with center of order 2
-    reports via its direct-product decomposition as "D3xZ2" (D_6 and
-    D_3 x Z_2 are the same group).
+    as "(Z2)^2"), and D_6 reports via its direct-product decomposition as
+    "D3xZ2": its centre {1, x^3}, for x a rotation of order 6, is the Z_2
+    factor (D_6 and D_3 x Z_2 are the same group).
     """
     n = len(G)
     if n == 1:
@@ -365,7 +353,7 @@ def recognize(G: FinGroup) -> str:
     if n in orders:
         return f"Z{n}"
     dd = dihedral_degree(G)
-    if n == 12 and dd == 6 and len(G.center()) == 2:
+    if dd == 6:
         return "D3xZ2"
     if dd is not None and dd >= 3:
         return f"D{dd}"

@@ -31,9 +31,10 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
-from .slopes import Slope, canonical, dihedral_key, hat, slope
+from .slopes import Slope, canonical, dihedral_key, hat, parse_int, slope
 
 
 class _Infinity:
@@ -69,11 +70,17 @@ def weight_str(w) -> str:
 
 
 def parse_weight(s):
-    """The weight a string names ("inf" or an integer); any other value is
-    returned unchanged, for ``is_weight`` to accept or refuse."""
+    """The weight a string names ("inf", or an integer as
+    ``slopes.parse_int`` reads one); any other value, and any other string,
+    is returned unchanged, for ``is_weight`` to accept or refuse."""
     if not isinstance(s, str):
         return s
-    return INF if s == "inf" else int(s)
+    if s == "inf":
+        return INF
+    try:
+        return parse_int(s)
+    except ValueError:
+        return s
 
 
 class GraphStructureError(ValueError):
@@ -114,18 +121,17 @@ class Edge(namedtuple("Edge", "id ends weight")):
 class WeightedGraphOrbifold:
     """Immutable-by-convention weighted graph in an ambient space."""
 
-    def __init__(self, ambient: str, vertices, edges, name: str | None = None):
-        self._index(ambient, vertices, edges, name)
+    def __init__(self, ambient: str, vertices, edges):
+        self._index(ambient, vertices, edges)
         self._validate_degrees()
 
-    def _index(self, ambient, vertices, edges, name) -> WeightedGraphOrbifold:
+    def _index(self, ambient, vertices, edges) -> WeightedGraphOrbifold:
         """Check the ambient, the ids, the ends and the weights, and fill
         the vertex, edge and germ index; the stars are left to
         ``_validate_degrees``."""
         if ambient not in AMBIENTS:
             raise GraphStructureError(f"unknown ambient {ambient!r}")
         self.ambient = ambient
-        self.name = name
         self._vertices: dict[str, bool] = {}
         # each vertex's incident edges in edge order, loops twice
         self._germs: dict[str, list[Edge]] = {}
@@ -159,15 +165,9 @@ class WeightedGraphOrbifold:
     def edges(self) -> list[Edge]:
         return list(self._edges.values())
 
-    def edge(self, eid: str) -> Edge:
-        return self._edges[eid]
-
     def germs(self, v: str) -> list[Edge]:
         """Incident edges in edge order, with loops listed twice."""
         return list(self._germs.get(v, ()))
-
-    def degree(self, v: str) -> int:
-        return len(self.germs(v))
 
     def _validate_degrees(self) -> None:
         for v, boundary in self._vertices.items():
@@ -202,9 +202,8 @@ class WeightedGraphOrbifold:
         )
 
     def __repr__(self):
-        tag = f" {self.name}" if self.name else ""
         return (
-            f"<WeightedGraphOrbifold{tag} ambient={self.ambient} "
+            f"<WeightedGraphOrbifold ambient={self.ambient} "
             f"|V|={len(self._vertices)} |E|={len(self._edges)}>"
         )
 
@@ -251,7 +250,7 @@ def check_sc(g: WeightedGraphOrbifold) -> list[SCViolation]:
 # Weight-1 elision
 
 
-def _elide_weight_one(ambient, vertices, edges, name=None) -> WeightedGraphOrbifold:
+def _elide_weight_one(ambient, vertices, edges) -> WeightedGraphOrbifold:
     """Drop weight-1 edges and smooth the resulting degree-2 interior
     vertices by merging their two germs (which must have equal weights).
     The work is done on the index of the graph returned, whose stars are
@@ -264,9 +263,7 @@ def _elide_weight_one(ambient, vertices, edges, name=None) -> WeightedGraphOrbif
     in sorted order meets the vertices in that order.  Each vertex's germs
     are kept in edge order (loops twice) through the drops and merges.
     """
-    g = WeightedGraphOrbifold.__new__(WeightedGraphOrbifold)._index(
-        ambient, vertices, edges, name
-    )
+    g = WeightedGraphOrbifold.__new__(WeightedGraphOrbifold)._index(ambient, vertices, edges)
     vertices, edges, germs = g._vertices, g._edges, g._germs
     for e in [e for e in edges.values() if e.weight == 1]:
         del edges[e.id]
@@ -511,62 +508,47 @@ class ParedOrbifoldDescriptor:
         return frozenset(e.id for e in self.graph.edges() if e.weight is INF)
 
 
-# The 2-bridge template K(r) u tau+ u tau- with its weight-1 tunnels
-# elided, by (p even, w(tau+) = 1, w(tau-) = 1): the vertex ids, and each
-# edge's id and sorted ends, in the order ``_elide_weight_one`` leaves them.
-# With no tunnel elided it is the template itself: tau+ = tplus joins a1 and
-# a2, tau- = tminus joins b1 and b2, and the arcs K1..K4 of K(r) form the
-# 4-cycle a1-b1-a2-b2 for p odd and two parallel pairs a1=b1 (K1, K2) and
-# a2=b2 (K3, K4), one per link component, for p even.  Eliding a tunnel
-# leaves its two ends with two arcs each, and each is smoothed in sorted
-# order: its two arcs become one edge with the smaller id, placed last.
-# Both arcs at a smoothed vertex carry the same weight in every family
-# built here, so the merged edge keeps its id's weight.  For p odd with both
-# tunnels elided, b1 is smoothed too, and b2 keeps one loop, a free circle;
-# for p even the a-smoothings leave loops, and nothing more is smoothed.
-_TEMPLATES = {
-    (False, False, False): (
-        ("a1", "a2", "b1", "b2"),
-        (("K1", ("a1", "b1")), ("K2", ("a2", "b1")), ("K3", ("a2", "b2")),
-         ("K4", ("a1", "b2")), ("tplus", ("a1", "a2")), ("tminus", ("b1", "b2"))),
-    ),
-    (False, True, False): (
-        ("b1", "b2"),
-        (("tminus", ("b1", "b2")), ("K1", ("b1", "b2")), ("K2", ("b1", "b2"))),
-    ),
-    (False, False, True): (
-        ("a1", "a2"),
-        (("tplus", ("a1", "a2")), ("K1", ("a1", "a2")), ("K3", ("a1", "a2"))),
-    ),
-    (False, True, True): (("b2",), (("K1", ("b2", "b2")),)),
-    (True, False, False): (
-        ("a1", "a2", "b1", "b2"),
-        (("K1", ("a1", "b1")), ("K2", ("a1", "b1")), ("K3", ("a2", "b2")),
-         ("K4", ("a2", "b2")), ("tplus", ("a1", "a2")), ("tminus", ("b1", "b2"))),
-    ),
-    (True, True, False): (
-        ("b1", "b2"),
-        (("tminus", ("b1", "b2")), ("K1", ("b1", "b1")), ("K3", ("b2", "b2"))),
-    ),
-    (True, False, True): (
-        ("a1", "a2"),
-        (("tplus", ("a1", "a2")), ("K1", ("a1", "a1")), ("K3", ("a2", "a2"))),
-    ),
-    (True, True, True): (("b1", "b2"), (("K1", ("b1", "b1")), ("K3", ("b2", "b2")))),
+# The 2-bridge template K(r) u tau+ u tau-: tau+ = tplus joins a1 and a2,
+# tau- = tminus joins b1 and b2, and the arcs K1..K4 of K(r) form, by the
+# parity of p, the 4-cycle a1-b1-a2-b2 or two parallel pairs a1=b1 (K1, K2)
+# and a2=b2 (K3, K4), one per link component.
+_ARCS = {
+    False: (("K1", ("a1", "b1")), ("K2", ("a2", "b1")),
+            ("K3", ("a2", "b2")), ("K4", ("a1", "b2"))),
+    True: (("K1", ("a1", "b1")), ("K2", ("a1", "b1")),
+           ("K3", ("a2", "b2")), ("K4", ("a2", "b2"))),
 }
 
 
-def _template_graph(p_even: bool, arc_weights, w_plus, w_minus, name=None):
+def _elided_shape(p_even, plus_elided, minus_elided):
+    """The vertex ids, and each edge's id and ends, in the order
+    ``_elide_weight_one`` leaves them, of the template whose named tunnels
+    have weight 1.  Every other edge has weight 2 here, so each smoothing
+    joins germs of one weight and is legal."""
+    edges = [Edge(eid, ends, 2) for eid, ends in _ARCS[p_even]]
+    edges.append(Edge("tplus", ("a1", "a2"), 1 if plus_elided else 2))
+    edges.append(Edge("tminus", ("b1", "b2"), 1 if minus_elided else 2))
+    g = _elide_weight_one("S3", [(v, False) for v in ("a1", "a2", "b1", "b2")], edges)
+    return tuple(g.vertex_ids()), tuple((e.id, e.ends) for e in g.edges())
+
+
+# The eight elided shapes, by (p even, w(tau+) = 1, w(tau-) = 1), each read
+# once, here, off the elision itself.
+_TEMPLATES = {key: _elided_shape(*key) for key in product((False, True), repeat=3)}
+
+
+def _template_graph(p_even: bool, arc_weights, w_plus, w_minus):
     """The 2-bridge template with arc weights ``arc_weights`` (K1..K4) and
     tunnel weights ``w_plus`` and ``w_minus``, built as the weight-1
-    elision leaves it (``_TEMPLATES``), with no elision pass."""
+    elision leaves it (``_TEMPLATES``), with no elision pass.  Both arcs at
+    a smoothed vertex carry one weight in every family built here, so a
+    merged edge keeps its id's weight."""
     weights = {**arc_weights, "tplus": w_plus, "tminus": w_minus}
     vertices, edges = _TEMPLATES[p_even, w_plus == 1, w_minus == 1]
     return WeightedGraphOrbifold(
         "S3",
         [(v, False) for v in vertices],
         [Edge(eid, ends, weights[eid]) for eid, ends in edges],
-        name,
     )
 
 
@@ -588,35 +570,18 @@ def make_heckoid(r, n) -> ParedOrbifoldDescriptor:
     twice = int(twice)
     if twice % 2 == 0:
         n_int = twice // 2
-        graph = _template_graph(
-            r.p % 2 == 0,
-            {"K1": INF, "K2": INF, "K3": INF, "K4": INF},
-            1,
-            n_int,
-            name=f"M0({r};{n_int})",
-        )
+        arcs = {"K1": INF, "K2": INF, "K3": INF, "K4": INF}
+        graph = _template_graph(r.p % 2 == 0, arcs, 1, n_int)
         return ParedOrbifoldDescriptor(graph, {"tag": "M0", "r": str(r), "n": n_int})
     m = twice
     rhat = hat(r)
     if r.p % 2 == 1:
-        graph = _template_graph(
-            False,
-            {"K1": INF, "K2": 2, "K3": 2, "K4": INF},
-            1,
-            m,
-            name=f"M1({rhat};{m})",
-        )
+        graph = _template_graph(False, {"K1": INF, "K2": 2, "K3": 2, "K4": INF}, 1, m)
         return ParedOrbifoldDescriptor(
             graph,
             {"tag": "M1", "r": str(rhat), "m": m, "J1": ["K1"], "J2": ["K2"]},
         )
-    graph = _template_graph(
-        rhat.p % 2 == 0,
-        {"K1": INF, "K2": 2, "K3": INF, "K4": 2},
-        2,
-        m,
-        name=f"M2({rhat};{m})",
-    )
+    graph = _template_graph(rhat.p % 2 == 0, {"K1": INF, "K2": 2, "K3": INF, "K4": 2}, 2, m)
     return ParedOrbifoldDescriptor(
         graph,
         {"tag": "M2", "r": str(rhat), "m": m, "J1": ["K1", "K3"], "J2": ["K2", "K4"]},
@@ -634,13 +599,7 @@ def make_dihedral(r, d_plus: int, d_minus: int) -> ParedOrbifoldDescriptor:
         raise ValueError("tunnel weights must be positive")
     if gcd(d_plus, d_minus) != 1:
         raise ValueError(f"tunnel weights must be coprime, got ({d_plus},{d_minus})")
-    graph = _template_graph(
-        r.p % 2 == 0,
-        {"K1": 2, "K2": 2, "K3": 2, "K4": 2},
-        d_plus,
-        d_minus,
-        name=f"O({r};{d_plus},{d_minus})",
-    )
+    graph = _template_graph(r.p % 2 == 0, {"K1": 2, "K2": 2, "K3": 2, "K4": 2}, d_plus, d_minus)
     return ParedOrbifoldDescriptor(
         graph, {"tag": "O", "r": str(r), "d_plus": d_plus, "d_minus": d_minus}
     )
@@ -651,13 +610,7 @@ def make_exterior(r) -> ParedOrbifoldDescriptor:
     r = slope(r)
     if r.is_infinite:
         raise ValueError("E(K(r)) needs a finite slope")
-    graph = _template_graph(
-        r.p % 2 == 0,
-        {"K1": INF, "K2": INF, "K3": INF, "K4": INF},
-        1,
-        1,
-        name=f"E(K({r}))",
-    )
+    graph = _template_graph(r.p % 2 == 0, {"K1": INF, "K2": INF, "K3": INF, "K4": INF}, 1, 1)
     return ParedOrbifoldDescriptor(graph, {"tag": "E", "r": str(r)})
 
 

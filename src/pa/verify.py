@@ -377,10 +377,10 @@ def check_homology_cases() -> tuple[bool, dict]:
     # generator fewer and one relation fewer.  So the case table's rows for
     # d+ = 1, d- odd hold wherever d+ and d- are both odd.
     #
-    # make_dihedral reads r only through the parity of p and the graph's
-    # name, which h1_z2 ignores, so the 874 points give 38 graphs, one per
-    # (p mod 2, d+, d-): each is built and its report read once, at the
-    # first point with its key.  The reports live as long as this call.
+    # make_dihedral reads r only through the parity of p, so the 874 points
+    # give 38 graphs, one per (p mod 2, d+, d-): each is built and its
+    # report read once, at the first point with its key.  The reports live
+    # as long as this call.
     reports = {}
     points = 0
     for r in _sweep_slopes(12):

@@ -151,7 +151,7 @@ class DataclassEdge:
         return b if v == a else a
 
 
-def template_graph_by_rescan(p_even, arc_weights, w_plus, w_minus, name=None):
+def template_graph_by_rescan(p_even, arc_weights, w_plus, w_minus):
     """The 2-bridge template as first written: end tables built per call,
     ends given unsorted, elided by ``elide_weight_one_by_rescan``."""
     vertices = [("a1", False), ("a2", False), ("b1", False), ("b2", False)]
@@ -164,10 +164,10 @@ def template_graph_by_rescan(p_even, arc_weights, w_plus, w_minus, name=None):
     edges = [Edge(k, ends[k], arc_weights[k]) for k in ("K1", "K2", "K3", "K4")]
     edges.append(Edge("tplus", ("a1", "a2"), w_plus))
     edges.append(Edge("tminus", ("b1", "b2"), w_minus))
-    return elide_weight_one_by_rescan("S3", vertices, edges, name=name)
+    return elide_weight_one_by_rescan("S3", vertices, edges)
 
 
-def template_graph_by_elision(p_even, arc_weights, w_plus, w_minus, name=None):
+def template_graph_by_elision(p_even, arc_weights, w_plus, w_minus):
     """The 2-bridge template built whole, K1..K4 then tplus and tminus, and
     then passed through the package's ``_elide_weight_one``: the form the
     family constructors used before they built the elided graph directly."""
@@ -181,10 +181,10 @@ def template_graph_by_elision(p_even, arc_weights, w_plus, w_minus, name=None):
     edges.append(Edge("tplus", ("a1", "a2"), w_plus))
     edges.append(Edge("tminus", ("b1", "b2"), w_minus))
     vertices = (("a1", False), ("a2", False), ("b1", False), ("b2", False))
-    return _elide_weight_one("S3", vertices, edges, name=name)
+    return _elide_weight_one("S3", vertices, edges)
 
 
-def elide_weight_one_by_rescan(ambient, vertices, edges, name=None):
+def elide_weight_one_by_rescan(ambient, vertices, edges):
     """The first weight-1 elision: every pass scans all edges for each
     vertex's germs and restarts from the smallest vertex after a change."""
     vertices = dict(vertices)
@@ -229,9 +229,52 @@ def elide_weight_one_by_rescan(ambient, vertices, edges, name=None):
                 edges[new_id] = merged
                 changed = True
                 break
-    return WeightedGraphOrbifold(
-        ambient, list(vertices.items()), list(edges.values()), name=name
-    )
+    return WeightedGraphOrbifold(ambient, list(vertices.items()), list(edges.values()))
+
+
+# The 2-bridge template K(r) u tau+ u tau- with its weight-1 tunnels
+# elided, by (p even, w(tau+) = 1, w(tau-) = 1): the vertex ids, and each
+# edge's id and sorted ends, in the order ``_elide_weight_one`` leaves them,
+# written out by hand, as the family constructors first read them.
+# With no tunnel elided it is the template itself: tau+ = tplus joins a1 and
+# a2, tau- = tminus joins b1 and b2, and the arcs K1..K4 of K(r) form the
+# 4-cycle a1-b1-a2-b2 for p odd and two parallel pairs a1=b1 (K1, K2) and
+# a2=b2 (K3, K4), one per link component, for p even.  Eliding a tunnel
+# leaves its two ends with two arcs each, and each is smoothed in sorted
+# order: its two arcs become one edge with the smaller id, placed last.
+# For p odd with both tunnels elided, b1 is smoothed too, and b2 keeps one
+# loop, a free circle; for p even the a-smoothings leave loops, and nothing
+# more is smoothed.
+TEMPLATE_SHAPES = {
+    (False, False, False): (
+        ("a1", "a2", "b1", "b2"),
+        (("K1", ("a1", "b1")), ("K2", ("a2", "b1")), ("K3", ("a2", "b2")),
+         ("K4", ("a1", "b2")), ("tplus", ("a1", "a2")), ("tminus", ("b1", "b2"))),
+    ),
+    (False, True, False): (
+        ("b1", "b2"),
+        (("tminus", ("b1", "b2")), ("K1", ("b1", "b2")), ("K2", ("b1", "b2"))),
+    ),
+    (False, False, True): (
+        ("a1", "a2"),
+        (("tplus", ("a1", "a2")), ("K1", ("a1", "a2")), ("K3", ("a1", "a2"))),
+    ),
+    (False, True, True): (("b2",), (("K1", ("b2", "b2")),)),
+    (True, False, False): (
+        ("a1", "a2", "b1", "b2"),
+        (("K1", ("a1", "b1")), ("K2", ("a1", "b1")), ("K3", ("a2", "b2")),
+         ("K4", ("a2", "b2")), ("tplus", ("a1", "a2")), ("tminus", ("b1", "b2"))),
+    ),
+    (True, True, False): (
+        ("b1", "b2"),
+        (("tminus", ("b1", "b2")), ("K1", ("b1", "b1")), ("K3", ("b2", "b2"))),
+    ),
+    (True, False, True): (
+        ("a1", "a2"),
+        (("tplus", ("a1", "a2")), ("K1", ("a1", "a1")), ("K3", ("a2", "a2"))),
+    ),
+    (True, True, True): (("b1", "b2"), (("K1", ("b1", "b1")), ("K3", ("b2", "b2")))),
+}
 
 
 def float_literals_by_tokenize(source):
@@ -336,11 +379,12 @@ def gf2_rref_by_rebuild(rows, ncols):
 def h1_z2_by_rebuild(g):
     """The first ``h1_z2``: ``gf2_rref_by_rebuild`` and the free columns
     found by membership in the pivot list."""
-    eids = sorted(e.id for e in g.edges())
+    weights = {e.id: e.weight for e in g.edges()}
+    eids = sorted(weights)
     col = {eid: i for i, eid in enumerate(eids)}
     rows = []
     for eid in eids:
-        if not weight_is_even(g.edge(eid).weight):
+        if not weight_is_even(weights[eid]):
             rows.append(1 << col[eid])
     for v in g.vertex_ids():
         mask = 0
@@ -866,6 +910,38 @@ def dihedral_degree(G):
         for _ in range(n):
             cyc.add(acc)
             acc = G.mul(acc, x)
+        xi = G.inv(x)
+        for s in G:
+            if s in cyc:
+                continue
+            if G.mul(s, s) == G.identity and G.mul(G.mul(s, x), G.inv(s)) == xi:
+                return n
+    return None
+
+
+def dihedral_degree_by_conjugation(G):
+    """n if G is dihedral of order 2n, else None, by the search that
+    ``groups.dihedral_degree`` first made: each candidate x walks its powers
+    once, and an x of order n is dihedral when some involution s outside
+    <x> has s*x*s^-1 = x^-1."""
+    size = len(G)
+    if size % 2 != 0:
+        return None
+    n = size // 2
+    if n == 1:
+        return 1 if G.element_order(G.elements[-1]) <= 2 else None
+    for x in G:
+        if x == G.identity:
+            continue
+        cyc = {G.identity}
+        acc = x
+        while acc != G.identity:
+            if len(cyc) == size:
+                raise ValueError("element order exceeds group order")
+            cyc.add(acc)
+            acc = G.mul(acc, x)
+        if len(cyc) != n:
+            continue
         xi = G.inv(x)
         for s in G:
             if s in cyc:

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -316,37 +317,75 @@ UNREFERENCED_ALLOWED = {
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
-def _referenced_names(nodes) -> set[str]:
-    """The identifiers that ``nodes`` and their children load by name or
-    as an attribute."""
-    out = set()
+def _referenced_names(nodes) -> Counter[str]:
+    """How often ``nodes`` and their children load each identifier, by name
+    or as an attribute."""
+    out = Counter()
     for node in nodes:
         for child in ast.walk(node):
             if isinstance(child, ast.Name):
-                out.add(child.id)
+                out[child.id] += 1
             elif isinstance(child, ast.Attribute):
-                out.add(child.attr)
+                out[child.attr] += 1
     return out
+
+
+def unreached_definitions(trees: dict[str, ast.Module], demos) -> list[str]:
+    """The public module-level defs and classes of ``trees``, and the public
+    methods and properties of those classes, whose name nothing loads: not
+    ``trees`` outside the definition itself, and not ``demos``, the names
+    the demos load."""
+    everywhere = _referenced_names(trees.values())
+    unreached = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                continue
+            definitions = [(node, module)]
+            if isinstance(node, ast.ClassDef):
+                definitions += [
+                    (m, f"{module}.{node.name}") for m in node.body
+                    if isinstance(m, ast.FunctionDef) and m.name[0] != "_"
+                ]
+            for definition, where in definitions:
+                name = definition.name
+                if name not in demos and everywhere[name] == _referenced_names([definition])[name]:
+                    unreached.append(f"{where}.{name}")
+    return sorted(unreached)
 
 
 def test_every_public_definition_is_reached():
     # No test-only code in the package: each public module-level def or
-    # class is referred to from the package, outside its own definition,
-    # or from a demo.
+    # class, and each public method or property of a public class, is
+    # referred to by name from the package, outside its own definition, or
+    # from a demo.
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     demos = _referenced_names(
         ast.parse(path.read_text()) for path in sorted(DEMOS.glob("*.py"))
     )
-    unreached = []
-    for module, tree in trees.items():
-        elsewhere = demos | _referenced_names(t for m, t in trees.items() if m != module)
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
-                continue
-            here = _referenced_names(n for n in tree.body if n is not node)
-            if node.name not in elsewhere | here:
-                unreached.append(f"{module}.{node.name}")
-    assert unreached == sorted(UNREFERENCED_ALLOWED), unreached
+    assert unreached_definitions(trees, demos) == sorted(UNREFERENCED_ALLOWED)
+
+
+def test_the_reach_guard_sees_an_unreferenced_method():
+    source = """
+class Graph:
+    def used(self):
+        return self.helper()
+    def helper(self):
+        return 1
+    def unused(self):
+        return self.unused()
+    @property
+    def size(self):
+        return 0
+    def _private(self):
+        return 2
+def main():
+    return Graph().used()
+"""
+    trees = {"m": ast.parse(source)}
+    assert unreached_definitions(trees, set()) == ["m.Graph.size", "m.Graph.unused", "m.main"]
+    assert unreached_definitions(trees, {"size", "main"}) == ["m.Graph.unused"]
 
 
 def test_star_import_and_unknown_names():

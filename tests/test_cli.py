@@ -373,6 +373,21 @@ class TestHomology:
         assert (code, out) == (1, "")
         assert err == "error: bad weight True on edge 'K1'\n"
 
+    @pytest.mark.parametrize("text", ["1_0", " 3", "\u0663", "x"])
+    def test_weight_string_read_by_the_ascii_integer_rule(self, capsys, tmp_path, text):
+        # As every numeric argument: "1_0" is not 10, nor " 3" 3.
+        document = graph_to_json(make_dihedral(slope("2/5"), 2, 3).graph)
+        document["edges"][0]["weight"] = text
+        path = tmp_path / "weight.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run(capsys, "homology", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: bad weight {text!r} on edge 'K1'\n"
+        for good in ("+2", "02", "inf"):
+            document["edges"][0]["weight"] = good
+            path.write_text(json.dumps(document))
+            assert run(capsys, "homology", str(path))[0] == 0
+
     @pytest.mark.parametrize(
         "document, message",
         [

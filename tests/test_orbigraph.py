@@ -3,7 +3,10 @@
 import dataclasses
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -77,6 +80,12 @@ def d22xi():
     )
 
 
+def _edge(g, eid):
+    """The edge of ``g`` with id ``eid``."""
+    (edge,) = (e for e in g.edges() if e.id == eid)
+    return edge
+
+
 def _unique_ids(rng, prefix, count):
     return [f"{prefix}{i}" for i in rng.sample(range(10 * count + 10), count)]
 
@@ -145,6 +154,26 @@ class TestWeights:
         for value in (2.5, Fraction(7, 2), True, 2.0):
             assert parse_weight(value) is value
             assert not is_weight(parse_weight(value))
+
+    def test_strings_read_by_the_ascii_integer_rule(self):
+        # As every numeric argument: a sign and ASCII digits.  Any other
+        # string comes back unchanged, for is_weight to refuse.
+        assert (parse_weight("+3"), parse_weight("03"), parse_weight("-3")) == (3, 3, -3)
+        for text in ("1_0", " 3", "3 ", "\u0663", "x", "", "3.0", "Inf"):
+            assert parse_weight(text) is text
+            assert not is_weight(parse_weight(text))
+
+    def test_graph_file_weights_refused_with_the_edge(self):
+        document = graph_to_json(theta(2, 2, 5))
+        for text, shown in (("1_0", "'1_0'"), (" 3", "' 3'"), ("\u0663", "'\u0663'"),
+                            ("x", "'x'"), ("-3", "-3")):
+            document["edges"][2]["weight"] = text
+            with pytest.raises(GraphStructureError) as info:
+                graph_from_json(document)
+            assert str(info.value) == f"bad weight {shown} on edge 'e3'"
+        for text, weight in (("+3", 3), ("03", 3), ("inf", INF)):
+            document["edges"][2]["weight"] = text
+            assert _edge(graph_from_json(document), "e3").weight == weight
 
     def test_predicates(self):
         assert is_weight(INF) and is_weight(1) and is_weight(2)
@@ -261,13 +290,12 @@ class TestStructure:
             for v in g.vertex_ids():
                 expected = oracles.germs_by_scan(g, v)
                 assert [id(e) for e in g.germs(v)] == [id(e) for e in expected], v
-                assert g.degree(v) == 3
+                assert len(g.germs(v)) == 3
 
     def test_germs_count_loops_twice(self):
         g = WeightedGraphOrbifold(
             "S3", [("c", False)], [Edge("L", ("c", "c"), 2)]
         )
-        assert g.degree("c") == 2
         assert len(g.germs("c")) == 2
 
 
@@ -300,7 +328,6 @@ def _rebuilt(g, edge_type):
         g.ambient,
         [(v, g.is_boundary(v)) for v in g.vertex_ids()],
         [edge_type(e.id, e.ends[::-1], e.weight) for e in g.edges()],
-        name=g.name,
     )
 
 
@@ -416,7 +443,7 @@ class TestSphereCondition:
         assert any(
             orbigraph._reciprocal_sum(g.germs(v)) > 1
             for v in g.vertex_ids()
-            if g.degree(v) == 3
+            if len(g.germs(v)) == 3
         )
 
 
@@ -436,9 +463,9 @@ class TestHeckoidFamilies:
         }
         g = d.graph
         assert sorted(g.vertex_ids()) == ["b1", "b2"]
-        assert g.edge("K1").weight is INF
-        assert g.edge("K2").weight == 2
-        assert g.edge("tminus").weight == 5
+        assert _edge(g, "K1").weight is INF
+        assert _edge(g, "K2").weight == 2
+        assert _edge(g, "tminus").weight == 5
         assert d.parabolic_edges == {"K1"}
 
     def test_half_integral_even_denominator(self):
@@ -450,10 +477,10 @@ class TestHeckoidFamilies:
         g = d.graph
         assert len(g.vertex_ids()) == 4 and len(g.edges()) == 6
         # hat(3/8) = 3/4 has even denominator: parallel-arc template
-        assert g.edge("K1").ends == ("a1", "b1")
-        assert g.edge("K2").ends == ("a1", "b1")
-        assert g.edge("K3").ends == ("a2", "b2")
-        assert g.edge("tplus").weight == 2 and g.edge("tminus").weight == 5
+        assert _edge(g, "K1").ends == ("a1", "b1")
+        assert _edge(g, "K2").ends == ("a1", "b1")
+        assert _edge(g, "K3").ends == ("a2", "b2")
+        assert _edge(g, "tplus").weight == 2 and _edge(g, "tminus").weight == 5
         assert d.parabolic_edges == {"K1", "K3"}
 
     def test_even_denominator_odd_hat(self):
@@ -461,8 +488,8 @@ class TestHeckoidFamilies:
         d = make_heckoid(slope("5/6"), Fraction(3, 2))
         assert d.family["tag"] == "M2" and d.family["r"] == "5/3"
         g = d.graph
-        assert g.edge("K1").ends == ("a1", "b1")
-        assert g.edge("K2").ends == ("a2", "b1")
+        assert _edge(g, "K1").ends == ("a1", "b1")
+        assert _edge(g, "K2").ends == ("a2", "b1")
 
     def test_another_m1(self):
         d = make_heckoid(slope("2/5"), Fraction(7, 2))
@@ -501,9 +528,9 @@ class TestDihedralGraphs:
     def test_full_template(self):
         g = make_dihedral(slope("1/3"), 2, 3).graph
         assert len(g.vertex_ids()) == 4 and len(g.edges()) == 6
-        assert g.edge("tplus").weight == 2
-        assert g.edge("tminus").weight == 3
-        assert all(g.edge(k).weight == 2 for k in ("K1", "K2", "K3", "K4"))
+        assert _edge(g, "tplus").weight == 2
+        assert _edge(g, "tminus").weight == 3
+        assert all(_edge(g, k).weight == 2 for k in ("K1", "K2", "K3", "K4"))
 
     def test_no_parabolic_locus(self):
         assert make_dihedral(slope("2/5"), 2, 3).parabolic_edges == frozenset()
@@ -533,6 +560,26 @@ class TestElidedTemplates:
     elision leaves it, with no elision pass; the template built whole and
     then elided (``oracles.template_graph_by_elision``) is the same graph."""
 
+    def test_shapes_are_read_off_the_elision_at_import(self):
+        # The eight shapes are those first written out by hand, and loading
+        # the module runs the elision once for each; building a family
+        # graph runs it no more (test_verify's TestOnePass).
+        assert orbigraph._TEMPLATES == oracles.TEMPLATE_SHAPES
+        probe = (
+            "import sys\n"
+            "calls = []\n"
+            "sys.setprofile(lambda frame, event, arg: event == 'call'"
+            " and frame.f_code.co_name == '_elide_weight_one' and calls.append(frame))\n"
+            "import pa.orbigraph\n"
+            "sys.setprofile(None)\n"
+            "print(len(calls), {frame.f_code.co_filename for frame in calls})\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(orbigraph.__file__).parent.parent)},
+        )
+        assert proc.stdout == f"8 {{{orbigraph.__file__!r}}}\n"
+
     ARCS = {
         "all-inf": {"K1": INF, "K2": INF, "K3": INF, "K4": INF},  # M0, E
         "M1": {"K1": INF, "K2": 2, "K3": 2, "K4": INF},
@@ -550,7 +597,7 @@ class TestElidedTemplates:
         for p_even, (pattern, arcs), w_plus, w_minus in itertools.product(
             (False, True), self.ARCS.items(), self.TUNNELS, self.TUNNELS
         ):
-            args = (p_even, arcs, w_plus, w_minus, f"T{pattern}")
+            args = (p_even, arcs, w_plus, w_minus)
             try:
                 expected = oracles.template_graph_by_elision(*args)
             except GraphStructureError as err:
@@ -558,7 +605,7 @@ class TestElidedTemplates:
                 continue
             got = orbigraph._template_graph(*args)
             assert graph_to_json(got) == graph_to_json(expected), args
-            assert got == expected and got.name == expected.name, args
+            assert got == expected, args
             for v in got.vertex_ids():
                 assert got.germs(v) == expected.germs(v), (args, v)
             agreed.add((p_even, pattern, w_plus, w_minus))
@@ -572,10 +619,10 @@ class TestElidedTemplates:
         calls = set()
         template = orbigraph._template_graph
 
-        def recorded(p_even, arcs, w_plus, w_minus, name=None):
+        def recorded(p_even, arcs, w_plus, w_minus):
             pattern = next(k for k, v in self.ARCS.items() if v == arcs)
             calls.add((p_even, pattern, w_plus, w_minus))
-            return template(p_even, arcs, w_plus, w_minus, name)
+            return template(p_even, arcs, w_plus, w_minus)
 
         monkeypatch.setattr(orbigraph, "_template_graph", recorded)
         for r in verify._sweep_slopes(13):
@@ -657,7 +704,7 @@ class TestSurgery:
         assert check_sc(g) == []
         capped = surger(g, {"e3": 4})
         assert not capped.is_boundary("v")
-        assert capped.degree("v") == 3
+        assert len(capped.germs("v")) == 3
         assert orbigraph._reciprocal_sum(capped.germs("v")) > 1  # a spherical cone point
         # sub-spherical boundary weights stay a boundary component
         kept = surger(g, {"e3": 8})
@@ -686,6 +733,14 @@ class TestSurgery:
             with pytest.raises(OrbifoldSurgeryError, match="bad weight"):
                 surger(theta(2, 2, 5), {"e3": w})
 
+    def test_weight_strings_read_by_the_ascii_integer_rule(self):
+        for text in ("x", "1_0", " 3", "\u0663", "-3"):
+            with pytest.raises(OrbifoldSurgeryError) as info:
+                surger(theta(2, 2, 5), {"e3": text})
+            assert str(info.value) == f"bad weight {text!r}"
+        for text, weight in (("+3", 3), ("03", 3), ("inf", INF)):
+            assert surger(theta(2, 2, 5), {"e3": text}) == theta(2, 2, weight)
+
     def test_bad_requests_rejected(self):
         g = make_dihedral(slope("1/3"), 2, 3).graph
         with pytest.raises(OrbifoldSurgeryError):
@@ -700,7 +755,7 @@ class TestHomology:
         col = {eid: i for i, eid in enumerate(eids)}
         rows = []
         for eid in eids:
-            if not weight_is_even(g.edge(eid).weight):
+            if not weight_is_even(_edge(g, eid).weight):
                 row = [0] * len(eids)
                 row[col[eid]] = 1
                 rows.append(row)
@@ -861,11 +916,11 @@ class TestOnePassGraphs:
             g = d.graph
             ((targs, tkwargs),) = calls
             expected = oracles.template_graph_by_rescan(*targs, **tkwargs)
-            assert (g.name, graph_to_json(g)) == (expected.name, graph_to_json(expected))
+            assert graph_to_json(g) == graph_to_json(expected), args
             assert d.parabolic_edges == {e.id for e in expected.edges() if e.weight is INF}
             for v in g.vertex_ids():
-                assert g.germs(v) == oracles.germs_by_scan(expected, v), (g.name, v)
-            assert h1_z2(g) == oracles.h1_z2_by_rebuild(g), g.name
+                assert g.germs(v) == oracles.germs_by_scan(expected, v), (args, v)
+            assert h1_z2(g) == oracles.h1_z2_by_rebuild(g), args
             points += 1
         assert points == 874 + 762 + 290
 

@@ -1,8 +1,10 @@
 """Exact quaternion-angle arithmetic, Isom+(S^3) model, group machinery."""
 
 import gc
+import itertools
 import types
 import weakref
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -276,7 +278,7 @@ class TestIsom3:
         assert J1 * J1 == antipodal
         G = close([J, J1], 16)
         assert len(G) == 8
-        assert antipodal in G.center()
+        assert all(G.mul(antipodal, g) == G.mul(g, antipodal) for g in G)
         A = close([antipodal], 4)
         for quotient in (
             oracles.quotient(G, A),
@@ -423,11 +425,36 @@ class TestFinGroup:
             with pytest.raises(GroupOverflow, match=f"^closure exceeds bound {order - 1}$"):
                 close(gens, order - 1, identity=identity)
 
+    def test_dihedral_degree_agrees_with_the_conjugation_search(self):
+        # Every triangle group T(p, q, r) with entries 1..7 and order at
+        # most 200, Z1..Z24 as permutations and eight quaternion closures:
+        # an x of order n with only involutions outside <x> is found
+        # exactly when the search finds an involution s inverting it.
+        sweep = [
+            cosetenum.triangle_group(*t)
+            for t in itertools.product(range(1, 8), repeat=3)
+            if (cosetenum.spherical_triangle_order(*t) or 201) <= 200
+        ]
+        for n in range(1, 25):
+            shift = tuple((i + 1) % n for i in range(n))
+            sweep.append(close([shift], n, identity=tuple(range(n)),
+                               mul=cosetenum._then, inv=cosetenum._inverse_permutation))
+        for gens in ([-Q_ONE], [Q_I], [Q_W], [Q_S], [Q_I, Q_J], [Q_S, Q_J],
+                     [Q_I, Q_W], [Q_S, Q_W]):
+            sweep.append(close(gens, 48, identity=Q_ONE))
+        degrees = Counter()
+        for G in sweep:
+            degree = dihedral_degree(G)
+            assert degree == oracles.dihedral_degree_by_conjugation(G), G.gens
+            degrees[degree] += 1
+        assert len(sweep) == 190 and {len(G) for G in sweep[-8:]} == {2, 4, 6, 8, 16, 24, 48}
+        assert set(degrees) == {None, *range(1, 8)}
+
     def test_element_order_and_center(self):
         G = close([L(Fraction(1, 4), 0)])
         assert len(G) == 4
         assert G.element_order(L(Fraction(1, 4), 0)) == 4
-        assert len(G.center()) == 4  # cyclic, abelian
+        assert all(G.mul(a, b) == G.mul(b, a) for a in G for b in G)  # cyclic, abelian
 
     def test_quotient(self):
         S = close([L(Fraction(1, 2), 0)])

@@ -458,7 +458,7 @@ class TestCaseTableFaults:
     def test_graph_reads_only_the_parity_of_p(self):
         # The premise of building each graph at its first point: the graph
         # of every point equals that of the sweep's first slope of the same
-        # parity, 0/1 or 1/2 (``==`` ignores the name).
+        # parity, 0/1 or 1/2.
         points = 0
         for r in verify._sweep_slopes(12):
             s = Slope(1, 2) if r.p % 2 == 0 else Slope(0, 1)
@@ -497,6 +497,23 @@ class TestCaseTableFaults:
         monkeypatch.setattr(slopes, "dihedral_key", wrong)
         (result,) = verify.run_checks(["heckoid-classification"])
         assert (result.status, result.witness) == ("fail", {"o_move": "(1/2;1,2)"})
+
+    def test_every_graph_of_check_8_is_closed(self, monkeypatch):
+        # Check 8 runs check_sc on its Heckoid graphs, and every one is
+        # closed: with no boundary sphere, the sphere condition holds
+        # trivially and check_sc returns [] without reading a germ.
+        graphs = []
+        make = orbigraph.make_heckoid
+
+        def recorded(r, n):
+            desc = make(r, n)
+            graphs.append(desc.graph)
+            return desc
+
+        monkeypatch.setattr(orbigraph, "make_heckoid", recorded)
+        assert verify.check_heckoid_classification()[0]
+        assert len(graphs) == 307
+        assert not any(g.is_boundary(v) for g in graphs for v in g.vertex_ids())
 
 
 class TestCheckFaults:
