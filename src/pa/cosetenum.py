@@ -8,7 +8,7 @@ T(2,2,r) takes time linear in r.  No entry is ever withdrawn: the
 enumerator answers the presentations Felsch closes without a coincidence,
 every spherical triangle presentation within the coset limit among them,
 and refuses the others with ValueError.  The table never holds more rows
-than the coset limit: when it is full, the enumeration reports overflow
+than the coset limit: when it is full, the enumeration raises ValueError
 instead of answering.
 Definition and scanning order are fixed, so repeated runs build identical
 tables.
@@ -117,17 +117,18 @@ def _column(letter: int) -> int:
 
 
 class CosetTable:
-    """Result of an enumeration: status "complete" or "overflow".
+    """Result of an enumeration, always complete: a full table raises.
 
-    For complete tables, row i column x gives the coset reached from coset
-    i by generator letter x (signed as in relators); cosets are renumbered
-    0..n-1 in discovery order.
+    Row i column x gives the coset reached from coset i by generator letter
+    x (signed as in relators); cosets are numbered 0..n-1 in discovery
+    order.
     """
 
-    def __init__(self, ngens: int, rows, status: str):
+    status = "complete"  # read by bench/spans.py's coset count
+
+    def __init__(self, ngens: int, rows):
         self.ngens = ngens
         self.rows = rows
-        self.status = status
 
     @property
     def n_cosets(self) -> int:
@@ -286,16 +287,16 @@ class _Felsch:
                 alpha += 1
                 continue
             if len(table) >= self.max_cosets:
-                return CosetTable(self.ncols // 2, [], "overflow")
+                raise ValueError("coset enumeration overflowed the coset bound")
             self._set(alpha, row.index(None), self._new_row())
             self._process_deductions()
-        return CosetTable(self.ncols // 2, table, "complete")
+        return CosetTable(self.ncols // 2, table)
 
 
 def enumerate_cosets(pres: Presentation) -> CosetTable:
     """Enumerate the cosets of the trivial subgroup (the regular action),
     in a table of at most MAX_COSETS rows; ValueError if the enumeration
-    meets a coincidence."""
+    meets a coincidence or needs more rows."""
     return _Felsch(pres, MAX_COSETS).run()
 
 
@@ -349,17 +350,12 @@ def triangle_table(p: int, q: int, r: int) -> CosetTable:
     # A complete table has one row per element and at most MAX_COSETS rows.
     if order > MAX_COSETS:
         raise ValueError(f"triangle group {(p, q, r)} overflowed the coset bound")
-    table = enumerate_cosets(triangle_presentation(p, q, r))
-    if table.status != "complete":
-        raise ValueError(f"triangle group {(p, q, r)} overflowed the coset bound")
-    return table
+    return enumerate_cosets(triangle_presentation(p, q, r))
 
 
 def coset_group(table: CosetTable):
-    """The finite group defined by a complete table, as permutations of the
-    cosets (the regular action, so |group| = number of cosets)."""
-    if table.status != "complete":
-        raise ValueError("coset table did not complete")
+    """The finite group defined by a table, as permutations of the cosets
+    (the regular action, so |group| = number of cosets)."""
     n = table.n_cosets
     gens = [word_permutation(table, ((g + 1, 1),)) for g in range(table.ngens)]
     return close(gens, n, identity=tuple(range(n)), mul=_then, inv=_inverse_permutation)

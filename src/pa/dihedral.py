@@ -202,7 +202,7 @@ def gamma(params: DihedralParams) -> tuple[FinGroup, Mapping]:
     """
     n = params.n
     f = _rotation(params)
-    cyclic = close([f], 2 * n)
+    cyclic = close([f], 2 * n, identity=ISOM_ID)
     group = extend(cyclic, [J], 4 * n)
     cert = _certificate(f, len(group), len(cyclic), n)
     if len(group) != 2 * n:

@@ -314,11 +314,15 @@ def dihedral_degree(G: FinGroup):
     presentation; in D_n, conversely, every element off the rotations is a
     reflection.  The orders are read once (``element_order``, ValueError
     past |G|), and each x of order n walks <x> once."""
+    return _dihedral_degree(G, {g: G.element_order(g) for g in G})
+
+
+def _dihedral_degree(G: FinGroup, orders: dict):
+    """``dihedral_degree`` of G from the order of each element."""
     size = len(G)
     if size % 2 != 0:
         return None
     n = size // 2
-    orders = {g: G.element_order(g) for g in G}
     for x, order in orders.items():
         if order != n:
             continue
@@ -344,15 +348,15 @@ def recognize(G: FinGroup) -> str:
     n = len(G)
     if n == 1:
         return "Z1"
-    orders = [G.element_order(g) for g in G.elements]
-    if all(o <= 2 for o in orders):
+    orders = {g: G.element_order(g) for g in G}
+    if all(o <= 2 for o in orders.values()):
         k = n.bit_length() - 1
         if 2**k != n:
             return f"other({n})"
         return "Z2" if k == 1 else f"(Z2)^{k}"
-    if n in orders:
+    if n in orders.values():
         return f"Z{n}"
-    dd = dihedral_degree(G)
+    dd = _dihedral_degree(G, orders)
     if dd == 6:
         return "D3xZ2"
     if dd is not None and dd >= 3:

@@ -5,7 +5,7 @@ element.
 It needs only the standard library and the package.  From the repository
 root:
 
-    PYTHONPATH=src python3 tests/coset_domain_sweep.py
+    PYTHONPATH=src python3 tests/coset_domain_sweep.py [--max-order N]
 
 The enumerator processes no coincidences, so this sweep is what shows it
 answers every triangle query.  The domain below is every input, at the
@@ -23,37 +23,43 @@ default coset limit:
   trivial column and every other entry the power g, so the type runs
   exactly like the pattern with its 1s in place and g everywhere else:
   (1, g, g), (g, 1, g), (g, g, 1), or one with two 1s and g = 1.
-- A lower coset limit only stops the same run earlier, at overflow.
+- A lower coset limit only stops the same run earlier: a full table
+  raises ValueError instead of answering.
 
 So the sweep covers every spherical type with entries <= 60, (2, 2, r) in
 its three orders for 61 <= r <= 5000, and (1, g, g), (g, 1, g), (g, g, 1)
-for 61 <= g <= 10000.  Exits 0 when every type completes at its order, 1 at
-the first that does not (printing the type and the error or row count).
+for 61 <= g <= 10000.  ``--max-order N`` keeps the types of order at most
+N (every type with entries <= 60 has order at most 120).  Exits 0 when every
+type completes at its order, 1 at the first that does not (printing the type
+and the error or row count).
 """
 
+import argparse
 import sys
 import time
 
 from pa import cosetenum
 
 
-def domain():
+def domain(max_order: int):
     box = range(1, 61)
     for p in box:
         for q in box:
             for r in box:
-                if cosetenum.spherical_triangle_order(p, q, r) is not None:
+                order = cosetenum.spherical_triangle_order(p, q, r)
+                if order is not None and order <= max_order:
                     yield p, q, r
-    for r in range(61, cosetenum.MAX_COSETS // 2 + 1):
+    bound = min(max_order, cosetenum.MAX_COSETS)
+    for r in range(61, bound // 2 + 1):
         yield from ((2, 2, r), (2, r, 2), (r, 2, 2))
-    for g in range(61, cosetenum.MAX_COSETS + 1):
+    for g in range(61, bound + 1):
         yield from ((1, g, g), (g, 1, g), (g, g, 1))
 
 
-def sweep() -> int:
+def sweep(max_order: int) -> int:
     checked = 0
     start = time.perf_counter()
-    for ptype in domain():
+    for ptype in domain(max_order):
         order = cosetenum.spherical_triangle_order(*ptype)
         try:
             rows = cosetenum.triangle_table(*ptype).n_cosets
@@ -69,5 +75,11 @@ def sweep() -> int:
     return 0
 
 
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--max-order", type=int, default=cosetenum.MAX_COSETS)
+    return sweep(parser.parse_args(argv).max_order)
+
+
 if __name__ == "__main__":
-    sys.exit(sweep())
+    sys.exit(main())

@@ -1276,13 +1276,16 @@ class _TableFull(Exception):
     pass
 
 
+_HLT_OVERFLOW = "HLT enumeration overflowed the coset bound"
+
+
 class HLTEnumerator:
     """Todd-Coxeter by the HLT strategy (scan-and-fill over every relator
     from every coset, the power relators included), with one lookahead and
-    compaction pass when the coset limit is hit; a second hit reports
-    overflow.  ``HLTEnumerator(pres, max_cosets).run()`` gives a
-    ``CosetTable``.  Each relator is scanned letter by letter, its runs
-    expanded."""
+    compaction pass when the coset limit is hit; a second hit raises
+    ValueError, as the package's enumerator does when its table is full.
+    ``HLTEnumerator(pres, max_cosets).run()`` gives a ``CosetTable``.  Each
+    relator is scanned letter by letter, its runs expanded."""
 
     def __init__(self, pres, max_cosets):
         self.pres = pres
@@ -1418,14 +1421,14 @@ class HLTEnumerator:
                 break
             except _TableFull:
                 if used_lookahead:
-                    return CosetTable(self.pres.ngens, [], "overflow")
+                    raise ValueError(_HLT_OVERFLOW)
                 used_lookahead = True
                 self._lookahead()
                 self._compact()
                 if len(self.table) >= self.max_cosets:
-                    return CosetTable(self.pres.ngens, [], "overflow")
+                    raise ValueError(_HLT_OVERFLOW)
         self._compact()
-        return CosetTable(self.pres.ngens, self.table, "complete")
+        return CosetTable(self.pres.ngens, self.table)
 
 
 # Words one letter at a time: the first form of ``cosetenum``'s word path,

@@ -450,6 +450,24 @@ class TestFinGroup:
         assert len(sweep) == 190 and {len(G) for G in sweep[-8:]} == {2, 4, 6, 8, 16, 24, 48}
         assert set(degrees) == {None, *range(1, 8)}
 
+    def test_recognition_reads_each_order_once(self, monkeypatch):
+        # recognize hands the orders it read to the dihedral test: 12
+        # element_order calls on the theta-orbifold's order-12 quotient,
+        # where it made 24 when dihedral_degree read them all again.
+        quotient, _ = dihedral.exceptional_isom()
+        calls = Counter()
+        element_order = groups.FinGroup.element_order
+
+        def counted(G, g):
+            calls["element_order"] += 1
+            return element_order(G, g)
+
+        monkeypatch.setattr(groups.FinGroup, "element_order", counted)
+        assert recognize(quotient) == "D3xZ2"
+        assert calls["element_order"] == len(quotient) == 12
+        assert dihedral_degree(quotient) == 6
+        assert calls["element_order"] == 24
+
     def test_element_order_and_center(self):
         G = close([L(Fraction(1, 4), 0)])
         assert len(G) == 4

@@ -370,23 +370,25 @@ class TestOnePass:
         assert calls == {"h1_z2": 38, "make_dihedral": 38}
 
     def test_product_count(self, monkeypatch):
-        # Gamma closed coset by coset, orders from the multiple n,
-        # N(Gamma)/Gamma from Gamma's cosets with N(Gamma) never listed and
-        # the declared generators inside Gamma dropped (39 products a point,
-        # 25 where a half turn lies in Gamma), the torus quotient searching
-        # vectors, order(J) read once, and check 1 reading D_n from Gamma's
-        # certificate instead of walking <f> again: 24 423 Isom3 products
-        # over checks 1-3.  The guard fails a returning J column.
-        # Before: 33 883 when the quotients multiplied by J and the torus
-        # quotient labelled its cosets by products, 41 130 when check 1
-        # recognized D_n by ``dihedral_degree`` and the torus quotient
-        # formed its whole 4x4 coset action (orbifold('2/7', 3, 5) made 47,
-        # not 38; it makes 30 now), 39 011 when it stopped
-        # at the fourth coset, 82 327 when N(Gamma) was listed and the
-        # quotient read from its blocks, 142 195 when the quotient labelled
-        # every element by a product and recognition walked <f> twice, and
-        # 333 382 when Gamma and N(Gamma) were closed breadth-first and
-        # order(f) was walked.
+        # Gamma closed coset by coset from the known identity, orders from
+        # the multiple n, N(Gamma)/Gamma from Gamma's cosets with N(Gamma)
+        # never listed and the declared generators inside Gamma dropped (39
+        # products a point, 25 where a half turn lies in Gamma), the torus
+        # quotient searching vectors, order(J) read once, and check 1
+        # reading D_n from Gamma's certificate instead of walking <f> again:
+        # 24 181 Isom3 products over checks 1-3.  The guard fails a
+        # returning J column.
+        # Before: 24 423 when <f> was closed from f*f^-1 (an inverse and
+        # a product at every point), 33 883 when the quotients multiplied
+        # by J and the torus quotient labelled its cosets by products,
+        # 41 130 when check 1 recognized D_n by ``dihedral_degree`` and the
+        # torus quotient formed its whole 4x4 coset action
+        # (orbifold('2/7', 3, 5) made 47, not 38; it makes 30 now), 39 011
+        # when it stopped at the fourth coset, 82 327 when N(Gamma) was
+        # listed and the quotient read from its blocks, 142 195 when the
+        # quotient labelled every element by a product and recognition
+        # walked <f> twice, and 333 382 when Gamma and N(Gamma) were closed
+        # breadth-first and order(f) was walked.
         products = Counter()
         mul = quat.Isom3.__mul__
 
