@@ -375,11 +375,11 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # parser
 #
-# Each command's arguments are added by its own function, listed with its
-# help in _COMMANDS.  A query runs one command, so main builds only that
-# command's branch of the tree: the top-level parser lists every command
-# with its help, so its usage, help and errors are the same whichever
-# branch is filled in.
+# Each level of the tree is a table of choices: _COMMANDS, and the leaves
+# of link and triangle.  A query runs one leaf, so main builds only the
+# branch its words name; every other choice is a bare placeholder, which
+# argparse still lists in the usage, the help and the invalid-choice
+# error, so those read the same whichever branch is filled in.
 
 
 def _leaf(p: argparse.ArgumentParser, func) -> argparse.ArgumentParser:
@@ -389,17 +389,25 @@ def _leaf(p: argparse.ArgumentParser, func) -> argparse.ArgumentParser:
     return p
 
 
-def _add_link(p: argparse.ArgumentParser) -> None:
-    leaves = p.add_subparsers(dest="subcommand", required=True)
-    for name, func, slope_args in (
-        ("classify", cmd_link_classify, ("slope",)),
-        ("equiv", cmd_link_equiv, ("slope", "slope2")),
-        ("cf", cmd_link_cf, ("slope",)),
-        ("hat", cmd_link_hat, ("slope",)),
-    ):
-        leaf = _leaf(leaves.add_parser(name), func)
-        for arg in slope_args:
-            leaf.add_argument(arg, type=_slope_arg)
+def _add_link_classify(p: argparse.ArgumentParser) -> None:
+    _leaf(p, cmd_link_classify)
+    p.add_argument("slope", type=_slope_arg)
+
+
+def _add_link_equiv(p: argparse.ArgumentParser) -> None:
+    _leaf(p, cmd_link_equiv)
+    p.add_argument("slope", type=_slope_arg)
+    p.add_argument("slope2", type=_slope_arg)
+
+
+def _add_link_cf(p: argparse.ArgumentParser) -> None:
+    _leaf(p, cmd_link_cf)
+    p.add_argument("slope", type=_slope_arg)
+
+
+def _add_link_hat(p: argparse.ArgumentParser) -> None:
+    _leaf(p, cmd_link_hat)
+    p.add_argument("slope", type=_slope_arg)
 
 
 def _add_heckoid(p: argparse.ArgumentParser) -> None:
@@ -426,14 +434,16 @@ def _add_cusp(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_triangle(p: argparse.ArgumentParser) -> None:
-    leaves = p.add_subparsers(dest="subcommand", required=True)
-    leaf = _leaf(leaves.add_parser("order"), cmd_triangle_order)
-    leaf.add_argument("type", type=_triple, help='spherical type, e.g. "2 3 3"')
-    leaf.add_argument("word", help="word over a,b,c (A,B,C inverses, digits repeat)")
-    leaf = _leaf(leaves.add_parser("image"), cmd_triangle_image)
-    leaf.add_argument("map", type=_arrow, help='e.g. "2 4 4 -> 2 2 4"')
-    leaf.add_argument("word")
+def _add_triangle_order(p: argparse.ArgumentParser) -> None:
+    _leaf(p, cmd_triangle_order)
+    p.add_argument("type", type=_triple, help='spherical type, e.g. "2 3 3"')
+    p.add_argument("word", help="word over a,b,c (A,B,C inverses, digits repeat)")
+
+
+def _add_triangle_image(p: argparse.ArgumentParser) -> None:
+    _leaf(p, cmd_triangle_image)
+    p.add_argument("map", type=_arrow, help='e.g. "2 4 4 -> 2 2 4"')
+    p.add_argument("word")
 
 
 def _add_homology(p: argparse.ArgumentParser) -> None:
@@ -447,39 +457,73 @@ def _add_verify(p: argparse.ArgumentParser) -> None:
     p.add_argument("checks", nargs="*", metavar="check-id")
 
 
-# command -> (help, function adding its arguments), in help order
+# Each table maps a choice, in help order, to its help (None for a leaf,
+# which its command's help does not list) and to the function adding its
+# arguments, or to the table of its own choices.  Those functions name
+# their cmd_ function when the parser is built, not at import, so a
+# tracer that replaces it on the module sees every call.
+_LINK = {
+    "classify": (None, _add_link_classify),
+    "equiv": (None, _add_link_equiv),
+    "cf": (None, _add_link_cf),
+    "hat": (None, _add_link_hat),
+}
+_TRIANGLE = {
+    "order": (None, _add_triangle_order),
+    "image": (None, _add_triangle_image),
+}
 _COMMANDS = {
-    "link": ("2-bridge link slope arithmetic", _add_link),
+    "link": ("2-bridge link slope arithmetic", _LINK),
     "heckoid": ("Heckoid orbifold graph", _add_heckoid),
     "dihedral": ("dihedral orbifold group and isometries", _add_dihedral),
     "cusp": ("rigid-cusp lattice spectra", _add_cusp),
-    "triangle": ("triangle-group word orders", _add_triangle),
+    "triangle": ("triangle-group word orders", _TRIANGLE),
     "homology": ("Z2 homology of a graph orbifold JSON file", _add_homology),
     "verify": ("run the verification checks", _add_verify),
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``pa`` parser with every command, but only ``command``'s
-    arguments filled in (every command's when ``command`` is None)."""
+def _add_choices(parser, prog: str, dest: str, choices: dict, words) -> None:
+    """Add the level ``choices`` to ``parser``, whose usage starts ``prog``.
+
+    When ``words[0]`` is one of the choices, only it is filled in, and the
+    level below it is read from ``words[1:]``; otherwise every choice is,
+    with every level below it.  Any other choice is a bare placeholder:
+    no -h and no arguments.
+    """
+    # Passing prog spares argparse formatting the parent's usage to find it.
+    sub = parser.add_subparsers(dest=dest, required=True, prog=prog)
+    named = words[0] if words and words[0] in choices else None
+    for name, (help_text, fill) in choices.items():
+        # a help of None would still list the choice in the parent's help
+        kwargs = {} if help_text is None else {"help": help_text}
+        if named not in (None, name):
+            sub.add_parser(name, add_help=False, **kwargs)
+        elif isinstance(fill, dict):  # a command with leaves of its own
+            p = sub.add_parser(name, **kwargs)
+            _add_choices(p, f"{prog} {name}", "subcommand", fill, words[1:] if named else ())
+        else:
+            fill(sub.add_parser(name, **kwargs))
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The ``pa`` parser with only the branch ``argv`` names filled in: its
+    first word when that is a command, then its second when that is one of
+    the command's leaves.  ``build_parser()`` is the whole tree."""
     parser = argparse.ArgumentParser(
         prog="pa",
         description="Exact arithmetic for 2-bridge slopes, Heckoid graphs, "
         "dihedral orbifold groups, rigid-cusp lattices and triangle groups.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if command is None or command == name:
-            add_arguments(p)
+    _add_choices(parser, "pa", "command", _COMMANDS, argv)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # Only the first word is looked at: anything else, "-h" or an unknown
-    # command, gets the whole tree and so argparse's own message.
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    # A word that names no choice ("-h", "--json", an unknown one) gets
+    # every branch below it, and so argparse's own message.
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse has printed usage/help already

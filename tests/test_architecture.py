@@ -59,16 +59,18 @@ def test_every_module_parses_as_python_3_10():
 
 
 EXTRA_PYTHONS = "PA_EXTRA_PYTHONS"
-REPLAY = Path(__file__).resolve().parent / "golden_replay.py"
+TESTS = Path(__file__).resolve().parent
 
 
-def _golden_replay(python: str) -> bytes:
-    """The stdout of ``golden_replay.py`` under the interpreter ``python``,
-    with only the package on its path."""
+def _run_script(python: str, script: str) -> bytes:
+    """The stdout of ``tests/<script>`` under the interpreter ``python``,
+    with only the package on its path; the script must exit 0."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONHOME"}
     env["PYTHONPATH"] = str(SRC.parent)
-    proc = subprocess.run([python, str(REPLAY)], capture_output=True, env=env, timeout=600)
-    assert proc.returncode == 0, (python, proc.stderr.decode(errors="replace"))
+    proc = subprocess.run([python, str(TESTS / script)], capture_output=True, env=env, timeout=600)
+    assert proc.returncode == 0, (
+        python, script, proc.stdout.decode(errors="replace"), proc.stderr.decode(errors="replace")
+    )
     return proc.stdout
 
 
@@ -77,16 +79,19 @@ def test_every_golden_output_is_the_same_under_the_extra_interpreters():
     # ``pa verify --all --json`` among them, replayed in one child process
     # per interpreter named by absolute path in PA_EXTRA_PYTHONS (separated
     # by os.pathsep; never looked up on PATH), gives the running
-    # interpreter's bytes.
+    # interpreter's bytes.  Each interpreter also runs the parser sweep, as
+    # the parser relies on argparse treating its prog and placeholders
+    # alike across versions.
     pythons = [p for p in os.environ.get(EXTRA_PYTHONS, "").split(os.pathsep) if p]
     if not pythons:
         pytest.skip(f"{EXTRA_PYTHONS} names no interpreter to replay the golden commands with")
     relative = [p for p in pythons if not os.path.isabs(p)]
     assert not relative, f"{EXTRA_PYTHONS} takes absolute paths: {relative}"
-    expected = _golden_replay(sys.executable)
+    expected = _run_script(sys.executable, "golden_replay.py")
     assert len(json.loads(expected)) == len(json.loads((GOLDEN / "cli.json").read_text()))
     for python in pythons:
-        assert _golden_replay(python) == expected, python
+        assert _run_script(python, "golden_replay.py") == expected, python
+        _run_script(python, "parser_sweep.py")
 
 
 def test_groups_imports_only_the_standard_library():
